@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dist/job.hpp"
 #include "engine/detail/serialize.hpp"
 #include "obs/metrics.hpp"
 
@@ -31,16 +32,6 @@ using engine::detail::to_double;
 using engine::detail::to_ll;
 using engine::detail::to_size;
 
-std::string_view to_string(SweepMode m) {
-  switch (m) {
-    case SweepMode::Analysis: return "analysis";
-    case SweepMode::Sim: return "sim";
-    case SweepMode::Combined: return "combined";
-    case SweepMode::Optimize: return "optimize";
-  }
-  return "?";
-}
-
 ShardPlan ShardPlan::split(std::uint64_t total, std::uint64_t count) {
   if (count == 0) throw std::invalid_argument("ShardPlan: shard count must be >= 1");
   ShardPlan plan;
@@ -59,7 +50,9 @@ ShardPlan ShardPlan::split(std::uint64_t total, std::uint64_t count) {
 
 namespace {
 
-constexpr const char* kMagic = "profisched-shard v1";
+/// Bump with any change to the artifact bytes: readers name the format they
+/// refuse. v2: rows are `o id seed point` plus one cell-codec cell per policy.
+constexpr const char* kMagic = "profisched-shard v2";
 
 [[nodiscard]] const char* method_name(profibus::TcycleMethod m) {
   return m == profibus::TcycleMethod::PaperEq13 ? "paper" : "refined";
@@ -98,11 +91,9 @@ constexpr const char* kMagic = "profisched-shard v1";
 }
 
 [[nodiscard]] SweepMode parse_mode(const std::string& s) {
-  if (s == "analysis") return SweepMode::Analysis;
-  if (s == "sim") return SweepMode::Sim;
-  if (s == "combined") return SweepMode::Combined;
-  if (s == "optimize") return SweepMode::Optimize;
-  throw std::invalid_argument("shard artifact: unknown mode '" + s + "'");
+  const ModeTrait* m = find_mode(s, &ModeTrait::spec_word);
+  if (m == nullptr) throw std::invalid_argument("shard artifact: unknown mode '" + s + "'");
+  return m->mode;
 }
 
 [[nodiscard]] engine::Policy parse_policy_name(const std::string& s) {
@@ -156,6 +147,13 @@ class LineReader {
     pending_valid_ = false;
   }
 
+  /// Pop the next line whole (an outcome row).
+  const std::string& raw(const char* what) {
+    if (!fetch()) throw std::invalid_argument(std::string("shard artifact: missing ") + what);
+    pending_valid_ = false;
+    return pending_;
+  }
+
  private:
   bool fetch() {
     if (!pending_valid_) pending_valid_ = static_cast<bool>(std::getline(is_, pending_));
@@ -181,8 +179,9 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   const engine::SweepSpec& sw = sh.spec.sweep;
   const workload::NetworkParams& b = sw.base;
   const engine::SimOptions& so = sh.spec.sim;
+  const ModeTrait& mode = trait(sh.mode);
   out += "mode ";
-  out += to_string(sh.mode);
+  out += mode.spec_word;
   out += '\n';
   out += "seed " + std::to_string(sw.seed) + '\n';
   out += "scenarios-per-point " + std::to_string(sw.scenarios_per_point) + '\n';
@@ -235,9 +234,9 @@ void append_spec(std::string& out, const ShardSpec& sh) {
            std::to_string(f.max_retransmissions) + ' ' + fmt_double_exact(f.churn_prob) + ' ' +
            std::to_string(f.churn_offline) + ' ' + fmt_double_exact(f.burst_correlation) + '\n';
   }
-  // Optimize-mode search brackets, emitted only in that mode so every other
+  // Search brackets, emitted only in the mode that takes them so every other
   // mode's spec block stays byte-identical to the pre-optimizer format.
-  if (sh.mode == SweepMode::Optimize) {
+  if ((mode.flag_groups & kBracketFlags) != 0) {
     const opt::OptimizeOptions& oo = sh.optimize;
     out += "optimize " + std::to_string(oo.scale_lo_q) + ' ' + std::to_string(oo.scale_hi_q) +
            ' ' + std::to_string(oo.ttr_cap) + ' ' + std::to_string(oo.dratio_lo_q) + ' ' +
@@ -287,6 +286,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   if (r.peek_keyword() == "skew") b.master_skew = to_double(r.line("skew", 1)[0]);
 
   const std::size_t n_points = to_size(r.line("points", 1)[0]);
+  if (n_points > kMaxScenarios) throw std::invalid_argument("shard spec: too many points");
   sw.points.clear();
   for (std::size_t i = 0; i < n_points; ++i) {
     const std::vector<std::string> pt = r.line("point", 3, 4);
@@ -319,7 +319,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
     o.faults.validate();
   }
 
-  if (sh.mode == SweepMode::Optimize) {
+  if ((trait(sh.mode).flag_groups & kBracketFlags) != 0) {
     const std::vector<std::string> oo = r.line("optimize", 5);
     sh.optimize.scale_lo_q = to_ll(oo[0]);
     sh.optimize.scale_hi_q = to_ll(oo[1]);
@@ -327,6 +327,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
     sh.optimize.dratio_lo_q = to_ll(oo[3]);
     sh.optimize.dratio_hi_q = to_ll(oo[4]);
   }
+  validate_spec(sh);
   return sh;
 }
 
@@ -350,97 +351,33 @@ ShardSpec parse_spec(const std::string& text) {
 }
 
 std::string ShardArtifact::to_text() const {
-  const std::size_t n_pol = spec.spec.sweep.policies.size();
+  const ModeTrait& mode = trait(spec.mode);
+  const std::size_t rows = mode.rows(*this);
   std::string out = kMagic;
   out += '\n';
   append_spec(out, spec);
   out += "shard " + std::to_string(shard_index) + ' ' + std::to_string(shard_count) + '\n';
   out += "range " + std::to_string(range.begin) + ' ' + std::to_string(range.end) + '\n';
-
-  const auto append_sim_outcome = [&](const engine::SimScenarioOutcome& o) {
-    out += "o " + std::to_string(o.id) + ' ' + std::to_string(o.seed) + ' ' +
-           std::to_string(o.point) + ' ' + std::to_string(o.horizon);
-    for (std::size_t p = 0; p < n_pol; ++p) {
-      out += ' ' + std::to_string(o.observed_max[p]) + ' ' + std::to_string(o.observed_p99[p]) +
-             ' ' + std::to_string(o.released[p]) + ' ' + std::to_string(o.completed[p]) + ' ' +
-             std::to_string(o.misses[p]) + ' ' + std::to_string(o.dropped[p]);
-    }
-  };
-
-  switch (spec.mode) {
-    case SweepMode::Analysis:
-      out += "outcomes " + std::to_string(analysis.size()) + '\n';
-      for (const engine::ScenarioOutcome& o : analysis) {
-        out += "o " + std::to_string(o.id) + ' ' + std::to_string(o.seed) + ' ' +
-               std::to_string(o.point) + ' ' + std::to_string(o.tcycle);
-        for (std::size_t p = 0; p < n_pol; ++p) {
-          out += std::string(" ") + (o.schedulable[p] ? '1' : '0') + ' ' +
-                 std::to_string(o.worst_slack[p]);
-        }
-        out += '\n';
-      }
-      break;
-    case SweepMode::Sim:
-      out += "outcomes " + std::to_string(sim.size()) + '\n';
-      for (const engine::SimScenarioOutcome& o : sim) {
-        append_sim_outcome(o);
-        out += '\n';
-      }
-      break;
-    case SweepMode::Combined: {
-      // Fault-axis rows append the degraded verdict/bound per policy; the
-      // zero-fault row grammar is byte-identical to the pre-fault format.
-      const bool faulted = spec.spec.sim.faults.any();
-      out += "outcomes " + std::to_string(combined.size()) + '\n';
-      for (const engine::CombinedOutcome& o : combined) {
-        append_sim_outcome(o.sim);
-        for (std::size_t p = 0; p < n_pol; ++p) {
-          out += std::string(" ") + (o.analytic_schedulable[p] ? '1' : '0') + ' ' +
-                 std::to_string(o.analytic_wcrt[p]) + ' ' + std::to_string(o.bound_violations[p]);
-          if (faulted) {
-            out += std::string(" ") + (o.degraded_schedulable[p] ? '1' : '0') + ' ' +
-                   std::to_string(o.degraded_wcrt[p]);
-          }
-        }
-        out += '\n';
-      }
-      break;
-    }
-    case SweepMode::Optimize:
-      out += "outcomes " + std::to_string(optimize.size()) + '\n';
-      for (const opt::OptimizeOutcome& o : optimize) {
-        out += "o " + std::to_string(o.id) + ' ' + std::to_string(o.seed) + ' ' +
-               std::to_string(o.point);
-        // breakdown_u rides along in shortest-round-trip form so a merged
-        // result equals the direct run bit-for-bit without regenerating the
-        // scenario (it is the exact double the shard computed).
-        for (std::size_t p = 0; p < n_pol; ++p) {
-          const opt::PolicyOptimum& po = o.per_policy[p];
-          out += std::string(" ") + (po.schedulable ? '1' : '0') + ' ' +
-                 std::to_string(po.breakdown_q) + ' ' + (po.breakdown_cap ? '1' : '0') + ' ' +
-                 fmt_double_exact(po.breakdown_u) + ' ' + std::to_string(po.max_ttr) + ' ' +
-                 (po.ttr_cap_hit ? '1' : '0') + ' ' + std::to_string(po.min_dratio_q) + ' ' +
-                 (po.dratio_floor ? '1' : '0');
-        }
-        out += '\n';
-      }
-      break;
-  }
+  out += "outcomes " + std::to_string(rows) + '\n';
+  mode.encode(*this, out);
   out += "end\n";
-  std::size_t rows = combined.size();
-  if (spec.mode == SweepMode::Analysis) rows = analysis.size();
-  if (spec.mode == SweepMode::Sim) rows = sim.size();
-  if (spec.mode == SweepMode::Optimize) rows = optimize.size();
   dist_metrics().rows_written.add(rows);
   return out;
 }
 
 ShardArtifact ShardArtifact::from_text(const std::string& text) {
+  const std::string first = text.substr(0, text.find('\n'));
+  if (first != kMagic) {
+    throw std::invalid_argument(
+        first.rfind("profisched-shard ", 0) == 0
+            ? "shard artifact: format '" + first + "' is not readable by this build (it reads '" +
+                  kMagic + "'); re-run the shard"
+            : std::string("shard artifact: not a '") + kMagic + "' file");
+  }
   LineReader r(text);
   r.literal(kMagic);
   ShardArtifact art;
   art.spec = read_spec(r);
-  const std::size_t n_pol = art.spec.spec.sweep.policies.size();
 
   const std::vector<std::string> sh = r.line("shard", 2);
   art.shard_index = to_u64(sh[0]);
@@ -448,92 +385,22 @@ ShardArtifact ShardArtifact::from_text(const std::string& text) {
   const std::vector<std::string> rg = r.line("range", 2);
   art.range.begin = to_u64(rg[0]);
   art.range.end = to_u64(rg[1]);
-  if (art.range.begin > art.range.end) {
-    throw std::invalid_argument("shard artifact: inverted range");
+  if (art.range.begin > art.range.end || art.range.end > art.spec.total_scenarios()) {
+    throw std::invalid_argument("shard artifact: range [" + rg[0] + ", " + rg[1] +
+                                ") lies outside the sweep");
   }
+  // The row count must match the range before a single row is read.
   const std::size_t n_rows = to_size(r.line("outcomes", 1)[0]);
-
-  const auto read_sim_outcome = [&](const std::vector<std::string>& t, std::size_t base,
-                                    engine::SimScenarioOutcome& o) {
-    o.id = to_u64(t[base + 0]);
-    o.seed = to_u64(t[base + 1]);
-    o.point = to_size(t[base + 2]);
-    o.horizon = to_ll(t[base + 3]);
-    for (std::size_t p = 0; p < n_pol; ++p) {
-      const std::size_t c = base + 4 + p * 6;
-      o.observed_max.push_back(to_ll(t[c + 0]));
-      o.observed_p99.push_back(to_ll(t[c + 1]));
-      o.released.push_back(to_u64(t[c + 2]));
-      o.completed.push_back(to_u64(t[c + 3]));
-      o.misses.push_back(to_u64(t[c + 4]));
-      o.dropped.push_back(to_u64(t[c + 5]));
-    }
-  };
-
+  if (n_rows != art.range.size()) {
+    throw std::invalid_argument("shard artifact: " + std::to_string(n_rows) +
+                                " outcome rows for a range of " +
+                                std::to_string(art.range.size()) + " ids");
+  }
+  const ModeTrait& mode = trait(art.spec.mode);
   for (std::size_t i = 0; i < n_rows; ++i) {
-    switch (art.spec.mode) {
-      case SweepMode::Analysis: {
-        const std::vector<std::string> t = r.line("o", 4 + n_pol * 2);
-        engine::ScenarioOutcome o;
-        o.id = to_u64(t[0]);
-        o.seed = to_u64(t[1]);
-        o.point = to_size(t[2]);
-        o.tcycle = to_ll(t[3]);
-        for (std::size_t p = 0; p < n_pol; ++p) {
-          o.schedulable.push_back(to_bool01(t[4 + p * 2]));
-          o.worst_slack.push_back(to_ll(t[5 + p * 2]));
-        }
-        art.analysis.push_back(std::move(o));
-        break;
-      }
-      case SweepMode::Sim: {
-        const std::vector<std::string> t = r.line("o", 4 + n_pol * 6);
-        engine::SimScenarioOutcome o;
-        read_sim_outcome(t, 0, o);
-        art.sim.push_back(std::move(o));
-        break;
-      }
-      case SweepMode::Combined: {
-        const bool faulted = art.spec.spec.sim.faults.any();
-        const std::size_t per_pol = faulted ? 5 : 3;
-        const std::vector<std::string> t = r.line("o", 4 + n_pol * (6 + per_pol));
-        engine::CombinedOutcome o;
-        read_sim_outcome(t, 0, o.sim);
-        const std::size_t base = 4 + n_pol * 6;
-        for (std::size_t p = 0; p < n_pol; ++p) {
-          o.analytic_schedulable.push_back(to_bool01(t[base + p * per_pol + 0]));
-          o.analytic_wcrt.push_back(to_ll(t[base + p * per_pol + 1]));
-          o.bound_violations.push_back(to_u64(t[base + p * per_pol + 2]));
-          if (faulted) {
-            o.degraded_schedulable.push_back(to_bool01(t[base + p * per_pol + 3]));
-            o.degraded_wcrt.push_back(to_ll(t[base + p * per_pol + 4]));
-          }
-        }
-        art.combined.push_back(std::move(o));
-        break;
-      }
-      case SweepMode::Optimize: {
-        const std::vector<std::string> t = r.line("o", 3 + n_pol * 8);
-        opt::OptimizeOutcome o;
-        o.id = to_u64(t[0]);
-        o.seed = to_u64(t[1]);
-        o.point = to_size(t[2]);
-        for (std::size_t p = 0; p < n_pol; ++p) {
-          const std::size_t c = 3 + p * 8;
-          opt::PolicyOptimum po;
-          po.schedulable = to_bool01(t[c + 0]);
-          po.breakdown_q = to_ll(t[c + 1]);
-          po.breakdown_cap = to_bool01(t[c + 2]);
-          po.breakdown_u = to_double(t[c + 3]);
-          po.max_ttr = to_ll(t[c + 4]);
-          po.ttr_cap_hit = to_bool01(t[c + 5]);
-          po.min_dratio_q = to_ll(t[c + 6]);
-          po.dratio_floor = to_bool01(t[c + 7]);
-          o.per_policy.push_back(po);
-        }
-        art.optimize.push_back(std::move(o));
-        break;
-      }
+    const std::string& line = r.raw("outcome row");
+    if (!mode.decode(line, art)) {
+      throw std::invalid_argument("shard artifact: malformed outcome row '" + line + "'");
     }
   }
   r.literal("end");
@@ -545,48 +412,21 @@ ShardArtifact ShardRunner::run(const ShardSpec& spec, std::uint64_t index, std::
   if (index >= count) {
     throw std::invalid_argument("ShardRunner: shard index must be < shard count");
   }
-  const ShardPlan plan = ShardPlan::split(spec.total_scenarios(), count);
   ShardArtifact art;
   art.spec = spec;
   art.shard_index = index;
   art.shard_count = count;
-  art.range = plan.ranges[static_cast<std::size_t>(index)];
-  switch (spec.mode) {
-    case SweepMode::Analysis: {
-      engine::SweepResult r = runner_.run(spec.spec.sweep, art.range, cache);
-      art.analysis = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-    case SweepMode::Sim: {
-      engine::SimSweepResult r = runner_.run_sim(spec.spec, art.range, cache);
-      art.sim = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-    case SweepMode::Combined: {
-      engine::CombinedResult r = runner_.run_combined(spec.spec, art.range, cache);
-      art.combined = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-    case SweepMode::Optimize: {
-      opt::OptimizeResult r =
-          opt::run_optimize(runner_, opt::OptimizeSpec{spec.spec.sweep, spec.optimize},
-                            art.range, cache);
-      art.optimize = std::move(r.outcomes);
-      art.cache_hits = r.cache_hits;
-      art.cache_misses = r.cache_misses;
-      break;
-    }
-  }
+  art.range =
+      ShardPlan::split(spec.total_scenarios(), count).ranges[static_cast<std::size_t>(index)];
+  trait(spec.mode).execute(runner_, art, cache);
   return art;
 }
 
 MergedSweep merge_shards(const std::vector<ShardArtifact>& shards) {
+  return merge_shards(std::vector<ShardArtifact>(shards));
+}
+
+MergedSweep merge_shards(std::vector<ShardArtifact>&& shards) {
   if (shards.empty()) throw std::invalid_argument("merge: no shard artifacts");
 
   const std::string spec_block = serialize_spec(shards[0].spec);
@@ -601,8 +441,8 @@ MergedSweep merge_shards(const std::vector<ShardArtifact>& shards) {
   DistMetrics& dm = dist_metrics();
   dm.artifacts.add(shards.size());
 
-  std::vector<const ShardArtifact*> by_index(static_cast<std::size_t>(count), nullptr);
-  for (const ShardArtifact& s : shards) {
+  std::vector<ShardArtifact*> by_index(static_cast<std::size_t>(count), nullptr);
+  for (ShardArtifact& s : shards) {
     dm.spec_validations.add(1);
     if (serialize_spec(s.spec) != spec_block) {
       throw std::invalid_argument("merge: shard " + std::to_string(s.shard_index) +
@@ -624,10 +464,11 @@ MergedSweep merge_shards(const std::vector<ShardArtifact>& shards) {
     slot = &s;
   }
 
-  // The planner carves [0, N) contiguously in index order, so the manifests
+  // The planner carves [0, N) contiguously in index order, so the shards
   // must tile it exactly — any gap or overlap means a shard ran under a
   // different plan (or was hand-edited) and the merge would be silently
-  // wrong.
+  // wrong. Row counts are checked here too, before anything is allocated.
+  const ModeTrait& mode = trait(shards[0].spec.mode);
   std::uint64_t cursor = 0;
   for (std::uint64_t k = 0; k < count; ++k) {
     const ShardArtifact& s = *by_index[static_cast<std::size_t>(k)];
@@ -640,6 +481,11 @@ MergedSweep merge_shards(const std::vector<ShardArtifact>& shards) {
     if (s.range.end < s.range.begin || s.range.end > total) {
       throw std::invalid_argument("merge: shard " + std::to_string(k) + " range exceeds sweep");
     }
+    if (mode.rows(s) != s.range.size()) {
+      throw std::invalid_argument("merge: shard " + std::to_string(k) + " carries " +
+                                  std::to_string(mode.rows(s)) + " outcomes for a range of " +
+                                  std::to_string(s.range.size()));
+    }
     cursor = s.range.end;
   }
   if (cursor != total) {
@@ -649,63 +495,9 @@ MergedSweep merge_shards(const std::vector<ShardArtifact>& shards) {
 
   MergedSweep merged;
   merged.spec = shards[0].spec;
-  const std::size_t n = static_cast<std::size_t>(total);
-  const std::size_t spp = merged.spec.spec.sweep.scenarios_per_point;
-
-  const auto check_row = [&](std::uint64_t expected_id, std::uint64_t id, std::size_t point) {
-    if (id != expected_id || point != static_cast<std::size_t>(id) / spp) {
-      throw std::invalid_argument("merge: outcome row for id " + std::to_string(id) +
-                                  " contradicts its shard's declared range");
-    }
-  };
-
-  switch (merged.spec.mode) {
-    case SweepMode::Analysis:
-      merged.analysis.outcomes.resize(n);
-      break;
-    case SweepMode::Sim:
-      merged.sim.outcomes.resize(n);
-      break;
-    case SweepMode::Combined:
-      merged.combined.outcomes.resize(n);
-      break;
-    case SweepMode::Optimize:
-      merged.optimize.outcomes.resize(n);
-      break;
-  }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const ShardArtifact& s = *by_index[static_cast<std::size_t>(k)];
-    std::size_t rows = s.combined.size();
-    if (s.spec.mode == SweepMode::Analysis) rows = s.analysis.size();
-    if (s.spec.mode == SweepMode::Sim) rows = s.sim.size();
-    if (s.spec.mode == SweepMode::Optimize) rows = s.optimize.size();
-    if (rows != static_cast<std::size_t>(s.range.size())) {
-      throw std::invalid_argument("merge: shard " + std::to_string(k) + " carries " +
-                                  std::to_string(rows) + " outcomes for a range of " +
-                                  std::to_string(s.range.size()));
-    }
-    dm.rows_merged.add(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const std::uint64_t id = s.range.begin + i;
-      switch (merged.spec.mode) {
-        case SweepMode::Analysis:
-          check_row(id, s.analysis[i].id, s.analysis[i].point);
-          merged.analysis.outcomes[static_cast<std::size_t>(id)] = s.analysis[i];
-          break;
-        case SweepMode::Sim:
-          check_row(id, s.sim[i].id, s.sim[i].point);
-          merged.sim.outcomes[static_cast<std::size_t>(id)] = s.sim[i];
-          break;
-        case SweepMode::Combined:
-          check_row(id, s.combined[i].sim.id, s.combined[i].sim.point);
-          merged.combined.outcomes[static_cast<std::size_t>(id)] = s.combined[i];
-          break;
-        case SweepMode::Optimize:
-          check_row(id, s.optimize[i].id, s.optimize[i].point);
-          merged.optimize.outcomes[static_cast<std::size_t>(id)] = s.optimize[i];
-          break;
-      }
-    }
+  for (ShardArtifact* s : by_index) {
+    dm.rows_merged.add(mode.rows(*s));
+    mode.append(*s, merged, total);
   }
   return merged;
 }

@@ -11,9 +11,9 @@
 // outcomes at their global ids — plus loud validation: every artifact must
 // carry an identical spec block, and the ranges must tile [0, N) with no gap
 // or overlap. The merged result feeds the same aggregate()/aggregate_sim()/
-// consistency_table() reducers the single-process subcommands use, which is
-// what makes `profisched merge` output byte-identical to `profisched sweep`
-// / `profisched simulate` (CI cmp-checks this).
+// consistency_table()/aggregate_optimize() reducers, which is what makes
+// `profisched merge` output byte-identical to `profisched sweep` /
+// `simulate` / `optimize` (CI cmp-checks this).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,8 @@ enum class SweepMode {
   Optimize,  ///< opt::run_optimize    — `profisched optimize`
 };
 
+/// The mode's spec-block word (analysis|sim|combined|optimize); see
+/// ModeTrait in dist/job.hpp for both vocabularies.
 [[nodiscard]] std::string_view to_string(SweepMode m);
 
 /// Split [0, total) into `count` disjoint contiguous ranges whose sizes
@@ -69,8 +71,9 @@ struct ShardSpec {
 /// One executed shard: the spec it ran under, its position in the plan, and
 /// the outcome rows of its id range (exactly one of the four vectors is
 /// populated, per mode). Serializes to a line-oriented text artifact that
-/// parses back exactly (detail/serialize.hpp primitives: locale-independent,
-/// doubles in shortest-round-trip form).
+/// parses back exactly: each row is `o id seed point` plus one cell per
+/// policy in the mode's cell codec (engine/detail/record.hpp), the same
+/// codec its result-cache records use.
 struct ShardArtifact {
   ShardSpec spec;
   std::uint64_t shard_index = 0;  ///< 0-based position in the plan
@@ -82,15 +85,14 @@ struct ShardArtifact {
   std::vector<engine::CombinedOutcome> combined;
   std::vector<opt::OptimizeOutcome> optimize;
 
-  /// Result-cache statistics of the run that produced this artifact, from
-  /// the SweepRunner's own counters (which treat undecodable or mismatched
-  /// entries as the recomputes they are). Runtime-only: to_text()/from_text()
-  /// do not carry them.
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
+  /// Wall clock, memo and result-cache statistics of the run that produced
+  /// this artifact. Runtime-only: to_text()/from_text() do not carry them.
+  engine::RunStats stats;
 
   [[nodiscard]] std::string to_text() const;
-  /// Throws std::invalid_argument on any malformed or truncated artifact.
+  /// Throws std::invalid_argument on any malformed or truncated artifact, on
+  /// an older artifact format (the message names it), on a spec that fails
+  /// validate_spec, and on a row count that contradicts the declared range.
   [[nodiscard]] static ShardArtifact from_text(const std::string& text);
 };
 
@@ -100,10 +102,13 @@ struct ShardArtifact {
 
 /// Inverse of serialize_spec: parse one standalone spec block (the serve
 /// protocol ships specs in exactly this form). Throws std::invalid_argument
-/// on any malformed, truncated, or trailing-data input.
+/// on any malformed, truncated, or trailing-data input, and on a spec that
+/// fails validate_spec (dist/job.hpp).
 [[nodiscard]] ShardSpec parse_spec(const std::string& text);
 
-/// Executes single shards through the engine's ranged sweep entry points.
+/// Executes single shards through the engine's ranged sweep entry points —
+/// the job pipeline's execute step, for a whole run (shard 0 of 1), one
+/// `profisched shard`, or one of the daemon's oversplit ranges.
 class ShardRunner {
  public:
   /// `threads` = 0 picks ThreadPool::default_threads().
@@ -136,7 +141,10 @@ struct MergedSweep {
 /// Reassemble one sweep from its shard artifacts. Validation is strict and
 /// throws std::invalid_argument on: no artifacts, differing spec blocks or
 /// shard counts, duplicate shard indices, ranges that overlap or leave a gap
-/// in [0, N), and outcome rows that contradict their declared range.
+/// in [0, N), and outcome rows that contradict their declared range — all
+/// checked before the merged result is allocated. The rvalue overload moves
+/// the rows out of the artifacts instead of copying them.
+[[nodiscard]] MergedSweep merge_shards(std::vector<ShardArtifact>&& shards);
 [[nodiscard]] MergedSweep merge_shards(const std::vector<ShardArtifact>& shards);
 
 }  // namespace profisched::dist

@@ -32,7 +32,7 @@ bool parse_cli_nonneg_double(const std::string& s, double& out) {
   return true;
 }
 
-bool parse_cli_policies(const std::string& list, bool simulable_only, std::vector<Policy>& out) {
+bool parse_cli_policies(const std::string& list, std::vector<Policy>& out) {
   out.clear();
   std::size_t start = 0;
   while (start <= list.size()) {
@@ -41,9 +41,9 @@ bool parse_cli_policies(const std::string& list, bool simulable_only, std::vecto
     if (name == "fcfs") out.push_back(Policy::Fcfs);
     else if (name == "dm") out.push_back(Policy::Dm);
     else if (name == "edf") out.push_back(Policy::Edf);
-    else if (!simulable_only && name == "opa") out.push_back(Policy::Opa);
-    else if (!simulable_only && name == "token") out.push_back(Policy::TokenRing);
-    else if (!simulable_only && name == "holistic") out.push_back(Policy::Holistic);
+    else if (name == "opa") out.push_back(Policy::Opa);
+    else if (name == "token") out.push_back(Policy::TokenRing);
+    else if (name == "holistic") out.push_back(Policy::Holistic);
     else return false;
     // Duplicates would emit repeated policy columns the CSV/JSON formats
     // cannot represent (their parse-back keys on the policy name).

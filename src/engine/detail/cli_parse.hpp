@@ -1,10 +1,10 @@
-// detail/cli_parse.hpp — the strict scalar-parser table shared by every
-// profisched subcommand (sweep, simulate, shard, merge). Full-string parses
+// detail/cli_parse.hpp — the strict scalar parsers behind the job-flag table
+// (dist/job.cpp) and the INI-mode flags. Full-string parses
 // that reject trailing garbage, negatives and overflow, and bound each value
 // to its sane range: atoll's silent 0 / wraparound turned typos into
 // pathological sweeps. Lives in the library so the validation stays
-// unit-tested (tests/engine/test_sim_cli.cpp, tests/dist/test_dist_cli.cpp)
-// and no subcommand grows a private copy.
+// unit-tested (tests/engine/test_cli_parse.cpp) and no subcommand grows a
+// private copy.
 #pragma once
 
 #include <cstddef>
@@ -20,12 +20,10 @@ namespace profisched::engine {
 
 [[nodiscard]] bool parse_cli_nonneg_double(const std::string& s, double& out);
 
-/// Comma-separated policy names (duplicates rejected — the serialized column
-/// formats key on unique policy names). `simulable_only` restricts the table
-/// to the AP-queue policies the simulator implements; otherwise every
-/// analysis Policy name is accepted (fcfs,dm,edf,opa,token,holistic).
-[[nodiscard]] bool parse_cli_policies(const std::string& list, bool simulable_only,
-                                      std::vector<Policy>& out);
+/// Comma-separated policy names from fcfs,dm,edf,opa,token,holistic
+/// (duplicates rejected — the serialized column formats key on unique policy
+/// names). Which of them a mode can run is its trait's rule (dist/job.hpp).
+[[nodiscard]] bool parse_cli_policies(const std::string& list, std::vector<Policy>& out);
 
 /// "LO:HI:STEPS" utilization-grid argument (numeric LO/HI, integer STEPS).
 [[nodiscard]] bool parse_cli_u_grid(const std::string& s, double& u_lo, double& u_hi,

@@ -57,8 +57,9 @@ struct CacheKey {
 /// Hook the SweepRunner consults per (scenario, policy): load() returns true
 /// and fills `payload` on a hit; store() persists a payload computed on a
 /// miss. Implementations must be safe to call from every worker thread
-/// concurrently, and must treat payloads as opaque bytes (the runner owns the
-/// record format). The on-disk implementation is dist::ResultCache.
+/// concurrently, and must treat payloads as opaque bytes (the format is each
+/// mode's cell codec, engine/detail/record.hpp). The on-disk implementation is
+/// dist::ResultCache.
 class ScenarioCache {
  public:
   virtual ~ScenarioCache() = default;
@@ -110,7 +111,6 @@ struct ScenarioOutcome {
   std::size_t point = 0;  ///< index into SweepSpec::points
   Ticks tcycle = 0;
   std::vector<bool> schedulable;
-  std::vector<Ticks> worst_slack;
 };
 
 /// Run-wide bookkeeping every mode's result carries: wall clock plus

@@ -23,9 +23,6 @@ struct OptMetrics {
   obs::Counter probes_breakdown = obs::Registry::global().counter("opt.probes.breakdown");
   obs::Counter probes_ttr = obs::Registry::global().counter("opt.probes.ttr");
   obs::Counter probes_dratio = obs::Registry::global().counter("opt.probes.dratio");
-  obs::Counter cache_lookups = obs::Registry::global().counter("cache.lookups");
-  obs::Counter cache_hits = obs::Registry::global().counter("cache.hits");
-  obs::Counter cache_misses = obs::Registry::global().counter("cache.misses");
 };
 
 OptMetrics& opt_metrics() {
@@ -126,17 +123,11 @@ PolicyOptimum optimize_policy(const profibus::Network& net, const profibus::Netw
 
 namespace {
 
-using engine::detail::append_i64;
-using engine::detail::append_u64;
-using engine::detail::RecordReader;
-
-// Cache record kind 4 ("z1"): the optimizer's entry in the shared ResultCache
-// namespace (1 = analysis, 2 = sim, 3 = combined). The payload stores only
-// integers — breakdown_u is a derived double and is recomputed from the
-// regenerated scenario on hits, keeping cached == recomputed exact.
+// Cache record kind 4: the optimizer's entry in the shared ResultCache
+// namespace (1 = analysis, 2 = sim, 3 = combined).
 constexpr std::uint64_t kOptimizeRecordKind = 4;
-/// Bump when the record layout or search semantics change: old entries then
-/// miss cleanly instead of being misread.
+/// Bump when the search semantics change: old entries then miss cleanly
+/// instead of being misread (layout changes bump OptimizeCells::tag).
 constexpr std::uint64_t kOptimizeRecordVersion = 1;
 
 std::uint64_t optimize_params_digest(engine::Policy policy, const engine::EngineOptions& eng,
@@ -154,37 +145,6 @@ std::uint64_t optimize_params_digest(engine::Policy policy, const engine::Engine
       .i64(opt.dratio_lo_q)
       .i64(opt.dratio_hi_q);
   return h.digest();
-}
-
-std::string encode_optimize_record(const PolicyOptimum& o) {
-  std::string out = "z1";
-  append_u64(out, o.schedulable ? 1 : 0);
-  append_i64(out, o.breakdown_q);
-  append_u64(out, o.breakdown_cap ? 1 : 0);
-  append_i64(out, o.max_ttr);
-  append_u64(out, o.ttr_cap_hit ? 1 : 0);
-  append_i64(out, o.min_dratio_q);
-  append_u64(out, o.dratio_floor ? 1 : 0);
-  return out;
-}
-
-bool decode_optimize_record(const std::string& payload, PolicyOptimum& o) {
-  RecordReader r(payload);
-  long long bq = 0, ttr = 0, dq = 0;
-  unsigned long long sched = 0, bcap = 0, tcap = 0, dfloor = 0;
-  if (!r.tag("z1") || !r.u64(sched) || !r.i64(bq) || !r.u64(bcap) || !r.i64(ttr) ||
-      !r.u64(tcap) || !r.i64(dq) || !r.u64(dfloor) || !r.done() || sched > 1 || bcap > 1 ||
-      tcap > 1 || dfloor > 1) {
-    return false;
-  }
-  o.schedulable = sched == 1;
-  o.breakdown_q = bq;
-  o.breakdown_cap = bcap == 1;
-  o.max_ttr = ttr;
-  o.ttr_cap_hit = tcap == 1;
-  o.min_dratio_q = dq;
-  o.dratio_floor = dfloor == 1;
-  return true;
 }
 
 void validate_spec(const OptimizeSpec& spec) {
@@ -214,6 +174,24 @@ void validate_spec(const OptimizeSpec& spec) {
 
 }  // namespace
 
+void OptimizeCells::put(std::string& out, const Cell& c) {
+  using engine::detail::field;
+  field(out, c.schedulable);
+  field(out, c.breakdown_q);
+  field(out, c.breakdown_cap);
+  field(out, c.breakdown_u);
+  field(out, c.max_ttr);
+  field(out, c.ttr_cap_hit);
+  field(out, c.min_dratio_q);
+  field(out, c.dratio_floor);
+}
+
+bool OptimizeCells::get(engine::detail::RecordReader& r, Cell& c) {
+  return r.flag(c.schedulable) && r.read(c.breakdown_q) && r.flag(c.breakdown_cap) &&
+         r.read(c.breakdown_u) && r.read(c.max_ttr) && r.flag(c.ttr_cap_hit) &&
+         r.read(c.min_dratio_q) && r.flag(c.dratio_floor);
+}
+
 OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spec,
                             engine::ScenarioCache* cache) {
   return run_optimize(runner, spec, engine::IdRange{0, spec.sweep.total_scenarios()}, cache);
@@ -242,8 +220,7 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
       params[p] = optimize_params_digest(spec.sweep.policies[p], spec.sweep.engine, spec.options);
     }
   }
-  OptMetrics& m = opt_metrics();
-  const std::uint64_t hits0 = m.cache_hits.value(), misses0 = m.cache_misses.value();
+  const OptimizeCells codec;
 
   const auto per_scenario = [&](std::uint64_t id, std::size_t i, unsigned) {
     const engine::Scenario sc = engine::SweepRunner::make_scenario(spec.sweep, id);
@@ -258,28 +235,11 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
     o.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
     o.per_policy.reserve(spec.sweep.policies.size());
     for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      const engine::CacheKey key{content, params[p]};
-      std::string payload;
-      PolicyOptimum po;
-      if (cache != nullptr) m.cache_lookups.add(1);
-      if (cache != nullptr && cache->load(key, payload) &&
-          decode_optimize_record(payload, po)) {
-        m.cache_hits.add(1);
-        po.breakdown_u = breakdown_utilization_at(sc.net, po.breakdown_q);
-        o.per_policy.push_back(po);
-        continue;
-      }
-      po = optimize_policy(sc.net, tests[p], spec.options);
-      o.per_policy.push_back(po);
-      if (cache != nullptr) {
-        m.cache_misses.add(1);
-        cache->store(key, encode_optimize_record(po));
-      }
+      engine::detail::cached_cell(codec, cache, engine::CacheKey{content, params[p]}, o,
+                                  [&] { return optimize_policy(sc.net, tests[p], spec.options); });
     }
   };
   runner.run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
-  out.cache_hits = m.cache_hits.value() - hits0;
-  out.cache_misses = m.cache_misses.value() - misses0;
   return out;
 }
 

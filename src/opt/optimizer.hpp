@@ -20,8 +20,14 @@
 // through ScenarioCache with a versioned params digest (record kind 4).
 #pragma once
 
+#include <string>
+
 #include "engine/sweep_runner.hpp"
 #include "profibus/sensitivity.hpp"
+
+namespace profisched::engine::detail {
+class RecordReader;
+}
 
 namespace profisched::opt {
 
@@ -63,6 +69,23 @@ struct OptimizeOutcome {
   std::vector<PolicyOptimum> per_policy;
 };
 
+/// The optimizer's cell codec (engine/detail/record.hpp): one PolicyOptimum,
+/// shared by its result-cache record and its shard-artifact row cells.
+/// breakdown_u travels in shortest round-trip form, so a cache hit or a merged
+/// shard restores the exact double without regenerating the scenario.
+struct OptimizeCells {
+  using Cell = PolicyOptimum;
+  static constexpr const char* tag = "z2";
+
+  static void put(std::string& out, const Cell& c);
+  static bool get(engine::detail::RecordReader& r, Cell& c);
+  static Cell cell(const OptimizeOutcome& o, std::size_t p) { return o.per_policy[p]; }
+  static bool push(OptimizeOutcome& o, const Cell& c) {
+    o.per_policy.push_back(c);
+    return true;
+  }
+};
+
 /// Whole-run result; outcomes indexed by global scenario id minus the
 /// range's begin, exactly like the other sweep modes.
 struct OptimizeResult : engine::RunStats {
@@ -101,9 +124,7 @@ struct OptimizeSpec {
 /// Optimize the scenarios with ids in `range`, fanned across `runner`'s pool
 /// through the same ranged core as every sweep mode. With a cache, each
 /// (scenario, policy) optimum is looked up by content address first and only
-/// misses are bisected (and stored); breakdown_u is recomputed from the
-/// regenerated scenario on both paths, so outcomes are bit-identical either
-/// way.
+/// misses are bisected (and stored); outcomes are bit-identical either way.
 [[nodiscard]] OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spec,
                                           engine::IdRange range,
                                           engine::ScenarioCache* cache = nullptr);

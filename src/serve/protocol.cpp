@@ -63,25 +63,6 @@ FrameDecode decode_frame(std::string_view buffer) {
 
 namespace {
 
-[[nodiscard]] dist::SweepMode parse_mode_word(const std::string& s) {
-  if (s == "sweep") return dist::SweepMode::Analysis;
-  if (s == "simulate") return dist::SweepMode::Sim;
-  if (s == "combined") return dist::SweepMode::Combined;
-  if (s == "optimize") return dist::SweepMode::Optimize;
-  throw std::invalid_argument("submit: unknown mode '" + s +
-                              "' (want sweep|simulate|combined|optimize)");
-}
-
-[[nodiscard]] const char* mode_word(dist::SweepMode m) {
-  switch (m) {
-    case dist::SweepMode::Analysis: return "sweep";
-    case dist::SweepMode::Sim: return "simulate";
-    case dist::SweepMode::Combined: return "combined";
-    case dist::SweepMode::Optimize: return "optimize";
-  }
-  return "?";
-}
-
 /// Pop [start, next '\n') and advance start past the newline (or to npos-end).
 [[nodiscard]] std::string next_line(const std::string& s, std::size_t& start) {
   const std::size_t nl = s.find('\n', start);
@@ -108,7 +89,10 @@ Request parse_submit(const std::string& payload, std::size_t pos,
   }
   Request req;
   req.kind = Request::Kind::Submit;
-  const dist::SweepMode mode = parse_mode_word(head[1]);
+  const dist::ModeTrait* mode = dist::find_mode(head[1]);
+  if (mode == nullptr) {
+    throw std::invalid_argument("submit: unknown mode '" + head[1] + "'");
+  }
   req.priority = parse_u64_field(head[2], "priority", 0, 1'000'000);
   req.oversplit = parse_u64_field(head[3], "oversplit", 1, 1'000'000);
 
@@ -128,7 +112,7 @@ Request parse_submit(const std::string& payload, std::size_t pos,
     else throw std::invalid_argument("submit: unknown job option line '" + line + "'");
   }
   req.spec = dist::parse_spec(payload.substr(pos));
-  if (req.spec.mode != mode) {
+  if (req.spec.mode != mode->mode) {
     throw std::invalid_argument("submit: header mode disagrees with the spec block");
   }
   return req;
@@ -170,7 +154,7 @@ Request parse_request(const std::string& payload) {
 
 std::string format_submit(const Request& req) {
   std::string out = "submit ";
-  out += mode_word(req.spec.mode);
+  out += dist::trait(req.spec.mode).word;
   out += ' ' + std::to_string(req.priority) + ' ' + std::to_string(req.oversplit) + '\n';
   if (!req.csv_path.empty()) out += "csv " + req.csv_path + '\n';
   if (!req.json_path.empty()) out += "json " + req.json_path + '\n';

@@ -29,7 +29,7 @@
 #include <string>
 #include <string_view>
 
-#include "dist/shard.hpp"
+#include "dist/job.hpp"
 
 namespace profisched::serve {
 
@@ -61,20 +61,14 @@ struct FrameDecode {
 /// Decode the first frame of `buffer`. Never throws; garbage in, Error out.
 [[nodiscard]] FrameDecode decode_frame(std::string_view buffer);
 
-/// A parsed request payload (frame already stripped).
-struct Request {
+/// A parsed request payload (frame already stripped). A submit carries one
+/// dist::Job (spec plus server-side output destinations).
+struct Request : dist::Job {
   enum class Kind { Submit, Status, Cancel, Stats, Shutdown };
   Kind kind = Kind::Status;
 
-  // Submit fields.
-  dist::ShardSpec spec;            ///< mode + full sweep spec (parsed block)
-  std::uint64_t priority = 0;      ///< higher drains first
-  std::uint64_t oversplit = 1;     ///< K contiguous ranges; cancel granularity
-  std::string csv_path;            ///< server-side output destinations
-  std::string json_path;
-  std::string metrics_path;
-  bool progress = false;
-
+  std::uint64_t priority = 0;   ///< Submit: higher drains first
+  std::uint64_t oversplit = 1;  ///< Submit: K contiguous ranges; cancel granularity
   std::uint64_t cancel_id = 0;  ///< Cancel only
 };
 

@@ -1,9 +1,9 @@
 #include "serve/serve_cli.hpp"
 
+#include <algorithm>
 #include <utility>
 
-#include "engine/sim_cli.hpp"
-#include "opt/opt_cli.hpp"
+#include "engine/detail/cli_parse.hpp"
 
 namespace profisched::serve {
 
@@ -55,127 +55,97 @@ bool parse_serve_args(const std::vector<std::string>& args, ServeCli& out, std::
   return true;
 }
 
-bool parse_submit_args(const std::vector<std::string>& args, SubmitCli& out, std::string& error) {
+namespace {
+
+/// `submit --status | --cancel ID | --stats | --shutdown`: a control call
+/// takes --socket and exactly one action, nothing else.
+bool parse_control_args(const std::vector<std::string>& args, SubmitCli& out,
+                        std::string& error) {
   SubmitCli cli;
-  cli.job.kind = Request::Kind::Submit;
-  dist::SweepMode mode = dist::SweepMode::Analysis;
-  engine::EngineOptions engine_opts;  // --method survives the delegated parse
   int actions = 0;
   const auto fail = [&](const std::string& msg) {
     error = msg;
     return false;
   };
-
-  // First pass: peel off the submit-specific flags, leaving the sweep flags
-  // for the shared batch parsers — the same delegation `shard` does, and for
-  // the same reason: a submitted job must describe its sweep exactly as the
-  // batch subcommand it is byte-compared against.
-  std::vector<std::string> sweep_args;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    const auto next = [&](std::string& v) {
-      if (i + 1 >= args.size()) return false;
-      v = args[++i];
-      return true;
-    };
-    std::string v;
+    const bool has_value = i + 1 < args.size();
     if (arg == "--socket") {
-      if (!next(v) || v.empty()) return fail("--socket needs a path");
-      cli.socket_path = v;
-    } else if (arg == "--mode") {
-      if (!next(v)) return fail("--mode needs sweep|simulate|combined|optimize");
-      if (v == "sweep") mode = dist::SweepMode::Analysis;
-      else if (v == "simulate") mode = dist::SweepMode::Sim;
-      else if (v == "combined") mode = dist::SweepMode::Combined;
-      else if (v == "optimize") mode = dist::SweepMode::Optimize;
-      else return fail("--mode needs sweep|simulate|combined|optimize");
-    } else if (arg == "--priority") {
-      std::size_t n = 0;
-      if (!next(v) || !engine::parse_cli_count(v, n, 1'000'000)) {
-        return fail("--priority needs an integer in [0, 1000000]");
-      }
-      cli.job.priority = n;
-    } else if (arg == "--oversplit") {
-      std::size_t n = 0;
-      if (!next(v) || !engine::parse_cli_count(v, n, 1'000'000) || n == 0) {
-        return fail("--oversplit needs an integer in [1, 1000000]");
-      }
-      cli.job.oversplit = n;
-    } else if (arg == "--method") {
-      if (!next(v)) return fail("--method needs paper|refined");
-      if (v == "paper") engine_opts.method = profibus::TcycleMethod::PaperEq13;
-      else if (v == "refined") engine_opts.method = profibus::TcycleMethod::PerMasterRefined;
-      else return fail("--method needs paper|refined");
-    } else if (arg == "--wait") {
-      cli.wait = true;
-    } else if (arg == "--status") {
-      cli.action = SubmitCli::Action::Status;
-      ++actions;
-    } else if (arg == "--stats") {
-      cli.action = SubmitCli::Action::Stats;
-      ++actions;
-    } else if (arg == "--shutdown") {
-      cli.action = SubmitCli::Action::Shutdown;
+      if (!has_value || args[i + 1].empty()) return fail("--socket needs a path");
+      cli.socket_path = args[++i];
+    } else if (arg == "--status" || arg == "--stats" || arg == "--shutdown") {
+      cli.action = arg == "--status"  ? SubmitCli::Action::Status
+                   : arg == "--stats" ? SubmitCli::Action::Stats
+                                      : SubmitCli::Action::Shutdown;
       ++actions;
     } else if (arg == "--cancel") {
       std::size_t n = 0;
-      if (!next(v) || !engine::parse_cli_count(v, n, 1'000'000'000) || n == 0) {
+      if (!has_value || !engine::parse_cli_count(args[++i], n, 1'000'000'000) || n == 0) {
         return fail("--cancel needs a job id");
       }
       cli.action = SubmitCli::Action::Cancel;
       cli.cancel_id = n;
       ++actions;
+    } else if (arg == "--wait") {
+      return fail("--wait only applies when submitting a job");
     } else {
-      sweep_args.push_back(arg);
+      return fail("control action takes no sweep flags (got '" + arg + "')");
     }
   }
-
-  if (cli.socket_path.empty()) return fail("--socket PATH is required");
   if (actions > 1) {
     return fail("--status, --cancel, --stats, and --shutdown are mutually exclusive");
   }
-  if (cli.action != SubmitCli::Action::Submit) {
-    if (!sweep_args.empty()) {
-      return fail("control action takes no sweep flags (got '" + sweep_args.front() + "')");
-    }
-    if (cli.wait) return fail("--wait only applies when submitting a job");
-    out = std::move(cli);
-    error.clear();
-    return true;
-  }
-
-  if (mode == dist::SweepMode::Optimize) {
-    opt::OptimizeCli opt_cli;
-    if (!opt::parse_optimize_args(sweep_args, opt_cli, error)) return false;
-    if (!opt_cli.cache_dir.empty() || opt_cli.threads != 0) {
-      return fail("--cache/--threads are serve-side flags; pass them to `profisched serve`");
-    }
-    cli.job.spec.spec.sweep = std::move(opt_cli.spec.sweep);
-    cli.job.spec.optimize = opt_cli.spec.options;
-    cli.job.csv_path = std::move(opt_cli.csv_path);
-    cli.job.json_path = std::move(opt_cli.json_path);
-    cli.job.metrics_path = std::move(opt_cli.metrics_path);
-    cli.job.progress = opt_cli.progress;
-  } else {
-    engine::SimSweepCli sweep_cli;
-    if (!engine::parse_sim_sweep_args(sweep_args, sweep_cli, error,
-                                      /*simulable_only=*/mode != dist::SweepMode::Analysis)) {
-      return false;
-    }
-    if (!sweep_cli.cache_dir.empty() || sweep_cli.threads != 0) {
-      return fail("--cache/--threads are serve-side flags; pass them to `profisched serve`");
-    }
-    if (sweep_cli.combined) return fail("use --mode combined instead of --combined");
-    cli.job.spec.spec = std::move(sweep_cli.spec);
-    cli.job.csv_path = std::move(sweep_cli.csv_path);
-    cli.job.json_path = std::move(sweep_cli.json_path);
-    cli.job.metrics_path = std::move(sweep_cli.metrics_path);
-    cli.job.progress = sweep_cli.progress;
-  }
-  cli.job.spec.mode = mode;
-  cli.job.spec.spec.sweep.engine = engine_opts;
+  if (cli.socket_path.empty()) return fail("--socket PATH is required");
   out = std::move(cli);
   error.clear();
+  return true;
+}
+
+}  // namespace
+
+bool parse_submit_args(const std::vector<std::string>& args, SubmitCli& out, std::string& error) {
+  const auto is_action = [](const std::string& a) {
+    return a == "--status" || a == "--cancel" || a == "--stats" || a == "--shutdown";
+  };
+  if (std::any_of(args.begin(), args.end(), is_action)) {
+    return parse_control_args(args, out, error);
+  }
+
+  // A job: the job-flag table plus submit's own rows, in one parse — so a
+  // submitted job describes its sweep exactly as the batch subcommand it is
+  // byte-compared against.
+  SubmitCli cli;
+  cli.job.kind = Request::Kind::Submit;
+  const unsigned here = dist::surface_bit(dist::Surface::Submit);
+  const auto count = [](std::uint64_t& dst, std::size_t lo) {
+    return [&dst, lo](const std::string& v, std::string&) {
+      std::size_t n = 0;
+      if (!engine::parse_cli_count(v, n, 1'000'000) || n < lo) return false;
+      dst = n;
+      return true;
+    };
+  };
+  const std::vector<dist::Flag> submit_flags = {
+      {"--socket", here, dist::kCommonFlags, "a path",
+       [&cli](const std::string& v, std::string&) {
+         cli.socket_path = v;
+         return true;
+       }},
+      {"--priority", here, dist::kCommonFlags, "an integer in [0, 1000000]",
+       count(cli.job.priority, 0)},
+      {"--oversplit", here, dist::kCommonFlags, "an integer in [1, 1000000]",
+       count(cli.job.oversplit, 1)},
+      {"--wait", here, dist::kCommonFlags, nullptr,
+       [&cli](const std::string&, std::string&) { return cli.wait = true; }},
+  };
+  dist::JobArgs job;
+  if (!dist::parse_job_args(dist::Surface::Submit, args, job, error, submit_flags)) return false;
+  if (cli.socket_path.empty()) {
+    error = "--socket PATH is required";
+    return false;
+  }
+  static_cast<dist::Job&>(cli.job) = std::move(job.job);
+  out = std::move(cli);
   return true;
 }
 

@@ -3,11 +3,10 @@
 // unit-testable (tests/serve/test_serve_cli.cpp) exactly like the shard
 // parser in dist/dist_cli.hpp.
 //
-// `submit` reuses the whole sweep-flag surface by the same two-pass
-// delegation `shard` uses: peel the serve-specific flags, hand the rest to
-// parse_sim_sweep_args / parse_optimize_args. That is what guarantees a
-// submitted job describes its sweep byte-identically to the batch subcommand
-// it will be cmp-compared against.
+// `submit` parses its job through the one job-flag table (dist/job.hpp),
+// adding its own rows (--socket, --priority, --oversplit, --wait). That is
+// what guarantees a submitted job describes its sweep byte-identically to the
+// batch subcommand it will be cmp-compared against.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +45,10 @@ struct SubmitCli {
 /// Parse the flags after `profisched submit`. Accepts --socket PATH
 /// (required), one of the control actions --status | --cancel ID | --stats |
 /// --shutdown (mutually exclusive, no sweep flags allowed alongside), or a
-/// job: --mode sweep|simulate|combined|optimize (default sweep),
-/// --priority N, --oversplit K, --method paper|refined, --wait, plus every
-/// sweep/optimize flag of the matching batch subcommand (--csv/--json/
-/// --metrics name server-side destinations). --threads and --cache are
-/// serve-side flags and are rejected here with a pointer to `serve`.
+/// job: --priority N, --oversplit K, --wait, plus the job flags of the
+/// Submit surface (--mode, and every flag of the mode; --csv/--json/--metrics
+/// name server-side destinations). --threads and --cache are serve-side
+/// flags and are rejected here with a pointer to `serve`.
 [[nodiscard]] bool parse_submit_args(const std::vector<std::string>& args, SubmitCli& out,
                                      std::string& error);
 

@@ -7,29 +7,16 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
-#include "engine/aggregate.hpp"
-#include "engine/detail/cli_parse.hpp"
-#include "engine/detail/hash.hpp"
-#include "engine/sim_aggregate.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
-#include "opt/opt_aggregate.hpp"
 
 namespace profisched::serve {
 
 namespace {
-
-bool write_output_file(const std::string& path, const std::string& content) {
-  std::ofstream os(path, std::ios::binary);
-  os << content;
-  os.flush();  // surface ENOSPC-style errors now, not in the destructor
-  return os.good();
-}
 
 /// Send one framed payload; loops over partial sends. MSG_NOSIGNAL keeps a
 /// client that hung up from killing the daemon with SIGPIPE.
@@ -198,16 +185,7 @@ std::string Server::handle_submit(Request req) {
   // Same up-front destination validation the batch subcommands do, so a bad
   // path is a submit-time error, not a job that fails an hour later.
   std::string error;
-  if (!req.csv_path.empty() && !engine::validate_cli_output_file(req.csv_path, "csv", error)) {
-    return "err " + error;
-  }
-  if (!req.json_path.empty() && !engine::validate_cli_output_file(req.json_path, "json", error)) {
-    return "err " + error;
-  }
-  if (!req.metrics_path.empty() &&
-      !engine::validate_cli_output_file(req.metrics_path, "metrics", error)) {
-    return "err " + error;
-  }
+  if (!dist::check_destinations(req, error)) return "err " + error;
   const std::uint64_t id = queue_.submit(std::move(req));
   obs::Registry::global().counter("serve.jobs_submitted").add(1);
   return "ok id " + std::to_string(id);
@@ -237,26 +215,6 @@ obs::Manifest Server::stats_manifest() const {
 
 std::string Server::handle_stats() { return "ok stats\n" + obs::to_json(stats_manifest()); }
 
-bool Server::emit_job_manifest(const Request& job) {
-  obs::Manifest m;
-  m.run.subcommand = "serve";
-  m.run.argv = {"submit", std::string(dist::to_string(job.spec.mode))};
-  const std::string spec_text = dist::serialize_spec(job.spec);
-  m.run.config_digest =
-      engine::detail::Fnv1a64().bytes(spec_text.data(), spec_text.size()).digest();
-  m.run.scenarios = job.spec.total_scenarios();
-  m.run.points = job.spec.spec.sweep.points.size();
-  m.run.policies = job.spec.spec.sweep.policies.size();
-  m.run.replications = job.spec.spec.replications;
-  m.run.threads = runner_.threads();
-  // Manifests use daemon uptime, not per-job time: the registry snapshot is
-  // cumulative across jobs, and uptime is the bracket whose phase.* sums
-  // metrics_check.py can actually validate.
-  m.run.elapsed_s = uptime_s();
-  m.metrics = obs::Registry::global().snapshot();
-  return obs::write_manifest_file(job.metrics_path, m);
-}
-
 void Server::scheduler_loop() {
   while (auto claimed = queue_.claim_next()) {
     obs::set_progress_enabled(claimed->job.progress);
@@ -280,8 +238,6 @@ Server::JobOutcome Server::run_job(const JobQueue::Claimed& claimed) {
   std::vector<dist::ShardArtifact> artifacts;
   artifacts.reserve(job.oversplit);
   {
-    // Same phase names as the batch CLI: phase.run brackets compute+merge,
-    // phase.write brackets aggregation and file output.
     const obs::Span run_span(obs::Registry::global().timer("phase.run"));
     for (std::uint64_t k = 0; k < job.oversplit; ++k) {
       if (claimed.cancelled->load(std::memory_order_relaxed)) {
@@ -292,55 +248,31 @@ Server::JobOutcome Server::run_job(const JobQueue::Claimed& claimed) {
       artifacts.push_back(runner_.run(job.spec, k, job.oversplit, cache_.get()));
     }
   }
-  const dist::MergedSweep merged = dist::merge_shards(artifacts);
-  const engine::SimSweepSpec& spec = merged.spec.spec;
-
-  // The exact reducer + serialization calls `profisched merge` makes — this
-  // is the byte-identity guarantee, not a reimplementation of it.
-  const auto emit_both = [&](const auto& table) {
-    const obs::Span write_span(obs::Registry::global().timer("phase.write"));
-    if (!job.csv_path.empty() && !write_output_file(job.csv_path, table.to_csv())) {
-      throw std::runtime_error("cannot write " + job.csv_path);
-    }
-    if (!job.json_path.empty() && !write_output_file(job.json_path, table.to_json())) {
-      throw std::runtime_error("cannot write " + job.json_path);
-    }
-  };
+  // The same reduce and emit the batch subcommands run: served output is
+  // byte-identical to theirs by construction.
+  const dist::Table table = dist::reduce(std::move(artifacts));
+  dist::emit(job, table);
 
   JobOutcome outcome;
-  outcome.detail = "completed " + std::to_string(merged.spec.total_scenarios()) +
-                   " scenarios in " + std::to_string(job.oversplit) + " range" +
-                   (job.oversplit == 1 ? "" : "s");
-  switch (merged.spec.mode) {
-    case dist::SweepMode::Analysis:
-      emit_both(engine::aggregate(spec.sweep, merged.analysis));
-      break;
-    case dist::SweepMode::Sim:
-      emit_both(engine::aggregate_sim(spec, merged.sim));
-      break;
-    case dist::SweepMode::Combined: {
-      const engine::ConsistencyTable table = engine::consistency_table(spec, merged.combined);
-      emit_both(table);
-      // Same contract as the batch paths: a consistency violation falsifies
-      // the analysis, so the job fails loudly — after writing its outputs,
-      // exactly like `merge` does before exiting 1.
-      if (table.accept_but_miss_count() > 0 || table.total_bound_violations() > 0) {
-        outcome.state = JobState::Failed;
-        outcome.detail =
-            "bound violations: " + std::to_string(table.total_bound_violations()) +
-            "; analysis-accepts-but-sim-misses: " +
-            std::to_string(table.accept_but_miss_count());
-      }
-      break;
-    }
-    case dist::SweepMode::Optimize:
-      emit_both(opt::aggregate_optimize(opt::OptimizeSpec{spec.sweep, merged.spec.optimize},
-                                        merged.optimize));
-      break;
-  }
+  outcome.detail = "completed " + std::to_string(job.spec.total_scenarios()) + " scenarios in " +
+                   std::to_string(job.oversplit) + " range" + (job.oversplit == 1 ? "" : "s");
+  // Same exit rule as the batch paths: the job fails after writing its
+  // outputs, exactly like `merge` exits 1 after writing.
+  const std::string violation = dist::trait(job.spec.mode).violation(table);
+  if (!violation.empty()) outcome = JobOutcome{JobState::Failed, violation};
 
-  if (!job.metrics_path.empty() && !emit_job_manifest(job)) {
-    return JobOutcome{JobState::Failed, "cannot write " + job.metrics_path};
+  if (!job.metrics_path.empty()) {
+    // Daemon uptime, not per-job time: the registry snapshot is cumulative
+    // across jobs, and uptime is the bracket whose phase.* sums
+    // metrics_check.py can validate.
+    obs::Manifest m = dist::manifest(job.spec, job.spec.total_scenarios());
+    m.run.subcommand = "serve";
+    m.run.argv = {"submit", std::string(dist::to_string(job.spec.mode))};
+    m.run.threads = runner_.threads();
+    m.run.elapsed_s = uptime_s();
+    if (!obs::write_manifest_file(job.metrics_path, m)) {
+      return JobOutcome{JobState::Failed, "cannot write " + job.metrics_path};
+    }
   }
   return outcome;
 }

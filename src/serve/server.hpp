@@ -2,13 +2,11 @@
 //
 // One Server owns: an AF_UNIX listening socket, a poll-based accept loop,
 // short-lived connection threads speaking the framed protocol, and a single
-// scheduler thread that drains the JobQueue. A claimed job is executed as K
-// oversplit contiguous shard ranges through dist::ShardRunner — the same
-// ranged entry points `profisched shard` uses — merged with
-// dist::merge_shards, and reduced by the same aggregate()/aggregate_sim()/
-// consistency_table()/aggregate_optimize() calls the batch CLI makes. That
-// shared path is the service's load-bearing guarantee: a served job's output
-// files are byte-identical to the batch subcommand's (CI cmp-checks it).
+// scheduler thread that drains the JobQueue. A claimed job runs through the
+// job pipeline (dist/job.hpp): K oversplit executes, kept in memory, then the
+// same reduce and emit the batch subcommands run. That shared path is the
+// service's load-bearing guarantee: a served job's output files are
+// byte-identical to the batch subcommand's (CI cmp-checks it).
 //
 // The scheduler is deliberately sequential (one job at a time; parallelism
 // lives inside the job via the runner's thread pool). That choice is what
@@ -86,7 +84,6 @@ class Server {
   [[nodiscard]] JobOutcome run_job(const JobQueue::Claimed& claimed);
 
   [[nodiscard]] double uptime_s() const;
-  bool emit_job_manifest(const Request& job);
 
   /// Join connection threads whose handlers have finished (called from the
   /// accept loop so a long-lived daemon does not hoard dead threads).

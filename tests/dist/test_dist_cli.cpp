@@ -1,12 +1,42 @@
 // Argument validation of `profisched shard` and `profisched merge` — exactly
-// what the CLI feeds to parse_shard_args/parse_merge_args, exercised as
-// library calls (the dist mirror of tests/engine/test_sim_cli.cpp).
-#include "dist/dist_cli.hpp"
-
+// what the CLI feeds to parse_job_args on the Shard and Merge surfaces,
+// exercised as library calls (the dist mirror of tests/engine/test_sim_cli.cpp).
 #include <gtest/gtest.h>
+
+#include "dist/job.hpp"
 
 namespace profisched::dist {
 namespace {
+
+/// The parsed flags in the shape the assertions below read.
+struct ShardCli {
+  ShardSpec shard;
+  std::uint64_t index = 0;
+  std::uint64_t count = 1;
+  std::string out_path;
+  std::string cache_dir;
+  unsigned threads = 0;
+};
+
+bool parse_shard_args(const std::vector<std::string>& args, ShardCli& cli, std::string& error) {
+  JobArgs a;
+  if (!parse_job_args(Surface::Shard, args, a, error)) return false;
+  cli = ShardCli{a.job.spec, a.shard_index, a.shard_count, a.out_path, a.cache_dir, a.threads};
+  return true;
+}
+
+struct MergeCli {
+  std::vector<std::string> inputs;
+  std::string csv_path;
+  std::string json_path;
+};
+
+bool parse_merge_args(const std::vector<std::string>& args, MergeCli& cli, std::string& error) {
+  JobArgs a;
+  if (!parse_job_args(Surface::Merge, args, a, error)) return false;
+  cli = MergeCli{a.inputs, a.job.csv_path, a.job.json_path};
+  return true;
+}
 
 ShardCli shard_ok(const std::vector<std::string>& args) {
   ShardCli cli;

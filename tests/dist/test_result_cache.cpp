@@ -53,7 +53,6 @@ void expect_same_outcomes(const engine::SweepResult& a, const engine::SweepResul
     EXPECT_EQ(a.outcomes[i].seed, b.outcomes[i].seed);
     EXPECT_EQ(a.outcomes[i].tcycle, b.outcomes[i].tcycle);
     EXPECT_EQ(a.outcomes[i].schedulable, b.outcomes[i].schedulable);
-    EXPECT_EQ(a.outcomes[i].worst_slack, b.outcomes[i].worst_slack);
   }
 }
 

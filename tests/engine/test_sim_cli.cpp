@@ -1,16 +1,36 @@
-// Argument validation of the `profisched simulate` sweep mode — exactly what
-// the CLI feeds to parse_sim_sweep_args, exercised as a library call.
-#include "engine/sim_cli.hpp"
-
+// Argument validation of the `profisched simulate` job — exactly what the CLI
+// feeds to dist::parse_job_args on the Simulate surface, exercised as a
+// library call.
 #include <gtest/gtest.h>
+
+#include "dist/job.hpp"
 
 namespace profisched::engine {
 namespace {
 
+/// The parsed flags in the shape the assertions below read.
+struct SimSweepCli {
+  SimSweepSpec spec;
+  unsigned threads = 0;
+  bool combined = false;
+  std::string csv_path;
+  std::string json_path;
+  std::string cache_dir;
+};
+
+bool parse(const std::vector<std::string>& args, SimSweepCli& cli, std::string& error,
+           dist::Surface surface = dist::Surface::Simulate) {
+  dist::JobArgs a;
+  if (!dist::parse_job_args(surface, args, a, error)) return false;
+  cli = SimSweepCli{a.job.spec.spec, a.threads, a.job.spec.mode == dist::SweepMode::Combined,
+                    a.job.csv_path, a.job.json_path, a.cache_dir};
+  return true;
+}
+
 SimSweepCli parse_ok(const std::vector<std::string>& args) {
   SimSweepCli cli;
   std::string error;
-  EXPECT_TRUE(parse_sim_sweep_args(args, cli, error)) << error;
+  EXPECT_TRUE(parse(args, cli, error)) << error;
   EXPECT_TRUE(error.empty());
   return cli;
 }
@@ -18,7 +38,7 @@ SimSweepCli parse_ok(const std::vector<std::string>& args) {
 std::string parse_fail(const std::vector<std::string>& args) {
   SimSweepCli cli;
   std::string error;
-  EXPECT_FALSE(parse_sim_sweep_args(args, cli, error));
+  EXPECT_FALSE(parse(args, cli, error));
   EXPECT_FALSE(error.empty());
   return error;
 }
@@ -185,17 +205,18 @@ TEST(SimCli, FaultsFlagRejectsBadInput) {
   EXPECT_NE(parse_fail({"--faults", "frob=1"}).find("--faults"), std::string::npos);
 }
 
-TEST(SimCli, SimulableOnlyFalseAdmitsTheAnalysisPolicyTable) {
+TEST(SimCli, SweepModeAdmitsTheAnalysisPolicyTable) {
   SimSweepCli cli;
   std::string error;
-  ASSERT_TRUE(parse_sim_sweep_args({"--policies", "fcfs,opa,token,holistic"}, cli, error,
-                                   /*simulable_only=*/false))
+  ASSERT_TRUE(parse({"--policies", "fcfs,opa,token,holistic"}, cli, error, dist::Surface::Sweep))
       << error;
   ASSERT_EQ(cli.spec.sweep.policies.size(), 4u);
   EXPECT_EQ(cli.spec.sweep.policies[1], Policy::Opa);
   EXPECT_EQ(cli.spec.sweep.policies[2], Policy::TokenRing);
-  // Duplicates stay rejected whichever table is active.
-  EXPECT_FALSE(parse_sim_sweep_args({"--policies", "opa,opa"}, cli, error, false));
+  // Duplicates stay rejected whichever mode is active.
+  EXPECT_FALSE(parse({"--policies", "opa,opa"}, cli, error, dist::Surface::Sweep));
+  // The simulator runs the AP-queue policies only, and the error says which.
+  EXPECT_NE(parse_fail({"--policies", "fcfs,opa"}).find("OPA"), std::string::npos);
 }
 
 }  // namespace

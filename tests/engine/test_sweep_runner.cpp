@@ -32,7 +32,6 @@ void expect_same_outcomes(const SweepResult& a, const SweepResult& b) {
     EXPECT_EQ(a.outcomes[i].point, b.outcomes[i].point);
     EXPECT_EQ(a.outcomes[i].tcycle, b.outcomes[i].tcycle);
     EXPECT_EQ(a.outcomes[i].schedulable, b.outcomes[i].schedulable);
-    EXPECT_EQ(a.outcomes[i].worst_slack, b.outcomes[i].worst_slack);
   }
 }
 

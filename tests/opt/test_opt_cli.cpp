@@ -1,17 +1,34 @@
 // `profisched optimize` argument validation (PR 6): defaults, bracket-flag
 // fixed-point conversion, policy restriction to the optimizable four, and
 // loud one-line diagnostics on every malformed flag.
-#include "opt/opt_cli.hpp"
-
 #include <gtest/gtest.h>
+
+#include "dist/job.hpp"
 
 namespace profisched::opt {
 namespace {
 
+/// The parsed flags in the shape the assertions below read.
+struct OptimizeCli {
+  OptimizeSpec spec;
+  unsigned threads = 0;
+  std::string csv_path;
+  std::string json_path;
+  std::string cache_dir;
+};
+
+bool parse(const std::vector<std::string>& args, OptimizeCli& cli, std::string& error) {
+  dist::JobArgs a;
+  if (!dist::parse_job_args(dist::Surface::Optimize, args, a, error)) return false;
+  cli = OptimizeCli{OptimizeSpec{a.job.spec.spec.sweep, a.job.spec.optimize}, a.threads,
+                    a.job.csv_path, a.job.json_path, a.cache_dir};
+  return true;
+}
+
 OptimizeCli parse_ok(const std::vector<std::string>& args) {
   OptimizeCli cli;
   std::string error;
-  EXPECT_TRUE(parse_optimize_args(args, cli, error)) << error;
+  EXPECT_TRUE(parse(args, cli, error)) << error;
   EXPECT_TRUE(error.empty());
   return cli;
 }
@@ -19,7 +36,7 @@ OptimizeCli parse_ok(const std::vector<std::string>& args) {
 std::string parse_fail(const std::vector<std::string>& args) {
   OptimizeCli cli;
   std::string error;
-  EXPECT_FALSE(parse_optimize_args(args, cli, error));
+  EXPECT_FALSE(parse(args, cli, error));
   EXPECT_FALSE(error.empty());
   return error;
 }

@@ -1,74 +1,10 @@
-// profisched — command-line front end: analyze, simulate, or tune a network
-// described in an INI file (format: src/config/network_loader.hpp; examples
-// under configs/).
-//
-//   profisched analyze  <file> [--policy fcfs|dm|edf|opa|all]
-//   profisched simulate <file> [--policy fcfs|dm|edf] [--ms N] [--seed N]
-//                              [--histograms] [--trace N]
-//   profisched simulate [--scenarios N] [--reps N] [--masters N[,N,...]]
-//                       [--streams N] [--u LO:HI:STEPS] [--beta LO:HI:STEPS]
-//                       [--beta-lo X] [--beta-hi X] [--split w1,...,wK] [--skew S]
-//                       [--policies fcfs,dm,edf] [--threads N] [--seed N]
-//                       [--ttr TICKS] [--horizon TICKS] [--cycles X]
-//                       [--model worst|uniform|frame] [--lp]
-//                       [--faults loss=P,recovery=T,corrupt=P,retrans=N,
-//                                 churn=P,offline=T,burst=C] [--combined]
-//                       [--csv FILE] [--json FILE]
-//     (no INI file: fan simulation runs over UUniFast-generated scenarios;
-//      --combined also analyses each scenario and emits joined rows. --faults
-//      injects token loss / frame corruption / ring churn / release bursts;
-//      combined runs then check the simulation against degraded-mode bounds.)
-//   profisched ttr      <file>
-//   profisched sweep    [--scenarios N] [--masters N[,N,...]] [--streams N]
-//                       [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]
-//                       [--beta-hi X] [--split w1,...,wK] [--skew S]
-//                       [--policies fcfs,dm,edf,opa,token,holistic] [--threads N]
-//                       [--seed N] [--ttr TICKS] [--method paper|refined]
-//                       [--csv FILE] [--json FILE] [--cache DIR]
-//     (--u / --beta / --masters each expand to an axis; the sweep runs their
-//      full cross product. --split/--skew shape the per-master load division.)
-//   profisched optimize [--scenarios N] [--masters N[,N,...]] [--streams N]
-//                       [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]
-//                       [--beta-hi X] [--split w1,...,wK] [--skew S]
-//                       [--policies fcfs,dm,edf,opa] [--threads N] [--seed N]
-//                       [--ttr TICKS] [--method paper|refined]
-//                       [--scale-lo X] [--scale-hi X] [--ttr-cap TICKS]
-//                       [--dratio-lo X] [--dratio-hi X]
-//                       [--csv FILE] [--json FILE] [--cache DIR]
-//     (per scenario and policy, bisect the exact breakdown utilization, the
-//      largest schedulable T_TR, and the smallest sustainable D/T ratio;
-//      emits per-point distribution quantiles)
-//   profisched shard    --shard k/K --out FILE
-//                       [--mode sweep|simulate|combined|optimize]
-//                       [--cache DIR] [every sweep/simulate/optimize flag]
-//     (runs shard k's contiguous slice of the sweep's N scenario ids —
-//      near-equal slices, the first N mod K shards one scenario larger
-//      (dist::ShardPlan::split) — and writes one artifact; K artifacts
-//      merge into the single-process result)
-//   profisched merge    [--csv FILE] [--json FILE] SHARD_FILE...
-//     (validates that the artifacts tile the sweep exactly and emits output
-//      byte-identical to the equivalent single-process run)
-//   profisched serve    --socket PATH [--threads N] [--cache DIR]
-//                       [--metrics FILE]
-//     (resident sweep service: accepts framed jobs over an AF_UNIX socket,
-//      runs them one at a time as oversplit shard ranges through the same
-//      ranged runner + merge path, so served output files are byte-identical
-//      to the batch subcommands')
-//   profisched submit   --socket PATH [--mode sweep|simulate|combined|optimize]
-//                       [--priority N] [--oversplit K] [--wait]
-//                       [every matching sweep/optimize flag; --csv/--json/
-//                        --metrics name server-side destinations]
-//   profisched submit   --socket PATH --status | --cancel ID | --stats |
-//                       --shutdown
-//     (thin client: enqueue one job, or poke the daemon; --stats prints the
-//      daemon's metrics manifest JSON, --wait polls until the job settles)
-//
-// Every sweep-style subcommand additionally accepts --metrics FILE (write a
-// versioned metrics + run-manifest JSON sidecar, see obs/manifest.hpp) and
-// --progress (opt-in stderr heartbeat). Both are strictly out-of-band: the
-// primary CSV/JSON/artifact bytes are identical with or without them.
-#include <algorithm>
-#include <cerrno>
+// profisched — command-line front end. `profisched` with no arguments lists
+// the subcommands (usage() below). analyze, simulate and ttr with an INI file
+// work on one network (format in src/config/network_loader.hpp, examples
+// under configs/). Every other subcommand runs generated-scenario jobs through
+// the one job pipeline in src/dist/job.hpp; README.md documents them, and its
+// "Job flags" table lists every job flag with the modes it applies to and its
+// default.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -82,24 +18,16 @@
 #include <vector>
 
 #include "config/network_loader.hpp"
-#include "dist/dist_cli.hpp"
+#include "dist/job.hpp"
 #include "dist/result_cache.hpp"
-#include "dist/shard.hpp"
-#include "engine/aggregate.hpp"
-#include "engine/detail/hash.hpp"
+#include "engine/detail/cli_parse.hpp"
 #include "engine/detail/serialize.hpp"
-#include "engine/sim_aggregate.hpp"
-#include "engine/sim_cli.hpp"
-#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
-#include "opt/opt_aggregate.hpp"
-#include "opt/opt_cli.hpp"
 #include "profibus/dispatching.hpp"
 #include "profibus/priority_assignment.hpp"
 #include "profibus/ttr_setting.hpp"
 #include "serve/client.hpp"
-#include "serve/protocol.hpp"
 #include "serve/serve_cli.hpp"
 #include "serve/server.hpp"
 #include "sim/network_sim.hpp"
@@ -114,51 +42,24 @@ int usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  profisched analyze  <file.ini> [--policy fcfs|dm|edf|opa|all]\n"
-               "  profisched simulate <file.ini> [--policy fcfs|dm|edf] [--ms N]\n"
-               "                      [--seed N] [--histograms] [--trace N]\n"
-               "  profisched simulate [--scenarios N] [--reps N] [--masters N[,N,...]]\n"
-               "                      [--streams N] [--u LO:HI:STEPS] [--beta LO:HI:STEPS]\n"
-               "                      [--beta-lo X] [--beta-hi X] [--split w1,...,wK]\n"
-               "                      [--skew S] [--policies fcfs,dm,edf] [--threads N]\n"
-               "                      [--seed N] [--ttr TICKS] [--horizon TICKS] [--cycles X]\n"
-               "                      [--model worst|uniform|frame] [--quantile Q] [--lp]\n"
-               "                      [--faults loss=P,recovery=T,corrupt=P,retrans=N,\n"
-               "                                churn=P,offline=T,burst=C]\n"
-               "                      [--combined] [--csv FILE] [--json FILE] [--cache DIR]\n"
-               "                      [--metrics FILE] [--progress]\n"
+               "  profisched simulate <file.ini> [--policy fcfs|dm|edf] [--ms N] [--seed N]\n"
+               "                      [--histograms] [--trace N]\n"
                "  profisched ttr      <file.ini>\n"
-               "  profisched optimize [--scenarios N] [--masters N[,N,...]] [--streams N]\n"
-               "                      [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]\n"
-               "                      [--beta-hi X] [--split w1,...,wK] [--skew S]\n"
-               "                      [--policies fcfs,dm,edf,opa] [--threads N] [--seed N]\n"
-               "                      [--ttr TICKS] [--method paper|refined]\n"
-               "                      [--scale-lo X] [--scale-hi X] [--ttr-cap TICKS]\n"
-               "                      [--dratio-lo X] [--dratio-hi X]\n"
-               "                      [--csv FILE] [--json FILE] [--cache DIR]\n"
-               "                      [--metrics FILE] [--progress]\n"
-               "  profisched sweep    [--scenarios N] [--masters N[,N,...]] [--streams N]\n"
-               "                      [--u LO:HI:STEPS] [--beta LO:HI:STEPS] [--beta-lo X]\n"
-               "                      [--beta-hi X] [--split w1,...,wK] [--skew S]\n"
-               "                      [--policies fcfs,dm,edf,opa,token,holistic]\n"
-               "                      [--threads N] [--seed N] [--ttr TICKS]\n"
-               "                      [--method paper|refined] [--csv FILE] [--json FILE]\n"
-               "                      [--cache DIR] [--metrics FILE] [--progress]\n"
-               "  profisched shard    --shard k/K --out FILE\n"
-               "                      [--mode sweep|simulate|combined|optimize]\n"
-               "                      [--cache DIR] [--metrics FILE] [--progress]\n"
-               "                      [sweep/simulate/optimize flags]\n"
-               "  profisched merge    [--csv FILE] [--json FILE] [--metrics FILE]\n"
-               "                      SHARD_FILE...\n"
-               "  profisched serve    --socket PATH [--threads N] [--cache DIR]\n"
-               "                      [--metrics FILE]\n"
-               "  profisched submit   --socket PATH [--mode sweep|simulate|combined|\n"
-               "                      optimize] [--priority N] [--oversplit K] [--wait]\n"
-               "                      [sweep/optimize flags; --csv/--json/--metrics\n"
-               "                      name server-side destinations]\n"
-               "  profisched submit   --socket PATH --status | --cancel ID | --stats |\n"
-               "                      --shutdown\n");
+               "  profisched sweep    [job flags]\n"
+               "  profisched simulate [--combined] [job flags]\n"
+               "  profisched optimize [job flags]\n"
+               "  profisched shard    --shard k/K --out FILE [--mode MODE] [job flags]\n"
+               "  profisched merge    [--csv FILE] [--json FILE] [--metrics FILE] SHARD_FILE...\n"
+               "  profisched serve    --socket PATH [--threads N] [--cache DIR] [--metrics FILE]\n"
+               "  profisched submit   --socket PATH [--priority N] [--oversplit K] [--wait]\n"
+               "                      [--mode MODE] [job flags]\n"
+               "  profisched submit   --socket PATH --status | --cancel ID | --stats | --shutdown\n"
+               "MODE is sweep|simulate|combined|optimize. The job flags, the modes each\n"
+               "applies to and their defaults are one table: README.md, \"Job flags\".\n");
   return 2;
 }
+
+// ------------------------------------------------------------ INI networks
 
 double to_ms(Ticks v, Ticks ticks_per_ms) {
   return static_cast<double>(v) / static_cast<double>(ticks_per_ms);
@@ -281,84 +182,58 @@ int cmd_ttr(const LoadedNetwork& ln) {
   return 1;
 }
 
-// The strict scalar parsers (full-string, bounded, negative/overflow-
-// rejecting) live in engine/detail/cli_parse.hpp so every sweep-style
-// subcommand (sweep, simulate, shard) shares one implementation and the
-// validation stays unit-tested.
-using engine::parse_cli_count;
-using engine::parse_cli_policies;
-
-/// Banner text for the masters dimension: the axis values ("1,8") when the
-/// points carry per-point ring sizes, else the single base count.
-std::string masters_banner(const workload::NetworkParams& base,
-                           const std::vector<engine::SweepPoint>& points) {
-  std::string axis;
-  std::size_t last = 0;
-  for (const engine::SweepPoint& pt : points) {
-    if (pt.n_masters != 0 && pt.n_masters != last) {
-      if (!axis.empty()) axis += ',';
-      axis += std::to_string(pt.n_masters);
-      last = pt.n_masters;
+/// `analyze|simulate|ttr <file.ini> [flags]`. Numeric flags go through the
+/// same strict parser as the job flags, and errors name the flag.
+int cmd_ini(int argc, char** argv) {
+  const std::string command = argv[1];
+  const std::string path = argv[2];
+  std::string policy = command == "simulate" ? "fcfs" : "all";
+  std::size_t milliseconds = 1'000, seed = 1, trace_events = 0;
+  bool histograms = false;
+  for (int i = 3; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
+    const auto count = [&](std::size_t& dst, std::size_t lo, std::size_t hi, const char* want) {
+      if (v == nullptr || !engine::parse_cli_count(v, dst, hi) || dst < lo) {
+        std::fprintf(stderr, "error: %s needs %s\n", arg.c_str(), want);
+        return false;
+      }
+      ++i;
+      return true;
+    };
+    if (arg == "--policy" && v != nullptr) {
+      policy = argv[++i];
+    } else if (arg == "--ms") {
+      if (!count(milliseconds, 1, 1'000'000'000, "a duration in [1, 1e9] ms")) return 2;
+    } else if (arg == "--seed") {
+      if (!count(seed, 0, std::numeric_limits<std::size_t>::max(), "a non-negative integer")) {
+        return 2;
+      }
+    } else if (arg == "--trace") {
+      if (!count(trace_events, 0, 100'000'000, "an event count in [0, 1e8]")) return 2;
+    } else if (arg == "--histograms") {
+      histograms = true;
+    } else {
+      return usage();
     }
   }
-  return axis.empty() ? std::to_string(base.n_masters) : axis;
-}
 
-/// The sequential top-level command stages. These are the only `phase.*`
-/// series, so their totals sum to at most the command's wall time — the
-/// invariant tools/metrics_check.py enforces on every --metrics sidecar.
-struct PhaseMetrics {
-  obs::Timer run = obs::Registry::global().timer("phase.run");
-  obs::Timer aggregate = obs::Registry::global().timer("phase.aggregate");
-  obs::Timer write = obs::Registry::global().timer("phase.write");
-};
-
-PhaseMetrics& phase_metrics() {
-  static PhaseMetrics m;
-  return m;
-}
-
-/// Arms the telemetry switches right after a subcommand's flags parse:
-/// --metrics turns on the timed instrumentation (Span clock reads, task
-/// latency), --progress the stderr heartbeat. Returns the wall-clock start
-/// for the manifest's elapsed_s (taken only when a sidecar was requested, so
-/// a flags-off run stays clock-read-free).
-std::int64_t arm_observability(const std::string& metrics_path, bool progress) {
-  obs::set_enabled(!metrics_path.empty());
-  obs::set_progress_enabled(progress);
-  return metrics_path.empty() ? -1 : obs::now_ns();
-}
-
-/// Builds and writes the --metrics sidecar. The config digest hashes the
-/// same canonical spec block `merge` compares byte-for-byte, so identical
-/// sweeps digest identically whether run whole, sharded, or merged.
-bool emit_manifest(const std::string& path, const char* subcommand, int argc, char** argv,
-                   const dist::ShardSpec& spec, std::uint64_t scenarios, unsigned threads,
-                   std::int64_t t0_ns) {
-  obs::Manifest m;
-  m.run.subcommand = subcommand;
-  m.run.argv.assign(argv, argv + argc);
-  const std::string spec_text = dist::serialize_spec(spec);
-  m.run.config_digest =
-      engine::detail::Fnv1a64().bytes(spec_text.data(), spec_text.size()).digest();
-  m.run.scenarios = scenarios;
-  m.run.points = spec.spec.sweep.points.size();
-  m.run.policies = spec.spec.sweep.policies.size();
-  m.run.replications = spec.spec.replications;
-  m.run.threads = threads;
-  m.run.elapsed_s = static_cast<double>(obs::now_ns() - t0_ns) / 1e9;
-  m.metrics = obs::Registry::global().snapshot();
-  if (!obs::write_manifest_file(path, m)) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return false;
+  const LoadedNetwork ln = config::load_network_file(path);
+  std::printf("loaded %s: %zu masters, %zu streams, T_TR = %lld ticks\n", path.c_str(),
+              ln.net.n_masters(), ln.net.total_high_streams(), static_cast<long long>(ln.net.ttr));
+  if (command == "analyze") return cmd_analyze(ln, policy);
+  if (command == "simulate") {
+    return cmd_simulate(ln, policy, static_cast<Ticks>(milliseconds), seed, histograms,
+                        trace_events);
   }
-  std::printf("wrote %s\n", path.c_str());
-  return true;
+  if (command == "ttr") return cmd_ttr(ln);
+  return usage();
 }
+
+// ------------------------------------------------------------ job pipeline
 
 /// The one cache summary the CLI prints, fed from the registry's record-
-/// level counters — the same `cache.*` series the --metrics sidecar carries,
-/// so the console line and the sidecar can never disagree.
+/// level counters — the same `cache.*` series the --metrics sidecar carries.
 void print_cache_line(const dist::ResultCache& cache) {
   const obs::Snapshot snap = obs::Registry::global().snapshot();
   std::printf("result cache: %llu hits / %llu misses (%s)\n",
@@ -367,540 +242,112 @@ void print_cache_line(const dist::ResultCache& cache) {
               cache.dir().c_str());
 }
 
-int cmd_sweep(int argc, char** argv) {
-  engine::SweepSpec spec;
-  spec.base.n_masters = 1;
-  spec.base.streams_per_master = 5;
-  spec.base.ttr = 3'000;
-  spec.scenarios_per_point = 100;
-  spec.policies = {engine::Policy::Fcfs, engine::Policy::Dm, engine::Policy::Edf};
-  engine::GridCliArgs grid;
-  unsigned threads = 0;
-  std::string csv_path, json_path, cache_dir, metrics_path;
-  bool progress = false;
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("cannot read " + path);
+  std::ostringstream text;
+  text << is.rdbuf();
+  return text.str();
+}
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    std::size_t count = 0;
-    if (arg == "--scenarios" && (v = next())) {
-      if (!parse_cli_count(v, spec.scenarios_per_point, 100'000'000) ||
-          spec.scenarios_per_point == 0) {
-        return usage();
-      }
-    // Grid flags demand a non-empty value: an unset shell variable must not
-    // silently fall back to the default grid (expand_cli_grid reads "" as
-    // flag-absent).
-    } else if (arg == "--masters" && (v = next()) && *v != '\0') {
-      grid.masters = v;
-    } else if (arg == "--split" && (v = next()) && *v != '\0') {
-      grid.split = v;
-    } else if (arg == "--skew" && (v = next()) && *v != '\0') {
-      grid.skew = v;
-    } else if (arg == "--streams" && (v = next())) {
-      if (!parse_cli_count(v, spec.base.streams_per_master, 4'096) ||
-          spec.base.streams_per_master == 0) {
-        return usage();
-      }
-    } else if (arg == "--u" && (v = next()) && *v != '\0') {
-      grid.u = v;
-    } else if (arg == "--beta" && (v = next()) && *v != '\0') {
-      grid.beta = v;
-    } else if (arg == "--beta-lo" && (v = next()) && *v != '\0') {
-      grid.beta_lo = v;
-    } else if (arg == "--beta-hi" && (v = next()) && *v != '\0') {
-      grid.beta_hi = v;
-    } else if (arg == "--policies" && (v = next())) {
-      if (!parse_cli_policies(v, /*simulable_only=*/false, spec.policies)) return usage();
-    } else if (arg == "--threads" && (v = next())) {
-      if (!parse_cli_count(v, count) || count > 1024) return usage();
-      threads = static_cast<unsigned>(count);
-    } else if (arg == "--seed" && (v = next())) {
-      if (!parse_cli_count(v, count)) return usage();
-      spec.seed = count;
-    } else if (arg == "--ttr" && (v = next())) {
-      if (!parse_cli_count(v, count, 1'000'000'000'000'000ULL)) return usage();
-      spec.base.ttr = static_cast<Ticks>(count);
-    } else if (arg == "--method" && (v = next())) {
-      if (std::strcmp(v, "paper") == 0) spec.engine.method = TcycleMethod::PaperEq13;
-      else if (std::strcmp(v, "refined") == 0) spec.engine.method = TcycleMethod::PerMasterRefined;
-      else return usage();
-    } else if (arg == "--csv" && (v = next())) {
-      csv_path = v;
-    } else if (arg == "--json" && (v = next())) {
-      json_path = v;
-    } else if (arg == "--cache" && (v = next())) {
-      cache_dir = v;
-    } else if (arg == "--metrics" && (v = next()) && *v != '\0') {
-      metrics_path = v;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else {
-      return usage();
-    }
-  }
-  // Doomed output destinations fail here, before a single scenario runs.
-  std::string path_error;
-  if ((!csv_path.empty() && !engine::validate_cli_output_file(csv_path, "--csv", path_error)) ||
-      (!json_path.empty() && !engine::validate_cli_output_file(json_path, "--json", path_error)) ||
-      (!metrics_path.empty() &&
-       !engine::validate_cli_output_file(metrics_path, "--metrics", path_error)) ||
-      (!cache_dir.empty() && !engine::validate_cli_output_dir(cache_dir, "--cache", path_error))) {
-    std::fprintf(stderr, "error: %s\n", path_error.c_str());
-    return 2;
-  }
-  const std::int64_t t0_ns = arm_observability(metrics_path, progress);
-
-  std::string grid_error;
-  if (!engine::expand_cli_grid(grid, spec.base, spec.points, grid_error)) {
-    std::fprintf(stderr, "error: %s\n", grid_error.c_str());
+/// sweep, simulate, optimize, shard and merge: parse → execute → reduce →
+/// emit. `shard` stops after execute and writes its artifact; `merge` starts
+/// from artifacts on disk.
+int cmd_job(dist::Surface surface, const char* name, int argc, char** argv) {
+  dist::JobArgs a;
+  std::string error;
+  if (!dist::parse_job_args(surface, std::vector<std::string>(argv, argv + argc), a, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return usage();
   }
-  if (spec.total_scenarios() > 100'000'000) {
-    std::fprintf(stderr, "error: sweep too large (%zu scenarios); shrink the grid axes or "
-                         "--scenarios\n",
-                 spec.total_scenarios());
-    return 2;
-  }
+  dist::Job& job = a.job;
+  // --metrics arms the timed instrumentation, --progress the heartbeat; both
+  // stay out of band (outputs are byte-identical either way).
+  obs::set_enabled(!job.metrics_path.empty());
+  obs::set_progress_enabled(job.progress);
+  const std::int64_t t0_ns = obs::now_ns();
+  obs::Span run_span(obs::Registry::global().timer("phase.run"));
 
-  engine::SweepRunner runner(threads);
-  std::printf("sweep: %zu scenarios (%zu points x %zu), %s masters x %zu streams, "
-              "%u thread%s, seed %llu\n",
-              spec.total_scenarios(), spec.points.size(), spec.scenarios_per_point,
-              masters_banner(spec.base, spec.points).c_str(), spec.base.streams_per_master,
-              runner.threads(), runner.threads() == 1 ? "" : "s",
-              static_cast<unsigned long long>(spec.seed));
+  std::vector<dist::ShardArtifact> artifacts;
   std::unique_ptr<dist::ResultCache> cache;
-  if (!cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cache_dir);
-  obs::Span run_span(phase_metrics().run);
-  const engine::SweepResult result = runner.run(spec, cache.get());
-  run_span.stop();
-  obs::Span agg_span(phase_metrics().aggregate);
-  const engine::SweepCurves curves = engine::aggregate(spec, result);
-  agg_span.stop();
-
-  std::printf("\n%-8s", "U");
-  for (const std::string& p : curves.policies) std::printf(" %9s", p.c_str());
-  std::printf("\n");
-  for (const engine::CurvePoint& pt : curves.points) {
-    std::printf("%-8.3f", pt.total_u);
-    for (std::size_t p = 0; p < curves.policies.size(); ++p) {
-      std::printf(" %8.1f%%", 100.0 * pt.ratio(p));
+  unsigned threads = 1;
+  if (surface == dist::Surface::Merge) {
+    for (const std::string& path : a.inputs) {
+      artifacts.push_back(dist::ShardArtifact::from_text(read_file(path)));
     }
-    std::printf("\n");
+    job.spec = artifacts.front().spec;
+    std::printf("merged %zu shard%s: %llu scenarios (%s mode)\n", artifacts.size(),
+                artifacts.size() == 1 ? "" : "s",
+                static_cast<unsigned long long>(job.spec.total_scenarios()),
+                dist::trait(job.spec.mode).word);
+  } else {
+    dist::ShardRunner runner(a.threads);
+    threads = runner.threads();
+    if (!a.cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(a.cache_dir);
+    const engine::SweepSpec& sw = job.spec.spec.sweep;
+    const std::string label = surface == dist::Surface::Shard
+                                  ? "shard " + std::to_string(a.shard_index + 1) + "/" +
+                                        std::to_string(a.shard_count)
+                                  : name;
+    std::printf("%s (%s mode): %zu scenarios (%zu points x %zu), %u thread%s, seed %llu\n",
+                label.c_str(), dist::trait(job.spec.mode).word, sw.total_scenarios(),
+                sw.points.size(), sw.scenarios_per_point, threads, threads == 1 ? "" : "s",
+                static_cast<unsigned long long>(sw.seed));
+    artifacts.push_back(runner.run(job.spec, a.shard_index, a.shard_count, cache.get()));
   }
-  std::printf("\n%zu scenarios in %.3f s (%.0f scenario-analyses/s); timing memo: "
-              "%zu hits / %zu misses\n",
-              result.outcomes.size(), result.elapsed_s,
-              static_cast<double>(result.outcomes.size() * spec.policies.size()) /
-                  (result.elapsed_s > 0 ? result.elapsed_s : 1.0),
-              result.memo_hits, result.memo_misses);
-  if (cache) print_cache_line(*cache);
-
-  const auto write_file = [](const std::string& path, const std::string& content) {
-    std::ofstream os(path, std::ios::binary);
-    os << content;
-    os.flush();  // surface ENOSPC-style errors now, not in the destructor
-    return os.good();
+  run_span.stop();
+  const dist::ShardArtifact& first = artifacts.front();
+  const std::uint64_t scenarios =
+      surface == dist::Surface::Shard ? first.range.size() : job.spec.total_scenarios();
+  const engine::RunStats stats = first.stats;
+  const auto write_manifest = [&] {
+    if (job.metrics_path.empty()) return true;
+    obs::Manifest m = dist::manifest(job.spec, scenarios);
+    m.run.subcommand = name;
+    m.run.argv.assign(argv, argv + argc);
+    m.run.threads = threads;
+    m.run.elapsed_s = static_cast<double>(obs::now_ns() - t0_ns) / 1e9;
+    if (obs::write_manifest_file(job.metrics_path, m)) return true;
+    std::fprintf(stderr, "error: cannot write %s\n", job.metrics_path.c_str());
+    return false;
   };
-  obs::Span write_span(phase_metrics().write);
-  if (!csv_path.empty()) {
-    if (!write_file(csv_path, curves.to_csv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", csv_path.c_str());
-  }
-  if (!json_path.empty()) {
-    if (!write_file(json_path, curves.to_json())) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  write_span.stop();
-  if (!metrics_path.empty()) {
-    dist::ShardSpec ds;
-    ds.mode = dist::SweepMode::Analysis;
-    ds.spec.sweep = spec;
-    if (!emit_manifest(metrics_path, "sweep", argc, argv, ds, spec.total_scenarios(),
-                       runner.threads(), t0_ns)) {
-      return 1;
-    }
-  }
-  return 0;
-}
 
-bool write_output_file(const std::string& path, const std::string& content) {
-  std::ofstream os(path, std::ios::binary);
-  os << content;
-  os.flush();  // surface ENOSPC-style errors now, not in the destructor
-  return os.good();
-}
-
-int cmd_simulate_sweep(int argc, char** argv) {
-  engine::SimSweepCli cli;
-  std::string error;
-  if (!engine::parse_sim_sweep_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return usage();
-  }
-  const std::int64_t t0_ns = arm_observability(cli.metrics_path, cli.progress);
-
-  engine::SweepRunner runner(cli.threads);
-  std::printf("simulate sweep%s: %zu scenarios (%zu points x %zu) x %zu rep%s, "
-              "%s masters x %zu streams, %u thread%s, seed %llu\n",
-              cli.combined ? " (combined with analysis)" : "",
-              cli.spec.sweep.total_scenarios(), cli.spec.sweep.points.size(),
-              cli.spec.sweep.scenarios_per_point, cli.spec.replications,
-              cli.spec.replications == 1 ? "" : "s",
-              masters_banner(cli.spec.sweep.base, cli.spec.sweep.points).c_str(),
-              cli.spec.sweep.base.streams_per_master, runner.threads(),
-              runner.threads() == 1 ? "" : "s",
-              static_cast<unsigned long long>(cli.spec.sweep.seed));
-  std::unique_ptr<dist::ResultCache> cache;
-  if (!cli.cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cli.cache_dir);
-
-  if (cli.combined) {
-    obs::Span run_span(phase_metrics().run);
-    const engine::CombinedResult result = runner.run_combined(cli.spec, cache.get());
-    run_span.stop();
-    obs::Span agg_span(phase_metrics().aggregate);
-    const engine::ConsistencyTable table = engine::consistency_table(cli.spec, result);
-    agg_span.stop();
-
-    // Per-point analysis-accept vs simulation-miss-free ratios side by side,
-    // bucketed in one pass over the outcomes (a per-point rescan would be
-    // O(points x scenarios) — hours on the biggest accepted grids).
-    const std::size_t n_pol = cli.spec.sweep.policies.size();
-    const std::size_t n_pts = cli.spec.sweep.points.size();
-    std::vector<std::size_t> accepted(n_pts * n_pol, 0), miss_free(n_pts * n_pol, 0),
-        scenarios(n_pts, 0);
-    for (const engine::CombinedOutcome& o : result.outcomes) {
-      ++scenarios[o.sim.point];
-      for (std::size_t p = 0; p < n_pol; ++p) {
-        if (o.analytic_schedulable[p]) ++accepted[o.sim.point * n_pol + p];
-        if (o.sim.misses[p] == 0 && o.sim.dropped[p] == 0) {
-          ++miss_free[o.sim.point * n_pol + p];
-        }
-      }
-    }
-    std::printf("\n%-8s", "U");
-    for (const engine::Policy p : cli.spec.sweep.policies) {
-      std::printf(" %9s:an %9s:sim", std::string(to_string(p)).c_str(),
-                  std::string(to_string(p)).c_str());
-    }
-    std::printf("\n");
-    for (std::size_t pt = 0; pt < n_pts; ++pt) {
-      const double n = scenarios[pt] == 0 ? 1.0 : static_cast<double>(scenarios[pt]);
-      std::printf("%-8.3f", cli.spec.sweep.points[pt].total_u);
-      for (std::size_t p = 0; p < n_pol; ++p) {
-        std::printf(" %11.1f%% %12.1f%%",
-                    100.0 * static_cast<double>(accepted[pt * n_pol + p]) / n,
-                    100.0 * static_cast<double>(miss_free[pt * n_pol + p]) / n);
-      }
-      std::printf("\n");
-    }
-
-    double max_pessimism = 0.0;
-    for (const engine::ConsistencyRow& r : table.rows) {
-      max_pessimism = std::max(max_pessimism, r.pessimism());
-    }
-    std::printf("\n%zu joined rows in %.3f s; bound violations: %llu; "
-                "analysis-accepts-but-sim-misses: %zu; max pessimism %.3f\n",
-                table.rows.size(), result.elapsed_s,
-                static_cast<unsigned long long>(result.total_bound_violations()),
-                table.accept_but_miss_count(), max_pessimism);
-    if (cache) print_cache_line(*cache);
-
-    obs::Span write_span(phase_metrics().write);
-    if (!cli.csv_path.empty()) {
-      if (!write_output_file(cli.csv_path, table.to_csv())) {
-        std::fprintf(stderr, "error: cannot write %s\n", cli.csv_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", cli.csv_path.c_str());
-    }
-    if (!cli.json_path.empty()) {
-      if (!write_output_file(cli.json_path, table.to_json())) {
-        std::fprintf(stderr, "error: cannot write %s\n", cli.json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", cli.json_path.c_str());
-    }
+  if (surface == dist::Surface::Shard) {
+    obs::Span write_span(obs::Registry::global().timer("phase.write"));
+    dist::write_file(a.out_path, first.to_text());
     write_span.stop();
-    if (!cli.metrics_path.empty()) {
-      dist::ShardSpec ds;
-      ds.mode = dist::SweepMode::Combined;
-      ds.spec = cli.spec;
-      if (!emit_manifest(cli.metrics_path, "simulate", argc, argv, ds,
-                         cli.spec.sweep.total_scenarios(), runner.threads(), t0_ns)) {
-        return 1;
-      }
-    }
-    // A consistency violation falsifies the corresponding analysis — make the
-    // run fail loudly so CI catches it.
-    return (table.accept_but_miss_count() > 0 || result.total_bound_violations() > 0) ? 1 : 0;
+    if (cache) print_cache_line(*cache);
+    // The range comes from the artifact itself: exactly what a merge will
+    // validate, not a second ShardPlan computation.
+    std::printf("wrote %s (scenarios [%llu, %llu))\n", a.out_path.c_str(),
+                static_cast<unsigned long long>(first.range.begin),
+                static_cast<unsigned long long>(first.range.end));
+    return write_manifest() ? 0 : 1;
   }
 
-  obs::Span run_span(phase_metrics().run);
-  const engine::SimSweepResult result = runner.run_sim(cli.spec, cache.get());
-  run_span.stop();
-  obs::Span agg_span(phase_metrics().aggregate);
-  const engine::SimCurves curves = engine::aggregate_sim(cli.spec, result);
-  agg_span.stop();
-
-  std::printf("\n%-8s", "U");
-  for (const std::string& p : curves.policies) std::printf(" %9s", p.c_str());
-  std::printf("\n");
-  for (const engine::SimCurvePoint& pt : curves.points) {
-    std::printf("%-8.3f", pt.total_u);
-    for (std::size_t p = 0; p < curves.policies.size(); ++p) {
-      std::printf(" %8.1f%%", 100.0 * pt.ratio(p));
-    }
-    std::printf("\n");
+  const dist::ModeTrait& mode = dist::trait(job.spec.mode);
+  const dist::Table table = dist::reduce(std::move(artifacts));
+  std::printf("%s", mode.summary(job.spec, table).c_str());
+  if (surface != dist::Surface::Merge) {
+    std::printf("\n%zu scenarios x %zu policies in %.3f s; timing memo: %zu hits / %zu misses\n",
+                job.spec.spec.sweep.total_scenarios(), job.spec.spec.sweep.policies.size(),
+                stats.elapsed_s, stats.memo_hits, stats.memo_misses);
   }
-  std::printf("\n%zu scenarios x %zu reps in %.3f s (%.0f sim-runs/s)\n",
-              result.outcomes.size(), cli.spec.replications, result.elapsed_s,
-              static_cast<double>(result.outcomes.size() * cli.spec.sweep.policies.size() *
-                                  cli.spec.replications) /
-                  (result.elapsed_s > 0 ? result.elapsed_s : 1.0));
   if (cache) print_cache_line(*cache);
-
-  obs::Span write_span(phase_metrics().write);
-  if (!cli.csv_path.empty()) {
-    if (!write_output_file(cli.csv_path, curves.to_csv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.csv_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", cli.csv_path.c_str());
+  dist::emit(job, table);
+  for (const std::string* path : {&job.csv_path, &job.json_path}) {
+    if (!path->empty()) std::printf("wrote %s\n", path->c_str());
   }
-  if (!cli.json_path.empty()) {
-    if (!write_output_file(cli.json_path, curves.to_json())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", cli.json_path.c_str());
-  }
-  write_span.stop();
-  if (!cli.metrics_path.empty()) {
-    dist::ShardSpec ds;
-    ds.mode = dist::SweepMode::Sim;
-    ds.spec = cli.spec;
-    if (!emit_manifest(cli.metrics_path, "simulate", argc, argv, ds,
-                       cli.spec.sweep.total_scenarios(), runner.threads(), t0_ns)) {
-      return 1;
-    }
-  }
-  return 0;
-}
-
-int cmd_optimize(int argc, char** argv) {
-  opt::OptimizeCli cli;
-  std::string error;
-  if (!opt::parse_optimize_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return usage();
-  }
-  const std::int64_t t0_ns = arm_observability(cli.metrics_path, cli.progress);
-
-  engine::SweepRunner runner(cli.threads);
-  std::printf("optimize: %zu scenarios (%zu points x %zu), %s masters x %zu streams, "
-              "%u thread%s, seed %llu\n",
-              cli.spec.sweep.total_scenarios(), cli.spec.sweep.points.size(),
-              cli.spec.sweep.scenarios_per_point,
-              masters_banner(cli.spec.sweep.base, cli.spec.sweep.points).c_str(),
-              cli.spec.sweep.base.streams_per_master, runner.threads(),
-              runner.threads() == 1 ? "" : "s",
-              static_cast<unsigned long long>(cli.spec.sweep.seed));
-  std::unique_ptr<dist::ResultCache> cache;
-  if (!cli.cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cli.cache_dir);
-  obs::Span run_span(phase_metrics().run);
-  const opt::OptimizeResult result = opt::run_optimize(runner, cli.spec, cache.get());
-  run_span.stop();
-  obs::Span agg_span(phase_metrics().aggregate);
-  const opt::OptimizeTable table = opt::aggregate_optimize(cli.spec, result);
-  agg_span.stop();
-
-  // Median breakdown utilization per policy — the headline synthesis answer;
-  // the full distributions go to --csv/--json.
-  std::printf("\n%-8s", "U");
-  for (const std::string& p : table.policies) std::printf(" %12s", (p + ":bu").c_str());
-  std::printf("\n");
-  for (const opt::OptimizePoint& pt : table.points) {
-    std::printf("%-8.3f", pt.total_u);
-    for (std::size_t p = 0; p < table.policies.size(); ++p) {
-      std::printf(" %12.3f", pt.stats[p].breakdown_u_p50);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n%zu scenarios x %zu policies in %.3f s (3 bisections each)\n",
-              result.outcomes.size(), cli.spec.sweep.policies.size(), result.elapsed_s);
-  if (cache) print_cache_line(*cache);
-
-  obs::Span write_span(phase_metrics().write);
-  if (!cli.csv_path.empty()) {
-    if (!write_output_file(cli.csv_path, table.to_csv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.csv_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", cli.csv_path.c_str());
-  }
-  if (!cli.json_path.empty()) {
-    if (!write_output_file(cli.json_path, table.to_json())) {
-      std::fprintf(stderr, "error: cannot write %s\n", cli.json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", cli.json_path.c_str());
-  }
-  write_span.stop();
-  if (!cli.metrics_path.empty()) {
-    dist::ShardSpec ds;
-    ds.mode = dist::SweepMode::Optimize;
-    ds.spec.sweep = cli.spec.sweep;
-    ds.optimize = cli.spec.options;
-    if (!emit_manifest(cli.metrics_path, "optimize", argc, argv, ds,
-                       cli.spec.sweep.total_scenarios(), runner.threads(), t0_ns)) {
-      return 1;
-    }
-  }
-  return 0;
-}
-
-int cmd_shard(int argc, char** argv) {
-  dist::ShardCli cli;
-  std::string error;
-  if (!dist::parse_shard_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return usage();
-  }
-  const std::int64_t t0_ns = arm_observability(cli.metrics_path, cli.progress);
-
-  dist::ShardRunner runner(cli.threads);
-  std::unique_ptr<dist::ResultCache> cache;
-  if (!cli.cache_dir.empty()) cache = std::make_unique<dist::ResultCache>(cli.cache_dir);
-
-  std::printf("shard %llu/%llu (%s mode): %llu scenarios total, %u thread%s, seed %llu\n",
-              static_cast<unsigned long long>(cli.index + 1),
-              static_cast<unsigned long long>(cli.count),
-              std::string(dist::to_string(cli.shard.mode)).c_str(),
-              static_cast<unsigned long long>(cli.shard.total_scenarios()), runner.threads(),
-              runner.threads() == 1 ? "" : "s",
-              static_cast<unsigned long long>(cli.shard.spec.sweep.seed));
-
-  obs::Span run_span(phase_metrics().run);
-  const dist::ShardArtifact artifact = runner.run(cli.shard, cli.index, cli.count, cache.get());
-  run_span.stop();
-  obs::Span write_span(phase_metrics().write);
-  if (!write_output_file(cli.out_path, artifact.to_text())) {
-    std::fprintf(stderr, "error: cannot write %s\n", cli.out_path.c_str());
+  const std::string violation = mode.violation(table);
+  if (!write_manifest()) return 1;
+  if (!violation.empty()) {
+    std::printf("%s\n", violation.c_str());
     return 1;
   }
-  write_span.stop();
-  // Registry-fed like every other subcommand: the record-level cache.*
-  // counters — unlike the ResultCache's raw load statistics — count an
-  // undecodable or mismatched entry as the recompute it was.
-  if (cache) print_cache_line(*cache);
-  // The range comes from the artifact itself, so what we report is exactly
-  // what a merge will validate — not a second ShardPlan computation.
-  std::printf("wrote %s (scenarios [%llu, %llu))\n", cli.out_path.c_str(),
-              static_cast<unsigned long long>(artifact.range.begin),
-              static_cast<unsigned long long>(artifact.range.end));
-  if (!cli.metrics_path.empty()) {
-    if (!emit_manifest(cli.metrics_path, "shard", argc, argv, cli.shard,
-                       artifact.range.size(), runner.threads(), t0_ns)) {
-      return 1;
-    }
-  }
   return 0;
 }
 
-int cmd_merge(int argc, char** argv) {
-  dist::MergeCli cli;
-  std::string error;
-  if (!dist::parse_merge_args(std::vector<std::string>(argv, argv + argc), cli, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return usage();
-  }
-  const std::int64_t t0_ns = arm_observability(cli.metrics_path, /*progress=*/false);
-
-  obs::Span run_span(phase_metrics().run);
-  std::vector<dist::ShardArtifact> artifacts;
-  artifacts.reserve(cli.inputs.size());
-  for (const std::string& path : cli.inputs) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    artifacts.push_back(dist::ShardArtifact::from_text(text.str()));
-  }
-
-  const dist::MergedSweep merged = dist::merge_shards(artifacts);
-  run_span.stop();
-  const engine::SimSweepSpec& spec = merged.spec.spec;
-  std::printf("merged %zu shard%s: %llu scenarios (%s mode)\n", artifacts.size(),
-              artifacts.size() == 1 ? "" : "s",
-              static_cast<unsigned long long>(merged.spec.total_scenarios()),
-              std::string(dist::to_string(merged.spec.mode)).c_str());
-
-  // Serialize lazily: a multi-million-row combined merge should not pay for
-  // (or hold in memory) a JSON string nobody asked for.
-  const auto emit = [&](const std::string& path, const std::string& content) {
-    if (!write_output_file(path, content)) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  };
-  const auto emit_both = [&](const auto& serializable) {
-    const obs::Span write_span(phase_metrics().write);
-    if (!cli.csv_path.empty() && !emit(cli.csv_path, serializable.to_csv())) return 1;
-    if (!cli.json_path.empty() && !emit(cli.json_path, serializable.to_json())) return 1;
-    return 0;
-  };
-  int rc = 0;
-  switch (merged.spec.mode) {
-    case dist::SweepMode::Analysis:
-      rc = emit_both(engine::aggregate(spec.sweep, merged.analysis));
-      break;
-    case dist::SweepMode::Sim:
-      rc = emit_both(engine::aggregate_sim(spec, merged.sim));
-      break;
-    case dist::SweepMode::Combined: {
-      const engine::ConsistencyTable table = engine::consistency_table(spec, merged.combined);
-      std::printf("bound violations: %llu; analysis-accepts-but-sim-misses: %zu\n",
-                  static_cast<unsigned long long>(table.total_bound_violations()),
-                  table.accept_but_miss_count());
-      rc = emit_both(table);
-      // Same contract as `simulate --combined`: a consistency violation
-      // falsifies the corresponding analysis, so the merge fails loudly too.
-      if (rc == 0 &&
-          (table.accept_but_miss_count() > 0 || table.total_bound_violations() > 0)) {
-        rc = 1;
-      }
-      break;
-    }
-    case dist::SweepMode::Optimize:
-      rc = emit_both(opt::aggregate_optimize(
-          opt::OptimizeSpec{spec.sweep, merged.spec.optimize}, merged.optimize));
-      break;
-  }
-  if (!cli.metrics_path.empty()) {
-    if (!emit_manifest(cli.metrics_path, "merge", argc, argv, merged.spec,
-                       merged.spec.total_scenarios(), /*threads=*/1, t0_ns)) {
-      return 1;
-    }
-  }
-  return rc;
-}
+// ------------------------------------------------------------ serve / submit
 
 int cmd_serve(int argc, char** argv) {
   serve::ServeCli cli;
@@ -932,17 +379,10 @@ int cmd_serve(int argc, char** argv) {
 
 /// Find our job's line in an `ok jobs N` STATUS payload; empty when missing.
 std::string status_line_for(const std::string& payload, std::uint64_t id) {
-  const std::string needle = "job " + std::to_string(id) + ' ';
-  std::size_t pos = payload.find('\n');
-  while (pos != std::string::npos) {
-    const std::size_t start = pos + 1;
-    std::size_t end = payload.find('\n', start);
-    const std::string line =
-        payload.substr(start, end == std::string::npos ? end : end - start);
-    if (line.rfind(needle, 0) == 0) return line;
-    pos = end;
-  }
-  return {};
+  const std::size_t at = payload.find("\njob " + std::to_string(id) + ' ');
+  if (at == std::string::npos) return {};
+  const std::size_t end = payload.find('\n', at + 1);
+  return payload.substr(at + 1, end == std::string::npos ? end : end - at - 1);
 }
 
 int cmd_submit(int argc, char** argv) {
@@ -966,30 +406,21 @@ int cmd_submit(int argc, char** argv) {
     return true;
   };
 
+  using Action = serve::SubmitCli::Action;
   std::string response;
-  switch (cli.action) {
-    case serve::SubmitCli::Action::Status:
-      if (!call_ok(serve::format_status(), response)) return 1;
-      std::printf("%s\n", response.c_str());
-      return 0;
-    case serve::SubmitCli::Action::Cancel:
-      if (!call_ok(serve::format_cancel(cli.cancel_id), response)) return 1;
-      std::printf("%s\n", response.c_str());
-      return 0;
-    case serve::SubmitCli::Action::Stats: {
-      if (!call_ok(serve::format_stats(), response)) return 1;
-      // Payload is `ok stats\n<json>`; print only the JSON so the output
-      // pipes straight into tools/metrics_check.py.
-      const std::size_t nl = response.find('\n');
-      std::printf("%s\n", nl == std::string::npos ? "" : response.c_str() + nl + 1);
-      return 0;
-    }
-    case serve::SubmitCli::Action::Shutdown:
-      if (!call_ok(serve::format_shutdown(), response)) return 1;
-      std::printf("%s\n", response.c_str());
-      return 0;
-    case serve::SubmitCli::Action::Submit:
-      break;
+  if (cli.action != Action::Submit) {
+    const std::string request = cli.action == Action::Status   ? serve::format_status()
+                                : cli.action == Action::Cancel ? serve::format_cancel(cli.cancel_id)
+                                : cli.action == Action::Stats  ? serve::format_stats()
+                                                               : serve::format_shutdown();
+    if (!call_ok(request, response)) return 1;
+    // STATS answers `ok stats\n<json>`: print only the JSON, so the output
+    // pipes straight into tools/metrics_check.py.
+    const std::size_t nl = response.find('\n');
+    std::printf("%s\n", cli.action != Action::Stats        ? response.c_str()
+                        : nl == std::string::npos ? ""
+                                                  : response.c_str() + nl + 1);
+    return 0;
   }
 
   if (!call_ok(serve::format_submit(cli.job), response)) return 1;
@@ -1027,114 +458,26 @@ int cmd_submit(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  if (std::strcmp(argv[1], "sweep") == 0) {
-    try {
-      return cmd_sweep(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "optimize") == 0) {
-    try {
-      return cmd_optimize(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "shard") == 0) {
-    try {
-      return cmd_shard(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "merge") == 0) {
-    try {
-      return cmd_merge(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "serve") == 0) {
-    try {
-      return cmd_serve(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (std::strcmp(argv[1], "submit") == 0) {
-    try {
-      return cmd_submit(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  // `simulate` without an INI file (nothing or a --flag next) is the
-  // generated-scenario sweep mode; with a file it simulates that network.
-  if (std::strcmp(argv[1], "simulate") == 0 &&
-      (argc == 2 || std::strncmp(argv[2], "--", 2) == 0)) {
-    try {
-      return cmd_simulate_sweep(argc - 2, argv + 2);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc < 3) return usage();
   const std::string command = argv[1];
-  const std::string path = argv[2];
-
-  std::string policy = command == "simulate" ? "fcfs" : "all";
-  Ticks milliseconds = 1'000;
-  std::uint64_t seed = 1;
-  bool histograms = false;
-  std::size_t trace_events = 0;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--policy") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      policy = v;
-    } else if (arg == "--ms") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      milliseconds = std::atoll(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--histograms") {
-      histograms = true;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      trace_events = static_cast<std::size_t>(std::atoll(v));
-    } else {
-      return usage();
-    }
-  }
-
+  const struct {
+    const char* name;
+    dist::Surface surface;
+  } jobs[] = {{"sweep", dist::Surface::Sweep},       {"optimize", dist::Surface::Optimize},
+              {"shard", dist::Surface::Shard},       {"merge", dist::Surface::Merge},
+              {"simulate", dist::Surface::Simulate}};
   try {
-    const LoadedNetwork ln = profisched::config::load_network_file(path);
-    std::printf("loaded %s: %zu masters, %zu streams, T_TR = %lld ticks\n", path.c_str(),
-                ln.net.n_masters(), ln.net.total_high_streams(),
-                static_cast<long long>(ln.net.ttr));
-    if (command == "analyze") return cmd_analyze(ln, policy);
-    if (command == "simulate") {
-      return cmd_simulate(ln, policy, milliseconds, seed, histograms, trace_events);
+    // `simulate` without an INI file (nothing or a --flag next) is the
+    // generated-scenario job; with a file it simulates that network.
+    const bool ini = argc > 2 && std::strncmp(argv[2], "--", 2) != 0;
+    for (const auto& j : jobs) {
+      if (command == j.name && !(j.surface == dist::Surface::Simulate && ini)) {
+        return cmd_job(j.surface, j.name, argc - 2, argv + 2);
+      }
     }
-    if (command == "ttr") return cmd_ttr(ln);
-    return usage();
+    if (command == "serve") return cmd_serve(argc - 2, argv + 2);
+    if (command == "submit") return cmd_submit(argc - 2, argv + 2);
+    if (argc < 3) return usage();
+    return cmd_ini(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
