@@ -9,7 +9,7 @@ namespace profisched {
 BusyPeriod synchronous_busy_period(const TaskSet& ts, int fuel) {
   BusyPeriod out;
   if (ts.empty()) return out;
-  if (ts.utilization() > 1.0) {
+  if (exceeds_one(ts.utilization(), ts.size())) {
     out.length = kNoBound;
     return out;
   }
@@ -35,7 +35,7 @@ BusyPeriod synchronous_busy_period(const TaskSet& ts, int fuel) {
 BusyPeriod synchronous_busy_period(const TaskSetView& v, int fuel, Ticks warm_l) {
   BusyPeriod out;
   if (v.empty()) return out;
-  if (v.utilization() > 1.0) {
+  if (v.overloaded()) {
     out.length = kNoBound;
     return out;
   }

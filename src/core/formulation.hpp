@@ -23,4 +23,26 @@ enum class Formulation {
 /// the paper's own numbers pass PaperLiteral explicitly.
 inline constexpr Formulation kDefaultFormulation = Formulation::Refined;
 
+/// The two choices that separate a message from a task in the
+/// non-preemptive kernels: the paper's message analyses (§4.3) are the task
+/// analyses with every C_i = T_cycle, blocking T*_cycle and responses
+/// measured from AP-queue insertion.
+enum class Blocking {
+  Started,  ///< tasks: FP per the Formulation (C or C − 1), NP-EDF C − 1
+  Full,     ///< messages: a pending request blocks for its full C (eqs. 16, 18)
+};
+
+enum class Origin {
+  Arrival,  ///< tasks: R from the triggering event's arrival (J_i added)
+  Queue,    ///< messages: R from AP-queue insertion (J_i is part of §4.2's E)
+};
+
+struct ItemModel {
+  Blocking blocking = Blocking::Started;
+  Origin origin = Origin::Arrival;
+};
+
+inline constexpr ItemModel kTaskModel{};
+inline constexpr ItemModel kMessageModel{Blocking::Full, Origin::Queue};
+
 }  // namespace profisched

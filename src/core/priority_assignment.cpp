@@ -31,33 +31,4 @@ std::vector<std::size_t> priority_ranks(const PriorityOrder& order) {
   return rank;
 }
 
-std::optional<PriorityOrder> audsley_optimal_order(const TaskSet& ts,
-                                                   const LevelFeasibility& feasible) {
-  const std::size_t n = ts.size();
-  std::vector<std::size_t> unassigned(n);
-  std::iota(unassigned.begin(), unassigned.end(), std::size_t{0});
-
-  // Filled lowest level first, reversed at the end.
-  PriorityOrder reversed;
-  reversed.reserve(n);
-
-  while (!unassigned.empty()) {
-    bool placed = false;
-    for (std::size_t pos = 0; pos < unassigned.size(); ++pos) {
-      const std::size_t candidate = unassigned[pos];
-      std::vector<std::size_t> higher = unassigned;
-      higher.erase(higher.begin() + static_cast<std::ptrdiff_t>(pos));
-      if (feasible(ts, candidate, higher, reversed)) {
-        reversed.push_back(candidate);
-        unassigned.erase(unassigned.begin() + static_cast<std::ptrdiff_t>(pos));
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return std::nullopt;  // no task fits the lowest level: infeasible
-  }
-  std::ranges::reverse(reversed);
-  return reversed;
-}
-
 }  // namespace profisched

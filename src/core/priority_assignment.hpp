@@ -8,8 +8,10 @@
 // one set be analysed under several assignments.
 #pragma once
 
-#include <functional>
+#include <algorithm>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/task.hpp"
@@ -31,25 +33,36 @@ using PriorityOrder = std::vector<std::size_t>;
 /// (0 = highest). Useful for O(1) "is j higher priority than i" queries.
 [[nodiscard]] std::vector<std::size_t> priority_ranks(const PriorityOrder& order);
 
-/// Predicate type for Audsley's algorithm: decide whether `task_index` is
-/// schedulable at the current level given the tasks above it
-/// (`higher_priority`, the still-unassigned ones) and below it
-/// (`lower_priority`, the already-fixed ones — they matter for non-preemptive
-/// blocking).
-using LevelFeasibility =
-    std::function<bool(const TaskSet& ts, std::size_t task_index,
-                       const std::vector<std::size_t>& higher_priority,
-                       const std::vector<std::size_t>& lower_priority)>;
-
-/// Audsley's optimal priority assignment. Works bottom-up: finds some task
-/// feasible at the lowest priority level given all others above it, fixes it,
-/// and recurses on the rest. Returns a full priority order (highest first)
-/// iff one exists under `feasible`; std::nullopt otherwise.
+/// Audsley's optimal priority assignment over items 0..n-1 — the library's
+/// one OPA driver (the profibus message adapter and the task tests both run
+/// it). Works bottom-up: at each level it tries the unassigned items in
+/// ascending index order and fixes the first that `feasible(order, rank)`
+/// accepts. `order` is then a full permutation (highest first) holding the
+/// other unassigned items in [0, rank), the candidate at `rank`, and the
+/// items already fixed below it. Returns a full priority order iff one
+/// exists under `feasible`; std::nullopt otherwise.
 ///
-/// `feasible` must be order-independent w.r.t. the relative order of the
-/// higher-priority set (true for all response-time analyses in this library),
-/// otherwise OPA's optimality argument does not apply.
-[[nodiscard]] std::optional<PriorityOrder> audsley_optimal_order(const TaskSet& ts,
-                                                                 const LevelFeasibility& feasible);
+/// `feasible` must not depend on the relative order within [0, rank) (true
+/// for every response-time analysis in this library: the interference sum
+/// is order-independent), otherwise OPA's optimality argument does not apply.
+template <typename LevelFeasible>
+[[nodiscard]] std::optional<PriorityOrder> audsley_order(std::size_t n,
+                                                         LevelFeasible&& feasible) {
+  PriorityOrder order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t m = n; m > 0; --m) {  // [0, m) unassigned, ascending
+    const auto first = order.begin();
+    const auto last = first + static_cast<std::ptrdiff_t>(m);
+    std::size_t pos = 0;
+    for (; pos < m; ++pos) {
+      const auto cand = first + static_cast<std::ptrdiff_t>(pos);
+      std::rotate(cand, cand + 1, last);  // candidate to the lowest free level
+      if (feasible(std::span<const std::size_t>(order), m - 1)) break;
+      std::rotate(cand, last - 1, last);  // undo
+    }
+    if (pos == m) return std::nullopt;  // no item fits the lowest level: infeasible
+  }
+  return order;
+}
 
 }  // namespace profisched

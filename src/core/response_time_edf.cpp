@@ -99,8 +99,7 @@ template <typename PerOffsetFn>
 EdfRtaResult max_over_offsets(const TaskSet& ts, std::size_t i, const EdfRtaOptions& opt,
                               PerOffsetFn per_offset) {
   EdfRtaResult out;
-  if (ts.utilization() > 1.0) return out;  // busy period unbounded: report unschedulable
-  const BusyPeriod bp = synchronous_busy_period(ts);
+  const BusyPeriod bp = synchronous_busy_period(ts);  // unbounded: report unschedulable
   if (!bp.bounded()) return out;
 
   const std::vector<Ticks> offsets = edf_candidate_offsets(ts, i, bp.length);
@@ -111,7 +110,10 @@ EdfRtaResult max_over_offsets(const TaskSet& ts, std::size_t i, const EdfRtaOpti
   for (const Ticks a : offsets) {
     ++out.offsets_examined;
     const OffsetResult r = per_offset(a);
-    if (!r.converged) return out;
+    if (!r.converged) {
+      out.critical_offset = best_a;  // the maximum over the offsets that converged
+      return out;
+    }
     if (r.response > best) {
       best = r.response;
       best_a = a;
@@ -164,17 +166,34 @@ void candidate_offsets_view(const TaskSetView& v, std::size_t i, Ticks horizon,
   out.erase(dup.begin(), dup.end());
 }
 
-/// W_i(a, t) / W*_i(a, t) over the view (abs_deadline = a + D_i, hoisted).
-Ticks hp_workload_view(const TaskSetView& v, std::size_t i, Ticks abs_deadline, Ticks t,
+/// The per-offset deadline caps 1 + ⌊(a + D_i − D_j + J_j)/T_j⌋ of the tasks
+/// that can interfere, hoisted out of the fixed point into `caps` (the lane
+/// kernel hoists the same caps). caps[j] is 0 exactly for j = i and for the
+/// later-deadline tasks (D_j − J_j > a + D_i); every other cap is >= 1.
+/// Returns eq. 9's blocking by those later-deadline tasks: max (C_j − 1) for
+/// tasks, the full max C_j (the paper's T*_cycle) for messages.
+Ticks deadline_caps(const TaskSetView& v, std::size_t i, Ticks abs_deadline, Blocking model,
+                    std::vector<Ticks>& caps) {
+  const Ticks started = model == Blocking::Full ? 0 : 1;
+  caps.resize(v.n);
+  Ticks blocking = 0;
+  for (std::size_t j = 0; j < v.n; ++j) {
+    const bool later = v.D[j] - v.J[j] > abs_deadline;
+    if (j != i && later) blocking = std::max(blocking, v.C[j] - started);
+    caps[j] = j == i ? 0 : floor_div_plus1(abs_deadline - v.D[j] + v.J[j], v.T[j]);
+  }
+  return blocking;
+}
+
+/// W_i(a, t) / W*_i(a, t) over the view, from the hoisted caps.
+Ticks hp_workload_view(const TaskSetView& v, const std::vector<Ticks>& caps, Ticks t,
                        bool start_time_form) {
   Ticks sum = 0;
   for (std::size_t j = 0; j < v.n; ++j) {
-    if (j == i) continue;
-    if (v.D[j] - v.J[j] > abs_deadline) continue;
-    const Ticks by_deadline = floor_div_plus1(abs_deadline - v.D[j] + v.J[j], v.T[j]);
+    if (caps[j] == 0) continue;
     const Ticks by_time = start_time_form ? floor_div_plus1(sat_add(t, v.J[j]), v.T[j])
                                           : ceil_div_plus(sat_add(t, v.J[j]), v.T[j]);
-    sum = sat_add(sum, sat_mul(std::min(by_time, by_deadline), v.C[j]));
+    sum = sat_add(sum, sat_mul(std::min(by_time, caps[j]), v.C[j]));
   }
   return sum;
 }
@@ -186,12 +205,13 @@ struct OffsetOutcomeView {
   Ticks fixed_point = 0;
 };
 
-OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, std::size_t i, Ticks a, int fuel,
-                                         Ticks warm_l) {
+OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, const simd::Kernels* k,
+                                         std::size_t i, Ticks a, int fuel, Ticks warm_l,
+                                         std::vector<Ticks>& caps) {
   const Ticks own = sat_mul(floor_div_plus1(a, v.T[i]), v.C[i]);
   const Ticks abs_deadline = sat_add(a, v.D[i]);
   Ticks L = std::max(own, warm_l);
-  if (const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr) {
+  if (k != nullptr) {
     const simd::EdfOffsetResult r =
         k->edf_offset_fixed_point(v.C, v.T, v.D, v.J, v.recip_t, v.n_padded, i, abs_deadline,
                                   own, L, /*start_time_form=*/false, fuel);
@@ -200,8 +220,9 @@ OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, std::size_t i, Ti
       return {true, std::max(v.C[i], r.fixed_point - a), r.fixed_point};
     }
   }
+  deadline_caps(v, i, abs_deadline, Blocking::Started, caps);
   for (int it = 0; it < fuel; ++it) {
-    const Ticks next = sat_add(hp_workload_view(v, i, abs_deadline, L, false), own);
+    const Ticks next = sat_add(hp_workload_view(v, caps, L, false), own);
     if (next == L) return {true, std::max(v.C[i], L - a), L};
     if (next == kNoBound) return {};
     L = next;
@@ -209,16 +230,13 @@ OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, std::size_t i, Ti
   return {};
 }
 
-OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, std::size_t i, Ticks a,
-                                            int fuel) {
+OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, const simd::Kernels* k,
+                                            std::size_t i, Ticks a, int fuel, ItemModel model,
+                                            std::vector<Ticks>& caps) {
   const Ticks abs_deadline = sat_add(a, v.D[i]);
-  Ticks blocking = 0;
-  for (std::size_t j = 0; j < v.n; ++j) {
-    if (j == i) continue;
-    if (v.D[j] - v.J[j] > abs_deadline) blocking = std::max(blocking, v.C[j] - 1);
-  }
+  const Ticks blocking = deadline_caps(v, i, abs_deadline, model.blocking, caps);
   const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
-  if (const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr) {
+  if (k != nullptr) {
     // base = blocking + own_prior: sat_add over non-negative terms is
     // order-insensitive, so folding it up front matches the reference sum.
     const simd::EdfOffsetResult r =
@@ -233,7 +251,7 @@ OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, std::size_t i,
   Ticks L = 0;
   for (int it = 0; it < fuel; ++it) {
     const Ticks next =
-        sat_add(blocking, sat_add(hp_workload_view(v, i, abs_deadline, L, true), own_prior));
+        sat_add(blocking, sat_add(hp_workload_view(v, caps, L, true), own_prior));
     if (next == L) return {true, sat_add(v.C[i], std::max<Ticks>(0, L - a)), L};
     if (next == kNoBound) return {};
     L = next;
@@ -242,22 +260,21 @@ OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, std::size_t i,
 }
 
 /// Shared candidate-deadline set: every s = k·T_j + D_j − J_j within
-/// [0, limit], sorted and deduplicated. Task i's candidate offsets are
-/// exactly {0} ∪ {s − D_i : s ∈ S, D_i <= s <= horizon + D_i} — the map
-/// a = s − D_i is a bijection between the reference's per-task candidates
-/// and the slice elements — so one sort serves all tasks where the
-/// reference sorts once per task. Requires limit = horizon + max_j D_j to
-/// be unsaturated (callers fall back to per-task generation otherwise: a
-/// saturated limit would make this enumeration run to kNoBound even when
-/// every per-task horizon is small).
-void shared_candidate_deadlines(const TaskSetView& v, Ticks limit, std::vector<Ticks>& out) {
+/// [first, last], sorted and deduplicated. With first = min_i D_i and last =
+/// L + max_i D_i, task i's candidate offsets are exactly
+/// {0} ∪ {s − D_i : s ∈ S, D_i <= s <= L + D_i} — the map a = s − D_i is a
+/// bijection between the reference's per-task candidates and the slice
+/// elements — so one sort serves all tasks where the reference sorts once
+/// per task.
+void shared_candidate_deadlines(const TaskSetView& v, Ticks first, Ticks last,
+                                std::vector<Ticks>& out) {
   out.clear();
   for (std::size_t j = 0; j < v.n; ++j) {
     const Ticks base = v.D[j] - v.J[j];
-    const Ticks k0 = base >= 0 ? 0 : ceil_div(-base, v.T[j]);
+    const Ticks k0 = base >= first ? 0 : ceil_div(first - base, v.T[j]);
     for (Ticks k = k0;; ++k) {
       const Ticks s = sat_add(sat_mul(k, v.T[j]), base);
-      if (s > limit || s == kNoBound) break;
+      if (s > last || s == kNoBound) break;
       out.push_back(s);
     }
   }
@@ -271,7 +288,9 @@ void shared_candidate_deadlines(const TaskSetView& v, Ticks limit, std::vector<T
 /// it returns false. Folds exactly like the reference max_over_offsets.
 template <typename OffsetsFn>
 EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preemptive, int fuel,
+                              ItemModel model, std::vector<Ticks>& caps,
                               OffsetsFn for_each_offset) {
+  const simd::Kernels* k = v.simd_ok && v.n >= simd::kMinEdfLaneTasks ? simd::active() : nullptr;
   EdfRtaResult r;
   Ticks best = 0;
   Ticks best_a = 0;
@@ -280,8 +299,8 @@ EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preempti
   for_each_offset([&](Ticks a) {
     ++r.offsets_examined;
     const OffsetOutcomeView o = preemptive
-                                    ? offset_preemptive_view(v, i, a, fuel, warm_l)
-                                    : offset_nonpreemptive_view(v, i, a, fuel);
+                                    ? offset_preemptive_view(v, k, i, a, fuel, warm_l, caps)
+                                    : offset_nonpreemptive_view(v, k, i, a, fuel, model, caps);
     if (!o.converged) {
       ok = false;
       return false;
@@ -293,73 +312,87 @@ EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preempti
     }
     return true;
   });
+  r.critical_offset = best_a;
   if (ok) {
     r.converged = true;
-    r.response = sat_add(best, v.J[i]);
-    r.critical_offset = best_a;
+    r.response = model.origin == Origin::Arrival ? sat_add(best, v.J[i]) : best;
   }
   return r;
 }
 
+}  // namespace
+
+EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
+                       bool warm_start) {
+  EdfHorizon h;
+  h.busy = synchronous_busy_period(v, busy_fuel, warm_start ? scratch.warm_busy : 0);
+  if (!h.busy.bounded()) return h;
+  scratch.warm_busy = h.busy.length;
+
+  // The tasks' candidate ranges [D_i, L + D_i] overlap while the deadlines
+  // spread less than (n − 1)·L; then one shared set is the smaller
+  // enumeration. Past that it spans gaps no task reads.
+  Ticks min_d = kNoBound;
+  Ticks max_d = 0;
+  for (std::size_t j = 0; j < v.n; ++j) {
+    min_d = std::min(min_d, v.D[j]);
+    max_d = std::max(max_d, v.D[j]);
+  }
+  const Ticks last = sat_add(h.busy.length, max_d);
+  h.shared = last != kNoBound &&
+             max_d - min_d <= sat_mul(static_cast<Ticks>(v.n) - 1, h.busy.length);
+  if (h.shared) shared_candidate_deadlines(v, min_d, last, scratch.offsets);
+  return h;
+}
+
+EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
+                               const EdfRtaOptions& opt, RtaScratch& scratch, bool preemptive,
+                               ItemModel model) {
+  if (!h.busy.bounded()) return {};
+  const int fuel = opt.fixed_point_fuel;
+  if (!h.shared) {
+    candidate_offsets_view(v, i, h.busy.length, scratch.offsets);
+    if (scratch.offsets.size() > opt.max_offsets) return {};
+    return edf_scan_offsets(v, i, preemptive, fuel, model, scratch.caps, [&](auto visit) {
+      for (const Ticks a : scratch.offsets) {
+        if (!visit(a)) return;
+      }
+    });
+  }
+  const std::vector<Ticks>& cand = scratch.offsets;
+  const Ticks di = v.D[i];
+  const auto lo = std::lower_bound(cand.begin(), cand.end(), di);
+  const auto hi = std::upper_bound(lo, cand.end(), sat_add(h.busy.length, di));
+  // Offset 0 is prepended; the slice's first element re-yields it when
+  // s == D_i, so the deduplicated count drops by one in that case.
+  const bool dup0 = lo != hi && *lo == di;
+  const std::size_t n_offsets =
+      1 + static_cast<std::size_t>(hi - lo) - static_cast<std::size_t>(dup0);
+  if (n_offsets > opt.max_offsets) return {};
+  return edf_scan_offsets(v, i, preemptive, fuel, model, scratch.caps, [&](auto visit) {
+    if (!visit(Ticks{0})) return;
+    for (auto it = lo; it != hi; ++it) {
+      const Ticks a = *it - di;
+      if (a == 0) continue;
+      if (!visit(a)) return;
+    }
+  });
+}
+
+namespace {
+
 /// Whole-set driver shared by the EdfAnalysis and EdfCellResult entry
-/// points: binds the view, hoists the per-task guards (the reference
-/// evaluates them per task, but they are task-independent — identical
-/// verdict either way), builds the shared candidate set when usable, and
-/// hands each task's EdfRtaResult to `sink(i, r, D_i)`.
+/// points: binds the view, computes the horizon once (the reference
+/// evaluates it per task, but it is task-independent — identical verdict
+/// either way), and hands each task's EdfRtaResult to `sink(i, r, D_i)`.
 template <typename SinkFn>
 void analyze_edf_common(const TaskSet& ts, const EdfRtaOptions& opt, RtaScratch& scratch,
                         bool warm_start, bool preemptive, int& busy_iterations, SinkFn sink) {
   const TaskSetView& v = scratch.arena.bind(ts);
-  const bool overloaded = v.utilization() > 1.0;
-  BusyPeriod bp;
-  if (!overloaded) {
-    bp = synchronous_busy_period(v, 1 << 20, warm_start ? scratch.warm_busy : 0);
-    if (bp.bounded()) scratch.warm_busy = bp.length;
-    busy_iterations = bp.iterations;
-  }
-  const bool have_horizon = !overloaded && bp.bounded();
-
-  Ticks max_d = 0;
-  for (std::size_t j = 0; j < v.n; ++j) max_d = std::max(max_d, v.D[j]);
-  const Ticks limit = have_horizon ? sat_add(bp.length, max_d) : kNoBound;
-  const bool shared = have_horizon && limit != kNoBound;
-  if (shared) shared_candidate_deadlines(v, limit, scratch.offsets);
-  const std::vector<Ticks>& cand = scratch.offsets;
-
+  const EdfHorizon h = edf_horizon(v, 1 << 20, scratch, warm_start);
+  busy_iterations = h.busy.iterations;
   for (std::size_t i = 0; i < v.n; ++i) {
-    EdfRtaResult r;
-    if (have_horizon) {
-      if (shared) {
-        const Ticks di = v.D[i];
-        const auto lo = std::lower_bound(cand.begin(), cand.end(), di);
-        const auto hi = std::upper_bound(lo, cand.end(), sat_add(bp.length, di));
-        // Offset 0 is prepended; the slice's first element re-yields it when
-        // s == D_i, so the deduplicated count drops by one in that case.
-        const bool dup0 = lo != hi && *lo == di;
-        const std::size_t n_offsets =
-            1 + static_cast<std::size_t>(hi - lo) - static_cast<std::size_t>(dup0);
-        if (n_offsets <= opt.max_offsets) {
-          r = edf_scan_offsets(v, i, preemptive, opt.fixed_point_fuel, [&](auto visit) {
-            if (!visit(Ticks{0})) return;
-            for (auto it = lo; it != hi; ++it) {
-              const Ticks a = *it - di;
-              if (a == 0) continue;
-              if (!visit(a)) return;
-            }
-          });
-        }
-      } else {
-        candidate_offsets_view(v, i, bp.length, scratch.offsets);
-        if (scratch.offsets.size() <= opt.max_offsets) {
-          r = edf_scan_offsets(v, i, preemptive, opt.fixed_point_fuel, [&](auto visit) {
-            for (const Ticks a : scratch.offsets) {
-              if (!visit(a)) return;
-            }
-          });
-        }
-      }
-    }
-    sink(i, r, v.D[i]);
+    sink(i, edf_response_time(v, i, h, opt, scratch, preemptive), v.D[i]);
   }
 }
 

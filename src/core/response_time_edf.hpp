@@ -27,16 +27,19 @@
 // any deadline busy period, hence a valid (if slightly generous) horizon.
 //
 // Release jitter terms follow Spuri's holistic analysis [34]; with all J = 0
-// the formulas reduce exactly to the paper's. The same code, with C replaced
-// by T_cycle, yields the PROFIBUS message analysis of §4.3 (see
-// profibus/edf_analysis.hpp, which reuses these routines via a TaskSet whose
-// C fields are T_cycle).
+// the formulas reduce exactly to the paper's. The same kernels, with C
+// replaced by T_cycle, are the PROFIBUS message analysis of §4.3:
+// profibus/edf_analysis.cpp binds each master's streams straight into an
+// RtaScratch arena with C_i = T_cycle and calls edf_horizon and
+// edf_response_time below with kMessageModel (full-C blocking T*_cycle,
+// responses measured from AP-queue insertion).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/busy_period.hpp"
+#include "core/formulation.hpp"
 #include "core/task.hpp"
 #include "core/taskset_view.hpp"
 
@@ -116,6 +119,33 @@ struct EdfRtaOptions {
 [[nodiscard]] EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt,
                                                     RtaScratch& scratch,
                                                     bool warm_start = false);
+
+/// The per-set half of the whole-set analyses: the synchronous busy period
+/// (the offset horizon L; kNoBound when overloaded or out of fuel) and
+/// whether scratch.offsets holds the shared candidate-deadline set.
+struct EdfHorizon {
+  BusyPeriod busy;
+  bool shared = false;
+};
+
+/// Horizon of an identity-bound view. The shared candidate set, which spans
+/// [min_j D_j, L + max_j D_j], is built only while max_j D_j − min_j D_j <=
+/// (n − 1)·L; deadlines spread wider (an optimizer probe at D = 64·T, a
+/// master whose periods differ 100-fold) leave the per-task sets smaller.
+/// `busy_fuel` bounds the busy-period iteration: the task analyses pass
+/// 1 << 20, the message analyses their one fuel budget.
+[[nodiscard]] EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
+                                     bool warm_start = false);
+
+/// Worst-case response time of the item at view position i, maximized over
+/// its candidate offsets within `h` (which must come from edf_horizon on the
+/// same view and scratch). `model` picks eq. 9's blocking term and the
+/// response origin. When an offset fails to converge, critical_offset still
+/// reports the maximizing offset among those examined before it.
+[[nodiscard]] EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i,
+                                             const EdfHorizon& h, const EdfRtaOptions& opt,
+                                             RtaScratch& scratch, bool preemptive,
+                                             ItemModel model = kTaskModel);
 
 /// Whole-set outcome folded down to what a sweep cell needs — exactly what
 /// run_usweep derives from an EdfAnalysis, computed without materializing

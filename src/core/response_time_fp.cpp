@@ -34,6 +34,7 @@ RtaResult iterate(const TaskSet& ts, std::span<const std::size_t> higher_priorit
     if (next == w) {
       out.converged = true;
       out.response = w;
+      out.queueing = w;
       return out;
     }
     if (next == kNoBound) return out;
@@ -125,6 +126,7 @@ FixedPoint iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks bas
     if (next == w) {
       out.result.converged = true;
       out.result.response = w;
+      out.result.queueing = w;
       return out;
     }
     if (next == kNoBound) return out;
@@ -136,16 +138,14 @@ FixedPoint iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks bas
 FixedPoint iterate(const TaskSetView& pv, const simd::Kernels* k, std::size_t hp_count,
                    Ticks base, Ticks w0, Formulation form, int fuel) {
   const bool ceil_form = form == Formulation::PaperLiteral;
-  // Below one full lane block the kernel body degenerates to its scalar tail,
-  // so the call is pure overhead — warm sweeps spend most ranks there.
-  if (k != nullptr && hp_count >= 4) {
+  if (k != nullptr && hp_count >= simd::kMinFpLaneTasks) {
     const simd::FixedPointResult r =
         k->fp_fixed_point(pv.C, pv.T, pv.J, pv.recip_t, hp_count, base, w0, ceil_form, fuel);
     if (r.status == simd::Status::kOk) {
       FixedPoint out;
       out.result.converged = r.converged;
       out.result.iterations = r.iterations;
-      if (r.converged) out.result.response = r.value;
+      if (r.converged) out.result.response = out.result.queueing = r.value;
       out.w = r.last;
       return out;
     }
@@ -166,16 +166,25 @@ FixedPoint preemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
   return fp;
 }
 
-/// `b` is blocking_factor(pv, rank + 1, form); `hp_exec` is the saturating
-/// Σ_{j < rank} C_j. Both folds are order-insensitive over non-negative
-/// operands, so the whole-set drivers precompute them incrementally (suffix
-/// max / running prefix) with results identical to the per-rank scans.
+/// One lower-priority item's blocking contribution (see blocking_factor).
+Ticks blocking_cost(Ticks c, Formulation form, Blocking blocking) {
+  return form == Formulation::PaperLiteral || blocking == Blocking::Full
+             ? c
+             : std::max<Ticks>(c - 1, 0);
+}
+
+/// `b` is blocking_factor(pv, rank + 1, form, model.blocking); `hp_exec` is
+/// the saturating Σ_{j < rank} C_j. Both folds are order-insensitive over
+/// non-negative operands, so the whole-set drivers precompute them
+/// incrementally (suffix max / running prefix) with results identical to the
+/// per-rank scans.
 FixedPoint nonpreemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
                                      std::size_t rank, Formulation form, int fuel, Ticks warm_w,
-                                     Ticks b, Ticks hp_exec) {
+                                     Ticks b, Ticks hp_exec, Origin origin = Origin::Arrival) {
   FixedPoint fp = iterate(pv, k, rank, b, std::max(sat_add(b, hp_exec), warm_w), form, fuel);
   if (fp.result.converged) {
-    fp.result.response = sat_add(sat_add(fp.result.response, pv.C[rank]), pv.J[rank]);
+    fp.result.response = sat_add(fp.result.response, pv.C[rank]);
+    if (origin == Origin::Arrival) fp.result.response = sat_add(fp.result.response, pv.J[rank]);
   }
   return fp;
 }
@@ -198,9 +207,7 @@ void analyze_fp_common(const TaskSet& ts, const PriorityOrder& order, bool preem
     Ticks acc = 0;
     for (std::size_t r = pv.n; r-- > 0;) {
       scratch.np_blocking[r] = acc;
-      const Ticks c =
-          form == Formulation::PaperLiteral ? pv.C[r] : std::max<Ticks>(pv.C[r] - 1, 0);
-      acc = std::max(acc, c);
+      acc = std::max(acc, blocking_cost(pv.C[r], form, Blocking::Started));
     }
   }
 
@@ -248,11 +255,11 @@ FpCellResult analyze_fp_cell(const TaskSet& ts, const PriorityOrder& order, bool
   return out;
 }
 
-Ticks blocking_factor(const TaskSetView& pv, std::size_t first_lower, Formulation form) {
+Ticks blocking_factor(const TaskSetView& pv, std::size_t first_lower, Formulation form,
+                      Blocking blocking) {
   Ticks b = 0;
   for (std::size_t j = first_lower; j < pv.n; ++j) {
-    const Ticks c = (form == Formulation::PaperLiteral) ? pv.C[j] : std::max<Ticks>(pv.C[j] - 1, 0);
-    b = std::max(b, c);
+    b = std::max(b, blocking_cost(pv.C[j], form, blocking));
   }
   return b;
 }
@@ -264,12 +271,13 @@ RtaResult response_time_preemptive(const TaskSetView& pv, std::size_t rank, int 
 }
 
 RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank, Formulation form,
-                                      int fuel, Ticks warm_w) {
-  const simd::Kernels* k = pv.simd_ok ? simd::active() : nullptr;
+                                      int fuel, Ticks warm_w, ItemModel model) {
+  const simd::Kernels* k = pv.simd_ok && rank >= simd::kMinFpLaneTasks ? simd::active() : nullptr;
   Ticks hp_exec = 0;
   for (std::size_t j = 0; j < rank; ++j) hp_exec = sat_add(hp_exec, pv.C[j]);
   return nonpreemptive_fixed_point(pv, k, rank, form, fuel, warm_w,
-                                   blocking_factor(pv, rank + 1, form), hp_exec)
+                                   blocking_factor(pv, rank + 1, form, model.blocking), hp_exec,
+                                   model.origin)
       .result;
 }
 
@@ -296,13 +304,6 @@ FpAnalysis analyze_nonpreemptive_fp(const TaskSet& ts, const PriorityOrder& orde
                                     Formulation form, int fuel, RtaScratch& scratch,
                                     bool warm_start) {
   return analyze_view(ts, order, /*preemptive=*/false, form, fuel, scratch, warm_start);
-}
-
-bool np_lowest_level_feasible(const TaskSet& ts, std::size_t i,
-                              const std::vector<std::size_t>& higher_priority,
-                              const std::vector<std::size_t>& lower_priority) {
-  const RtaResult r = response_time_nonpreemptive(ts, i, higher_priority, lower_priority);
-  return r.meets(ts[i].D);
 }
 
 }  // namespace profisched

@@ -45,8 +45,12 @@ namespace profisched {
 /// Outcome of one response-time fixed-point computation.
 struct RtaResult {
   bool converged = false;  ///< false => iteration diverged (response = kNoBound)
-  Ticks response = kNoBound;  ///< worst-case response time (from event arrival)
+  Ticks response = kNoBound;  ///< worst-case response time (from the model's Origin)
   int iterations = 0;         ///< fixed-point iterations used
+  /// The converged fixed point w itself, before the final C_i / J_i terms
+  /// are added (non-preemptive: the queueing delay, Q_i of the message
+  /// model). kNoBound unless converged.
+  Ticks queueing = kNoBound;
 
   /// Schedulability against a deadline: converged and response <= D.
   [[nodiscard]] bool meets(Ticks deadline) const noexcept {
@@ -101,18 +105,25 @@ struct FpAnalysis {
 // verdicts assume fuel large enough for the cold iteration to converge or
 // saturate, which the 1 << 16 default is in practice.)
 
-/// Blocking factor over the view suffix [first_lower, n).
+/// Blocking factor over the view suffix [first_lower, n): max C_j when
+/// `blocking` is Full (messages, T*_cycle) or the formulation is
+/// PaperLiteral, else max (C_j − 1).
 [[nodiscard]] Ticks blocking_factor(const TaskSetView& pv, std::size_t first_lower,
-                                    Formulation form = kDefaultFormulation);
+                                    Formulation form = kDefaultFormulation,
+                                    Blocking blocking = Blocking::Started);
 
 /// Preemptive response time of the task at view position `rank`.
 [[nodiscard]] RtaResult response_time_preemptive(const TaskSetView& pv, std::size_t rank,
                                                  int fuel = 1 << 16, Ticks warm_w = 0);
 
-/// Non-preemptive response time of the task at view position `rank`.
+/// Non-preemptive response time of the item at view position `rank`, with
+/// [0, rank) above it and (rank, n) below it. `model` picks the blocking
+/// term and the response origin: the profibus DM/OPA adapters pass
+/// kMessageModel over a master bound with C_i = T_cycle (paper eq. 16).
 [[nodiscard]] RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank,
                                                     Formulation form = kDefaultFormulation,
-                                                    int fuel = 1 << 16, Ticks warm_w = 0);
+                                                    int fuel = 1 << 16, Ticks warm_w = 0,
+                                                    ItemModel model = kTaskModel);
 
 /// Analyse a whole set under a priority order (highest first), preemptive.
 /// Runs on the SoA fast path via an internal scratch; bit-identical to
@@ -153,12 +164,5 @@ struct FpCellResult {
 [[nodiscard]] FpCellResult analyze_fp_cell(const TaskSet& ts, const PriorityOrder& order,
                                            bool preemptive, Formulation form, int fuel,
                                            RtaScratch& scratch, bool warm_start);
-
-/// LevelFeasibility adaptor for Audsley's OPA using the non-preemptive RTA:
-/// task `i` is feasible at a level iff its NP response time — interference
-/// from `higher_priority`, blocking from `lower_priority` — meets D_i.
-[[nodiscard]] bool np_lowest_level_feasible(const TaskSet& ts, std::size_t i,
-                                            const std::vector<std::size_t>& higher_priority,
-                                            const std::vector<std::size_t>& lower_priority);
 
 }  // namespace profisched

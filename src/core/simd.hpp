@@ -51,6 +51,13 @@ inline constexpr Ticks kMaxAccum = Ticks{1} << 44;
 /// Task-count gate (bounds kernel stack buffers and the lane-sum width).
 inline constexpr std::size_t kMaxTasks = 256;
 
+/// Fewest summed tasks a lane-kernel call pays for: the FP interference sum
+/// from one full lane block plus a tail, the EDF offset recurrence — which
+/// also hoists a deadline cap for every slot — from two full blocks. Below
+/// these the scalar loops won on the 5-stream PROFIBUS masters.
+inline constexpr std::size_t kMinFpLaneTasks = 5;
+inline constexpr std::size_t kMinEdfLaneTasks = 8;
+
 enum class Status : int {
   kOk = 0,        ///< result fields are valid and bit-identical to the reference
   kFallback = 1,  ///< a gate tripped; caller must run the scalar reference

@@ -58,13 +58,14 @@ inline constexpr Ticks kNoBound = std::numeric_limits<Ticks>::max();
   return a + b;
 }
 
-/// Saturating multiplication for non-negative operands.
+/// Saturating multiplication for non-negative operands: kNoBound exactly
+/// when a·b exceeds it (so a kNoBound operand stays kNoBound unless the other
+/// is 0). The overflow flag of the multiply replaces a division by b, which
+/// the fixed-point kernels would otherwise pay once per term.
 [[nodiscard]] constexpr Ticks sat_mul(Ticks a, Ticks b) noexcept {
   assert(a >= 0 && b >= 0);
-  if (a == 0 || b == 0) return 0;
-  if (a == kNoBound || b == kNoBound) return kNoBound;
-  if (a > std::numeric_limits<Ticks>::max() / b) return kNoBound;
-  return a * b;
+  Ticks product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? kNoBound : product;
 }
 
 /// Greatest common divisor (Ticks are non-negative here).

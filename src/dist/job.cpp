@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "engine/detail/cli_parse.hpp"
@@ -328,6 +329,11 @@ void validate_spec(const ShardSpec& spec) {
     }
   }
   if (spec.spec.replications == 0) throw std::invalid_argument("job: needs >= 1 replication");
+  if (sw.engine.fuel < 1) {
+    throw std::invalid_argument("job: fuel must be in [1, " +
+                                std::to_string(std::numeric_limits<int>::max()) + "], got " +
+                                std::to_string(sw.engine.fuel));
+  }
 }
 
 Table reduce(std::vector<ShardArtifact>&& artifacts) {

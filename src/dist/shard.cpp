@@ -1,7 +1,9 @@
 #include "dist/shard.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "dist/job.hpp"
 #include "engine/detail/serialize.hpp"
@@ -169,6 +171,16 @@ class LineReader {
   return static_cast<std::uint64_t>(to_size(s));
 }
 
+/// An int field, rejected (by name) instead of narrowed when out of range.
+[[nodiscard]] int to_int(const std::string& s, const char* field) {
+  const long long v = to_ll(s);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(std::string("shard spec: ") + field + " " + s +
+                                " does not fit an int");
+  }
+  return static_cast<int>(v);
+}
+
 [[nodiscard]] bool to_bool01(const std::string& s) {
   if (s == "0") return false;
   if (s == "1") return true;
@@ -260,7 +272,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   const std::vector<std::string> eng = r.line("engine", 3);
   sw.engine.method = parse_method(eng[0]);
   sw.engine.formulation = parse_formulation(eng[1]);
-  sw.engine.fuel = static_cast<int>(to_ll(eng[2]));
+  sw.engine.fuel = to_int(eng[2], "fuel");
 
   const std::vector<std::string> base = r.line("base", 13);
   workload::NetworkParams& b = sw.base;
@@ -312,7 +324,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
     o.faults.token_loss_prob = to_double(f[0]);
     o.faults.token_recovery = to_ll(f[1]);
     o.faults.corruption_prob = to_double(f[2]);
-    o.faults.max_retransmissions = static_cast<int>(to_ll(f[3]));
+    o.faults.max_retransmissions = to_int(f[3], "max_retransmissions");
     o.faults.churn_prob = to_double(f[4]);
     o.faults.churn_offline = to_ll(f[5]);
     o.faults.burst_correlation = to_double(f[6]);
@@ -331,6 +343,23 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   return sh;
 }
 
+/// Spec blocks are accepted only in the bytes serialize_spec writes for
+/// them: `text` must hold those bytes at `at`, followed by `next` (by nothing
+/// when `next` is empty). Anything else — trailing bytes in a number, a
+/// zero-valued optional line, a non-canonical spelling — would describe the
+/// same run in other bytes, and merge's spec byte-compare and the cache keys
+/// go by the bytes.
+void expect_canonical(const std::string& text, std::size_t at, const ShardSpec& spec,
+                      std::string_view next) {
+  std::string canonical;
+  append_spec(canonical, spec);
+  const std::size_t end = at + canonical.size();
+  if (text.compare(at, canonical.size(), canonical) != 0 ||
+      (next.empty() ? end != text.size() : text.compare(end, next.size(), next) != 0)) {
+    throw std::invalid_argument("shard spec: block is not in the form serialize_spec writes");
+  }
+}
+
 }  // namespace
 
 std::string serialize_spec(const ShardSpec& spec) {
@@ -342,11 +371,8 @@ std::string serialize_spec(const ShardSpec& spec) {
 ShardSpec parse_spec(const std::string& text) {
   LineReader r(text);
   const ShardSpec spec = read_spec(r);
-  // A spec block is exactly what serialize_spec emitted — anything after the
-  // last spec line means the sender framed it wrong.
-  if (!r.peek_keyword().empty()) {
-    throw std::invalid_argument("shard spec: trailing data after spec block");
-  }
+  // Nothing may follow the block: trailing data means the sender framed it wrong.
+  expect_canonical(text, 0, spec, "");
   return spec;
 }
 
@@ -378,6 +404,7 @@ ShardArtifact ShardArtifact::from_text(const std::string& text) {
   r.literal(kMagic);
   ShardArtifact art;
   art.spec = read_spec(r);
+  expect_canonical(text, first.size() + 1, art.spec, "shard ");
 
   const std::vector<std::string> sh = r.line("shard", 2);
   art.shard_index = to_u64(sh[0]);

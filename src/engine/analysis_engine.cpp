@@ -4,8 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "profibus/edf_analysis.hpp"
-
 namespace profisched::engine {
 
 namespace {
@@ -32,25 +30,15 @@ NetworkAnalysis all_miss(const profibus::Network& net, const TimingMemo& memo) {
 /// Timed-token necessary condition: every request needs at least one full
 /// token rotation, so D_i >= T_cycle^k must hold under *any* AP policy.
 NetworkAnalysis token_ring_check(const profibus::Network& net, const TimingMemo& memo) {
-  NetworkAnalysis na;
-  na.tcycle = memo.tcycle;
-  na.schedulable = true;
-  na.masters.resize(net.n_masters());
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
+  return profibus::analyze_masters(net, memo, [&](std::size_t k, MasterAnalysis& ma) {
     const profibus::Master& master = net.masters[k];
-    MasterAnalysis& ma = na.masters[k];
-    ma.schedulable = true;
-    ma.streams.resize(master.nh());
     for (std::size_t i = 0; i < master.nh(); ++i) {
       StreamResponse& r = ma.streams[i];
       r.response = memo.per_master[k];  // one token visit, best possible
       r.Q = sat_add(r.response, -master.high_streams[i].Ch);
       r.meets_deadline = r.response != kNoBound && r.response <= master.high_streams[i].D;
-      if (!r.meets_deadline) ma.schedulable = false;
     }
-    if (!ma.schedulable) na.schedulable = false;
-  }
-  return na;
+  });
 }
 
 /// Default transaction set for Policy::Holistic: one single-stage transaction
@@ -101,7 +89,6 @@ AnalysisEngine::Memo& AnalysisEngine::memo_for(const Scenario& sc) {
   ++misses_;
   Memo& m = memo_[sc.id];
   m.timing = profibus::compute_timing(sc.net, opt_.method);
-  m.edf_busy.reset();
   m.n_streams = sc.net.total_high_streams();
   m.ttr = sc.net.ttr;
   m.fingerprint = fingerprint;
@@ -113,9 +100,9 @@ const profibus::TimingMemo& AnalysisEngine::timing(const Scenario& sc) {
 }
 
 Report AnalysisEngine::analyze(const Scenario& sc, Policy policy) {
-  // Validate up front: the memoized busy-period and token-ring paths would
-  // otherwise touch stream parameters (divide by T, compare against D) before
-  // any underlying analysis gets the chance to reject the network.
+  // Validate up front: the memoized timing and token-ring paths would
+  // otherwise touch stream parameters (compare against D) before any
+  // underlying analysis gets the chance to reject the network.
   sc.net.validate();
   return analyze_with(sc, policy, memo_for(sc));
 }
@@ -135,8 +122,12 @@ std::vector<Report> AnalysisEngine::analyze_all(const Scenario& sc,
 }
 
 Report AnalysisEngine::analyze_with(const Scenario& sc, Policy policy, Memo& m) {
-  const TimingMemo& tm = m.timing;
+  return analyze_network(sc.net, m.timing, policy, opt_, scratch_, sc.transactions);
+}
 
+Report analyze_network(const profibus::Network& net, const TimingMemo& tm, Policy policy,
+                       const EngineOptions& opt, RtaScratch& scratch,
+                       const std::vector<profibus::Transaction>& transactions) {
   Report r;
   r.policy = policy;
   r.tcycle = tm.tcycle;
@@ -144,36 +135,35 @@ Report AnalysisEngine::analyze_with(const Scenario& sc, Policy policy, Memo& m) 
 
   switch (policy) {
     case Policy::Fcfs:
-      r.detail = analyze_fcfs(sc.net, tm);
+      r.detail = analyze_fcfs(net, tm);
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Dm:
-      r.detail = analyze_dm(sc.net, tm, opt_.formulation, opt_.fuel, &scratch_);
+      r.detail = analyze_dm(net, tm, opt.formulation, opt.fuel, &scratch);
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Edf:
-      if (!m.edf_busy) m.edf_busy = profibus::edf_busy_periods(sc.net, tm, opt_.fuel);
-      r.detail = analyze_edf(sc.net, tm, nullptr, opt_.fuel, &*m.edf_busy, &scratch_);
+      r.detail = analyze_edf(net, tm, nullptr, opt.fuel, &scratch);
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Opa: {
-      const auto orders = audsley_stream_orders(sc.net, tm, opt_.formulation, opt_.fuel);
-      r.detail = orders.has_value()
-                     ? analyze_fixed_priority(sc.net, *orders, tm, opt_.formulation, opt_.fuel)
-                     : all_miss(sc.net, tm);
+      const auto orders = audsley_stream_orders(net, tm, opt.formulation, opt.fuel, &scratch);
+      r.detail = orders.has_value() ? analyze_fixed_priority(net, *orders, tm, opt.formulation,
+                                                             opt.fuel, &scratch)
+                                    : all_miss(net, tm);
       r.schedulable = r.detail.schedulable;
       break;
     }
     case Policy::TokenRing:
-      r.detail = token_ring_check(sc.net, tm);
+      r.detail = token_ring_check(net, tm);
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Holistic: {
       const std::vector<profibus::Transaction> derived =
-          sc.transactions.empty() ? per_stream_transactions(sc.net) : sc.transactions;
+          transactions.empty() ? per_stream_transactions(net) : transactions;
       profibus::HolisticOptions ho;
       ho.policy = profibus::ApPolicy::Dm;
-      const profibus::HolisticResult hr = analyze_holistic(sc.net, derived, ho);
+      const profibus::HolisticResult hr = analyze_holistic(net, derived, ho);
       r.detail = hr.network;
       r.schedulable = hr.converged && hr.schedulable;
       break;
@@ -188,7 +178,7 @@ Report AnalysisEngine::analyze_with(const Scenario& sc, Policy policy, Memo& m) 
       if (s.meets_deadline) ++r.streams_meeting;
       const Ticks slack = s.response == kNoBound
                               ? std::numeric_limits<Ticks>::min()
-                              : sc.net.masters[k].high_streams[i].D - s.response;
+                              : net.masters[k].high_streams[i].D - s.response;
       r.worst_slack = r.worst_slack == kNoBound ? slack : std::min(r.worst_slack, slack);
     }
   }

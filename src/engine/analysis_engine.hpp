@@ -1,16 +1,17 @@
 // analysis_engine.hpp — the unified front end over the library's analyses:
 // analyze(Scenario, Policy) -> Report, with per-scenario memoization of the
-// computations every policy shares (T_del / T_cycle / the EDF busy periods).
+// timing facts every policy shares (T_del / T_cycle).
 //
 // Running one scenario under FCFS + DM + EDF + OPA through the plain
 // analyze_* entry points derives the timed-token timing four times; through
-// the engine it is derived once, and the EDF offset-candidate horizon is
-// likewise reused. The engine is deliberately NOT thread-safe: the sweep
-// runner gives each worker its own instance (scenario memo state is cheap).
+// the engine it is derived once. Every policy runs through one dispatch,
+// analyze_network, which the optimizer's probes and the combined sweep's
+// degraded bounds call directly. The engine is deliberately NOT thread-safe:
+// the sweep runner gives each worker its own instance (scenario memo state
+// is cheap).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/formulation.hpp"
 #include "engine/scenario.hpp"
 #include "profibus/dispatching.hpp"
+#include "profibus/holistic.hpp"
 #include "profibus/priority_assignment.hpp"
 
 namespace profisched::engine {
@@ -43,14 +45,24 @@ struct EngineOptions {
   int fuel = 1 << 16;
 };
 
+/// The one policy dispatch: `policy`'s analysis of `net` under the timing
+/// memo `tm`, with `opt`'s formulation and fuel, on `scratch`. `transactions`
+/// feed Policy::Holistic (one per stream when empty). AnalysisEngine::analyze
+/// runs it with the scenario memo; optimizer probes (mutated networks) and
+/// degraded bounds (a fault-inflated memo) call it with their own.
+[[nodiscard]] Report analyze_network(const profibus::Network& net,
+                                     const profibus::TimingMemo& tm, Policy policy,
+                                     const EngineOptions& opt, RtaScratch& scratch,
+                                     const std::vector<profibus::Transaction>& transactions = {});
+
 class AnalysisEngine {
  public:
   AnalysisEngine() = default;
   explicit AnalysisEngine(EngineOptions opt) : opt_(opt) {}
 
-  /// Analyze one scenario under one policy. Timing facts (and, for EDF, the
-  /// busy-period horizons) are memoized per Scenario::id, so analysing the
-  /// same scenario under several policies shares them.
+  /// Analyze one scenario under one policy. Timing facts are memoized per
+  /// Scenario::id, so analysing the same scenario under several policies
+  /// shares them.
   [[nodiscard]] Report analyze(const Scenario& sc, Policy policy);
 
   /// Cross-policy batch: analyze one scenario under every listed policy,
@@ -74,10 +86,12 @@ class AnalysisEngine {
   [[nodiscard]] std::size_t memo_misses() const noexcept { return misses_; }
   [[nodiscard]] const EngineOptions& options() const noexcept { return opt_; }
 
+  /// This engine's scratch, for analyze_network calls made next to it.
+  [[nodiscard]] RtaScratch& scratch() noexcept { return scratch_; }
+
  private:
   struct Memo {
     profibus::TimingMemo timing;
-    std::optional<std::vector<Ticks>> edf_busy;
     // Guard against id collisions between structurally different scenarios.
     std::size_t n_streams = 0;
     Ticks ttr = 0;
@@ -91,8 +105,8 @@ class AnalysisEngine {
   std::unordered_map<std::uint64_t, Memo> memo_;
   /// Reused by every analysis this engine dispatches; engines are per-worker
   /// (deliberately not thread-safe), so one scratch serves the whole sweep
-  /// without steady-state allocations in the DM/EDF kernels.
-  profibus::AnalysisScratch scratch_;
+  /// without steady-state allocations in the DM/OPA/EDF kernels.
+  RtaScratch scratch_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

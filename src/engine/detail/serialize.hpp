@@ -44,7 +44,7 @@ inline std::vector<std::string> split(const std::string& line, char sep) {
 inline double to_double(const std::string& s) {
   double v = 0.0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr == s.data()) {
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
     throw std::invalid_argument("engine serialize: bad number '" + s + "'");
   }
   return v;

@@ -491,9 +491,8 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
             dnet = profibus::degraded_network(sc.net, spec.sim.faults);
             dmemo = profibus::degraded_timing(*dnet, spec.sim.faults, spec.sweep.engine.method);
           }
-          degraded = profibus::analyze_degraded(
-              *dnet, *dmemo, SimulationEngine::to_ap_policy(policy),
-              spec.sweep.engine.formulation, spec.sweep.engine.fuel);
+          degraded = analyze_network(*dnet, *dmemo, policy, spec.sweep.engine, engine.scratch())
+                         .detail;
           c.degraded_schedulable = degraded.schedulable;
           c.degraded_wcrt = max_response(degraded);
         }

@@ -6,10 +6,6 @@
 #include "engine/detail/hash.hpp"
 #include "engine/detail/record.hpp"
 #include "obs/metrics.hpp"
-#include "profibus/dm_analysis.hpp"
-#include "profibus/edf_analysis.hpp"
-#include "profibus/fcfs_analysis.hpp"
-#include "profibus/priority_assignment.hpp"
 
 namespace profisched::opt {
 
@@ -46,38 +42,21 @@ bool optimizable(engine::Policy policy) {
 
 profibus::NetworkTest optimize_network_test(engine::Policy policy,
                                             const engine::EngineOptions& engine) {
-  // Mirror AnalysisEngine::analyze_with exactly, minus the per-scenario memo
-  // (probes run on mutated networks, which a Scenario-id-keyed memo would
-  // poison): same method, formulation and fuel per policy, so the base
-  // verdict here equals the sweep's verdict for the same scenario.
-  switch (policy) {
-    case engine::Policy::Fcfs:
-      return [engine](const profibus::Network& net) {
-        return profibus::analyze_fcfs(net, engine.method).schedulable;
-      };
-    case engine::Policy::Dm:
-      return [engine](const profibus::Network& net) {
-        return profibus::analyze_dm(net, engine.method, engine.formulation, engine.fuel)
-            .schedulable;
-      };
-    case engine::Policy::Edf:
-      return [engine](const profibus::Network& net) {
-        return profibus::analyze_edf(net, engine.method, nullptr, engine.fuel).schedulable;
-      };
-    case engine::Policy::Opa:
-      return [engine](const profibus::Network& net) {
-        const auto orders =
-            profibus::audsley_stream_orders(net, engine.method, engine.formulation, engine.fuel);
-        if (!orders) return false;
-        return profibus::analyze_fixed_priority(net, *orders, engine.method, engine.formulation,
-                                                engine.fuel)
-            .schedulable;
-      };
-    default:
-      throw std::invalid_argument(std::string("optimize: policy ") +
-                                  std::string(engine::to_string(policy)) +
-                                  " has no verdict to bisect against");
+  if (!optimizable(policy)) {
+    throw std::invalid_argument(std::string("optimize: policy ") +
+                                std::string(engine::to_string(policy)) +
+                                " has no verdict to bisect against");
   }
+  // The engine's own dispatch, minus the per-scenario memo (probes run on
+  // mutated networks, which a Scenario-id-keyed memo would poison), so the
+  // base verdict here equals the sweep's verdict for the same scenario. One
+  // scratch per thread: the predicate is shared by every worker.
+  return [policy, engine](const profibus::Network& net) {
+    thread_local RtaScratch scratch;
+    return engine::analyze_network(net, profibus::compute_timing(net, engine.method), policy,
+                                   engine, scratch)
+        .schedulable;
+  };
 }
 
 double breakdown_utilization_at(const profibus::Network& net, Ticks q1024) {

@@ -39,8 +39,9 @@ namespace profisched::profibus {
 /// DM-queue analysis of the whole network (eq. 16). Streams within each
 /// master are ranked deadline-monotonically (ties by index). `form` selects
 /// the interference step: PaperLiteral ⌈(w+J)/T⌉ (the printed eq. 16) or
-/// Refined ⌊(w+J)/T⌋+1 (start-time form). The fixed point is searched from
-/// w⁰ = T*_cycle + |hp(i)|·T_cycle, mirroring response_time_fp.cpp.
+/// Refined ⌊(w+J)/T⌋+1 (start-time form); the blocking term is T*_cycle
+/// under both. The fixed point is core's NP-FP kernel (response_time_fp),
+/// searched from w⁰ = T*_cycle + |hp(i)|·T_cycle.
 [[nodiscard]] NetworkAnalysis analyze_dm(const Network& net,
                                          TcycleMethod method = TcycleMethod::PaperEq13,
                                          Formulation form = Formulation::PaperLiteral,
@@ -48,10 +49,11 @@ namespace profisched::profibus {
 
 /// Memoized form: reuse a precomputed TimingMemo (see compute_timing) instead
 /// of re-deriving T_del / T_cycle for this call. `scratch`, when non-null,
-/// supplies the per-master rank buffer (see AnalysisScratch).
+/// supplies the arena and order buffer (see bind_master). This is
+/// analyze_fixed_priority under deadline_monotonic_order, implemented in
+/// priority_assignment.cpp.
 [[nodiscard]] NetworkAnalysis analyze_dm(const Network& net, const TimingMemo& memo,
                                          Formulation form = Formulation::PaperLiteral,
-                                         int fuel = 1 << 16,
-                                         AnalysisScratch* scratch = nullptr);
+                                         int fuel = 1 << 16, RtaScratch* scratch = nullptr);
 
 }  // namespace profisched::profibus

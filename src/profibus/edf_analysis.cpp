@@ -1,102 +1,10 @@
 #include "profibus/edf_analysis.hpp"
 
-#include <algorithm>
-#include <vector>
+#include <limits>
+
+#include "core/response_time_edf.hpp"
 
 namespace profisched::profibus {
-
-namespace {
-
-/// Busy period of a master under one-T_cycle-per-request service:
-/// L = Σ_i ⌈(L + J_i)/T_i⌉ · T_cycle from L⁰ = nh·T_cycle.
-/// Returns kNoBound when the iteration diverges (token supply < demand).
-Ticks master_busy_period(const Master& master, Ticks tcycle, int fuel) {
-  Ticks L = sat_mul(static_cast<Ticks>(master.nh()), tcycle);
-  for (int it = 0; it < fuel; ++it) {
-    Ticks next = 0;
-    for (const MessageStream& s : master.high_streams) {
-      next = sat_add(next, sat_mul(ceil_div_plus(sat_add(L, s.J), s.T), tcycle));
-    }
-    if (next == L) return L;
-    if (next == kNoBound) return kNoBound;
-    L = next;
-  }
-  return kNoBound;
-}
-
-/// Candidate offsets a (paper eq. 10, jitter-shifted) within [0, horizon],
-/// into a reused buffer.
-void candidate_offsets(const Master& master, std::size_t i, Ticks horizon,
-                       std::vector<Ticks>& offsets) {
-  offsets.clear();
-  offsets.push_back(0);
-  const Ticks di = master.high_streams[i].D;
-  for (const MessageStream& sj : master.high_streams) {
-    const Ticks base = sj.D - sj.J - di;
-    const Ticks k0 = base >= 0 ? 0 : ceil_div(-base, sj.T);
-    for (Ticks k = k0;; ++k) {
-      const Ticks a = sat_add(sat_mul(k, sj.T), base);
-      if (a > horizon || a == kNoBound) break;
-      offsets.push_back(a);
-    }
-  }
-  std::ranges::sort(offsets);
-  const auto dup = std::ranges::unique(offsets);
-  offsets.erase(dup.begin(), dup.end());
-}
-
-struct OffsetOutcome {
-  bool converged = false;
-  Ticks response = kNoBound;
-};
-
-/// R_i(a) per eqs. 17–18.
-OffsetOutcome response_at_offset(const Master& master, std::size_t i, Ticks a, Ticks tcycle,
-                                 int fuel) {
-  const MessageStream& si = master.high_streams[i];
-  const Ticks abs_deadline = sat_add(a, si.D);
-
-  // T*_cycle(a): a later-deadline request from another stream may already
-  // occupy the one-deep stack queue.
-  Ticks blocking = 0;
-  for (std::size_t j = 0; j < master.nh(); ++j) {
-    if (j == i) continue;
-    const MessageStream& sj = master.high_streams[j];
-    if (sj.D - sj.J > abs_deadline) {
-      blocking = tcycle;
-      break;
-    }
-  }
-
-  const Ticks own_prior = sat_mul(floor_div(a, si.T), tcycle);
-
-  Ticks L = 0;
-  for (int it = 0; it < fuel; ++it) {
-    Ticks next = sat_add(blocking, own_prior);
-    for (std::size_t j = 0; j < master.nh(); ++j) {
-      if (j == i) continue;
-      const MessageStream& sj = master.high_streams[j];
-      if (sj.D - sj.J > abs_deadline) continue;  // later deadline: lower priority
-      const Ticks by_time = floor_div_plus1(sat_add(L, sj.J), sj.T);
-      const Ticks by_deadline = floor_div_plus1(abs_deadline - sj.D + sj.J, sj.T);
-      next = sat_add(next, sat_mul(std::min(by_time, by_deadline), tcycle));
-    }
-    if (next == L) return {true, sat_add(tcycle, std::max<Ticks>(0, L - a))};
-    if (next == kNoBound) return {};
-    L = next;
-  }
-  return {};
-}
-
-}  // namespace
-
-std::vector<Ticks> edf_busy_periods(const Network& net, const TimingMemo& memo, int fuel) {
-  std::vector<Ticks> out(net.n_masters());
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    out[k] = master_busy_period(net.masters[k], memo.per_master[k], fuel);
-  }
-  return out;
-}
 
 NetworkAnalysis analyze_edf(const Network& net, TcycleMethod method,
                             std::vector<std::vector<EdfStreamDetail>>* detail, int fuel) {
@@ -105,61 +13,24 @@ NetworkAnalysis analyze_edf(const Network& net, TcycleMethod method,
 
 NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
                             std::vector<std::vector<EdfStreamDetail>>* detail, int fuel,
-                            const std::vector<Ticks>* busy, AnalysisScratch* scratch) {
-  net.validate();
-  NetworkAnalysis out;
-  out.tcycle = memo.tcycle;
-  out.schedulable = true;
-
-  std::vector<Ticks> local_offsets;
-  std::vector<Ticks>& offsets = scratch != nullptr ? scratch->offsets : local_offsets;
-
-  const std::vector<Ticks>& tc = memo.per_master;
-  out.masters.resize(net.n_masters());
+                            RtaScratch* scratch) {
+  RtaScratch local;
+  RtaScratch& s = scratch != nullptr ? *scratch : local;
+  const EdfRtaOptions opt{.max_offsets = std::numeric_limits<std::size_t>::max(),
+                          .fixed_point_fuel = fuel};
   if (detail) detail->assign(net.n_masters(), {});
-
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    const Master& master = net.masters[k];
-    MasterAnalysis& ma = out.masters[k];
-    ma.schedulable = true;
-    ma.streams.resize(master.nh());
-    if (detail) (*detail)[k].resize(master.nh());
-
-    const Ticks horizon = busy ? (*busy)[k] : master_busy_period(master, tc[k], fuel);
-    for (std::size_t i = 0; i < master.nh(); ++i) {
-      StreamResponse& r = ma.streams[i];
-      if (horizon == kNoBound) {
-        ma.schedulable = false;
-        continue;  // r stays kNoBound / not schedulable
-      }
-      Ticks best = 0;
-      Ticks best_a = 0;
-      std::size_t examined = 0;
-      bool ok = true;
-      candidate_offsets(master, i, horizon, offsets);
-      for (const Ticks a : offsets) {
-        ++examined;
-        const OffsetOutcome o = response_at_offset(master, i, a, tc[k], fuel);
-        if (!o.converged) {
-          ok = false;
-          break;
-        }
-        if (o.response > best) {
-          best = o.response;
-          best_a = a;
-        }
-      }
-      if (ok) {
-        r.response = best;
-        r.Q = best - tc[k];
-        r.meets_deadline = r.response <= master.high_streams[i].D;
-      }
-      if (detail) (*detail)[k][i] = {best_a, examined};
-      if (!r.meets_deadline) ma.schedulable = false;
+  return analyze_masters(net, memo, [&](std::size_t k, MasterAnalysis& ma) {
+    const Ticks tcycle = memo.per_master[k];
+    const TaskSetView& v = bind_master(s.arena, net.masters[k], tcycle);
+    const EdfHorizon h = edf_horizon(v, fuel, s);
+    if (detail) (*detail)[k].resize(v.n);
+    for (std::size_t i = 0; i < v.n; ++i) {
+      const EdfRtaResult r = edf_response_time(v, i, h, opt, s, /*preemptive=*/false,
+                                               kMessageModel);
+      if (r.converged) ma.streams[i] = {r.response - tcycle, r.response, r.response <= v.D[i]};
+      if (detail) (*detail)[k][i] = {r.critical_offset, r.offsets_examined};
     }
-    if (!ma.schedulable) out.schedulable = false;
-  }
-  return out;
+  });
 }
 
 }  // namespace profisched::profibus

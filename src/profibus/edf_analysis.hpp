@@ -21,9 +21,10 @@
 // Candidate offsets follow eq. 10's set, shifted by jitter:
 // a ∈ ∪_j { k·T_j + D_j − J_j − D_i } ∩ [0, L], with L the synchronous busy
 // period of the master's streams under one-T_cycle-per-request service. If
-// Σ_i T_cycle/T_i >= 1 for a master, its busy period is unbounded and the
+// Σ_i T_cycle/T_i > 1 for a master, its busy period is unbounded and the
 // master is reported unschedulable under the EDF queue (token visits cannot
-// keep up with request arrivals).
+// keep up with request arrivals); at exactly 1 the busy period is bounded
+// but can approach the hyperperiod.
 //
 // As with DM, R_i is measured from AP-queue insertion; g/J_i belong to the
 // end-to-end bound of §4.2.
@@ -39,26 +40,21 @@ struct EdfStreamDetail {
   std::size_t offsets_examined = 0;
 };
 
-/// EDF-queue analysis of the whole network (eqs. 17–18).
+/// EDF-queue analysis of the whole network (eqs. 17–18): per master, core's
+/// synchronous busy period and NP-EDF offset scan (response_time_edf.hpp)
+/// over the master bound with C_i = T_cycle, with kMessageModel, `fuel` for
+/// both the busy period and each offset's fixed point, and no offset cap.
 /// `detail`, when non-null, receives per-master per-stream diagnostics with
 /// the same indexing as the returned analysis.
 [[nodiscard]] NetworkAnalysis analyze_edf(
     const Network& net, TcycleMethod method = TcycleMethod::PaperEq13,
     std::vector<std::vector<EdfStreamDetail>>* detail = nullptr, int fuel = 1 << 16);
 
-/// Per-master synchronous busy period under one-T_cycle-per-request service
-/// (the offset-candidate horizon of eq. 10): L = Σ_i ⌈(L + J_i)/T_i⌉·T_cycle.
-/// kNoBound where the iteration diverges (token supply < request demand).
-[[nodiscard]] std::vector<Ticks> edf_busy_periods(const Network& net, const TimingMemo& memo,
-                                                  int fuel = 1 << 16);
-
-/// Memoized form: reuse a precomputed TimingMemo — and, when `busy` is
-/// non-null, precomputed edf_busy_periods — instead of re-deriving them.
-/// `scratch`, when non-null, supplies the candidate-offset buffer (see
-/// AnalysisScratch).
+/// Memoized form: reuse a precomputed TimingMemo instead of re-deriving it,
+/// and, when non-null, `scratch` (see bind_master).
 [[nodiscard]] NetworkAnalysis analyze_edf(
     const Network& net, const TimingMemo& memo,
     std::vector<std::vector<EdfStreamDetail>>* detail = nullptr, int fuel = 1 << 16,
-    const std::vector<Ticks>* busy = nullptr, AnalysisScratch* scratch = nullptr);
+    RtaScratch* scratch = nullptr);
 
 }  // namespace profisched::profibus

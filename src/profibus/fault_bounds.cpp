@@ -36,21 +36,4 @@ TimingMemo degraded_timing(const Network& degraded_net, const FaultModel& faults
   return memo;
 }
 
-NetworkAnalysis analyze_degraded(const Network& degraded_net, const TimingMemo& degraded_memo,
-                                 ApPolicy policy, Formulation form, int fuel) {
-  switch (policy) {
-    case ApPolicy::Fcfs: return analyze_fcfs(degraded_net, degraded_memo);
-    case ApPolicy::Dm: return analyze_dm(degraded_net, degraded_memo, form, fuel);
-    case ApPolicy::Edf: return analyze_edf(degraded_net, degraded_memo, nullptr, fuel);
-  }
-  return {};
-}
-
-NetworkAnalysis analyze_degraded(const Network& net, const FaultModel& faults, ApPolicy policy,
-                                 TcycleMethod method, Formulation form, int fuel) {
-  const Network dnet = degraded_network(net, faults);
-  const TimingMemo memo = degraded_timing(dnet, faults, method);
-  return analyze_degraded(dnet, memo, policy, form, fuel);
-}
-
 }  // namespace profisched::profibus

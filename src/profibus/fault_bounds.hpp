@@ -25,11 +25,11 @@
 //                    network, growing both the interference terms and T_del
 //                    through the unmodified analyses.
 //
-// So: degraded analysis = the stock per-policy analysis, run on the
-// retransmission-scaled network with a TimingMemo whose tdel / tcycle /
-// per-master bounds carry the per-rotation dead time. A verdict from
-// analyze_degraded is a guarantee the *faulted* simulation must not violate
-// — the combined sweep's must-never-fire flags check exactly that.
+// So: degraded analysis = the stock per-policy analysis (the engine's
+// analyze_network), run on degraded_network with degraded_timing, whose
+// tdel / tcycle / per-master bounds carry the per-rotation dead time. Its
+// verdict is a guarantee the *faulted* simulation must not violate — the
+// combined sweep's must-never-fire flags check exactly that.
 #pragma once
 
 #include "core/formulation.hpp"
@@ -50,20 +50,5 @@ namespace profisched::profibus {
 /// tdel, tcycle and every per-master bound.
 [[nodiscard]] TimingMemo degraded_timing(const Network& degraded_net, const FaultModel& faults,
                                          TcycleMethod method = TcycleMethod::PaperEq13);
-
-/// Memo-taking core: run `policy`'s analysis on an already-degraded network
-/// and timing memo (share them across policies, as the combined sweep does).
-[[nodiscard]] NetworkAnalysis analyze_degraded(const Network& degraded_net,
-                                               const TimingMemo& degraded_memo, ApPolicy policy,
-                                               Formulation form = Formulation::PaperLiteral,
-                                               int fuel = 1 << 16);
-
-/// Convenience form over the clean network: derives the degraded network and
-/// memo internally. Returns the clean analysis verbatim when !faults.any().
-[[nodiscard]] NetworkAnalysis analyze_degraded(const Network& net, const FaultModel& faults,
-                                               ApPolicy policy,
-                                               TcycleMethod method = TcycleMethod::PaperEq13,
-                                               Formulation form = Formulation::PaperLiteral,
-                                               int fuel = 1 << 16);
 
 }  // namespace profisched::profibus

@@ -7,32 +7,17 @@ NetworkAnalysis analyze_fcfs(const Network& net, TcycleMethod method) {
 }
 
 NetworkAnalysis analyze_fcfs(const Network& net, const TimingMemo& memo) {
-  net.validate();
-  NetworkAnalysis out;
-  out.tcycle = memo.tcycle;
-  out.schedulable = true;
-
-  const std::vector<Ticks>& tc = memo.per_master;
-  out.masters.resize(net.n_masters());
-
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
+  return analyze_masters(net, memo, [&](std::size_t k, MasterAnalysis& ma) {
     const Master& master = net.masters[k];
-    MasterAnalysis& ma = out.masters[k];
-    ma.schedulable = true;
-    ma.streams.resize(master.nh());
-
     const Ticks nh = static_cast<Ticks>(master.nh());
     for (std::size_t i = 0; i < master.nh(); ++i) {
       const MessageStream& s = master.high_streams[i];
       StreamResponse& r = ma.streams[i];
-      r.response = sat_mul(nh, tc[k]);                 // eq. 11
-      r.Q = sat_add(r.response, -s.Ch);                // Q = nh·T_cycle − Ch
+      r.response = sat_mul(nh, memo.per_master[k]);                    // eq. 11
+      r.Q = sat_add(r.response, -s.Ch);                                // Q = nh·T_cycle − Ch
       r.meets_deadline = r.response != kNoBound && r.response <= s.D;  // eq. 12
-      if (!r.meets_deadline) ma.schedulable = false;
     }
-    if (!ma.schedulable) out.schedulable = false;
-  }
-  return out;
+  });
 }
 
 }  // namespace profisched::profibus

@@ -15,8 +15,10 @@
 // removes.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
+#include "core/taskset_view.hpp"
 #include "profibus/token_ring_analysis.hpp"
 
 namespace profisched::profibus {
@@ -41,15 +43,42 @@ struct NetworkAnalysis {
   Ticks tcycle = 0;  ///< the T_cycle used (eq. 14)
 };
 
-/// Reusable per-worker scratch for the network analyses: the buffers
-/// analyze_dm / analyze_edf would otherwise allocate per master (or per
-/// stream) per call. One instance per thread — the engine keeps one per
-/// AnalysisEngine — makes repeated analyses allocation-free in steady state.
-/// Purely an optimization: results are identical with or without.
-struct AnalysisScratch {
-  std::vector<std::size_t> ranks;  ///< DM deadline-rank permutation buffer
-  std::vector<Ticks> offsets;      ///< EDF candidate-offset buffer
-};
+/// The shape every network analysis shares: validate `net`, let
+/// `per_master(k, ma)` fill master k's pre-sized stream records, and fold
+/// the per-stream verdicts into the master and network verdicts.
+template <typename PerMaster>
+NetworkAnalysis analyze_masters(const Network& net, const TimingMemo& memo,
+                                PerMaster&& per_master) {
+  net.validate();
+  NetworkAnalysis out;
+  out.tcycle = memo.tcycle;
+  out.schedulable = true;
+  out.masters.resize(net.n_masters());
+  for (std::size_t k = 0; k < net.n_masters(); ++k) {
+    MasterAnalysis& ma = out.masters[k];
+    ma.streams.resize(net.masters[k].nh());
+    per_master(k, ma);
+    ma.schedulable = std::ranges::all_of(ma.streams, &StreamResponse::meets_deadline);
+    out.schedulable = out.schedulable && ma.schedulable;
+  }
+  return out;
+}
+
+/// Bind one master's streams into `arena` as the uniprocessor item set of
+/// paper §4.3: C_i = T_cycle, T/D/J from the streams, in `order` (stream
+/// order when null). DM, OPA and EDF run the core kernels on this view with
+/// kMessageModel; reusing one RtaScratch (the engine keeps one per worker)
+/// keeps them allocation-free in steady state.
+inline const TaskSetView& bind_master(TaskSetArena& arena, const Master& master, Ticks tcycle,
+                                      const std::size_t* order = nullptr) {
+  struct Row {
+    Ticks C, T, D, J;
+  };
+  return arena.bind_rows(order, master.nh(), [&](std::size_t i) {
+    const MessageStream& s = master.high_streams.at(i);
+    return Row{tcycle, s.T, s.D, s.J};
+  });
+}
 
 /// FCFS analysis of the whole network (eqs. 11–12).
 [[nodiscard]] NetworkAnalysis analyze_fcfs(const Network& net,

@@ -4,20 +4,56 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "profibus/detail/fp_message_rta.hpp"
-#include "profibus/token_ring_analysis.hpp"
+#include "core/priority_assignment.hpp"
+#include "core/response_time_fp.hpp"
+#include "profibus/dm_analysis.hpp"
 
 namespace profisched::profibus {
+
+namespace {
+
+/// Eq. 16 for the stream at view position `rank` of a bind_master view:
+/// core's NP-FP kernel with blocking T*_cycle, R from AP-queue insertion.
+StreamResponse message_response(const TaskSetView& pv, std::size_t rank, Formulation form,
+                                int fuel) {
+  const RtaResult r = response_time_nonpreemptive(pv, rank, form, fuel, 0, kMessageModel);
+  return {r.queueing, r.response,
+          r.converged && r.response != kNoBound && r.response <= pv.D[rank]};
+}
+
+/// Every stream of master k under `order` (highest first).
+void analyze_master(const Network& net, std::size_t k, const StreamOrder& order,
+                    const TimingMemo& memo, Formulation form, int fuel, RtaScratch& scratch,
+                    MasterAnalysis& ma) {
+  const Master& master = net.masters[k];
+  if (order.size() != master.nh()) {
+    throw std::invalid_argument("analyze_fixed_priority: order size mismatch at master " +
+                                master.name);
+  }
+  const TaskSetView& pv = bind_master(scratch.arena, master, memo.per_master[k], order.data());
+  for (std::size_t rank = 0; rank < pv.n; ++rank) {
+    ma.streams[pv.index[rank]] = message_response(pv, rank, form, fuel);
+  }
+}
+
+}  // namespace
+
+void deadline_monotonic_order(const Master& master, StreamOrder& order) {
+  order.resize(master.nh());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Ties by index make the key total, so an unstable (allocation-free) sort
+  // gives the stable order.
+  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
+    const Ticks da = master.high_streams[a].D;
+    const Ticks db = master.high_streams[b].D;
+    return da < db || (da == db && a < b);
+  });
+}
 
 NetworkOrders deadline_monotonic_orders(const Network& net) {
   NetworkOrders orders(net.n_masters());
   for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    StreamOrder& order = orders[k];
-    order.resize(net.masters[k].nh());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::ranges::stable_sort(order, [&](std::size_t a, std::size_t b) {
-      return net.masters[k].high_streams[a].D < net.masters[k].high_streams[b].D;
-    });
+    deadline_monotonic_order(net.masters[k], orders[k]);
   }
   return orders;
 }
@@ -28,78 +64,31 @@ NetworkAnalysis analyze_fixed_priority(const Network& net, const NetworkOrders& 
 }
 
 NetworkAnalysis analyze_fixed_priority(const Network& net, const NetworkOrders& orders,
-                                       const TimingMemo& memo, Formulation form, int fuel) {
-  net.validate();
+                                       const TimingMemo& memo, Formulation form, int fuel,
+                                       RtaScratch* scratch) {
   if (orders.size() != net.n_masters()) {
     throw std::invalid_argument("analyze_fixed_priority: orders shape mismatch");
   }
-  NetworkAnalysis out;
-  out.tcycle = memo.tcycle;
-  out.schedulable = true;
-
-  const std::vector<Ticks>& tc = memo.per_master;
-  out.masters.resize(net.n_masters());
-
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    const Master& master = net.masters[k];
-    if (orders[k].size() != master.nh()) {
-      throw std::invalid_argument("analyze_fixed_priority: order size mismatch at master " +
-                                  master.name);
-    }
-    MasterAnalysis& ma = out.masters[k];
-    ma.schedulable = true;
-    ma.streams.resize(master.nh());
-    for (std::size_t rank = 0; rank < orders[k].size(); ++rank) {
-      const std::size_t i = orders[k][rank];
-      ma.streams[i] = detail::fp_stream_response(master, orders[k], rank, tc[k], form, fuel);
-      if (!ma.streams[i].meets_deadline) ma.schedulable = false;
-    }
-    if (!ma.schedulable) out.schedulable = false;
-  }
-  return out;
+  RtaScratch local;
+  RtaScratch& s = scratch != nullptr ? *scratch : local;
+  return analyze_masters(net, memo, [&](std::size_t k, MasterAnalysis& ma) {
+    analyze_master(net, k, orders[k], memo, form, fuel, s, ma);
+  });
 }
 
-namespace {
-
-/// OPA for one master: fill priority levels bottom-up. A stream is feasible
-/// at the lowest remaining level iff its eq.-16 response — with all other
-/// unassigned streams above it — meets its deadline. The response at a level
-/// depends only on the *set* of higher-priority streams (the interference
-/// sum is order-independent) and on whether lower-priority streams exist
-/// (they do, except at the very bottom), so OPA's optimality applies.
-std::optional<StreamOrder> opa_master(const Master& master, Ticks tcycle, Formulation form,
-                                      int fuel) {
-  std::vector<std::size_t> unassigned(master.nh());
-  std::iota(unassigned.begin(), unassigned.end(), std::size_t{0});
-  StreamOrder reversed;  // lowest level first
-
-  while (!unassigned.empty()) {
-    bool placed = false;
-    for (std::size_t pos = 0; pos < unassigned.size(); ++pos) {
-      // Evaluate candidate at the lowest remaining level: higher-priority
-      // set = all other unassigned; lower-priority = already placed.
-      std::vector<std::size_t> order = unassigned;
-      std::rotate(order.begin() + static_cast<std::ptrdiff_t>(pos),
-                  order.begin() + static_cast<std::ptrdiff_t>(pos) + 1, order.end());
-      // `order` now has the candidate last among the unassigned; append the
-      // already-placed (lower) streams below it so blocking applies.
-      for (auto it = reversed.rbegin(); it != reversed.rend(); ++it) order.push_back(*it);
-      const std::size_t rank = unassigned.size() - 1;
-      const StreamResponse r = detail::fp_stream_response(master, order, rank, tcycle, form, fuel);
-      if (r.meets_deadline) {
-        reversed.push_back(order[rank]);
-        unassigned.erase(std::ranges::find(unassigned, order[rank]));
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return std::nullopt;
-  }
-  std::ranges::reverse(reversed);
-  return reversed;
+NetworkAnalysis analyze_dm(const Network& net, TcycleMethod method, Formulation form, int fuel) {
+  return analyze_dm(net, compute_timing(net, method), form, fuel);
 }
 
-}  // namespace
+NetworkAnalysis analyze_dm(const Network& net, const TimingMemo& memo, Formulation form,
+                           int fuel, RtaScratch* scratch) {
+  RtaScratch local;
+  RtaScratch& s = scratch != nullptr ? *scratch : local;
+  return analyze_masters(net, memo, [&](std::size_t k, MasterAnalysis& ma) {
+    deadline_monotonic_order(net.masters[k], s.order);
+    analyze_master(net, k, s.order, memo, form, fuel, s, ma);
+  });
+}
 
 std::optional<NetworkOrders> audsley_stream_orders(const Network& net, TcycleMethod method,
                                                    Formulation form, int fuel) {
@@ -107,12 +96,20 @@ std::optional<NetworkOrders> audsley_stream_orders(const Network& net, TcycleMet
 }
 
 std::optional<NetworkOrders> audsley_stream_orders(const Network& net, const TimingMemo& memo,
-                                                   Formulation form, int fuel) {
+                                                   Formulation form, int fuel,
+                                                   RtaScratch* scratch) {
   net.validate();
-  const std::vector<Ticks>& tc = memo.per_master;
+  RtaScratch local;
+  RtaScratch& s = scratch != nullptr ? *scratch : local;
   NetworkOrders out(net.n_masters());
   for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    auto order = opa_master(net.masters[k], tc[k], form, fuel);
+    const Master& master = net.masters[k];
+    // The response at a level depends only on the *set* above it and on
+    // whether any stream sits below (blocking), so OPA's optimality applies.
+    auto order = audsley_order(master.nh(), [&](std::span<const std::size_t> o, std::size_t r) {
+      const TaskSetView& pv = bind_master(s.arena, master, memo.per_master[k], o.data());
+      return message_response(pv, r, form, fuel).meets_deadline;
+    });
     if (!order.has_value()) return std::nullopt;
     out[k] = std::move(*order);
   }

@@ -29,6 +29,9 @@ using NetworkOrders = std::vector<StreamOrder>;
 /// DM orders for every master (ties by index) — what analyze_dm uses.
 [[nodiscard]] NetworkOrders deadline_monotonic_orders(const Network& net);
 
+/// One master's DM order, into a reused buffer.
+void deadline_monotonic_order(const Master& master, StreamOrder& order);
+
 /// Eq.-16 analysis under an arbitrary fixed priority order per master.
 /// `orders[k]` must be a permutation of master k's stream indices.
 [[nodiscard]] NetworkAnalysis analyze_fixed_priority(
@@ -36,21 +39,26 @@ using NetworkOrders = std::vector<StreamOrder>;
     TcycleMethod method = TcycleMethod::PaperEq13,
     Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16);
 
-/// Memoized form: reuse a precomputed TimingMemo (see compute_timing).
+/// Memoized form: reuse a precomputed TimingMemo (see compute_timing) and,
+/// when non-null, `scratch` (see bind_master).
 [[nodiscard]] NetworkAnalysis analyze_fixed_priority(
     const Network& net, const NetworkOrders& orders, const TimingMemo& memo,
-    Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16);
+    Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16,
+    RtaScratch* scratch = nullptr);
 
 /// Audsley's OPA at the message level: per master, find some priority order
-/// under which every stream meets its deadline (eq.-16 analysis), bottom-up.
+/// under which every stream meets its deadline (eq.-16 analysis), bottom-up
+/// through core's audsley_order, trying streams in ascending index order.
 /// Returns std::nullopt if no fixed order schedules some master.
 [[nodiscard]] std::optional<NetworkOrders> audsley_stream_orders(
     const Network& net, TcycleMethod method = TcycleMethod::PaperEq13,
     Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16);
 
-/// Memoized form: reuse a precomputed TimingMemo (see compute_timing).
+/// Memoized form: reuse a precomputed TimingMemo (see compute_timing) and,
+/// when non-null, `scratch`.
 [[nodiscard]] std::optional<NetworkOrders> audsley_stream_orders(
     const Network& net, const TimingMemo& memo,
-    Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16);
+    Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16,
+    RtaScratch* scratch = nullptr);
 
 }  // namespace profisched::profibus

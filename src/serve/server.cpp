@@ -79,19 +79,26 @@ double Server::uptime_s() const {
 }
 
 void Server::reap_connections(bool all) {
-  std::vector<std::thread> joinable;
+  std::vector<Conn> finished;
   {
     std::lock_guard lock(conns_mu_);
     for (auto it = conns_.begin(); it != conns_.end();) {
       if (all || it->done->load(std::memory_order_acquire)) {
-        joinable.push_back(std::move(it->thread));
+        // Wake a handler blocked in recv/send on an idle or stalled client.
+        // The fd stays open until after the join, so it cannot have been
+        // recycled for another connection when this runs.
+        if (all) ::shutdown(it->fd, SHUT_RDWR);
+        finished.push_back(std::move(*it));
         it = conns_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  for (std::thread& t : joinable) t.join();
+  for (Conn& c : finished) {
+    c.thread.join();
+    ::close(c.fd);
+  }
 }
 
 std::uint64_t Server::run() {
@@ -107,7 +114,7 @@ std::uint64_t Server::run() {
     reap_connections(/*all=*/false);
     auto done = std::make_shared<std::atomic<bool>>(false);
     std::lock_guard lock(conns_mu_);
-    conns_.push_back(Conn{std::thread(&Server::handle_connection, this, fd, done), done});
+    conns_.push_back(Conn{std::thread(&Server::handle_connection, this, fd, done), done, fd});
   }
 
   // SHUTDOWN already closed the queue (cancelling queued jobs and raising
@@ -141,17 +148,20 @@ void Server::handle_connection(int fd, std::shared_ptr<std::atomic<bool>> done) 
         break;
       }
       buffer.erase(0, frame.consumed);
-      if (!send_frame(fd, handle_request(frame.payload))) {
+      bool bye = false;
+      const bool sent = send_frame(fd, handle_request(frame.payload, bye));
+      // Stop only once "ok bye" is out: the stop reaper shuts every socket.
+      if (bye) stop_.store(true, std::memory_order_release);
+      if (!sent) {
         open = false;
         break;
       }
     }
   }
-  ::close(fd);
-  done->store(true, std::memory_order_release);
+  done->store(true, std::memory_order_release);  // the reaper closes fd
 }
 
-std::string Server::handle_request(const std::string& payload) {
+std::string Server::handle_request(const std::string& payload, bool& bye) {
   Request req;
   try {
     req = parse_request(payload);
@@ -171,8 +181,8 @@ std::string Server::handle_request(const std::string& payload) {
     case Request::Kind::Stats:
       return handle_stats();
     case Request::Kind::Shutdown:
-      stop_.store(true, std::memory_order_release);
       queue_.close();
+      bye = true;
       return "ok bye";
   }
   return "err unreachable";

@@ -71,7 +71,9 @@ class Server {
   void scheduler_loop();
   void handle_connection(int fd, std::shared_ptr<std::atomic<bool>> done);
   /// Map one request payload to one response payload (`ok ...` / `err ...`).
-  [[nodiscard]] std::string handle_request(const std::string& payload);
+  /// Sets `bye` for SHUTDOWN; the caller stops the daemon once the response
+  /// is sent.
+  [[nodiscard]] std::string handle_request(const std::string& payload, bool& bye);
   [[nodiscard]] std::string handle_submit(Request req);
   [[nodiscard]] std::string handle_status();
   [[nodiscard]] std::string handle_stats();
@@ -86,7 +88,9 @@ class Server {
   [[nodiscard]] double uptime_s() const;
 
   /// Join connection threads whose handlers have finished (called from the
-  /// accept loop so a long-lived daemon does not hoard dead threads).
+  /// accept loop so a long-lived daemon does not hoard dead threads), and
+  /// close their sockets. With `all`, first shut down every live socket so
+  /// handlers blocked on idle clients return.
   void reap_connections(bool all);
 
   ServeOptions opts_;
@@ -100,6 +104,7 @@ class Server {
   struct Conn {
     std::thread thread;
     std::shared_ptr<std::atomic<bool>> done;
+    int fd = -1;  ///< closed by the reaper after the join
   };
   std::mutex conns_mu_;
   std::vector<Conn> conns_;

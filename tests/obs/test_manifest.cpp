@@ -4,8 +4,10 @@
 #include "obs/manifest.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -105,7 +107,11 @@ TEST(ObsManifest, RejectsTruncatedInput) {
 
 TEST(ObsManifest, WriteManifestFileRoundTrips) {
   const Manifest m = sample_manifest();
-  const std::string path = "build/obs_manifest_test.json";
+  // A temporary path: the test runs from the repo root, whatever the build
+  // directory is called.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("obs_manifest_test_" + std::to_string(::getpid()) + ".json"))
+                               .string();
   ASSERT_TRUE(write_manifest_file(path, m));
   std::ifstream is(path, std::ios::binary);
   ASSERT_TRUE(is.good());

@@ -84,6 +84,40 @@ TEST(Optimizer, BaseVerdictMatchesTheSweepRunner) {
   }
 }
 
+TEST(Optimizer, ProbeVerdictIsTheEngineVerdict) {
+  // The probe predicate runs the engine's own dispatch: on every generated
+  // scenario, under every optimizable policy and both T_cycle methods, it
+  // answers exactly what AnalysisEngine::analyze answers.
+  engine::SweepSpec sweep;
+  sweep.base.n_masters = 3;
+  sweep.base.streams_per_master = 5;
+  sweep.base.ttr = 3'000;
+  for (const double u : {0.3, 0.5, 0.7, 0.85, 0.95, 1.05}) sweep.points.push_back({.total_u = u});
+  sweep.scenarios_per_point = 40;
+  sweep.seed = 14;
+  const engine::Policy policies[] = {engine::Policy::Fcfs, engine::Policy::Dm,
+                                     engine::Policy::Edf, engine::Policy::Opa};
+  std::size_t accepted = 0, checked = 0;
+  for (const profibus::TcycleMethod method :
+       {profibus::TcycleMethod::PaperEq13, profibus::TcycleMethod::PerMasterRefined}) {
+    engine::EngineOptions options;
+    options.method = method;
+    engine::AnalysisEngine engine(options);
+    for (const engine::Policy p : policies) {
+      const profibus::NetworkTest probe = optimize_network_test(p, options);
+      for (std::uint64_t id = 0; id < sweep.total_scenarios(); ++id) {
+        const engine::Scenario sc = engine::SweepRunner::make_scenario(sweep, id);
+        const bool want = engine.analyze(sc, p).schedulable;
+        EXPECT_EQ(probe(sc.net), want) << engine::to_string(p) << " id " << id;
+        accepted += want;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u * 4u * 240u);
+  EXPECT_GT(accepted, 0u);
+}
+
 TEST(Optimizer, EveryBoundaryIsExact) {
   const OptimizeSpec spec = small_spec();
   engine::SweepRunner runner(2);

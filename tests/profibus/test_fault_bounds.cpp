@@ -4,6 +4,9 @@
 // degraded bounds against the clean ones, and saturation safety.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "engine/analysis_engine.hpp"
 #include "profibus/dispatching.hpp"
 #include "profibus/fault_bounds.hpp"
 #include "profibus/frame_timing.hpp"
@@ -15,6 +18,20 @@ namespace {
 MessageStream stream(Ticks ch, Ticks d, Ticks t) {
   return MessageStream{.Ch = ch, .D = d, .T = t, .J = 0, .name = ""};
 }
+
+/// The degraded analysis as the combined sweep runs it: the engine's one
+/// policy dispatch over degraded_network and degraded_timing.
+NetworkAnalysis analyze_degraded(const Network& net, const FaultModel& faults,
+                                 engine::Policy policy) {
+  const Network dnet = degraded_network(net, faults);
+  RtaScratch scratch;
+  return engine::analyze_network(dnet, degraded_timing(dnet, faults), policy, {}, scratch).detail;
+}
+
+constexpr std::pair<ApPolicy, engine::Policy> kPolicies[] = {
+    {ApPolicy::Fcfs, engine::Policy::Fcfs},
+    {ApPolicy::Dm, engine::Policy::Dm},
+    {ApPolicy::Edf, engine::Policy::Edf}};
 
 Network ring(std::size_t n_masters, Ticks ttr) {
   Network net;
@@ -99,9 +116,9 @@ TEST(FaultBounds, DegradedTimingAddsDeadTimeEverywhere) {
 TEST(FaultBounds, ZeroFaultAnalysisCollapsesToClean) {
   const Network net = ring(2, 6'000);
   const FaultModel none;
-  for (const ApPolicy policy : {ApPolicy::Fcfs, ApPolicy::Dm, ApPolicy::Edf}) {
+  for (const auto& [policy, engine_policy] : kPolicies) {
     const NetworkAnalysis clean = analyze_network(net, policy);
-    const NetworkAnalysis degraded = analyze_degraded(net, none, policy);
+    const NetworkAnalysis degraded = analyze_degraded(net, none, engine_policy);
     EXPECT_EQ(degraded.schedulable, clean.schedulable);
     ASSERT_EQ(degraded.masters.size(), clean.masters.size());
     for (std::size_t k = 0; k < clean.masters.size(); ++k) {
@@ -124,9 +141,9 @@ TEST(FaultBounds, DegradedBoundsDominateCleanBounds) {
   f.corruption_prob = 0.1;
   f.max_retransmissions = 1;
   f.churn_prob = 0.02;
-  for (const ApPolicy policy : {ApPolicy::Fcfs, ApPolicy::Dm, ApPolicy::Edf}) {
+  for (const auto& [policy, engine_policy] : kPolicies) {
     const NetworkAnalysis clean = analyze_network(net, policy);
-    const NetworkAnalysis degraded = analyze_degraded(net, f, policy);
+    const NetworkAnalysis degraded = analyze_degraded(net, f, engine_policy);
     EXPECT_LE(degraded.schedulable, clean.schedulable);
     for (std::size_t k = 0; k < clean.masters.size(); ++k) {
       for (std::size_t i = 0; i < clean.masters[k].streams.size(); ++i) {

@@ -7,9 +7,13 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -233,6 +237,32 @@ TEST_F(ServeE2E, ShutdownDrainsCancelsQueuedJobsAndRemovesTheSocket) {
   server_.reset();  // destructor unlinks the socket
   EXPECT_FALSE(fs::exists(socket_));
   EXPECT_THROW((void)client().call(format_status()), std::runtime_error);
+}
+
+TEST_F(ServeE2E, ShutdownDoesNotWaitForAnIdleClient) {
+  // A client that connects and never sends a byte parks its handler in
+  // recv; SHUTDOWN must still return run() promptly.
+  const int idle = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_.c_str(), socket_.size() + 1);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(client().call(format_status()).rfind("ok jobs", 0), 0u);  // idle one accepted
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(client().call(format_shutdown()), "ok bye");
+  std::atomic<bool> returned{false};
+  std::thread watcher([&] {
+    runner_.join();
+    returned = true;
+  });
+  while (!returned && std::chrono::steady_clock::now() - t0 < std::chrono::seconds(2)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(returned) << "run() still blocked 2 s after SHUTDOWN with an idle client";
+  ::close(idle);  // unblocks run() in the failing case, so the test ends
+  watcher.join();
 }
 
 }  // namespace
