@@ -2,68 +2,43 @@
 
 #include <algorithm>
 
-#include "core/simd.hpp"
+#include "core/taskset_view.hpp"
 
 namespace profisched {
 
 namespace {
 
-// Uniform per-index field access over the AoS TaskSet and the SoA view: the
-// demand-bound and checkpoint logic below is written once against these, so
-// the two public paths cannot drift apart.
-inline std::size_t count_of(const TaskSet& ts) { return ts.size(); }
-inline std::size_t count_of(const TaskSetView& v) { return v.n; }
-inline Ticks c_of(const TaskSet& ts, std::size_t i) { return ts[i].C; }
-inline Ticks c_of(const TaskSetView& v, std::size_t i) { return v.C[i]; }
-inline Ticks t_of(const TaskSet& ts, std::size_t i) { return ts[i].T; }
-inline Ticks t_of(const TaskSetView& v, std::size_t i) { return v.T[i]; }
-inline Ticks d_of(const TaskSet& ts, std::size_t i) { return ts[i].D; }
-inline Ticks d_of(const TaskSetView& v, std::size_t i) { return v.D[i]; }
-
 /// h(t) with the Formulation branch hoisted to a template parameter
 /// (Ceil == PaperLiteral) so the inner loop is branch-free.
-template <bool Ceil, class Src>
-Ticks demand_bound_impl(const Src& s, Ticks t) {
+template <bool Ceil>
+Ticks demand_bound_impl(const TaskSet& ts, Ticks t) {
   Ticks h = 0;
-  const std::size_t n = count_of(s);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Ticks arg = t - d_of(s, i);
-    const Ticks jobs = Ceil ? ceil_div_plus(arg, t_of(s, i)) : floor_div_plus1(arg, t_of(s, i));
-    h = sat_add(h, sat_mul(jobs, c_of(s, i)));
+  for (const Task& task : ts) {
+    const Ticks arg = t - task.D;
+    const Ticks jobs = Ceil ? ceil_div_plus(arg, task.T) : floor_div_plus1(arg, task.T);
+    h = sat_add(h, sat_mul(jobs, task.C));
   }
   return h;
-}
-
-template <class Src>
-Ticks demand_bound_form(const Src& s, Ticks t, Formulation form) {
-  return form == Formulation::PaperLiteral ? demand_bound_impl<true>(s, t)
-                                           : demand_bound_impl<false>(s, t);
-}
-
-template <class Src>
-void deadline_checkpoints_impl(const Src& s, Ticks limit, std::vector<Ticks>& out) {
-  out.clear();
-  const std::size_t n = count_of(s);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (Ticks t = d_of(s, i); t <= limit; t = sat_add(t, t_of(s, i))) {
-      out.push_back(t);
-      if (t == kNoBound) break;
-    }
-  }
-  std::ranges::sort(out);
-  const auto dup = std::ranges::unique(out);
-  out.erase(dup.begin(), dup.end());
 }
 
 }  // namespace
 
 Ticks demand_bound(const TaskSet& ts, Ticks t, Formulation form) {
-  return demand_bound_form(ts, t, form);
+  return form == Formulation::PaperLiteral ? demand_bound_impl<true>(ts, t)
+                                           : demand_bound_impl<false>(ts, t);
 }
 
 std::vector<Ticks> deadline_checkpoints(const TaskSet& ts, Ticks limit) {
   std::vector<Ticks> points;
-  deadline_checkpoints_impl(ts, limit, points);
+  for (const Task& task : ts) {
+    for (Ticks t = task.D; t <= limit; t = sat_add(t, task.T)) {
+      points.push_back(t);
+      if (t == kNoBound) break;
+    }
+  }
+  std::ranges::sort(points);
+  const auto dup = std::ranges::unique(points);
+  points.erase(dup.begin(), dup.end());
   return points;
 }
 
@@ -78,7 +53,10 @@ FeasibilityResult check_over_checkpoints(const TaskSet& ts, Ticks min_t, DemandF
     out.feasible = true;
     return out;
   }
-  if (ts.utilization() > 1.0) {
+  // exceeds_one, not `> 1.0`: a set at exactly U = 1 whose double sum rounds
+  // above 1 must reach the busy period, which bounds it. A set truly above 1
+  // that the tolerance lets through fails there, its busy period unbounded.
+  if (exceeds_one(ts.utilization(), ts.size())) {
     out.feasible = false;
     out.first_violation = 0;
     return out;
@@ -126,136 +104,6 @@ FeasibilityResult np_edf_feasible_george(const TaskSet& ts, Formulation form) {
     }
     return sat_add(demand_bound(ts, t, form), blocking);
   });
-}
-
-// ------------------------------------------------------------ SoA fast path
-
-Ticks demand_bound(const TaskSetView& v, Ticks t, Formulation form) {
-  if (const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr) {
-    const simd::DemandResult r = k->demand_sum(v.C, v.T, v.D, v.recip_t, v.n_padded, t,
-                                               form == Formulation::PaperLiteral);
-    if (r.status == simd::Status::kOk) return r.demand;
-  }
-  return demand_bound_form(v, t, form);
-}
-
-void deadline_checkpoints(const TaskSetView& v, Ticks limit, std::vector<Ticks>& out) {
-  deadline_checkpoints_impl(v, limit, out);
-}
-
-namespace {
-
-/// View-based twin of check_over_checkpoints: same guards, same scan order,
-/// with the checkpoint buffer and busy-period warm seed living in `scratch`.
-/// The demand lambda is split into the shared h(t) — which goes through the
-/// vector kernels — and a per-test `addend(t)` blocking term. Where the task
-/// loop is short, four checkpoints are evaluated per kernel pass; the
-/// violation scan over the four results still runs in checkpoint order, so
-/// the first violation and examined-checkpoint count match the reference
-/// exactly.
-template <typename AddendFn>
-FeasibilityResult check_over_checkpoints(const TaskSetView& v, Formulation form, Ticks min_t,
-                                         AddendFn addend, RtaScratch& scratch, bool warm_start) {
-  FeasibilityResult out;
-  if (v.empty()) {
-    out.feasible = true;
-    return out;
-  }
-  if (v.utilization() > 1.0) {
-    out.feasible = false;
-    out.first_violation = 0;
-    return out;
-  }
-  const BusyPeriod bp =
-      synchronous_busy_period(v, 1 << 20, warm_start ? scratch.warm_busy : 0);
-  if (!bp.bounded()) {
-    out.feasible = false;
-    return out;
-  }
-  scratch.warm_busy = bp.length;
-  out.horizon = bp.length;
-  deadline_checkpoints(v, bp.length, scratch.checkpoints);
-  const std::vector<Ticks>& cps = scratch.checkpoints;
-  const bool ceil_form = form == Formulation::PaperLiteral;
-  const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr;
-
-  // Checkpoints are sorted, so the `t < min_t` skip is a prefix.
-  std::size_t idx =
-      static_cast<std::size_t>(std::lower_bound(cps.begin(), cps.end(), min_t) - cps.begin());
-
-  const auto check_one = [&](Ticks t, Ticks demand) -> bool {
-    ++out.checkpoints;
-    if (sat_add(demand, addend(t)) > t) {
-      out.first_violation = t;
-      out.feasible = false;
-      return false;
-    }
-    return true;
-  };
-
-  if (k != nullptr && v.n <= 8) {
-    // Short task loop: lanes are checkpoints, tasks broadcast.
-    while (idx + 4 <= cps.size()) {
-      const simd::DemandGridResult g =
-          k->demand_grid(v.C, v.T, v.D, v.recip_t, v.n_padded, cps.data() + idx, ceil_form);
-      if (g.status != simd::Status::kOk) break;  // finish on the per-t path
-      for (int b = 0; b < 4; ++b) {
-        if (!check_one(cps[idx + b], g.demand[b])) return out;
-      }
-      idx += 4;
-    }
-  }
-  for (; idx < cps.size(); ++idx) {
-    const Ticks t = cps[idx];
-    Ticks h;
-    if (k != nullptr) {
-      const simd::DemandResult r = k->demand_sum(v.C, v.T, v.D, v.recip_t, v.n_padded, t,
-                                                 ceil_form);
-      h = r.status == simd::Status::kOk ? r.demand : demand_bound_form(v, t, form);
-    } else {
-      h = demand_bound_form(v, t, form);
-    }
-    if (!check_one(t, h)) return out;
-  }
-  out.feasible = true;
-  return out;
-}
-
-}  // namespace
-
-FeasibilityResult edf_preemptive_feasible(const TaskSet& ts, Formulation form,
-                                          RtaScratch& scratch, bool warm_start) {
-  const TaskSetView& v = scratch.arena.bind(ts);
-  return check_over_checkpoints(
-      v, form, /*min_t=*/0, [](Ticks) -> Ticks { return 0; }, scratch, warm_start);
-}
-
-FeasibilityResult np_edf_feasible_zheng_shin(const TaskSet& ts, Formulation form,
-                                             RtaScratch& scratch, bool warm_start) {
-  const TaskSetView& v = scratch.arena.bind(ts);
-  Ticks cmax = 0;
-  Ticks min_d = kNoBound;
-  for (std::size_t i = 0; i < v.n; ++i) {
-    cmax = std::max(cmax, v.C[i]);
-    min_d = std::min(min_d, v.D[i]);
-  }
-  return check_over_checkpoints(
-      v, form, min_d, [cmax](Ticks) { return cmax; }, scratch, warm_start);
-}
-
-FeasibilityResult np_edf_feasible_george(const TaskSet& ts, Formulation form, RtaScratch& scratch,
-                                         bool warm_start) {
-  const TaskSetView& v = scratch.arena.bind(ts);
-  return check_over_checkpoints(
-      v, form, /*min_t=*/0,
-      [&v](Ticks t) {
-        Ticks blocking = 0;
-        for (std::size_t i = 0; i < v.n; ++i) {
-          if (v.D[i] > t) blocking = std::max(blocking, v.C[i] - 1);
-        }
-        return blocking;
-      },
-      scratch, warm_start);
 }
 
 }  // namespace profisched

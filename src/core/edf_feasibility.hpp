@@ -32,7 +32,6 @@
 #include "core/busy_period.hpp"
 #include "core/formulation.hpp"
 #include "core/task.hpp"
-#include "core/taskset_view.hpp"
 
 namespace profisched {
 
@@ -68,31 +67,5 @@ struct FeasibilityResult {
 /// exact for sporadic non-concrete task sets.
 [[nodiscard]] FeasibilityResult np_edf_feasible_george(const TaskSet& ts,
                                                        Formulation form = kDefaultFormulation);
-
-// ---------------------------------------------------------- SoA fast path
-//
-// The TaskSet-based tests above are the retained reference implementations.
-// The scratch overloads run the same checkpoint scan over an identity-bound
-// TaskSetView with reused buffers (checkpoints, busy-period warm seed):
-// allocation-free in steady state, bit-identical verdicts. With `warm_start`
-// true, the busy-period iteration is seeded from scratch.warm_busy (sound
-// under the usweep contract: same structure, parameters only grown).
-
-/// Processor demand h(t) over an identity-bound view.
-[[nodiscard]] Ticks demand_bound(const TaskSetView& v, Ticks t,
-                                 Formulation form = kDefaultFormulation);
-
-/// deadline_checkpoints into a reused buffer (cleared first).
-void deadline_checkpoints(const TaskSetView& v, Ticks limit, std::vector<Ticks>& out);
-
-[[nodiscard]] FeasibilityResult edf_preemptive_feasible(const TaskSet& ts, Formulation form,
-                                                        RtaScratch& scratch,
-                                                        bool warm_start = false);
-[[nodiscard]] FeasibilityResult np_edf_feasible_zheng_shin(const TaskSet& ts, Formulation form,
-                                                           RtaScratch& scratch,
-                                                           bool warm_start = false);
-[[nodiscard]] FeasibilityResult np_edf_feasible_george(const TaskSet& ts, Formulation form,
-                                                       RtaScratch& scratch,
-                                                       bool warm_start = false);
 
 }  // namespace profisched

@@ -12,7 +12,7 @@
 //   - per-bind gate (TaskSetView::simd_ok): C, T, D, J ≤ 2^44, n ≤ 256, and
 //     the relational invariant 0 ≤ C ≤ T (T ≥ 1 follows, a TaskSet
 //     construction invariant) — all certified once when the arena binds;
-//   - per-iteration gate (inside the kernels): every iterate (w, L, t) ≤ 2^44.
+//   - per-iteration gate (inside the kernels): every iterate (w, L) ≤ 2^44.
 //
 // Together these statically bound every lane product: jobs ≤ a'/T + 1 with
 // |a'| < 2^46, so jobs·C ≤ a'·(C/T) + C < 2^47 and 256-task lane sums stay
@@ -44,8 +44,8 @@ namespace profisched::simd {
 /// double). 2^44 ticks is ~1.5 years at 12 Mbit/s PROFIBUS bit-time.
 inline constexpr Ticks kMaxValue = Ticks{1} << 44;
 
-/// Per-iteration gate on fixed-point iterates (w, L, t). Same bound as the
-/// inputs so w + J and t − D stay below 2^45.
+/// Per-iteration gate on fixed-point iterates (w, L). Same bound as the
+/// inputs so w + J stays below 2^45.
 inline constexpr Ticks kMaxAccum = Ticks{1} << 44;
 
 /// Task-count gate (bounds kernel stack buffers and the lane-sum width).
@@ -72,17 +72,6 @@ struct FixedPointResult {
   int iterations = 0;  ///< matches the scalar reference count exactly
 };
 
-struct DemandResult {
-  Status status = Status::kFallback;
-  Ticks demand = 0;
-};
-
-/// Four demand-bound evaluations in one pass (lanes = checkpoints).
-struct DemandGridResult {
-  Status status = Status::kFallback;
-  Ticks demand[4] = {0, 0, 0, 0};
-};
-
 struct EdfOffsetResult {
   Status status = Status::kFallback;
   bool converged = false;
@@ -104,16 +93,6 @@ struct Kernels {
   FixedPointResult (*fp_fixed_point)(const Ticks* C, const Ticks* T, const Ticks* J,
                                      const double* recip_t, std::size_t count, Ticks base,
                                      Ticks w0, bool ceil_form, int fuel);
-
-  /// Σ_{j<count} jobs(t − D[j], T[j]) · C[j] — the EDF demand bound h(t).
-  DemandResult (*demand_sum)(const Ticks* C, const Ticks* T, const Ticks* D,
-                             const double* recip_t, std::size_t count, Ticks t, bool ceil_form);
-
-  /// h(t) at four checkpoints per pass (lanes = t values, tasks broadcast) —
-  /// the profitable shape when the task loop is short.
-  DemandGridResult (*demand_grid)(const Ticks* C, const Ticks* T, const Ticks* D,
-                                  const double* recip_t, std::size_t count, const Ticks* t4,
-                                  bool ceil_form);
 
   /// EDF per-offset fixed point (eqs. 6 / 9 inner recurrence):
   ///   L → base + Σ_j min(jobs_time(L + J[j], T[j]), by_deadline[j]) · C[j]

@@ -94,20 +94,10 @@ struct ScalarBackend {
     for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = a.v[l] & b.v[l];
     return r;
   }
-  static I or_(I a, I b) {
-    I r;
-    for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = a.v[l] | b.v[l];
-    return r;
-  }
   static I blend(I a, I b, I mask) {
     I r;
     for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = mask.v[l] != 0 ? b.v[l] : a.v[l];
     return r;
-  }
-  static bool any(I m) {
-    Ticks acc = 0;
-    for (std::size_t l = 0; l < kLanes; ++l) acc |= m.v[l];
-    return acc != 0;
   }
   static Ticks reduce_add(I x) {
     Ticks s = 0;
@@ -129,11 +119,6 @@ struct ScalarBackend {
     std::memcpy(r.v, p, sizeof(r.v));
     return r;
   }
-  static F fset1(double x) {
-    F r;
-    for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = x;
-    return r;
-  }
   static F fmul(F a, F b) {
     F r;
     for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = a.v[l] * b.v[l];
@@ -142,11 +127,6 @@ struct ScalarBackend {
   static F ffloor(F a) {
     F r;
     for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = __builtin_floor(a.v[l]);
-    return r;
-  }
-  static I fcmpgt(F a, F b) {
-    I r;
-    for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = a.v[l] > b.v[l] ? -1 : 0;
     return r;
   }
 };
@@ -178,9 +158,7 @@ struct Avx2Backend {
   }
   static I cmpgt(I a, I b) { return _mm256_cmpgt_epi64(a, b); }
   static I and_(I a, I b) { return _mm256_and_si256(a, b); }
-  static I or_(I a, I b) { return _mm256_or_si256(a, b); }
   static I blend(I a, I b, I mask) { return _mm256_blendv_epi8(a, b, mask); }
-  static bool any(I m) { return _mm256_movemask_epi8(m) != 0; }
   static Ticks reduce_add(I x) {
     const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(x), _mm256_extracti128_si256(x, 1));
     return _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1);
@@ -194,10 +172,8 @@ struct Avx2Backend {
     return _mm256_sub_epi64(_mm256_castpd_si256(shifted), _mm256_set1_epi64x(kMagicBits));
   }
   static F fload(const double* p) { return _mm256_loadu_pd(p); }
-  static F fset1(double x) { return _mm256_set1_pd(x); }
   static F fmul(F a, F b) { return _mm256_mul_pd(a, b); }
   static F ffloor(F a) { return _mm256_floor_pd(a); }
-  static I fcmpgt(F a, F b) { return _mm256_castpd_si256(_mm256_cmp_pd(a, b, _CMP_GT_OQ)); }
 };
 #endif  // __AVX2__
 
@@ -225,17 +201,13 @@ struct NeonBackend {
   }
   static I cmpgt(I a, I b) { return vreinterpretq_s64_u64(vcgtq_s64(a, b)); }
   static I and_(I a, I b) { return vandq_s64(a, b); }
-  static I or_(I a, I b) { return vorrq_s64(a, b); }
   static I blend(I a, I b, I mask) { return vbslq_s64(vreinterpretq_u64_s64(mask), b, a); }
-  static bool any(I m) { return vmaxvq_u32(vreinterpretq_u32_s64(m)) != 0; }
   static Ticks reduce_add(I x) { return vaddvq_s64(x); }
   static F to_f64(I x) { return vcvtq_f64_s64(x); }
   static I from_f64(F d) { return vcvtmq_s64_f64(d); }  // floor-convert; d is integral
   static F fload(const double* p) { return vld1q_f64(p); }
-  static F fset1(double x) { return vdupq_n_f64(x); }
   static F fmul(F a, F b) { return vmulq_f64(a, b); }
   static F ffloor(F a) { return vrndmq_f64(a); }
-  static I fcmpgt(F a, F b) { return vreinterpretq_s64_u64(vcgtq_f64(a, b)); }
 };
 #endif  // __aarch64__
 
@@ -307,59 +279,6 @@ FixedPointResult fp_fixed_point_impl(const Ticks* C, const Ticks* T, const Ticks
     w = next;
   }
   out.status = Status::kOk;  // fuel exhausted in-region: reference state identical
-  return out;
-}
-
-template <class B, bool Ceil>
-DemandResult demand_sum_impl(const Ticks* C, const Ticks* T, const Ticks* D,
-                             const double* recip_t, std::size_t count, Ticks t) {
-  DemandResult out;
-  if (count > kMaxTasks || t < 0 || t > kMaxAccum) return out;
-  const std::size_t vec_n = count - count % B::kLanes;
-  const typename B::I tv_b = B::set1(t);
-
-  typename B::I acc = B::set1(0);
-  for (std::size_t j = 0; j < vec_n; j += B::kLanes) {
-    const typename B::I tv = B::load(T + j);
-    const typename B::I cv = B::load(C + j);
-    const typename B::I a = B::sub(tv_b, B::load(D + j));
-    const typename B::I jb = lane_jobs<B, Ceil>(a, tv, B::fload(recip_t + j));
-    acc = B::add(acc, B::mul_lo(jb, cv));
-  }
-  Ticks h = B::reduce_add(acc);
-  for (std::size_t j = vec_n; j < count; ++j) {
-    const Ticks arg = t - D[j];
-    const Ticks jobs = Ceil ? ceil_div_plus(arg, T[j]) : floor_div_plus1(arg, T[j]);
-    h = sat_add(h, sat_mul(jobs, C[j]));
-  }
-  out.status = Status::kOk;
-  out.demand = h;
-  return out;
-}
-
-template <class B, bool Ceil>
-DemandGridResult demand_grid_impl(const Ticks* C, const Ticks* T, const Ticks* D,
-                                  const double* recip_t, std::size_t count, const Ticks* t4) {
-  DemandGridResult out;
-  if (count > kMaxTasks) return out;
-  for (int b = 0; b < 4; ++b) {
-    if (t4[b] < 0 || t4[b] > kMaxAccum) return out;
-  }
-  Ticks res[4];
-  for (std::size_t b = 0; b < 4; b += B::kLanes) {
-    const typename B::I tv_b = B::load(t4 + b);  // lanes = checkpoints
-    typename B::I acc = B::set1(0);
-    for (std::size_t j = 0; j < count; ++j) {  // tasks broadcast
-      const typename B::I tj = B::set1(T[j]);
-      const typename B::I cj = B::set1(C[j]);
-      const typename B::I a = B::sub(tv_b, B::set1(D[j]));
-      const typename B::I jb = lane_jobs<B, Ceil>(a, tj, B::fset1(recip_t[j]));
-      acc = B::add(acc, B::mul_lo(jb, cj));
-    }
-    B::store(res + b, acc);
-  }
-  out.status = Status::kOk;
-  for (int b = 0; b < 4; ++b) out.demand[b] = res[b];
   return out;
 }
 
@@ -436,21 +355,6 @@ FixedPointResult fp_fixed_point_k(const Ticks* C, const Ticks* T, const Ticks* J
 }
 
 template <class B>
-DemandResult demand_sum_k(const Ticks* C, const Ticks* T, const Ticks* D, const double* recip_t,
-                          std::size_t count, Ticks t, bool ceil_form) {
-  return ceil_form ? demand_sum_impl<B, true>(C, T, D, recip_t, count, t)
-                   : demand_sum_impl<B, false>(C, T, D, recip_t, count, t);
-}
-
-template <class B>
-DemandGridResult demand_grid_k(const Ticks* C, const Ticks* T, const Ticks* D,
-                               const double* recip_t, std::size_t count, const Ticks* t4,
-                               bool ceil_form) {
-  return ceil_form ? demand_grid_impl<B, true>(C, T, D, recip_t, count, t4)
-                   : demand_grid_impl<B, false>(C, T, D, recip_t, count, t4);
-}
-
-template <class B>
 EdfOffsetResult edf_offset_k(const Ticks* C, const Ticks* T, const Ticks* D, const Ticks* J,
                              const double* recip_t, std::size_t count, std::size_t self,
                              Ticks abs_deadline, Ticks base, Ticks l0, bool start_time_form,
@@ -464,8 +368,7 @@ EdfOffsetResult edf_offset_k(const Ticks* C, const Ticks* T, const Ticks* D, con
 
 template <class B>
 constexpr Kernels make_kernels(const char* name) {
-  return Kernels{name, &fp_fixed_point_k<B>, &demand_sum_k<B>, &demand_grid_k<B>,
-                 &edf_offset_k<B>};
+  return Kernels{name, &fp_fixed_point_k<B>, &edf_offset_k<B>};
 }
 
 }  // namespace profisched::simd::detail

@@ -180,7 +180,6 @@ struct RtaScratch {
   Ticks warm_busy = 0;            ///< converged busy-period length
   std::vector<Ticks> offsets;     ///< EDF candidate-offset buffer
   std::vector<Ticks> caps;        ///< EDF per-offset deadline caps
-  std::vector<Ticks> checkpoints; ///< feasibility deadline-checkpoint buffer
   std::vector<Ticks> np_blocking; ///< per-rank suffix-max blocking factors
   std::vector<std::size_t> order; ///< priority-order buffer for per-call sorts
 };

@@ -98,31 +98,45 @@ std::size_t count_rows(const ShardArtifact& art) {
   return (art.*M::rows).size();
 }
 
+/// One artifact row, without its newline: the row header, then one cell per
+/// policy.
+template <class Codec, class Outcome>
+void encode_row(const Codec& codec, const Outcome& o, std::size_t n_pol, std::string& out) {
+  const auto& h = header(o);
+  out += "o " + std::to_string(h.id) + ' ' + std::to_string(h.seed) + ' ' +
+         std::to_string(h.point);
+  for (std::size_t p = 0; p < n_pol; ++p) codec.put(out, codec.cell(o, p));
+}
+
 template <class M>
 void encode_rows(const ShardArtifact& art, std::string& out) {
   const typename M::Codec codec = M::codec(art.spec);
   const std::size_t n_pol = art.spec.spec.sweep.policies.size();
   for (const auto& o : art.*M::rows) {
-    const auto& h = header(o);
-    out += "o " + std::to_string(h.id) + ' ' + std::to_string(h.seed) + ' ' +
-           std::to_string(h.point);
-    for (std::size_t p = 0; p < n_pol; ++p) codec.put(out, codec.cell(o, p));
+    encode_row(codec, o, n_pol, out);
     out += '\n';
   }
 }
 
+/// A row is accepted only in the bytes encode_row writes for what it decodes
+/// to, like a cache record (engine/detail/record.hpp).
 template <class M>
 bool decode_row(const std::string& line, ShardArtifact& art) {
   const typename M::Codec codec = M::codec(art.spec);
+  const std::size_t n_pol = art.spec.spec.sweep.policies.size();
   auto& o = (art.*M::rows).emplace_back();
   auto& h = header(o);
   engine::detail::RecordReader r(line);
   if (!r.tag("o") || !r.read(h.id) || !r.read(h.seed) || !r.read(h.point)) return false;
-  for (std::size_t p = 0; p < art.spec.spec.sweep.policies.size(); ++p) {
+  for (std::size_t p = 0; p < n_pol; ++p) {
     typename M::Codec::Cell c;
     if (!codec.get(r, c) || !codec.push(o, c)) return false;
   }
-  return r.done();
+  if (!r.done()) return false;
+  std::string again;
+  again.reserve(line.size());
+  encode_row(codec, o, n_pol, again);
+  return again == line;
 }
 
 template <class M>

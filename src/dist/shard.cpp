@@ -3,7 +3,6 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "dist/job.hpp"
 #include "engine/detail/serialize.hpp"
@@ -148,6 +147,9 @@ class LineReader {
     }
     pending_valid_ = false;
   }
+
+  /// True when no line is left.
+  bool done() { return !fetch(); }
 
   /// Pop the next line whole (an outcome row).
   const std::string& raw(const char* what) {
@@ -343,21 +345,15 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   return sh;
 }
 
-/// Spec blocks are accepted only in the bytes serialize_spec writes for
-/// them: `text` must hold those bytes at `at`, followed by `next` (by nothing
-/// when `next` is empty). Anything else — trailing bytes in a number, a
-/// zero-valued optional line, a non-canonical spelling — would describe the
-/// same run in other bytes, and merge's spec byte-compare and the cache keys
-/// go by the bytes.
-void expect_canonical(const std::string& text, std::size_t at, const ShardSpec& spec,
-                      std::string_view next) {
-  std::string canonical;
-  append_spec(canonical, spec);
-  const std::size_t end = at + canonical.size();
-  if (text.compare(at, canonical.size(), canonical) != 0 ||
-      (next.empty() ? end != text.size() : text.compare(end, next.size(), next) != 0)) {
-    throw std::invalid_argument("shard spec: block is not in the form serialize_spec writes");
-  }
+/// Everything an artifact holds above its outcome rows: the magic line, the
+/// spec block, and the shard, range and outcomes lines.
+void append_head(std::string& out, const ShardArtifact& art, std::size_t rows) {
+  out += kMagic;
+  out += '\n';
+  append_spec(out, art.spec);
+  out += "shard " + std::to_string(art.shard_index) + ' ' + std::to_string(art.shard_count) + '\n';
+  out += "range " + std::to_string(art.range.begin) + ' ' + std::to_string(art.range.end) + '\n';
+  out += "outcomes " + std::to_string(rows) + '\n';
 }
 
 }  // namespace
@@ -368,23 +364,26 @@ std::string serialize_spec(const ShardSpec& spec) {
   return out;
 }
 
+// Spec blocks and artifacts are accepted only in the bytes serialize_spec
+// and to_text write for what they parse to. Anything else — trailing bytes
+// in a number, a leading zero, a zero-valued optional line, bytes after the
+// block or after `end` — would describe the same run in other bytes, and
+// merge's spec byte-compare and the cache keys go by the bytes.
+
 ShardSpec parse_spec(const std::string& text) {
   LineReader r(text);
   const ShardSpec spec = read_spec(r);
-  // Nothing may follow the block: trailing data means the sender framed it wrong.
-  expect_canonical(text, 0, spec, "");
+  if (serialize_spec(spec) != text) {
+    throw std::invalid_argument("shard spec: block is not in the form serialize_spec writes");
+  }
   return spec;
 }
 
 std::string ShardArtifact::to_text() const {
   const ModeTrait& mode = trait(spec.mode);
   const std::size_t rows = mode.rows(*this);
-  std::string out = kMagic;
-  out += '\n';
-  append_spec(out, spec);
-  out += "shard " + std::to_string(shard_index) + ' ' + std::to_string(shard_count) + '\n';
-  out += "range " + std::to_string(range.begin) + ' ' + std::to_string(range.end) + '\n';
-  out += "outcomes " + std::to_string(rows) + '\n';
+  std::string out;
+  append_head(out, *this, rows);
   mode.encode(*this, out);
   out += "end\n";
   dist_metrics().rows_written.add(rows);
@@ -404,20 +403,23 @@ ShardArtifact ShardArtifact::from_text(const std::string& text) {
   r.literal(kMagic);
   ShardArtifact art;
   art.spec = read_spec(r);
-  expect_canonical(text, first.size() + 1, art.spec, "shard ");
-
   const std::vector<std::string> sh = r.line("shard", 2);
   art.shard_index = to_u64(sh[0]);
   art.shard_count = to_u64(sh[1]);
   const std::vector<std::string> rg = r.line("range", 2);
   art.range.begin = to_u64(rg[0]);
   art.range.end = to_u64(rg[1]);
+  const std::size_t n_rows = to_size(r.line("outcomes", 1)[0]);
+  std::string head;
+  append_head(head, art, n_rows);
+  if (text.compare(0, head.size(), head) != 0) {
+    throw std::invalid_argument("shard artifact: head is not in the form to_text writes");
+  }
   if (art.range.begin > art.range.end || art.range.end > art.spec.total_scenarios()) {
     throw std::invalid_argument("shard artifact: range [" + rg[0] + ", " + rg[1] +
                                 ") lies outside the sweep");
   }
   // The row count must match the range before a single row is read.
-  const std::size_t n_rows = to_size(r.line("outcomes", 1)[0]);
   if (n_rows != art.range.size()) {
     throw std::invalid_argument("shard artifact: " + std::to_string(n_rows) +
                                 " outcome rows for a range of " +
@@ -431,6 +433,9 @@ ShardArtifact ShardArtifact::from_text(const std::string& text) {
     }
   }
   r.literal("end");
+  if (!r.done() || text.back() != '\n') {
+    throw std::invalid_argument("shard artifact: bytes after 'end'");
+  }
   return art;
 }
 

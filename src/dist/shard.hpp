@@ -92,7 +92,8 @@ struct ShardArtifact {
   [[nodiscard]] std::string to_text() const;
   /// Throws std::invalid_argument on any malformed or truncated artifact, on
   /// an older artifact format (the message names it), on a spec that fails
-  /// validate_spec, and on a row count that contradicts the declared range.
+  /// validate_spec, on a row count that contradicts the declared range, and
+  /// on any bytes other than the ones to_text writes for what it parsed.
   [[nodiscard]] static ShardArtifact from_text(const std::string& text);
 };
 

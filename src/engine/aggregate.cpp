@@ -7,16 +7,11 @@
 namespace profisched::engine {
 
 using detail::fmt_double;
-using detail::JsonCursor;
-using detail::split;
-using detail::to_double;
-using detail::to_size;
 
 namespace {
 
 /// Masters-axis detection for the serialized layouts: any point with an
-/// explicit ring size switches every row to the extended column set (mixed
-/// rows would be unparseable).
+/// explicit ring size switches every row to the extended column set.
 bool curves_have_masters(const std::vector<CurvePoint>& points) {
   for (const CurvePoint& pt : points) {
     if (pt.n_masters != 0) return true;
@@ -42,61 +37,6 @@ std::string SweepCurves::to_csv() const {
   return out;
 }
 
-SweepCurves SweepCurves::from_csv(const std::string& csv) {
-  SweepCurves out;
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line)) {
-    throw std::invalid_argument("SweepCurves: missing/short CSV header");
-  }
-  // The header's column count selects the layout: 7 = classic, 8 = extended
-  // with the masters axis column after beta_hi.
-  const std::size_t n_cols = split(line, ',').size();
-  if (n_cols != 7 && n_cols != 8) {
-    throw std::invalid_argument("SweepCurves: missing/short CSV header");
-  }
-  const bool masters = n_cols == 8;
-  // Which policies the current (last) point already has a row for. A repeated
-  // policy starts a new point even when the grid keys repeat — distinct grid
-  // points may share (u, beta) values, so key equality alone cannot merge.
-  std::vector<bool> filled;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = split(line, ',');
-    if (cells.size() != n_cols) {
-      throw std::invalid_argument("SweepCurves: bad CSV row '" + line + "'");
-    }
-    const double u = to_double(cells[0]);
-    const double blo = to_double(cells[1]);
-    const double bhi = to_double(cells[2]);
-    const std::size_t nm = masters ? to_size(cells[3]) : 0;
-    const std::size_t base = masters ? 4 : 3;
-    const std::size_t scenarios = to_size(cells[base]);
-    const std::string& policy = cells[base + 1];
-    const std::size_t sched = to_size(cells[base + 2]);
-
-    std::size_t p = 0;
-    while (p < out.policies.size() && out.policies[p] != policy) ++p;
-    if (p == out.policies.size()) out.policies.push_back(policy);
-
-    const bool same_key = !out.points.empty() && out.points.back().total_u == u &&
-                          out.points.back().beta_lo == blo &&
-                          out.points.back().beta_hi == bhi &&
-                          out.points.back().n_masters == nm;
-    if (!same_key || (p < filled.size() && filled[p])) {
-      out.points.push_back(CurvePoint{u, blo, bhi, nm, scenarios, {}});
-      filled.assign(out.policies.size(), false);
-    }
-    CurvePoint& pt = out.points.back();
-    pt.schedulable.resize(out.policies.size(), 0);
-    filled.resize(out.policies.size(), false);
-    pt.schedulable[p] = sched;
-    filled[p] = true;
-  }
-  for (CurvePoint& pt : out.points) pt.schedulable.resize(out.policies.size(), 0);
-  return out;
-}
-
 std::string SweepCurves::to_json() const {
   const bool masters = curves_have_masters(points);
   std::string out = "{\n  \"policies\": [";
@@ -119,74 +59,6 @@ std::string SweepCurves::to_json() const {
     out += (i + 1 < points.size() ? ",\n" : "\n");
   }
   out += "  ]\n}\n";
-  return out;
-}
-
-SweepCurves SweepCurves::from_json(const std::string& json) {
-  SweepCurves out;
-  JsonCursor c(json);
-  c.expect('{');
-  c.key("policies");
-  c.expect('[');
-  if (!c.peek(']')) {
-    for (;;) {
-      out.policies.push_back(c.string());
-      if (!c.peek(',')) break;
-      c.expect(',');
-    }
-  }
-  c.expect(']');
-  c.expect(',');
-  c.key("points");
-  c.expect('[');
-  if (!c.peek(']')) {
-    for (;;) {
-      CurvePoint pt;
-      c.expect('{');
-      c.key("u");
-      pt.total_u = c.number();
-      c.expect(',');
-      c.key("beta_lo");
-      pt.beta_lo = c.number();
-      c.expect(',');
-      c.key("beta_hi");
-      pt.beta_hi = c.number();
-      c.expect(',');
-      if (c.try_key("masters")) {
-        pt.n_masters = static_cast<std::size_t>(c.number());
-        c.expect(',');
-      }
-      c.key("scenarios");
-      pt.scenarios = static_cast<std::size_t>(c.number());
-      c.expect(',');
-      c.key("schedulable");
-      c.expect('{');
-      pt.schedulable.assign(out.policies.size(), 0);
-      if (!c.peek('}')) {
-        for (;;) {
-          const std::string policy = c.string();
-          c.expect(':');
-          const auto count = static_cast<std::size_t>(c.number());
-          std::size_t p = 0;
-          while (p < out.policies.size() && out.policies[p] != policy) ++p;
-          if (p == out.policies.size()) {
-            throw std::invalid_argument("SweepCurves: unknown policy '" + policy +
-                                        "' in point");
-          }
-          pt.schedulable[p] = count;
-          if (!c.peek(',')) break;
-          c.expect(',');
-        }
-      }
-      c.expect('}');
-      c.expect('}');
-      out.points.push_back(std::move(pt));
-      if (!c.peek(',')) break;
-      c.expect(',');
-    }
-  }
-  c.expect(']');
-  c.expect('}');
   return out;
 }
 

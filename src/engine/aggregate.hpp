@@ -1,7 +1,5 @@
 // aggregate.hpp — reduce per-scenario sweep outcomes into schedulability-
-// ratio curves and serialize them as CSV / JSON. Both formats parse back
-// (from_csv / from_json) so downstream tooling — and the round-trip tests —
-// can consume what the engine emits.
+// ratio curves and serialize them as CSV / JSON.
 #pragma once
 
 #include <string>
@@ -48,15 +46,6 @@ struct SweepCurves {
   /// JSON object {"policies": [...], "points": [{..., "schedulable": {...}}]}.
   /// Points gain a "masters" key exactly when the CSV gains its column.
   [[nodiscard]] std::string to_json() const;
-
-  /// Parse what to_csv emitted — either layout, keyed on the header's column
-  /// count. Throws std::invalid_argument on malformed input. The derived
-  /// `ratio` column is ignored (recomputed on demand).
-  [[nodiscard]] static SweepCurves from_csv(const std::string& csv);
-
-  /// Parse what to_json emitted (a minimal reader for exactly that shape —
-  /// not a general JSON parser). Throws std::invalid_argument on mismatch.
-  [[nodiscard]] static SweepCurves from_json(const std::string& json);
 };
 
 /// Reduce a sweep's outcomes against the spec that produced them.

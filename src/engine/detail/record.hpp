@@ -5,8 +5,10 @@
 // the two formats cannot drift apart. Every field is an integer except the
 // optimizer's breakdown_u, which is written in shortest round-trip form, so
 // decode(encode(x)) == x exactly. Decoding is strict and all-or-nothing: a
-// wrong tag, a malformed field or trailing bytes read as "no cell", which the
-// cache treats as a miss and the artifact reader as corruption.
+// wrong tag, a malformed field, trailing bytes or any bytes other than the
+// ones encode writes for the decoded cell (a leading zero, "-0", a doubled
+// space) read as "no cell", which the cache treats as a miss and the
+// artifact reader as corruption.
 //
 // A codec provides: `Cell`, its `tag`, put/get (the fields), cell(o, p) (cell
 // p of an outcome) and push(o, c) (append a cell; false, leaving `o`
@@ -204,7 +206,7 @@ std::string encode_record(const Codec& codec, const typename Codec::Cell& c) {
 template <class Codec>
 bool decode_record(const Codec& codec, const std::string& payload, typename Codec::Cell& c) {
   RecordReader r(payload);
-  return r.tag(codec.tag) && codec.get(r, c) && r.done();
+  return r.tag(codec.tag) && codec.get(r, c) && r.done() && encode_record(codec, c) == payload;
 }
 
 /// The record-level `cache.*` series: an undecodable or contradicting entry

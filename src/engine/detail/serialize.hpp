@@ -1,7 +1,8 @@
-// detail/serialize.hpp — locale-independent CSV/JSON primitives shared by the
-// engine's result formats (aggregate.cpp, sim_aggregate.cpp). Everything here
-// round-trips: what fmt_double/JsonCursor emit and consume is byte-stable
-// across hosts, which the thread-count-invariance guarantees depend on.
+// detail/serialize.hpp — locale-independent text primitives: number
+// formatting for the result tables, shard artifacts and cache records,
+// strict number parsing for artifacts, and the JSON reader behind the
+// manifest parser. What fmt_double emits is byte-stable across hosts, which
+// the thread-count-invariance guarantees depend on.
 #pragma once
 
 #include <cctype>
@@ -69,9 +70,9 @@ inline long long to_ll(const std::string& s) {
   return v;
 }
 
-/// Cursor over the engine's own JSON output. Handles exactly the grammar
-/// the engine's to_json methods emit (objects, arrays, strings without
-/// escapes, numbers) — not a general JSON parser.
+/// Cursor over the JSON the run manifests (obs/manifest.hpp) are written
+/// in: objects, arrays, strings without escapes, numbers — not a general
+/// JSON parser.
 class JsonCursor {
  public:
   explicit JsonCursor(const std::string& text) : text_(text) {}
@@ -110,22 +111,8 @@ class JsonCursor {
     return v;
   }
 
-  /// Integer-exact variant of number() for 64-bit columns (a double detour
-  /// would corrupt kNoBound and large tick values).
-  [[nodiscard]] long long integer() {
-    skip_ws();
-    long long v = 0;
-    const auto [ptr, ec] = std::from_chars(text_.data() + pos_, text_.data() + text_.size(), v);
-    if (ec != std::errc{} || ptr == text_.data() + pos_) {
-      throw std::invalid_argument("engine serialize: expected integer at offset " +
-                                  std::to_string(pos_));
-    }
-    pos_ = static_cast<std::size_t>(ptr - text_.data());
-    return v;
-  }
-
-  /// Unsigned 64-bit parse (seed columns use the full uint64 range, which a
-  /// signed parse would reject above INT64_MAX).
+  /// Unsigned 64-bit parse (counters and digests use the full uint64 range,
+  /// which a signed parse would reject above INT64_MAX).
   [[nodiscard]] unsigned long long uinteger() {
     skip_ws();
     unsigned long long v = 0;
@@ -145,22 +132,6 @@ class JsonCursor {
                                   "', got '" + k + "'");
     }
     expect(':');
-  }
-
-  /// Optional-key lookahead: consume `"name":` and return true when the next
-  /// key matches, otherwise restore the cursor and return false. Lets one
-  /// reader accept both the classic and the axis-extended grammars the
-  /// engine's multi-axis formats emit.
-  [[nodiscard]] bool try_key(const char* name) {
-    const std::size_t saved = pos_;
-    if (!peek('"')) return false;
-    const std::string k = string();
-    if (k != name || !peek(':')) {
-      pos_ = saved;
-      return false;
-    }
-    expect(':');
-    return true;
   }
 
  private:

@@ -1,18 +1,12 @@
 #include "engine/sim_aggregate.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "engine/detail/serialize.hpp"
 
 namespace profisched::engine {
 
 using detail::fmt_double;
-using detail::JsonCursor;
-using detail::split;
-using detail::to_double;
-using detail::to_ll;
-using detail::to_size;
 
 // ---------------------------------------------------------------- SimCurves
 
@@ -49,72 +43,6 @@ std::string SimCurves::to_csv() const {
   return out;
 }
 
-SimCurves SimCurves::from_csv(const std::string& csv) {
-  SimCurves out;
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line)) {
-    throw std::invalid_argument("SimCurves: missing/short CSV header");
-  }
-  // 11 columns = classic layout, 12 = extended with the masters column.
-  const std::size_t n_cols = split(line, ',').size();
-  if (n_cols != 11 && n_cols != 12) {
-    throw std::invalid_argument("SimCurves: missing/short CSV header");
-  }
-  const bool masters = n_cols == 12;
-  // Which policies the current (last) point already has a row for; a repeated
-  // policy starts a new point even when grid keys repeat (distinct points may
-  // share (u, beta) values).
-  std::vector<bool> filled;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = split(line, ',');
-    if (cells.size() != n_cols) {
-      throw std::invalid_argument("SimCurves: bad CSV row '" + line + "'");
-    }
-    const double u = to_double(cells[0]);
-    const double blo = to_double(cells[1]);
-    const double bhi = to_double(cells[2]);
-    const std::size_t nm = masters ? to_size(cells[3]) : 0;
-    const std::size_t base = masters ? 4 : 3;
-    const std::size_t scenarios = to_size(cells[base]);
-    const std::string& policy = cells[base + 1];
-
-    std::size_t p = 0;
-    while (p < out.policies.size() && out.policies[p] != policy) ++p;
-    if (p == out.policies.size()) out.policies.push_back(policy);
-
-    const bool same_key = !out.points.empty() && out.points.back().total_u == u &&
-                          out.points.back().beta_lo == blo &&
-                          out.points.back().beta_hi == bhi && out.points.back().n_masters == nm;
-    if (!same_key || (p < filled.size() && filled[p])) {
-      out.points.push_back(SimCurvePoint{u, blo, bhi, nm, scenarios, {}, {}, {}, {}, {}});
-      filled.assign(out.policies.size(), false);
-    }
-    SimCurvePoint& pt = out.points.back();
-    pt.miss_free.resize(out.policies.size(), 0);
-    pt.total_misses.resize(out.policies.size(), 0);
-    pt.total_dropped.resize(out.policies.size(), 0);
-    pt.max_observed.resize(out.policies.size(), 0);
-    pt.quantile_observed.resize(out.policies.size(), 0);
-    filled.resize(out.policies.size(), false);
-    pt.miss_free[p] = to_size(cells[base + 2]);
-    pt.total_misses[p] = static_cast<std::uint64_t>(to_ll(cells[base + 3]));
-    pt.total_dropped[p] = static_cast<std::uint64_t>(to_ll(cells[base + 4]));
-    pt.max_observed[p] = to_ll(cells[base + 5]);
-    pt.quantile_observed[p] = to_ll(cells[base + 6]);
-    filled[p] = true;
-  }
-  for (SimCurvePoint& pt : out.points) {
-    pt.miss_free.resize(out.policies.size(), 0);
-    pt.total_misses.resize(out.policies.size(), 0);
-    pt.total_dropped.resize(out.policies.size(), 0);
-    pt.max_observed.resize(out.policies.size(), 0);
-    pt.quantile_observed.resize(out.policies.size(), 0);
-  }
-  return out;
-}
-
 std::string SimCurves::to_json() const {
   const bool masters = sim_curves_have_masters(points);
   std::string out = "{\n  \"policies\": [";
@@ -140,91 +68,6 @@ std::string SimCurves::to_json() const {
     out += (i + 1 < points.size() ? ",\n" : "\n");
   }
   out += "  ]\n}\n";
-  return out;
-}
-
-SimCurves SimCurves::from_json(const std::string& json) {
-  SimCurves out;
-  JsonCursor c(json);
-  c.expect('{');
-  c.key("policies");
-  c.expect('[');
-  if (!c.peek(']')) {
-    for (;;) {
-      out.policies.push_back(c.string());
-      if (!c.peek(',')) break;
-      c.expect(',');
-    }
-  }
-  c.expect(']');
-  c.expect(',');
-  c.key("points");
-  c.expect('[');
-  if (!c.peek(']')) {
-    for (;;) {
-      SimCurvePoint pt;
-      c.expect('{');
-      c.key("u");
-      pt.total_u = c.number();
-      c.expect(',');
-      c.key("beta_lo");
-      pt.beta_lo = c.number();
-      c.expect(',');
-      c.key("beta_hi");
-      pt.beta_hi = c.number();
-      c.expect(',');
-      if (c.try_key("masters")) {
-        pt.n_masters = static_cast<std::size_t>(c.number());
-        c.expect(',');
-      }
-      c.key("scenarios");
-      pt.scenarios = static_cast<std::size_t>(c.number());
-      c.expect(',');
-      c.key("series");
-      c.expect('{');
-      pt.miss_free.assign(out.policies.size(), 0);
-      pt.total_misses.assign(out.policies.size(), 0);
-      pt.total_dropped.assign(out.policies.size(), 0);
-      pt.max_observed.assign(out.policies.size(), 0);
-      pt.quantile_observed.assign(out.policies.size(), 0);
-      if (!c.peek('}')) {
-        for (;;) {
-          const std::string policy = c.string();
-          c.expect(':');
-          c.expect('[');
-          const auto miss_free = static_cast<std::size_t>(c.integer());
-          c.expect(',');
-          const auto misses = static_cast<std::uint64_t>(c.integer());
-          c.expect(',');
-          const auto dropped = static_cast<std::uint64_t>(c.integer());
-          c.expect(',');
-          const Ticks max_observed = c.integer();
-          c.expect(',');
-          const Ticks quantile_observed = c.integer();
-          c.expect(']');
-          std::size_t p = 0;
-          while (p < out.policies.size() && out.policies[p] != policy) ++p;
-          if (p == out.policies.size()) {
-            throw std::invalid_argument("SimCurves: unknown policy '" + policy + "' in point");
-          }
-          pt.miss_free[p] = miss_free;
-          pt.total_misses[p] = misses;
-          pt.total_dropped[p] = dropped;
-          pt.max_observed[p] = max_observed;
-          pt.quantile_observed[p] = quantile_observed;
-          if (!c.peek(',')) break;
-          c.expect(',');
-        }
-      }
-      c.expect('}');
-      c.expect('}');
-      out.points.push_back(std::move(pt));
-      if (!c.peek(',')) break;
-      c.expect(',');
-    }
-  }
-  c.expect(']');
-  c.expect('}');
   return out;
 }
 
@@ -292,65 +135,10 @@ std::string ConsistencyTable::to_csv() const {
   return out;
 }
 
-ConsistencyTable ConsistencyTable::from_csv(const std::string& csv) {
-  ConsistencyTable out;
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line)) {
-    throw std::invalid_argument("ConsistencyTable: missing/short CSV header");
-  }
-  // 14 columns = classic layout; +3 for the multi-axis beta_lo/beta_hi/masters
-  // block, +2 for the fault-axis degraded block — each count is distinct, so
-  // the header width alone identifies the layout.
-  const std::size_t n_cols = split(line, ',').size();
-  if (n_cols != 14 && n_cols != 16 && n_cols != 17 && n_cols != 19) {
-    throw std::invalid_argument("ConsistencyTable: missing/short CSV header");
-  }
-  out.multi_axis = n_cols == 17 || n_cols == 19;
-  out.fault_axis = n_cols == 16 || n_cols == 19;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = split(line, ',');
-    if (cells.size() != n_cols) {
-      throw std::invalid_argument("ConsistencyTable: bad CSV row '" + line + "'");
-    }
-    ConsistencyRow r;
-    r.id = static_cast<std::uint64_t>(to_ll(cells[0]));
-    r.seed = static_cast<std::uint64_t>(to_size(cells[1]));
-    r.total_u = to_double(cells[2]);
-    std::size_t c = 3;
-    if (out.multi_axis) {
-      r.beta_lo = to_double(cells[3]);
-      r.beta_hi = to_double(cells[4]);
-      r.n_masters = to_size(cells[5]);
-      c = 6;
-    }
-    r.policy = cells[c + 0];
-    r.analytic_schedulable = cells[c + 1] == "1";
-    r.analytic_wcrt = to_ll(cells[c + 2]);
-    c += 3;
-    if (out.fault_axis) {
-      r.degraded_schedulable = cells[c] == "1";
-      r.degraded_wcrt = to_ll(cells[c + 1]);
-      c += 2;
-    }
-    r.observed_max = to_ll(cells[c + 0]);
-    r.observed_p99 = to_ll(cells[c + 1]);
-    r.misses = static_cast<std::uint64_t>(to_ll(cells[c + 2]));
-    r.completed = static_cast<std::uint64_t>(to_ll(cells[c + 3]));
-    r.dropped = static_cast<std::uint64_t>(to_ll(cells[c + 4]));
-    r.bound_violations = static_cast<std::uint64_t>(to_ll(cells[c + 5]));
-    r.accept_but_miss = cells[c + 6] == "1";
-    // The trailing pessimism column is derived; recomputed on demand.
-    out.rows.push_back(std::move(r));
-  }
-  return out;
-}
-
 std::string ConsistencyTable::to_json() const {
-  // The multi-axis / fault-axis flags must survive JSON round-trips even with
-  // zero rows (the per-row keys cannot carry them then), so extended tables
-  // lead with explicit markers. Classic tables keep the historical grammar.
+  // Extended tables lead with explicit markers, so the layout is stated even
+  // with zero rows (the per-row keys cannot carry it then). Classic tables
+  // keep the historical grammar.
   std::string out = "{\n";
   if (multi_axis) out += "  \"multi_axis\": true,\n";
   if (fault_axis) out += "  \"fault_axis\": true,\n";
@@ -382,113 +170,6 @@ std::string ConsistencyTable::to_json() const {
     out += (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out += "  ]\n}\n";
-  return out;
-}
-
-namespace {
-
-bool parse_bool_token(JsonCursor& c) {
-  // The grammar emits exactly `true` / `false`; consume via string-free peek.
-  if (c.peek('t')) {
-    c.expect('t');
-    c.expect('r');
-    c.expect('u');
-    c.expect('e');
-    return true;
-  }
-  c.expect('f');
-  c.expect('a');
-  c.expect('l');
-  c.expect('s');
-  c.expect('e');
-  return false;
-}
-
-}  // namespace
-
-ConsistencyTable ConsistencyTable::from_json(const std::string& json) {
-  ConsistencyTable out;
-  JsonCursor c(json);
-  c.expect('{');
-  if (c.try_key("multi_axis")) {
-    out.multi_axis = parse_bool_token(c);
-    c.expect(',');
-  }
-  if (c.try_key("fault_axis")) {
-    out.fault_axis = parse_bool_token(c);
-    c.expect(',');
-  }
-  c.key("rows");
-  c.expect('[');
-  if (!c.peek(']')) {
-    for (;;) {
-      ConsistencyRow r;
-      c.expect('{');
-      c.key("id");
-      r.id = static_cast<std::uint64_t>(c.uinteger());
-      c.expect(',');
-      c.key("seed");
-      r.seed = static_cast<std::uint64_t>(c.uinteger());
-      c.expect(',');
-      c.key("u");
-      r.total_u = c.number();
-      c.expect(',');
-      if (c.try_key("beta_lo")) {
-        out.multi_axis = true;
-        r.beta_lo = c.number();
-        c.expect(',');
-        c.key("beta_hi");
-        r.beta_hi = c.number();
-        c.expect(',');
-        c.key("masters");
-        r.n_masters = static_cast<std::size_t>(c.number());
-        c.expect(',');
-      }
-      c.key("policy");
-      r.policy = c.string();
-      c.expect(',');
-      c.key("analytic_schedulable");
-      r.analytic_schedulable = parse_bool_token(c);
-      c.expect(',');
-      c.key("analytic_wcrt");
-      r.analytic_wcrt = c.integer();
-      c.expect(',');
-      if (c.try_key("degraded_schedulable")) {
-        out.fault_axis = true;
-        r.degraded_schedulable = parse_bool_token(c);
-        c.expect(',');
-        c.key("degraded_wcrt");
-        r.degraded_wcrt = c.integer();
-        c.expect(',');
-      }
-      c.key("observed_max");
-      r.observed_max = c.integer();
-      c.expect(',');
-      c.key("observed_p99");
-      r.observed_p99 = c.integer();
-      c.expect(',');
-      c.key("misses");
-      r.misses = static_cast<std::uint64_t>(c.integer());
-      c.expect(',');
-      c.key("completed");
-      r.completed = static_cast<std::uint64_t>(c.integer());
-      c.expect(',');
-      c.key("dropped");
-      r.dropped = static_cast<std::uint64_t>(c.integer());
-      c.expect(',');
-      c.key("bound_violations");
-      r.bound_violations = static_cast<std::uint64_t>(c.integer());
-      c.expect(',');
-      c.key("accept_but_miss");
-      r.accept_but_miss = parse_bool_token(c);
-      c.expect('}');
-      out.rows.push_back(std::move(r));
-      if (!c.peek(',')) break;
-      c.expect(',');
-    }
-  }
-  c.expect(']');
-  c.expect('}');
   return out;
 }
 

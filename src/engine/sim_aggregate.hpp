@@ -1,8 +1,6 @@
 // sim_aggregate.hpp — reduce simulation-sweep outcomes into observed
 // acceptance curves, and join combined (analysis + simulation) outcomes into
-// per-scenario consistency rows. Like engine/aggregate.hpp, every serialized
-// format parses back (from_csv / from_json), so the round-trip tests and
-// downstream tooling consume exactly what the engine emits.
+// per-scenario consistency rows, each serialized as CSV / JSON.
 #pragma once
 
 #include <string>
@@ -56,11 +54,6 @@ struct SimCurves {
   /// JSON {"policies": [...], "points": [{...}]} mirroring the CSV columns
   /// (a "masters" key appears exactly when the CSV gains its column).
   [[nodiscard]] std::string to_json() const;
-  /// Parse what to_csv emitted, either layout (the derived ratio column is
-  /// recomputed).
-  [[nodiscard]] static SimCurves from_csv(const std::string& csv);
-  /// Parse what to_json emitted. Throws std::invalid_argument on mismatch.
-  [[nodiscard]] static SimCurves from_json(const std::string& json);
 };
 
 /// Reduce a simulation sweep against the spec that produced it.
@@ -113,13 +106,11 @@ struct ConsistencyTable {
   /// True when the producing sweep spanned more than the classic u-grid
   /// (beta axis or masters axis — engine::has_multi_axis). Switches the
   /// serialized formats to the extended beta_lo/beta_hi/masters columns;
-  /// false keeps the historical layouts byte-identical. Round-trips through
-  /// from_csv/from_json (keyed on the header / point grammar).
+  /// false keeps the historical layouts byte-identical.
   bool multi_axis = false;
   /// True when the producing sweep ran with an active FaultModel. Adds the
   /// degraded_schedulable/degraded_wcrt columns to both formats; false keeps
   /// every zero-fault serialization byte-identical to the pre-fault layouts.
-  /// Round-trips like multi_axis (header column count / JSON marker).
   bool fault_axis = false;
 
   /// CSV: one row per (scenario, policy):
@@ -130,10 +121,6 @@ struct ConsistencyTable {
   /// tables insert degraded_schedulable,degraded_wcrt after analytic_wcrt.
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_json() const;
-  /// Parse what to_csv emitted, either layout (the derived pessimism column
-  /// is recomputed).
-  [[nodiscard]] static ConsistencyTable from_csv(const std::string& csv);
-  [[nodiscard]] static ConsistencyTable from_json(const std::string& json);
 
   /// Rows where the analysis accepted but the simulation observed a miss.
   /// A sound analysis keeps this 0 — the acceptance criterion of the suite.

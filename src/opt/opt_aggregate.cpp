@@ -1,7 +1,6 @@
 #include "opt/opt_aggregate.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "engine/detail/serialize.hpp"
@@ -9,11 +8,6 @@
 namespace profisched::opt {
 
 using engine::detail::fmt_double;
-using engine::detail::JsonCursor;
-using engine::detail::split;
-using engine::detail::to_double;
-using engine::detail::to_ll;
-using engine::detail::to_size;
 
 namespace {
 
@@ -24,9 +18,6 @@ bool table_has_masters(const std::vector<OptimizePoint>& points) {
   return false;
 }
 
-constexpr std::size_t kClassicCols = 17;
-constexpr std::size_t kMastersCols = 18;
-
 std::string stats_csv(const OptimumStats& s) {
   return std::to_string(s.schedulable) + ',' + std::to_string(s.breakdown_feasible) + ',' +
          fmt_double(s.breakdown_u_min) + ',' + fmt_double(s.breakdown_u_p50) + ',' +
@@ -34,23 +25,6 @@ std::string stats_csv(const OptimumStats& s) {
          std::to_string(s.ttr_feasible) + ',' + std::to_string(s.max_ttr_p50) + ',' +
          std::to_string(s.max_ttr_max) + ',' + std::to_string(s.dratio_feasible) + ',' +
          fmt_double(s.min_dratio_p50) + ',' + fmt_double(s.min_dratio_min);
-}
-
-OptimumStats stats_from_cells(const std::vector<std::string>& cells, std::size_t base) {
-  OptimumStats s;
-  s.schedulable = to_size(cells[base]);
-  s.breakdown_feasible = to_size(cells[base + 1]);
-  s.breakdown_u_min = to_double(cells[base + 2]);
-  s.breakdown_u_p50 = to_double(cells[base + 3]);
-  s.breakdown_u_p90 = to_double(cells[base + 4]);
-  s.breakdown_u_max = to_double(cells[base + 5]);
-  s.ttr_feasible = to_size(cells[base + 6]);
-  s.max_ttr_p50 = to_ll(cells[base + 7]);
-  s.max_ttr_max = to_ll(cells[base + 8]);
-  s.dratio_feasible = to_size(cells[base + 9]);
-  s.min_dratio_p50 = to_double(cells[base + 10]);
-  s.min_dratio_min = to_double(cells[base + 11]);
-  return s;
 }
 
 }  // namespace
@@ -78,56 +52,6 @@ std::string OptimizeTable::to_csv() const {
              '\n';
     }
   }
-  return out;
-}
-
-OptimizeTable OptimizeTable::from_csv(const std::string& csv) {
-  OptimizeTable out;
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line)) {
-    throw std::invalid_argument("OptimizeTable: missing/short CSV header");
-  }
-  const std::size_t n_cols = split(line, ',').size();
-  if (n_cols != kClassicCols && n_cols != kMastersCols) {
-    throw std::invalid_argument("OptimizeTable: missing/short CSV header");
-  }
-  const bool masters = n_cols == kMastersCols;
-  // Filled-tracking mirrors SweepCurves::from_csv: a repeated policy starts a
-  // new point even when the grid keys repeat.
-  std::vector<bool> filled;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = split(line, ',');
-    if (cells.size() != n_cols) {
-      throw std::invalid_argument("OptimizeTable: bad CSV row '" + line + "'");
-    }
-    const double u = to_double(cells[0]);
-    const double blo = to_double(cells[1]);
-    const double bhi = to_double(cells[2]);
-    const std::size_t nm = masters ? to_size(cells[3]) : 0;
-    const std::size_t base = masters ? 4 : 3;
-    const std::size_t scenarios = to_size(cells[base]);
-    const std::string& policy = cells[base + 1];
-
-    std::size_t p = 0;
-    while (p < out.policies.size() && out.policies[p] != policy) ++p;
-    if (p == out.policies.size()) out.policies.push_back(policy);
-
-    const bool same_key = !out.points.empty() && out.points.back().total_u == u &&
-                          out.points.back().beta_lo == blo && out.points.back().beta_hi == bhi &&
-                          out.points.back().n_masters == nm;
-    if (!same_key || (p < filled.size() && filled[p])) {
-      out.points.push_back(OptimizePoint{u, blo, bhi, nm, scenarios, {}});
-      filled.assign(out.policies.size(), false);
-    }
-    OptimizePoint& pt = out.points.back();
-    pt.stats.resize(out.policies.size());
-    filled.resize(out.policies.size(), false);
-    pt.stats[p] = stats_from_cells(cells, base + 2);
-    filled[p] = true;
-  }
-  for (OptimizePoint& pt : out.points) pt.stats.resize(out.policies.size());
   return out;
 }
 
@@ -163,111 +87,6 @@ std::string OptimizeTable::to_json() const {
     out += (i + 1 < points.size() ? ",\n" : "\n");
   }
   out += "  ]\n}\n";
-  return out;
-}
-
-OptimizeTable OptimizeTable::from_json(const std::string& json) {
-  OptimizeTable out;
-  JsonCursor c(json);
-  c.expect('{');
-  c.key("policies");
-  c.expect('[');
-  if (!c.peek(']')) {
-    for (;;) {
-      out.policies.push_back(c.string());
-      if (!c.peek(',')) break;
-      c.expect(',');
-    }
-  }
-  c.expect(']');
-  c.expect(',');
-  c.key("points");
-  c.expect('[');
-  if (!c.peek(']')) {
-    for (;;) {
-      OptimizePoint pt;
-      c.expect('{');
-      c.key("u");
-      pt.total_u = c.number();
-      c.expect(',');
-      c.key("beta_lo");
-      pt.beta_lo = c.number();
-      c.expect(',');
-      c.key("beta_hi");
-      pt.beta_hi = c.number();
-      c.expect(',');
-      if (c.try_key("masters")) {
-        pt.n_masters = static_cast<std::size_t>(c.number());
-        c.expect(',');
-      }
-      c.key("scenarios");
-      pt.scenarios = static_cast<std::size_t>(c.number());
-      c.expect(',');
-      c.key("optima");
-      c.expect('{');
-      pt.stats.assign(out.policies.size(), OptimumStats{});
-      if (!c.peek('}')) {
-        for (;;) {
-          const std::string policy = c.string();
-          c.expect(':');
-          std::size_t p = 0;
-          while (p < out.policies.size() && out.policies[p] != policy) ++p;
-          if (p == out.policies.size()) {
-            throw std::invalid_argument("OptimizeTable: unknown policy '" + policy +
-                                        "' in point");
-          }
-          OptimumStats& s = pt.stats[p];
-          c.expect('{');
-          c.key("schedulable");
-          s.schedulable = static_cast<std::size_t>(c.number());
-          c.expect(',');
-          c.key("breakdown_feasible");
-          s.breakdown_feasible = static_cast<std::size_t>(c.number());
-          c.expect(',');
-          c.key("breakdown_u");
-          c.expect('[');
-          s.breakdown_u_min = c.number();
-          c.expect(',');
-          s.breakdown_u_p50 = c.number();
-          c.expect(',');
-          s.breakdown_u_p90 = c.number();
-          c.expect(',');
-          s.breakdown_u_max = c.number();
-          c.expect(']');
-          c.expect(',');
-          c.key("ttr_feasible");
-          s.ttr_feasible = static_cast<std::size_t>(c.number());
-          c.expect(',');
-          c.key("max_ttr");
-          c.expect('[');
-          s.max_ttr_p50 = static_cast<Ticks>(c.number());
-          c.expect(',');
-          s.max_ttr_max = static_cast<Ticks>(c.number());
-          c.expect(']');
-          c.expect(',');
-          c.key("dratio_feasible");
-          s.dratio_feasible = static_cast<std::size_t>(c.number());
-          c.expect(',');
-          c.key("min_dratio");
-          c.expect('[');
-          s.min_dratio_p50 = c.number();
-          c.expect(',');
-          s.min_dratio_min = c.number();
-          c.expect(']');
-          c.expect('}');
-          if (!c.peek(',')) break;
-          c.expect(',');
-        }
-      }
-      c.expect('}');
-      c.expect('}');
-      out.points.push_back(std::move(pt));
-      if (!c.peek(',')) break;
-      c.expect(',');
-    }
-  }
-  c.expect(']');
-  c.expect('}');
   return out;
 }
 

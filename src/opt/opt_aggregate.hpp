@@ -52,9 +52,7 @@ struct OptimizeTable {
   std::vector<OptimizePoint> points;
 
   [[nodiscard]] std::string to_csv() const;
-  [[nodiscard]] static OptimizeTable from_csv(const std::string& csv);
   [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] static OptimizeTable from_json(const std::string& json);
 };
 
 /// Nearest-rank quantile index into a sorted vector of n values: the

@@ -61,11 +61,24 @@ TEST(DeadlineCheckpoints, DeduplicatesCollisions) {
 }
 
 TEST(EdfPreemptive, AcceptsFullUtilizationImplicitDeadlines) {
-  const TaskSet ts{{
+  const TaskSet exact{{
       Task{.C = 1, .D = 2, .T = 2, .J = 0, .name = ""},
       Task{.C = 2, .D = 4, .T = 4, .J = 0, .name = ""},
   }};  // U = 1 — EDF-schedulable
-  EXPECT_TRUE(edf_preemptive_feasible(ts).feasible);
+  // Also U = 1 exactly (9/14 + 9/28 + 9/252), but its double sum rounds to
+  // 1.0000000000000002: it must not be rejected as an overload.
+  const TaskSet rounded{{
+      Task{.C = 9, .D = 14, .T = 14, .J = 0, .name = ""},
+      Task{.C = 9, .D = 28, .T = 28, .J = 0, .name = ""},
+      Task{.C = 9, .D = 252, .T = 252, .J = 0, .name = ""},
+  }};
+  ASSERT_GT(rounded.utilization(), 1.0);
+  for (const TaskSet* ts : {&exact, &rounded}) {
+    const FeasibilityResult r = edf_preemptive_feasible(*ts);
+    EXPECT_TRUE(r.feasible) << "first violation " << r.first_violation;
+    EXPECT_EQ(r.first_violation, kNoBound);
+  }
+  EXPECT_EQ(edf_preemptive_feasible(rounded).horizon, 252);
 }
 
 TEST(EdfPreemptive, RejectsOverUtilization) {

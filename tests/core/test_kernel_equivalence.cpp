@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/busy_period.hpp"
-#include "core/edf_feasibility.hpp"
 #include "core/priority_assignment.hpp"
 #include "core/response_time_edf.hpp"
 #include "core/response_time_fp.hpp"
@@ -129,25 +128,6 @@ TEST(KernelEquivalence, BusyPeriodMatchesReference) {
     const BusyPeriod fast = synchronous_busy_period(arena.bind(ts));
     EXPECT_EQ(ref.length, fast.length) << "seed " << seed;
     EXPECT_EQ(ref.iterations, fast.iterations) << "seed " << seed;
-  }
-}
-
-TEST(KernelEquivalence, EdfFeasibilityMatchesReference) {
-  RtaScratch scratch;
-  for (const Formulation form : {Formulation::PaperLiteral, Formulation::Refined}) {
-    for (std::uint64_t seed = 1; seed <= kSetsPerPolicy; ++seed) {
-      const TaskSet ts = random_set(seed);
-      const auto check = [&](const FeasibilityResult& ref, const FeasibilityResult& fast) {
-        EXPECT_EQ(ref.feasible, fast.feasible) << "seed " << seed;
-        EXPECT_EQ(ref.first_violation, fast.first_violation) << "seed " << seed;
-        EXPECT_EQ(ref.horizon, fast.horizon) << "seed " << seed;
-        EXPECT_EQ(ref.checkpoints, fast.checkpoints) << "seed " << seed;
-      };
-      check(edf_preemptive_feasible(ts, form), edf_preemptive_feasible(ts, form, scratch));
-      check(np_edf_feasible_zheng_shin(ts, form),
-            np_edf_feasible_zheng_shin(ts, form, scratch));
-      check(np_edf_feasible_george(ts, form), np_edf_feasible_george(ts, form, scratch));
-    }
   }
 }
 

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/busy_period.hpp"
-#include "core/edf_feasibility.hpp"
 #include "core/priority_assignment.hpp"
 #include "core/response_time_edf.hpp"
 #include "core/response_time_fp.hpp"
@@ -97,14 +96,6 @@ simd::FixedPointResult ref_fixed_point(const Soa& s, Ticks base, Ticks w0, bool 
   return out;
 }
 
-Ticks ref_demand(const Soa& s, Ticks t, bool ceil_form) {
-  Ticks h = 0;
-  for (std::size_t j = 0; j < s.n; ++j) {
-    h = sat_add(h, sat_mul(ref_jobs(t - s.D[j], s.T[j], ceil_form), s.C[j]));
-  }
-  return h;
-}
-
 TEST(SimdKernels, FixedPointMatchesIntegerReference) {
   const Soa s({{3, 10, 10, 0}, {4, 15, 12, 2}, {7, 35, 30, 0}, {5, 50, 50, 5}, {2, 9, 9, 1}});
   for (const Kernels* k : tables_under_test()) {
@@ -125,27 +116,6 @@ TEST(SimdKernels, FixedPointMatchesIntegerReference) {
   }
 }
 
-TEST(SimdKernels, DemandSumAndGridMatchIntegerReference) {
-  const Soa s({{3, 10, 8, 0}, {4, 15, 15, 0}, {7, 35, 20, 0}, {5, 50, 45, 0},
-               {2, 9, 9, 0},  {1, 4, 3, 0}});
-  for (const Kernels* k : tables_under_test()) {
-    for (const bool ceil_form : {true, false}) {
-      const Ticks t4[4] = {0, 8, 37, 1000};
-      const auto grid =
-          k->demand_grid(s.C.data(), s.T.data(), s.D.data(), s.recip.data(), s.n, t4, ceil_form);
-      ASSERT_EQ(grid.status, Status::kOk) << k->name;
-      for (int b = 0; b < 4; ++b) {
-        const Ticks ref = ref_demand(s, t4[b], ceil_form);
-        EXPECT_EQ(grid.demand[b], ref) << k->name << " t=" << t4[b];
-        const auto one = k->demand_sum(s.C.data(), s.T.data(), s.D.data(), s.recip.data(),
-                                       s.padded(), t4[b], ceil_form);
-        ASSERT_EQ(one.status, Status::kOk) << k->name;
-        EXPECT_EQ(one.demand, ref) << k->name << " t=" << t4[b];
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, PaddingSlotsAreNeutral) {
   // The same logical set evaluated at the logical count and at the padded
   // count must agree: C=0/T=1 slots contribute exactly zero.
@@ -160,11 +130,6 @@ TEST(SimdKernels, PaddingSlotsAreNeutral) {
     ASSERT_EQ(b.status, Status::kOk);
     EXPECT_EQ(a.value, b.value) << k->name;
     EXPECT_EQ(a.iterations, b.iterations) << k->name;
-    const auto da = k->demand_sum(s.C.data(), s.T.data(), s.D.data(), s.recip.data(), s.n, 500,
-                                  true);
-    const auto db = k->demand_sum(s.C.data(), s.T.data(), s.D.data(), s.recip.data(), s.padded(),
-                                  500, true);
-    EXPECT_EQ(da.demand, db.demand) << k->name;
   }
 }
 
@@ -182,16 +147,6 @@ TEST(SimdKernels, EntryGuardsReportFallbackWithoutPublishing) {
                   .status,
               Status::kFallback)
         << k->name << " w0 over kMaxAccum";
-    EXPECT_EQ(k->demand_sum(s.C.data(), s.T.data(), s.D.data(), s.recip.data(), s.padded(), -1,
-                            true)
-                  .status,
-              Status::kFallback)
-        << k->name << " negative t";
-    const Ticks bad4[4] = {0, 1, 2, over};
-    EXPECT_EQ(k->demand_grid(s.C.data(), s.T.data(), s.D.data(), s.recip.data(), s.n, bad4, true)
-                  .status,
-              Status::kFallback)
-        << k->name << " checkpoint over kMaxAccum";
     EXPECT_EQ(k->edf_offset_fixed_point(s.C.data(), s.T.data(), s.D.data(), s.J.data(),
                                         s.recip.data(), s.padded(), /*self=*/s.padded(), 100, 0,
                                         0, false, 64)
@@ -345,32 +300,17 @@ TEST(SimdKernels, RandomizedEdfSweepIdenticalScalarVsVector) {
   }
 }
 
-TEST(SimdKernels, RandomizedFeasibilityAndBusyPeriodIdenticalScalarVsVector) {
+TEST(SimdKernels, RandomizedBusyPeriodIdenticalScalarVsVector) {
   RtaScratch scratch;
   ScalarGuard guard(false);
   for (std::uint64_t seed = 1; seed <= kRandomSets; ++seed) {
     const TaskSet ts = random_set(seed);
-    for (const Formulation form : {Formulation::PaperLiteral, Formulation::Refined}) {
-      simd::force_scalar(false);
-      const FeasibilityResult pe_vec = edf_preemptive_feasible(ts, form, scratch);
-      const FeasibilityResult zs_vec = np_edf_feasible_zheng_shin(ts, form, scratch);
-      const FeasibilityResult ge_vec = np_edf_feasible_george(ts, form, scratch);
-      const BusyPeriod bp_vec = synchronous_busy_period(scratch.arena.bind(ts));
-      simd::force_scalar(true);
-      const FeasibilityResult pe_sc = edf_preemptive_feasible(ts, form, scratch);
-      const FeasibilityResult zs_sc = np_edf_feasible_zheng_shin(ts, form, scratch);
-      const FeasibilityResult ge_sc = np_edf_feasible_george(ts, form, scratch);
-      const BusyPeriod bp_sc = synchronous_busy_period(scratch.arena.bind(ts));
-      EXPECT_EQ(pe_sc.feasible, pe_vec.feasible) << "seed " << seed;
-      EXPECT_EQ(pe_sc.first_violation, pe_vec.first_violation) << "seed " << seed;
-      EXPECT_EQ(pe_sc.checkpoints, pe_vec.checkpoints) << "seed " << seed;
-      EXPECT_EQ(zs_sc.feasible, zs_vec.feasible) << "seed " << seed;
-      EXPECT_EQ(zs_sc.first_violation, zs_vec.first_violation) << "seed " << seed;
-      EXPECT_EQ(ge_sc.feasible, ge_vec.feasible) << "seed " << seed;
-      EXPECT_EQ(ge_sc.first_violation, ge_vec.first_violation) << "seed " << seed;
-      EXPECT_EQ(bp_sc.length, bp_vec.length) << "seed " << seed;
-      EXPECT_EQ(bp_sc.iterations, bp_vec.iterations) << "seed " << seed;
-    }
+    simd::force_scalar(false);
+    const BusyPeriod bp_vec = synchronous_busy_period(scratch.arena.bind(ts));
+    simd::force_scalar(true);
+    const BusyPeriod bp_sc = synchronous_busy_period(scratch.arena.bind(ts));
+    EXPECT_EQ(bp_sc.length, bp_vec.length) << "seed " << seed;
+    EXPECT_EQ(bp_sc.iterations, bp_vec.iterations) << "seed " << seed;
   }
 }
 

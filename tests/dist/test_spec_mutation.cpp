@@ -1,9 +1,12 @@
-// Spec blocks accept exactly what serialize_spec writes. Every truncation,
-// bit flip, insertion and deletion of a serialized sweep, faulted combined
-// and optimize spec block is either rejected with an error or parses to a
-// spec that re-serializes to the mutated bytes exactly — as a SUBMIT spec
-// block (parse_spec) and inside a shard artifact (ShardArtifact::from_text).
-// The mutations are xorshift-seeded, so a failure reproduces.
+// Spec blocks, cache records and artifact rows accept exactly what their
+// writers emit. Every truncation, bit flip, insertion and deletion of a
+// serialized sweep, faulted combined and optimize spec block is either
+// rejected with an error or parses to a spec that re-serializes to the
+// mutated bytes exactly — as a SUBMIT spec block (parse_spec) and inside a
+// shard artifact (ShardArtifact::from_text). The same holds for one cache
+// record of every cell codec (decode_record) and for everything below an
+// artifact's spec block in every mode. The mutations are xorshift-seeded, so
+// a failure reproduces.
 #include "dist/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +15,9 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "engine/detail/record.hpp"
+#include "opt/optimizer.hpp"
 
 namespace profisched::dist {
 namespace {
@@ -127,6 +133,106 @@ TEST(SpecMutation, ArtifactSpecBlocksRoundTripOrAreRejected) {
     }
     EXPECT_EQ(diverged, 0u) << to_string(spec.mode);
     EXPECT_GT(accepted, 0u) << to_string(spec.mode);
+  }
+}
+
+using engine::detail::AnalysisCells;
+using engine::detail::CombinedCells;
+using engine::detail::SimCells;
+
+/// Mutants of `cell`'s record that decode_record accepts must re-encode to
+/// their own bytes; returns how many it accepted.
+template <class Codec>
+std::size_t mutate_record(const Codec& codec, const typename Codec::Cell& cell, Xorshift& rng) {
+  constexpr int kMutants = 20'000;
+  const std::string record = engine::detail::encode_record(codec, cell);
+  typename Codec::Cell back;
+  EXPECT_TRUE(engine::detail::decode_record(codec, record, back)) << record;
+  std::size_t accepted = 0, diverged = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string m = mutate(record, rng);
+    typename Codec::Cell c;
+    if (!engine::detail::decode_record(codec, m, c)) continue;
+    ++accepted;
+    if (engine::detail::encode_record(codec, c) != m && ++diverged <= 3) {
+      ADD_FAILURE() << "accepted a record that re-encodes differently: '" << m << "'";
+    }
+  }
+  EXPECT_EQ(diverged, 0u) << record;
+  return accepted;
+}
+
+TEST(SpecMutation, CacheRecordsRoundTripOrAreRejected) {
+  Xorshift rng{0xbf58476d1ce4e5b9ULL};
+  const SimCells::Cell sim{120'000, engine::SimSummary{4'850, 4'095, 49, 48, 2, 1}};
+  const CombinedCells::Cell clean{sim, true, 20'935, 0};
+  const CombinedCells::Cell faulted{sim, false, kNoBound, 3, true, 41'870};
+  opt::PolicyOptimum optimum;
+  optimum.schedulable = true;
+  optimum.breakdown_q = 1'337;
+  optimum.breakdown_u = 0.6180339887498949;
+  optimum.max_ttr = 90'210;
+  optimum.ttr_cap_hit = true;
+  optimum.min_dratio_q = 604;
+  std::size_t accepted = 0;
+  accepted += mutate_record(AnalysisCells{}, AnalysisCells::Cell{4'187, true}, rng);
+  accepted += mutate_record(SimCells{}, sim, rng);
+  accepted += mutate_record(CombinedCells{false}, clean, rng);
+  accepted += mutate_record(CombinedCells{true}, faulted, rng);
+  accepted += mutate_record(opt::OptimizeCells{}, optimum, rng);
+  EXPECT_GT(accepted, 0u);  // the sweep reached past the decoder
+}
+
+TEST(SpecMutation, ArtifactRowsRoundTripOrAreRejected) {
+  constexpr int kMutantsPerMode = 8'000;
+  Xorshift rng{0x94d049bb133111ebULL};
+  ShardRunner runner(1);
+  std::vector<ShardSpec> modes = specs();
+  modes.push_back(base_spec(SweepMode::Sim));
+  for (const ShardSpec& spec : modes) {
+    // Shard 2 of 2: row ids > 0 in a range that does not start at 0.
+    const std::string text = runner.run(spec, 1, 2).to_text();
+    const std::size_t cut = text.find("\nshard ") + 1;  // everything below the spec block
+    const std::string head = text.substr(0, cut), tail = text.substr(cut);
+    ASSERT_EQ(ShardArtifact::from_text(text).to_text(), text);
+    std::size_t accepted = 0, diverged = 0;
+    for (int i = 0; i < kMutantsPerMode; ++i) {
+      const std::string m = head + mutate(tail, rng);
+      std::string again;
+      try {
+        again = ShardArtifact::from_text(m).to_text();
+      } catch (const std::invalid_argument&) {
+        continue;
+      }
+      ++accepted;
+      if (again != m && ++diverged <= 3) {
+        ADD_FAILURE() << "accepted an artifact that re-serializes differently:\n" << m;
+      }
+    }
+    EXPECT_EQ(diverged, 0u) << to_string(spec.mode);
+    EXPECT_GT(accepted, 0u) << to_string(spec.mode);
+  }
+}
+
+TEST(SpecMutation, RecordsAndRowsRefuseOtherSpellings) {
+  AnalysisCells::Cell c;
+  ASSERT_TRUE(engine::detail::decode_record(AnalysisCells{}, "a2 5 1", c));
+  for (const char* other : {"a2 05 1", "a2 -0 1", "a2 5 01", "a2 5 1 ", "a2  5 1", "a2 +5 1"}) {
+    EXPECT_FALSE(engine::detail::decode_record(AnalysisCells{}, other, c)) << other;
+  }
+
+  ShardRunner runner(1);
+  const std::string text = runner.run(base_spec(SweepMode::Analysis), 0, 1).to_text();
+  const std::size_t row = text.find("\no 0 ") + 1;
+  const std::size_t range = text.find("\nrange ") + 1;
+  std::vector<std::string> others;
+  others.push_back(std::string(text).insert(row + 2, "0"));               // o 00 ...
+  others.push_back(std::string(text).insert(text.find('\n', row), " "));  // trailing space
+  others.push_back(std::string(text).insert(range + 6, "0"));             // range 00 ...
+  others.push_back(text + "\n");                                          // bytes after `end`
+  others.push_back(text.substr(0, text.size() - 1));                      // `end` unterminated
+  for (const std::string& m : others) {
+    EXPECT_THROW((void)ShardArtifact::from_text(m), std::invalid_argument) << m;
   }
 }
 

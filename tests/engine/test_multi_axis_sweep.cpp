@@ -1,7 +1,7 @@
 // Tentpole lock-down for the multi-axis sweep subsystem (PR 5): a
 // u × beta × masters cross-product grid flows through scenario generation,
 // both engines, and aggregation with every determinism guarantee intact —
-// thread-count invariance, extended-format round-trips, per-point masters
+// thread-count invariance, extended output columns, per-point masters
 // override, and warm-cache reuse when a grid is extended along the beta axis.
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 
 #include "dist/result_cache.hpp"
 #include "engine/aggregate.hpp"
+#include "engine/detail/serialize.hpp"
 #include "engine/sim_aggregate.hpp"
 #include "engine/sweep_runner.hpp"
 
@@ -31,6 +32,21 @@ class TempCacheDir {
  private:
   std::string path_;
 };
+
+/// The lines of `text`, without their newlines.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t nl = text.find('\n', at);
+    out.push_back(text.substr(at, nl - at));
+    at = nl + 1;
+  }
+  return out;
+}
+
+bool contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
 
 /// 2 masters-values x 2 beta-values x 2 u-values, small enough to run under
 /// sanitizers, large enough that every axis matters.
@@ -83,26 +99,32 @@ TEST(MultiAxisSweep, ResultsAreInvariantUnderThreadCount) {
   EXPECT_EQ(aggregate(spec, r1).to_json(), aggregate(spec, r5).to_json());
 }
 
-TEST(MultiAxisSweep, ExtendedCsvAndJsonRoundTrip) {
+TEST(MultiAxisSweep, ExtendedCsvAndJsonCarryTheMastersAxis) {
   const SweepSpec spec = multi_axis_spec();
   SweepRunner runner(2);
   const SweepCurves curves = aggregate(spec, runner.run(spec));
 
-  const std::string csv = curves.to_csv();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')),
-            "u,beta_lo,beta_hi,masters,scenarios,policy,schedulable,ratio");
-  const SweepCurves from_csv = SweepCurves::from_csv(csv);
-  EXPECT_EQ(from_csv.to_csv(), csv);
-  ASSERT_EQ(from_csv.points.size(), curves.points.size());
+  const std::vector<std::string> rows = lines_of(curves.to_csv());
+  const std::vector<std::string> json = lines_of(curves.to_json());
+  const std::size_t n_pol = curves.policies.size();
+  ASSERT_EQ(rows.size(), 1 + curves.points.size() * n_pol);
+  ASSERT_EQ(json.size(), 3 + curves.points.size() + 2);  // head, one line per point, tail
+  EXPECT_EQ(rows[0], "u,beta_lo,beta_hi,masters,scenarios,policy,schedulable,ratio");
+  // Both formats carry each point's masters value and the same counts.
   for (std::size_t i = 0; i < curves.points.size(); ++i) {
-    EXPECT_EQ(from_csv.points[i].n_masters, curves.points[i].n_masters);
+    const CurvePoint& pt = curves.points[i];
+    const std::string masters = std::to_string(pt.n_masters);
+    const std::string scenarios = std::to_string(pt.scenarios);
+    const std::string json_axis = "\"masters\": " + masters + ", \"scenarios\": " + scenarios;
+    EXPECT_PRED2(contains, json[3 + i], json_axis);
+    for (std::size_t p = 0; p < n_pol; ++p) {
+      const std::string& policy = curves.policies[p];
+      const std::string count = std::to_string(pt.schedulable[p]);
+      const std::string csv_cells = masters + ',' + scenarios + ',' + policy + ',' + count + ',';
+      EXPECT_PRED2(contains, rows[1 + i * n_pol + p], ',' + csv_cells);
+      EXPECT_PRED2(contains, json[3 + i], '"' + policy + "\": " + count);
+    }
   }
-
-  const std::string json = curves.to_json();
-  EXPECT_NE(json.find("\"masters\""), std::string::npos);
-  EXPECT_EQ(SweepCurves::from_json(json).to_json(), json);
-  // Cross-format agreement on the extended layout.
-  EXPECT_EQ(SweepCurves::from_csv(csv).to_json(), json);
 }
 
 TEST(MultiAxisSweep, SimCurvesCarryTheMastersColumn) {
@@ -112,14 +134,35 @@ TEST(MultiAxisSweep, SimCurvesCarryTheMastersColumn) {
   spec.replications = 1;
   SweepRunner runner(2);
   const SimCurves curves = aggregate_sim(spec, runner.run_sim(spec));
-  const std::string csv = curves.to_csv();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+  const std::vector<std::string> rows = lines_of(curves.to_csv());
+  const std::vector<std::string> json = lines_of(curves.to_json());
+  const std::size_t n_pol = curves.policies.size();
+  ASSERT_EQ(rows.size(), 1 + curves.points.size() * n_pol);
+  ASSERT_EQ(json.size(), 3 + curves.points.size() + 2);
+  EXPECT_EQ(rows[0],
             "u,beta_lo,beta_hi,masters,scenarios,policy,miss_free,total_misses,total_dropped,"
             "max_observed,quantile_observed,ratio");
-  EXPECT_EQ(SimCurves::from_csv(csv).to_csv(), csv);
-  const std::string json = curves.to_json();
-  EXPECT_EQ(SimCurves::from_json(json).to_json(), json);
-  EXPECT_EQ(SimCurves::from_csv(csv).to_json(), json);
+  for (std::size_t i = 0; i < curves.points.size(); ++i) {
+    const SimCurvePoint& pt = curves.points[i];
+    const std::string masters = std::to_string(pt.n_masters);
+    const std::string scenarios = std::to_string(pt.scenarios);
+    EXPECT_PRED2(contains, json[3 + i], "\"masters\": " + masters + ", ");
+    for (std::size_t p = 0; p < n_pol; ++p) {
+      const std::vector<std::string> values = {
+          std::to_string(pt.miss_free[p]), std::to_string(pt.total_misses[p]),
+          std::to_string(pt.total_dropped[p]), std::to_string(pt.max_observed[p]),
+          std::to_string(pt.quantile_observed[p])};
+      const std::string& policy = curves.policies[p];
+      std::string csv_cells = ',' + masters + ',' + scenarios + ',' + policy;
+      std::string json_series = '"' + policy + "\": [";
+      for (std::size_t v = 0; v < values.size(); ++v) {
+        csv_cells += ',' + values[v];
+        json_series += (v == 0 ? "" : ", ") + values[v];
+      }
+      EXPECT_PRED2(contains, rows[1 + i * n_pol + p], csv_cells + ',');
+      EXPECT_PRED2(contains, json[3 + i], json_series + ']');
+    }
+  }
 }
 
 TEST(MultiAxisSweep, ConsistencyTableCarriesAxisColumns) {
@@ -130,22 +173,26 @@ TEST(MultiAxisSweep, ConsistencyTableCarriesAxisColumns) {
   SweepRunner runner(2);
   const ConsistencyTable table = consistency_table(spec, runner.run_combined(spec));
   EXPECT_TRUE(table.multi_axis);
-  const std::string csv = table.to_csv();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+  const std::vector<std::string> rows = lines_of(table.to_csv());
+  const std::vector<std::string> json = lines_of(table.to_json());
+  ASSERT_EQ(rows.size(), 1 + table.rows.size());
+  ASSERT_EQ(json.size(), 3 + table.rows.size() + 2);  // '{', marker, "rows", rows, tail
+  EXPECT_EQ(rows[0],
             "id,seed,u,beta_lo,beta_hi,masters,policy,analytic_schedulable,analytic_wcrt,"
             "observed_max,observed_p99,misses,completed,dropped,bound_violations,"
             "accept_but_miss,pessimism");
-  const ConsistencyTable back = ConsistencyTable::from_csv(csv);
-  EXPECT_TRUE(back.multi_axis);
-  EXPECT_EQ(back.to_csv(), csv);
-  ASSERT_EQ(back.rows.size(), table.rows.size());
-  EXPECT_EQ(back.rows[0].n_masters, table.rows[0].n_masters);
-  EXPECT_EQ(back.rows[0].beta_lo, table.rows[0].beta_lo);
-  const std::string json = table.to_json();
-  const ConsistencyTable jback = ConsistencyTable::from_json(json);
-  EXPECT_TRUE(jback.multi_axis);
-  EXPECT_EQ(jback.to_json(), json);
-  EXPECT_EQ(jback.to_csv(), csv);
+  EXPECT_EQ(json[1], "  \"multi_axis\": true,");
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const ConsistencyRow& r = table.rows[i];
+    const std::string beta_lo = detail::fmt_double(r.beta_lo);
+    const std::string beta_hi = detail::fmt_double(r.beta_hi);
+    const std::string masters = std::to_string(r.n_masters);
+    const std::string key = std::to_string(r.id) + ',' + std::to_string(r.seed) + ',';
+    const std::string axis = beta_lo + ',' + beta_hi + ',' + masters + ',' + r.policy + ',';
+    EXPECT_PRED2(contains, rows[1 + i], key + detail::fmt_double(r.total_u) + ',' + axis);
+    const std::string json_beta = "\"beta_lo\": " + beta_lo + ", \"beta_hi\": " + beta_hi;
+    EXPECT_PRED2(contains, json[3 + i], json_beta + ", \"masters\": " + masters + ", \"policy\"");
+  }
 }
 
 TEST(MultiAxisSweep, BetaOnlyConsistencyRowsCarryTheEffectiveRingSize) {
@@ -166,22 +213,18 @@ TEST(MultiAxisSweep, BetaOnlyConsistencyRowsCarryTheEffectiveRingSize) {
   for (const ConsistencyRow& r : table.rows) EXPECT_EQ(r.n_masters, 3u);
 }
 
-TEST(MultiAxisSweep, EmptyMultiAxisConsistencyTableKeepsItsFlag) {
-  // With zero rows the per-row axis keys cannot carry the layout; both
-  // serializations must still round-trip the flag (CSV via the header, JSON
-  // via the explicit marker) or a re-serialize would flip formats.
+TEST(MultiAxisSweep, EmptyMultiAxisConsistencyTableStatesItsLayout) {
+  // With zero rows the per-row axis keys cannot carry the layout; the CSV
+  // header and the JSON marker still state it.
   ConsistencyTable empty;
   empty.multi_axis = true;
-  const ConsistencyTable from_csv = ConsistencyTable::from_csv(empty.to_csv());
-  EXPECT_TRUE(from_csv.multi_axis);
-  EXPECT_EQ(from_csv.to_csv(), empty.to_csv());
-  const ConsistencyTable from_json = ConsistencyTable::from_json(empty.to_json());
-  EXPECT_TRUE(from_json.multi_axis);
-  EXPECT_EQ(from_json.to_json(), empty.to_json());
+  EXPECT_EQ(empty.to_csv(),
+            "id,seed,u,beta_lo,beta_hi,masters,policy,analytic_schedulable,analytic_wcrt,"
+            "observed_max,observed_p99,misses,completed,dropped,bound_violations,"
+            "accept_but_miss,pessimism\n");
+  EXPECT_EQ(empty.to_json(), "{\n  \"multi_axis\": true,\n  \"rows\": [\n  ]\n}\n");
   // And the classic empty table keeps the historical grammar.
-  ConsistencyTable classic;
-  EXPECT_EQ(classic.to_json().find("multi_axis"), std::string::npos);
-  EXPECT_FALSE(ConsistencyTable::from_json(classic.to_json()).multi_axis);
+  EXPECT_EQ(ConsistencyTable{}.to_json(), "{\n  \"rows\": [\n  ]\n}\n");
 }
 
 TEST(MultiAxisSweep, ClassicGridsKeepTheLegacyFormats) {
