@@ -1,5 +1,7 @@
 #include "config/network_loader.hpp"
 
+#include <algorithm>
+
 #include "profibus/ttr_setting.hpp"
 
 namespace profisched::config {
@@ -27,16 +29,27 @@ BusParameters load_bus(const IniFile& file) {
 }
 
 /// Read a duration that may be given in ticks (`key`) or in milliseconds
-/// (`key_ms`), exactly one of the two.
+/// (`key_ms`), exactly one of the two. A millisecond value whose tick count
+/// is not finite or does not fit in Ticks is rejected: casting it would be
+/// undefined behaviour.
 Ticks duration(const IniSection& s, const std::string& key, Ticks ticks_per_ms) {
+  const std::string ms_key = key + "_ms";
   const auto ticks = s.get_ticks(key);
-  const auto msv = s.get_double(key + "_ms");
+  const auto msv = s.get_double(ms_key);
   if (ticks.has_value() == msv.has_value()) {
     throw IniError(s.line, "section [" + s.name + "] needs exactly one of '" + key + "' or '" +
-                               key + "_ms'");
+                               ms_key + "'");
   }
   if (ticks.has_value()) return *ticks;
-  return static_cast<Ticks>(*msv * static_cast<double>(ticks_per_ms));
+  const double t = *msv * static_cast<double>(ticks_per_ms);
+  // ±2^63 are exact doubles, and NaN fails both comparisons.
+  constexpr double kLimit = 0x1p63;
+  if (!(t >= -kLimit && t < kLimit)) {
+    const IniEntry& e = *std::ranges::find(s.entries, ms_key, &IniEntry::key);
+    throw IniError(e.line, "'" + ms_key + " = " + e.value + "' is out of range at " +
+                               std::to_string(ticks_per_ms) + " ticks/ms");
+  }
+  return static_cast<Ticks>(t);
 }
 
 }  // namespace

@@ -230,9 +230,13 @@ OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, const simd::Kerne
   return {};
 }
 
+/// `limit` stops the scalar fixed point early: L climbs from 0 and never
+/// passes the least fixed point, so an iterate whose response already exceeds
+/// `limit` proves the converged response does too. The outcome then carries
+/// that iterate's response (converged, as far as the scan's fold is concerned).
 OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, const simd::Kernels* k,
                                             std::size_t i, Ticks a, int fuel, ItemModel model,
-                                            std::vector<Ticks>& caps) {
+                                            Ticks limit, std::vector<Ticks>& caps) {
   const Ticks abs_deadline = sat_add(a, v.D[i]);
   const Ticks blocking = deadline_caps(v, i, abs_deadline, model.blocking, caps);
   const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
@@ -248,13 +252,15 @@ OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, const simd::Ke
       return {true, sat_add(v.C[i], std::max<Ticks>(0, r.fixed_point - a)), r.fixed_point};
     }
   }
+  const auto response = [&](Ticks l) { return sat_add(v.C[i], std::max<Ticks>(0, l - a)); };
   Ticks L = 0;
   for (int it = 0; it < fuel; ++it) {
     const Ticks next =
         sat_add(blocking, sat_add(hp_workload_view(v, caps, L, true), own_prior));
-    if (next == L) return {true, sat_add(v.C[i], std::max<Ticks>(0, L - a)), L};
+    if (next == L) return {true, response(L), L};
     if (next == kNoBound) return {};
     L = next;
+    if (response(L) > limit) return {true, response(L), L};
   }
   return {};
 }
@@ -285,12 +291,17 @@ void shared_candidate_deadlines(const TaskSetView& v, Ticks first, Ticks last,
 
 /// max_a r_i(a) over the offsets produced (in ascending order) by
 /// `for_each_offset(visit)`, which must call visit per offset and stop when
-/// it returns false. Folds exactly like the reference max_over_offsets.
+/// it returns false. Folds exactly like the reference max_over_offsets, and
+/// stops early once the maximum exceeds `bound` (see edf_response_time).
 template <typename OffsetsFn>
 EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preemptive, int fuel,
-                              ItemModel model, std::vector<Ticks>& caps,
+                              ItemModel model, Ticks bound, std::vector<Ticks>& caps,
                               OffsetsFn for_each_offset) {
   const simd::Kernels* k = v.simd_ok && v.n >= simd::kMinEdfLaneTasks ? simd::active() : nullptr;
+  // The bound applies to the reported response, which adds J_i under
+  // Origin::Arrival: r + J_i > bound exactly when r > bound − J_i.
+  const Ticks shift = model.origin == Origin::Arrival ? v.J[i] : 0;
+  const Ticks limit = bound == kNoBound ? kNoBound : bound - shift;
   EdfRtaResult r;
   Ticks best = 0;
   Ticks best_a = 0;
@@ -298,9 +309,9 @@ EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preempti
   bool ok = true;
   for_each_offset([&](Ticks a) {
     ++r.offsets_examined;
-    const OffsetOutcomeView o = preemptive
-                                    ? offset_preemptive_view(v, k, i, a, fuel, warm_l, caps)
-                                    : offset_nonpreemptive_view(v, k, i, a, fuel, model, caps);
+    const OffsetOutcomeView o =
+        preemptive ? offset_preemptive_view(v, k, i, a, fuel, warm_l, caps)
+                   : offset_nonpreemptive_view(v, k, i, a, fuel, model, limit, caps);
     if (!o.converged) {
       ok = false;
       return false;
@@ -310,12 +321,12 @@ EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preempti
       best = o.response;
       best_a = a;
     }
-    return true;
+    return best <= limit;
   });
   r.critical_offset = best_a;
   if (ok) {
-    r.converged = true;
-    r.response = model.origin == Origin::Arrival ? sat_add(best, v.J[i]) : best;
+    r.converged = best <= limit;
+    r.response = sat_add(best, shift);
   }
   return r;
 }
@@ -328,6 +339,7 @@ EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
   h.busy = synchronous_busy_period(v, busy_fuel, warm_start ? scratch.warm_busy : 0);
   if (!h.busy.bounded()) return h;
   scratch.warm_busy = h.busy.length;
+  if (v.empty()) return h;  // nothing to enumerate (a master with no HP streams)
 
   // The tasks' candidate ranges [D_i, L + D_i] overlap while the deadlines
   // spread less than (n − 1)·L; then one shared set is the smaller
@@ -347,13 +359,13 @@ EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
 
 EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
                                const EdfRtaOptions& opt, RtaScratch& scratch, bool preemptive,
-                               ItemModel model) {
+                               ItemModel model, Ticks bound) {
   if (!h.busy.bounded()) return {};
   const int fuel = opt.fixed_point_fuel;
   if (!h.shared) {
     candidate_offsets_view(v, i, h.busy.length, scratch.offsets);
     if (scratch.offsets.size() > opt.max_offsets) return {};
-    return edf_scan_offsets(v, i, preemptive, fuel, model, scratch.caps, [&](auto visit) {
+    return edf_scan_offsets(v, i, preemptive, fuel, model, bound, scratch.caps, [&](auto visit) {
       for (const Ticks a : scratch.offsets) {
         if (!visit(a)) return;
       }
@@ -369,7 +381,7 @@ EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const EdfHor
   const std::size_t n_offsets =
       1 + static_cast<std::size_t>(hi - lo) - static_cast<std::size_t>(dup0);
   if (n_offsets > opt.max_offsets) return {};
-  return edf_scan_offsets(v, i, preemptive, fuel, model, scratch.caps, [&](auto visit) {
+  return edf_scan_offsets(v, i, preemptive, fuel, model, bound, scratch.caps, [&](auto visit) {
     if (!visit(Ticks{0})) return;
     for (auto it = lo; it != hi; ++it) {
       const Ticks a = *it - di;

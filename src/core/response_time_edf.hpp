@@ -47,7 +47,7 @@ namespace profisched {
 
 /// Outcome of an EDF worst-case response-time computation for one task.
 struct EdfRtaResult {
-  bool converged = false;      ///< false => horizon/iteration budget exhausted
+  bool converged = false;      ///< false => budget exhausted, or stopped at a bound
   Ticks response = kNoBound;   ///< worst-case response time (from event arrival)
   Ticks critical_offset = 0;   ///< the offset a achieving the maximum
   std::size_t offsets_examined = 0;
@@ -139,13 +139,26 @@ struct EdfHorizon {
 
 /// Worst-case response time of the item at view position i, maximized over
 /// its candidate offsets within `h` (which must come from edf_horizon on the
-/// same view and scratch). `model` picks eq. 9's blocking term and the
-/// response origin. When an offset fails to converge, critical_offset still
-/// reports the maximizing offset among those examined before it.
+/// same view and scratch, or have shared == false: the scan then covers the
+/// candidate offsets within [0, h.busy.length]). `model` picks eq. 9's
+/// blocking term and the response origin. When an offset fails to converge,
+/// critical_offset still reports the maximizing offset among those examined
+/// before it.
+///
+/// `bound` serves callers that only need R_i <= bound. R_i is a maximum over
+/// offsets, so one offset whose response exceeds the bound settles it: the
+/// scan stops there, and on the scalar non-preemptive path already inside the
+/// fixed point, whose iterates climb from 0 to the least fixed point and so
+/// never overshoot the response they converge to. The result then has
+/// converged == false, response = the value that crossed the bound (a lower
+/// bound on R_i), and critical_offset / offsets_examined up to that offset.
+/// So response > bound exactly when the exact R_i > bound (or the exact scan
+/// runs out of fuel). The default kNoBound is the exact scan, bit for bit.
 [[nodiscard]] EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i,
                                              const EdfHorizon& h, const EdfRtaOptions& opt,
                                              RtaScratch& scratch, bool preemptive,
-                                             ItemModel model = kTaskModel);
+                                             ItemModel model = kTaskModel,
+                                             Ticks bound = kNoBound);
 
 /// Whole-set outcome folded down to what a sweep cell needs — exactly what
 /// run_usweep derives from an EdfAnalysis, computed without materializing

@@ -107,22 +107,54 @@ Report AnalysisEngine::analyze(const Scenario& sc, Policy policy) {
   return analyze_with(sc, policy, memo_for(sc));
 }
 
-std::vector<Report> AnalysisEngine::analyze_all(const Scenario& sc,
-                                                std::span<const Policy> policies) {
-  if (policies.empty()) return {};
+AnalysisEngine::Memo& AnalysisEngine::memo_for_all(const Scenario& sc, std::size_t n_policies) {
   sc.net.validate();
   Memo& m = memo_for(sc);
   // Every policy after the first is served from the shared bind — keep the
   // hit counter equivalent to the per-policy analyze() sequence it replaces.
-  hits_ += policies.size() - 1;
+  hits_ += n_policies - 1;
+  return m;
+}
+
+std::vector<Report> AnalysisEngine::analyze_all(const Scenario& sc,
+                                                std::span<const Policy> policies) {
+  if (policies.empty()) return {};
+  Memo& m = memo_for_all(sc, policies.size());
   std::vector<Report> out;
   out.reserve(policies.size());
   for (const Policy policy : policies) out.push_back(analyze_with(sc, policy, m));
   return out;
 }
 
+VerdictReport AnalysisEngine::verdict(const Scenario& sc, Policy policy) {
+  sc.net.validate();
+  return verdict_with(sc, policy, memo_for(sc));
+}
+
+std::vector<VerdictReport> AnalysisEngine::verdict_all(const Scenario& sc,
+                                                       std::span<const Policy> policies) {
+  if (policies.empty()) return {};
+  Memo& m = memo_for_all(sc, policies.size());
+  std::vector<VerdictReport> out;
+  out.reserve(policies.size());
+  for (const Policy policy : policies) out.push_back(verdict_with(sc, policy, m));
+  return out;
+}
+
 Report AnalysisEngine::analyze_with(const Scenario& sc, Policy policy, Memo& m) {
   return analyze_network(sc.net, m.timing, policy, opt_, scratch_, sc.transactions);
+}
+
+VerdictReport AnalysisEngine::verdict_with(const Scenario& sc, Policy policy, Memo& m) {
+  return {m.timing.tcycle,
+          network_schedulable(sc.net, m.timing, policy, opt_, scratch_, sc.transactions)};
+}
+
+bool network_schedulable(const profibus::Network& net, const TimingMemo& tm, Policy policy,
+                         const EngineOptions& opt, RtaScratch& scratch,
+                         const std::vector<profibus::Transaction>& transactions) {
+  if (policy == Policy::Edf) return profibus::edf_schedulable(net, tm, opt.fuel, scratch);
+  return analyze_network(net, tm, policy, opt, scratch, transactions).schedulable;
 }
 
 Report analyze_network(const profibus::Network& net, const TimingMemo& tm, Policy policy,

@@ -4,11 +4,17 @@
 //
 // Running one scenario under FCFS + DM + EDF + OPA through the plain
 // analyze_* entry points derives the timed-token timing four times; through
-// the engine it is derived once. Every policy runs through one dispatch,
-// analyze_network, which the optimizer's probes and the combined sweep's
-// degraded bounds call directly. The engine is deliberately NOT thread-safe:
-// the sweep runner gives each worker its own instance (scenario memo state
-// is cheap).
+// the engine it is derived once. Every policy runs through one of two
+// dispatches:
+//  * analyze_network, the full Report with per-stream WCRTs: analyze() and
+//    analyze_all() (`analyze`, `simulate --combined`), and the combined
+//    sweep's degraded bounds, which call it directly;
+//  * network_schedulable, the verdict alone: verdict() and verdict_all()
+//    (`sweep`, sweep shards and served sweep jobs) and the optimizer's
+//    bisection probes. It returns analyze_network's `schedulable`, but EDF
+//    stops at the first stream that provably misses (edf_schedulable).
+// The engine is deliberately NOT thread-safe: the sweep runner gives each
+// worker its own instance (scenario memo state is cheap).
 #pragma once
 
 #include <cstddef>
@@ -48,12 +54,28 @@ struct EngineOptions {
 /// The one policy dispatch: `policy`'s analysis of `net` under the timing
 /// memo `tm`, with `opt`'s formulation and fuel, on `scratch`. `transactions`
 /// feed Policy::Holistic (one per stream when empty). AnalysisEngine::analyze
-/// runs it with the scenario memo; optimizer probes (mutated networks) and
-/// degraded bounds (a fault-inflated memo) call it with their own.
+/// runs it with the scenario memo; degraded bounds (a fault-inflated memo)
+/// call it with their own, and optimizer probes (mutated networks) reach it
+/// through network_schedulable.
 [[nodiscard]] Report analyze_network(const profibus::Network& net,
                                      const profibus::TimingMemo& tm, Policy policy,
                                      const EngineOptions& opt, RtaScratch& scratch,
                                      const std::vector<profibus::Transaction>& transactions = {});
+
+/// The verdict dispatch: analyze_network(...).schedulable for the same
+/// arguments. EDF runs profibus::edf_schedulable, which stops at the first
+/// stream that provably misses; every other policy is cheap and runs
+/// analyze_network.
+[[nodiscard]] bool network_schedulable(const profibus::Network& net,
+                                       const profibus::TimingMemo& tm, Policy policy,
+                                       const EngineOptions& opt, RtaScratch& scratch,
+                                       const std::vector<profibus::Transaction>& transactions = {});
+
+/// What a verdict-only caller keeps of a Report.
+struct VerdictReport {
+  Ticks tcycle = 0;  ///< uniform eq.-14 bound used
+  bool schedulable = false;
+};
 
 class AnalysisEngine {
  public:
@@ -68,10 +90,17 @@ class AnalysisEngine {
   /// Cross-policy batch: analyze one scenario under every listed policy,
   /// validating the network, fingerprinting it and binding the scenario memo
   /// exactly once instead of once per policy. Reports are identical to
-  /// calling analyze() per policy in the same order — this is the sweep
-  /// runner's per-scenario entry point.
+  /// calling analyze() per policy in the same order — this is the combined
+  /// sweep's per-scenario entry point (the analysis sweep takes verdict_all).
   [[nodiscard]] std::vector<Report> analyze_all(const Scenario& sc,
                                                 std::span<const Policy> policies);
+
+  /// analyze() and analyze_all() for callers that keep only T_cycle and the
+  /// verdict: the same memo accounting and the same verdicts, through
+  /// network_schedulable.
+  [[nodiscard]] VerdictReport verdict(const Scenario& sc, Policy policy);
+  [[nodiscard]] std::vector<VerdictReport> verdict_all(const Scenario& sc,
+                                                       std::span<const Policy> policies);
 
   /// The memoized timing facts for a scenario (computing them on first use).
   [[nodiscard]] const profibus::TimingMemo& timing(const Scenario& sc);
@@ -99,7 +128,12 @@ class AnalysisEngine {
   };
 
   Memo& memo_for(const Scenario& sc);
+  /// The shared bind of analyze_all() and verdict_all(): validate and
+  /// memo-bind once, counting the memo hits the per-policy sequence it
+  /// replaces would have counted.
+  Memo& memo_for_all(const Scenario& sc, std::size_t n_policies);
   Report analyze_with(const Scenario& sc, Policy policy, Memo& m);
+  VerdictReport verdict_with(const Scenario& sc, Policy policy, Memo& m);
 
   EngineOptions opt_;
   std::unordered_map<std::uint64_t, Memo> memo_;

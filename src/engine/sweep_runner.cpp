@@ -337,19 +337,20 @@ SweepResult SweepRunner::run(const SweepSpec& spec, IdRange range, ScenarioCache
     o.seed = sc.seed;
     o.point = static_cast<std::size_t>(id) / spec.scenarios_per_point;
     o.schedulable.reserve(spec.policies.size());
+    // A cell keeps only T_cycle and the verdict, so both branches take the
+    // engine's verdict dispatch (EDF stops at the first proven miss).
     if (cache == nullptr) {
-      // Cross-policy batch: validate + memo-bind the scenario once and
-      // share busy-period state across every policy. Identical reports,
-      // fewer per-policy overheads (the cache path stays per-policy so
-      // hits skip computation entirely).
-      for (const Report& r : engine.analyze_all(sc, spec.policies)) {
-        codec.push(o, {r.tcycle, r.schedulable});
+      // Cross-policy batch: validate + memo-bind the scenario once. Identical
+      // verdicts, fewer per-policy overheads (the cache path stays per-policy
+      // so hits skip computation entirely).
+      for (const VerdictReport& v : engine.verdict_all(sc, spec.policies)) {
+        codec.push(o, {v.tcycle, v.schedulable});
       }
     } else {
       for (std::size_t p = 0; p < spec.policies.size(); ++p) {
         detail::cached_cell(codec, cache, CacheKey{content, params[p]}, o, [&] {
-          const Report r = engine.analyze(sc, spec.policies[p]);
-          return detail::AnalysisCells::Cell{r.tcycle, r.schedulable};
+          const VerdictReport v = engine.verdict(sc, spec.policies[p]);
+          return detail::AnalysisCells::Cell{v.tcycle, v.schedulable};
         });
       }
     }

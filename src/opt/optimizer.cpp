@@ -47,15 +47,14 @@ profibus::NetworkTest optimize_network_test(engine::Policy policy,
                                 std::string(engine::to_string(policy)) +
                                 " has no verdict to bisect against");
   }
-  // The engine's own dispatch, minus the per-scenario memo (probes run on
+  // The engine's verdict dispatch, minus the per-scenario memo (probes run on
   // mutated networks, which a Scenario-id-keyed memo would poison), so the
   // base verdict here equals the sweep's verdict for the same scenario. One
   // scratch per thread: the predicate is shared by every worker.
   return [policy, engine](const profibus::Network& net) {
     thread_local RtaScratch scratch;
-    return engine::analyze_network(net, profibus::compute_timing(net, engine.method), policy,
-                                   engine, scratch)
-        .schedulable;
+    return engine::network_schedulable(net, profibus::compute_timing(net, engine.method), policy,
+                                       engine, scratch);
   };
 }
 

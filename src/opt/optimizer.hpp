@@ -13,11 +13,11 @@
 //
 // Determinism contract matches the sweep runner: scenarios are regenerated
 // from (seed, id) alone, outcomes land in slot id - range.begin, and every
-// probe runs through AnalysisEngine's dispatch (same method / formulation /
-// fuel), so the base verdict here equals the sweep's verdict for the same
-// scenario. Results are byte-identical for any thread count and any shard
-// split (src/dist/ carries an Optimize mode), and cache through
-// ScenarioCache with a versioned params digest (record kind 4).
+// probe runs through the engine's verdict dispatch, network_schedulable (same
+// method / formulation / fuel), so the base verdict here equals the sweep's
+// verdict for the same scenario. Results are byte-identical for any thread
+// count and any shard split (src/dist/ carries an Optimize mode), and cache
+// through ScenarioCache with a versioned params digest (record kind 4).
 #pragma once
 
 #include <string>
@@ -104,9 +104,9 @@ struct OptimizeSpec {
 /// bisect against).
 [[nodiscard]] bool optimizable(engine::Policy policy);
 
-/// The feasibility predicate the optimizer probes with: AnalysisEngine's own
-/// dispatch (engine::analyze_network, same method / formulation / fuel) for
-/// `policy`, as a profibus::NetworkTest over arbitrary (mutated) networks.
+/// The feasibility predicate the optimizer probes with: the engine's verdict
+/// dispatch (engine::network_schedulable, same method / formulation / fuel)
+/// for `policy`, as a profibus::NetworkTest over arbitrary (mutated) networks.
 /// Safe to call from several threads at once. Throws std::invalid_argument
 /// for non-optimizable policies.
 [[nodiscard]] profibus::NetworkTest optimize_network_test(engine::Policy policy,

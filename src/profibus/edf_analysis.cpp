@@ -1,8 +1,10 @@
 #include "profibus/edf_analysis.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "core/response_time_edf.hpp"
+#include "profibus/priority_assignment.hpp"
 
 namespace profisched::profibus {
 
@@ -11,13 +13,21 @@ NetworkAnalysis analyze_edf(const Network& net, TcycleMethod method,
   return analyze_edf(net, compute_timing(net, method), detail, fuel);
 }
 
+namespace {
+
+/// One offset budget for every message scan: uncapped, `fuel` per fixed point.
+EdfRtaOptions message_options(int fuel) {
+  return {.max_offsets = std::numeric_limits<std::size_t>::max(), .fixed_point_fuel = fuel};
+}
+
+}  // namespace
+
 NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
                             std::vector<std::vector<EdfStreamDetail>>* detail, int fuel,
                             RtaScratch* scratch) {
   RtaScratch local;
   RtaScratch& s = scratch != nullptr ? *scratch : local;
-  const EdfRtaOptions opt{.max_offsets = std::numeric_limits<std::size_t>::max(),
-                          .fixed_point_fuel = fuel};
+  const EdfRtaOptions opt = message_options(fuel);
   if (detail) detail->assign(net.n_masters(), {});
   return analyze_masters(net, memo, [&](std::size_t k, MasterAnalysis& ma) {
     const Ticks tcycle = memo.per_master[k];
@@ -31,6 +41,26 @@ NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
       if (detail) (*detail)[k][i] = {r.critical_offset, r.offsets_examined};
     }
   });
+}
+
+bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel, RtaScratch& scratch) {
+  net.validate();
+  const EdfRtaOptions opt = message_options(fuel);
+  for (std::size_t k = 0; k < net.n_masters(); ++k) {
+    const TaskSetView& v = bind_master(scratch.arena, net.masters[k], memo.per_master[k]);
+    if (v.overloaded()) return false;
+    deadline_monotonic_order(net.masters[k], scratch.order);
+    const auto all_meet = [&](const EdfHorizon& h) {
+      return std::ranges::all_of(scratch.order, [&](std::size_t i) {
+        const EdfRtaResult r =
+            edf_response_time(v, i, h, opt, scratch, /*preemptive=*/false, kMessageModel, v.D[i]);
+        return r.meets(v.D[i]);
+      });
+    };
+    const EdfHorizon prefix{.busy = {.length = v.total_execution()}};
+    if (!all_meet(prefix) || !all_meet(edf_horizon(v, fuel, scratch))) return false;
+  }
+  return true;
 }
 
 }  // namespace profisched::profibus

@@ -57,4 +57,23 @@ struct EdfStreamDetail {
     std::vector<std::vector<EdfStreamDetail>>* detail = nullptr, int fuel = 1 << 16,
     RtaScratch* scratch = nullptr);
 
+/// Verdict-only analyze_edf: exactly analyze_edf(net, memo, nullptr, fuel,
+/// &scratch).schedulable, returned at the first stream that provably misses.
+/// R_i is a maximum over offsets, so one offset whose response exceeds D_i
+/// settles the verdict; every scan here runs with the bound D_i (see
+/// edf_response_time). Per master, after validating `net`:
+///  1. an overloaded master (Σ T_cycle/T_i > 1) is rejected at once;
+///  2. its streams are visited in ascending D, ties by index (the DM order,
+///     kept in scratch.order, so a warm call allocates nothing): the tight
+///     deadlines are the ones that miss first;
+///  3. each stream's candidate offsets within [0, Σ_j C_j] are scanned. The
+///     busy-period iteration starts at Σ_j C_j, so that is a lower bound on
+///     L whenever L is bounded, and these offsets are a subset of the exact
+///     scan's; when L is unbounded the exact verdict is a miss anyway;
+///  4. only then is the busy period computed and the full scan run.
+/// The first unschedulable master ends the call; later masters are not
+/// analysed.
+[[nodiscard]] bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel,
+                                   RtaScratch& scratch);
+
 }  // namespace profisched::profibus

@@ -124,6 +124,25 @@ deadline_ms = 40
   EXPECT_THROW((void)load_network(parse_ini(bad)), IniError);
 }
 
+TEST(NetworkLoader, MillisecondDurationsOutOfRangeRejected) {
+  // period_ms × ticks_per_ms must be a finite tick count that fits in Ticks:
+  // casting anything else to Ticks is undefined behaviour. The error names
+  // the key and its line (the `period_ms` entry is line 9).
+  constexpr const char* kHead =
+      "[network]\nttr = 5000\n[master]\nname = plc\n[stream]\nname = s\n"
+      "request_chars = 8\nresponse_chars = 8\n";
+  for (const std::string value : {"1e300", "1e18", "nan"}) {
+    const std::string entry = "period_ms = " + value;
+    try {
+      (void)load_network(parse_ini(kHead + entry + "\ndeadline_ms = 5\n"));
+      ADD_FAILURE() << entry << " was accepted";
+    } catch (const IniError& e) {
+      EXPECT_EQ(e.line(), 9u) << entry;
+      EXPECT_NE(std::string(e.what()).find("'" + entry + "'"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(NetworkLoader, StreamBeforeMasterRejected) {
   EXPECT_THROW((void)load_network(parse_ini("[network]\nttr=1\n[stream]\nname=s\n"
                                             "request_chars=8\nresponse_chars=8\n"

@@ -5,11 +5,34 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
+
 #include "engine/aggregate.hpp"
 #include "profibus/token_ring_analysis.hpp"
 
 namespace profisched::engine {
 namespace {
+
+/// In-memory ScenarioCache: the runner's cached branch without the disk.
+class MemoryCache final : public ScenarioCache {
+ public:
+  bool load(const CacheKey& key, std::string& payload) override {
+    const std::lock_guard lock(mu_);
+    const auto it = entries_.find({key.scenario, key.params});
+    if (it == entries_.end()) return false;
+    payload = it->second;
+    return true;
+  }
+  void store(const CacheKey& key, const std::string& payload) override {
+    const std::lock_guard lock(mu_);
+    entries_[{key.scenario, key.params}] = payload;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> entries_;
+};
 
 SweepSpec small_spec() {
   SweepSpec spec;
@@ -103,6 +126,52 @@ TEST(SweepRunner, MemoizationIsUsedOncePerScenario) {
   EXPECT_EQ(r.memo_misses, spec.total_scenarios());
   // Every policy after the first per scenario hits the memo.
   EXPECT_EQ(r.memo_hits, spec.total_scenarios() * (spec.policies.size() - 1));
+}
+
+TEST(SweepRunner, CliffVerdictsAreTheEngineVerdicts) {
+  // A sweep cell keeps only the verdict, so the runner takes the engine's
+  // verdict dispatch, where EDF stops at the first proven miss. On a cliff
+  // grid (u 0.95 and 1.0, 1 and 3 masters) every cell must still equal
+  // AnalysisEngine::analyze, in the batch branch, in the cached branch on a
+  // cold cache, and read back from the warm one. Three streams per master
+  // keep analyze's exact scans at u = 1.0 short; D = T leaves EDF some
+  // accepted cells there.
+  SweepSpec spec = small_spec();
+  spec.base.streams_per_master = 3;
+  spec.points.clear();
+  for (const double u : {0.95, 1.0}) {
+    for (const std::size_t masters : {1, 3}) {
+      spec.points.push_back({.total_u = u, .n_masters = masters});
+    }
+  }
+  spec.scenarios_per_point = 10;
+  spec.policies = {Policy::Fcfs, Policy::Dm, Policy::Edf, Policy::Opa};
+  SweepRunner runner(2);
+  MemoryCache cache;
+  const SweepResult batch = runner.run(spec);
+  const SweepResult cold = runner.run(spec, &cache);
+  const SweepResult warm = runner.run(spec, &cache);
+  const std::uint64_t cells = spec.total_scenarios() * spec.policies.size();
+  EXPECT_EQ(cold.cache_misses, cells);
+  EXPECT_EQ(warm.cache_hits, cells);
+
+  AnalysisEngine engine(spec.engine);
+  std::size_t edf_accepted = 0, edf_rejected = 0;
+  for (std::uint64_t id = 0; id < spec.total_scenarios(); ++id) {
+    const Scenario sc = SweepRunner::make_scenario(spec, id);
+    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
+      const Report want = engine.analyze(sc, spec.policies[p]);
+      for (const SweepResult* r : {&batch, &cold, &warm}) {
+        const ScenarioOutcome& o = r->outcomes[id];
+        EXPECT_EQ(o.tcycle, want.tcycle) << "id " << id;
+        EXPECT_EQ(o.schedulable[p], want.schedulable)
+            << to_string(spec.policies[p]) << " id " << id;
+      }
+      if (spec.policies[p] == Policy::Edf) (want.schedulable ? edf_accepted : edf_rejected) += 1;
+    }
+  }
+  EXPECT_GT(edf_accepted, 0u);
+  EXPECT_GT(edf_rejected, 0u);
 }
 
 TEST(SweepRunner, WorkerExceptionsSurfaceOnTheCallingThread) {

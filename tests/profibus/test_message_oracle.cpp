@@ -8,6 +8,8 @@
 // U = 1, streams with T < T_cycle, jitter, far deadlines and fuel-starved
 // runs, and demands identical verdicts, Q, responses, meets_deadline, OPA
 // orders and EdfStreamDetail — with the SIMD lanes active and forced scalar.
+// The EDF cases also hold the verdict-only edf_schedulable to the exact
+// verdict.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/response_time_edf.hpp"
 #include "core/simd.hpp"
 #include "engine/sweep_runner.hpp"
 #include "profibus/dm_analysis.hpp"
@@ -495,6 +498,7 @@ TEST_P(MessageOracle, EarliestDeadlineFirst) {
       std::vector<std::vector<EdfStreamDetail>> want_detail, got_detail;
       const NetworkAnalysis want = oracle::analyze_edf(c.net, memo, &want_detail, c.fuel);
       expect_same(want, analyze_edf(c.net, memo, &got_detail, c.fuel, &scratch), "edf", id);
+      EXPECT_EQ(edf_schedulable(c.net, memo, c.fuel, scratch), want.schedulable) << "id " << id;
       ASSERT_EQ(want_detail.size(), got_detail.size());
       for (std::size_t k = 0; k < want_detail.size(); ++k) {
         ASSERT_EQ(want_detail[k].size(), got_detail[k].size());
@@ -545,6 +549,7 @@ TEST(MessageOracleU1, RoundingAboveOneKeepsTheVerdict) {
     const NetworkAnalysis want = oracle::analyze_edf(net, memo, &want_detail, kFuel);
     const NetworkAnalysis got = analyze_edf(net, memo, &got_detail, kFuel, &scratch);
     expect_same(want, got, "edf u=1", static_cast<std::uint64_t>(d_scale));
+    EXPECT_EQ(edf_schedulable(net, memo, kFuel, scratch), want.schedulable) << d_scale;
     for (std::size_t i = 0; i < 3; ++i) {
       EXPECT_GT(want_detail[0][i].offsets_examined, 0u);  // busy period bounded
       EXPECT_EQ(want_detail[0][i].offsets_examined, got_detail[0][i].offsets_examined);
@@ -574,6 +579,7 @@ TEST(MessageOracleCliff, EdfAtUtilizationOne) {
     std::vector<std::vector<EdfStreamDetail>> want_detail, got_detail;
     const NetworkAnalysis want = oracle::analyze_edf(net, memo, &want_detail, kFuel);
     expect_same(want, analyze_edf(net, memo, &got_detail, kFuel, &scratch), "edf cliff", id);
+    EXPECT_EQ(edf_schedulable(net, memo, kFuel, scratch), want.schedulable) << "id " << id;
     for (std::size_t i = 0; i < want_detail[0].size(); ++i) {
       EXPECT_EQ(want_detail[0][i].critical_offset, got_detail[0][i].critical_offset);
       EXPECT_EQ(want_detail[0][i].offsets_examined, got_detail[0][i].offsets_examined);
@@ -582,6 +588,125 @@ TEST(MessageOracleCliff, EdfAtUtilizationOne) {
   }
   EXPECT_GT(bounded, 0u);
   EXPECT_GT(unbounded, 0u);
+}
+
+TEST_P(MessageOracle, EdfVerdictOnLaneSizedMasters) {
+  // Masters of 8 and 12 streams reach simd::kMinEdfLaneTasks: with the lanes
+  // active, edf_schedulable's bounded scans run the lane offset kernel and
+  // stop after the offset that crosses D_i. Deadlines in [T/2, T] put misses
+  // below the cliff; exact scans of such masters at u = 1.0 take seconds.
+  RtaScratch scratch;
+  std::size_t networks = 0, schedulable = 0, lane_masters = 0;
+  for (const std::size_t streams : {8, 12}) {
+    engine::SweepSpec spec;
+    spec.base.n_masters = 2;
+    spec.base.streams_per_master = streams;
+    spec.base.ttr = 3'000;
+    for (const double u : {0.8, 0.9, 0.95, 0.98}) {
+      spec.points.push_back({.total_u = u, .beta_lo = 0.5, .beta_hi = 1.0});
+    }
+    spec.scenarios_per_point = 8;
+    spec.seed = 16;
+    for (std::uint64_t id = 0; id < spec.total_scenarios(); ++id) {
+      const Network net = engine::SweepRunner::make_scenario(spec, id).net;
+      for (const TcycleMethod method : kMethods) {
+        const TimingMemo memo = compute_timing(net, method);
+        const NetworkAnalysis want = oracle::analyze_edf(net, memo, nullptr, kFuel);
+        expect_same(want, analyze_edf(net, memo, nullptr, kFuel, &scratch), "edf lanes", id);
+        EXPECT_EQ(edf_schedulable(net, memo, kFuel, scratch), want.schedulable)
+            << streams << " streams, id " << id;
+        ++networks;
+        schedulable += want.schedulable;
+        lane_masters += bind_master(scratch.arena, net.masters[0], memo.per_master[0]).simd_ok;
+      }
+    }
+  }
+  EXPECT_GT(schedulable, 0u);
+  EXPECT_LT(schedulable, networks);
+  EXPECT_EQ(lane_masters, networks);  // every master passes the lane gate
+}
+
+/// Hand-built masters for edf_schedulable's per-master loop, as (T, D)
+/// pairs in half T_cycles with no jitter:
+///  * kMeets: three lax streams, T = D = 40·T_cycle;
+///  * kEmpty: no high-priority streams;
+///  * kMissesEarly: three streams at U = 1 (T = 3·T_cycle) with D = 2·T_cycle;
+///    the third request served misses at offset 0;
+///  * kMissesLate: T = D = 5/2, 3, 4 and 100 T_cycles (U ≈ 0.99). Every
+///    stream meets its deadline at the offsets within [0, Σ_j C_j], so only
+///    the scan over the whole busy period finds the miss.
+enum class Shape { kMeets, kEmpty, kMissesEarly, kMissesLate };
+
+Network edge_network(const std::vector<Shape>& shapes) {
+  using Pairs = std::vector<std::pair<Ticks, Ticks>>;
+  const auto pairs = [](Shape shape) -> Pairs {
+    switch (shape) {
+      case Shape::kMeets: return {{80, 80}, {80, 80}, {80, 80}};
+      case Shape::kEmpty: return {};
+      case Shape::kMissesEarly: return {{6, 4}, {6, 4}, {6, 4}};
+      case Shape::kMissesLate: return {{5, 5}, {6, 6}, {8, 8}, {200, 200}};
+    }
+    return {};
+  };
+  Network net;
+  net.ttr = 2'000;
+  for (const Shape shape : shapes) {
+    Master m;
+    m.name = "m" + std::to_string(net.n_masters());
+    m.high_streams.assign(pairs(shape).size(),
+                          MessageStream{.Ch = 300, .D = 1, .T = 1, .J = 0, .name = ""});
+    net.masters.push_back(std::move(m));
+  }
+  // Even T_cycles keep the half units exact; T_cycle does not depend on T or D.
+  const auto odd = [](Ticks tc) { return tc % 2 != 0; };
+  while (std::ranges::any_of(compute_timing(net).per_master, odd)) ++net.ttr;
+  const TimingMemo memo = compute_timing(net);
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    const Pairs td = pairs(shapes[k]);
+    const Ticks half = memo.per_master[k] / 2;
+    for (std::size_t i = 0; i < td.size(); ++i) {
+      net.masters[k].high_streams[i].T = td[i].first * half;
+      net.masters[k].high_streams[i].D = td[i].second * half;
+    }
+  }
+  return net;
+}
+
+TEST(MessageOracleEdges, VerdictVisitsEveryMaster) {
+  using enum Shape;
+  const std::pair<std::vector<Shape>, bool> cases[] = {
+      {{kMeets}, true},
+      {{kEmpty}, true},
+      {{kMeets, kEmpty}, true},
+      {{kEmpty, kMeets}, true},
+      {{kMissesEarly}, false},
+      {{kMissesLate}, false},
+      {{kMeets, kMissesEarly}, false},
+      {{kMeets, kEmpty, kMissesLate}, false},
+  };
+  RtaScratch scratch;
+  for (std::uint64_t id = 0; id < std::size(cases); ++id) {
+    const auto& [shapes, schedulable] = cases[id];
+    const Network net = edge_network(shapes);
+    const TimingMemo memo = compute_timing(net);
+    const NetworkAnalysis want = oracle::analyze_edf(net, memo, nullptr, kFuel);
+    EXPECT_EQ(want.schedulable, schedulable) << "case " << id;
+    expect_same(want, analyze_edf(net, memo, nullptr, kFuel, &scratch), "edf edges", id);
+    EXPECT_EQ(edf_schedulable(net, memo, kFuel, scratch), schedulable) << "case " << id;
+  }
+
+  // kMissesLate passes edf_schedulable's [0, Σ_j C_j] pass: its miss needs
+  // the full scan.
+  const Network late = edge_network({kMissesLate});
+  const TimingMemo memo = compute_timing(late);
+  const TaskSetView& v = bind_master(scratch.arena, late.masters[0], memo.per_master[0]);
+  const EdfHorizon prefix{.busy = {.length = v.total_execution()}};
+  const EdfRtaOptions opt{.fixed_point_fuel = kFuel};
+  for (std::size_t i = 0; i < v.n; ++i) {
+    const EdfRtaResult r =
+        edf_response_time(v, i, prefix, opt, scratch, /*preemptive=*/false, kMessageModel);
+    EXPECT_TRUE(r.meets(v.D[i])) << "stream " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dispatch, MessageOracle, ::testing::Values(false, true),
