@@ -205,6 +205,12 @@ Manifest parse_manifest(const std::string& json) {
     m.metrics.histograms.push_back(std::move(h));
   });
   c.expect('}');
+  // Accept only the bytes to_json writes for what was parsed: any other
+  // whitespace, spelling of a number, string byte or trailing byte would be
+  // a second document for the same manifest.
+  if (to_json(m) != json) {
+    throw std::invalid_argument("obs manifest: document is not in the form to_json writes");
+  }
   return m;
 }
 

@@ -62,7 +62,9 @@ struct Manifest {
 [[nodiscard]] std::string to_json(const Manifest& m);
 
 /// Parse a to_json() document back. Throws std::invalid_argument on
-/// malformed input or a schema mismatch.
+/// malformed input, a schema mismatch, or any bytes to_json would not write
+/// for the parsed manifest (other whitespace, number spellings, trailing
+/// bytes), so every accepted document round-trips byte-identically.
 [[nodiscard]] Manifest parse_manifest(const std::string& json);
 
 /// Write to_json(m) to `path`; returns false on I/O failure.

@@ -4,8 +4,10 @@
 //
 // BasicKernel<Payload> is the pooled, tag-dispatched form: events are plain
 // values and run_until takes the handler that interprets them — no
-// allocation per event. Kernel is the generic std::function surface the
-// tests and ad-hoc users keep.
+// allocation per event. A handler may also fire the next event in place
+// (fire_in_place), skipping the queue when that event provably comes next.
+// Kernel is the generic std::function surface the tests and ad-hoc users
+// keep.
 #pragma once
 
 #include <stdexcept>
@@ -41,20 +43,42 @@ class BasicKernel {
     queue_.schedule(time, std::move(payload));
   }
 
+  /// Fire an event at `t` in place: when it is provably the next event of a
+  /// run_until(horizon) — now() <= t <= horizon and t strictly before every
+  /// pending event — advance the clock to `t`, count the event as processed
+  /// and return true; the caller then runs its handler. Otherwise change
+  /// nothing and return false; the caller schedules it with at(t) instead.
+  /// Call it as the last action of a handler run by run_until(horizon).
+  ///
+  /// Why this is exact: had the event been queued at `t` with sequence number
+  /// s, the heap would pop it next, since every pending event is strictly
+  /// later (the test is strict: a pending event at `t` itself was scheduled
+  /// earlier, has the lower sequence number and must fire first). Firing it
+  /// in place skips only s. Sequence numbers break ties between equal times
+  /// and nothing else, every pending event's is below s, and every later
+  /// event's shifts down by one alike, so the relative order of all
+  /// remaining events is unchanged.
+  [[nodiscard]] bool fire_in_place(Ticks t, Ticks horizon) noexcept {
+    if (t < now_ || t > horizon || t >= queue_.next_time()) return false;
+    now_ = t;
+    ++processed_;
+    return true;
+  }
+
   /// Run events until the queue empties or the next event is after `horizon`,
   /// passing each payload to `handle`. Events exactly at the horizon still
-  /// fire. Returns events processed by this call.
+  /// fire. Returns events processed by this call, including those its
+  /// handlers fired in place.
   template <class Handler>
   std::uint64_t run_until(Ticks horizon, Handler&& handle) {
-    std::uint64_t n = 0;
+    const std::uint64_t before = processed_;
     while (!queue_.empty() && queue_.next_time() <= horizon) {
       BasicEvent<Payload> e = queue_.pop();
       now_ = e.time;
+      ++processed_;
       handle(e.payload);
-      ++n;
     }
-    processed_ += n;
-    return n;
+    return processed_ - before;
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -33,9 +34,10 @@ enum class Phase : std::uint8_t { GuaranteedHp, HpWhile, LpWhile };
 /// stored by value in the kernel's slot pool — no allocation per event. The
 /// kinds mirror exactly the continuations the seed-era simulator captured in
 /// per-event std::functions; the dispatch switch in Simulation::handle()
-/// replays the same bodies, so schedule order, sequence numbers and RNG draw
+/// replays the same bodies, so schedule order, event order and RNG draw
 /// order are unchanged and traces stay byte-identical (regression:
-/// tests/sim/test_event_pool.cpp).
+/// tests/sim/test_event_pool.cpp). Token arrivals fired in place
+/// (BasicKernel::fire_in_place) never become a SimEvent at all.
 struct SimEvent {
   enum class Kind : std::uint8_t {
     TokenArrival,  ///< token reaches `master`
@@ -66,10 +68,17 @@ std::uint64_t fault_stream_seed(std::uint64_t seed) {
   return splitmix64(state);
 }
 
+/// The token-passing procedure's result when no token arrival fired in place.
+constexpr std::size_t kNoArrival = std::numeric_limits<std::size_t>::max();
+
 class Simulation {
  public:
+  /// Reads `cfg` in place; it must outlive the Simulation.
   explicit Simulation(const SimConfig& cfg)
-      : cfg_(cfg), rng_(cfg.seed), frng_(fault_stream_seed(cfg.seed)) {
+      : cfg_(cfg),
+        rng_(cfg.seed),
+        frng_(fault_stream_seed(cfg.seed)),
+        pass_time_(profibus::token_pass_time(cfg.net.bus)) {
     cfg_.net.validate();
     cfg_.faults.validate();
     if (cfg_.horizon < 1) throw std::invalid_argument("SimConfig: horizon must be >= 1");
@@ -100,12 +109,14 @@ class Simulation {
 
  private:
   /// The tag dispatch: each case is the body of the lambda the seed-era
-  /// simulator would have captured for this continuation, verbatim.
+  /// simulator would have captured for this continuation, verbatim, except
+  /// that token arrivals run in the loop at the end.
   void handle(const SimEvent& e) {
     const std::size_t k = e.master;
+    std::size_t arrival = kNoArrival;  // master the token reaches now, if any
     switch (e.kind) {
       case SimEvent::Kind::TokenArrival:
-        on_token_arrival(k);
+        arrival = k;
         break;
       case SimEvent::Kind::HpGenStep: {
         const Ticks nominal = e.t0;
@@ -144,14 +155,14 @@ class Simulation {
           trace(TraceKind::CycleEnd, k, e.req.stream, response);
         }
         mm.dispatcher.complete_head();
-        token_phase(k, e.t0, e.phase, e.t1);
+        arrival = token_phase(k, e.t0, e.phase, e.t1);
         break;
       }
       case SimEvent::Kind::LpCycleEnd:
         masters_[k].lp_queue.pop_front();
         ++lp_completed_;
         trace(TraceKind::LpCycleEnd, k, SIZE_MAX, 0);
-        token_phase(k, e.t0, Phase::LpWhile, e.t1);
+        arrival = token_phase(k, e.t0, Phase::LpWhile, e.t1);
         break;
       case SimEvent::Kind::Rejoin: {
         MasterState& m = masters_[k];
@@ -166,6 +177,9 @@ class Simulation {
         break;
       }
     }
+    // Token arrivals pass_token fired in place run here, in a loop rather
+    // than by recursion: an idle stretch of the ring is thousands of passes.
+    while (arrival != kNoArrival) arrival = on_token_arrival(arrival);
   }
 
   // ---- traffic --------------------------------------------------------
@@ -235,8 +249,12 @@ class Simulation {
   }
 
   // ---- the token-passing procedure (paper §3.1) -----------------------
+  //
+  // on_token_arrival, token_phase and pass_token return the master whose
+  // next token arrival pass_token fired in place (kNoArrival when a message
+  // cycle started or the arrival was queued); handle() runs it.
 
-  void on_token_arrival(std::size_t k) {
+  std::size_t on_token_arrival(std::size_t k) {
     MasterState& m = masters_[k];
     const Ticks now = kernel_.now();
     const Ticks trr = now - m.last_token_arrival;
@@ -246,10 +264,10 @@ class Simulation {
 
     const Ticks tth = cfg_.net.ttr - trr;  // may be <= 0 (late token)
     const Ticks tth_expiry = sat_add(now, std::max<Ticks>(tth, 0));
-    token_phase(k, tth_expiry, Phase::GuaranteedHp, now);
+    return token_phase(k, tth_expiry, Phase::GuaranteedHp, now);
   }
 
-  void token_phase(std::size_t k, Ticks tth_expiry, Phase phase, Ticks visit_start) {
+  std::size_t token_phase(std::size_t k, Ticks tth_expiry, Phase phase, Ticks visit_start) {
     MasterState& m = masters_[k];
     const Ticks now = kernel_.now();
     const bool budget = now < tth_expiry;  // "T_TH > 0", tested at cycle start
@@ -259,13 +277,13 @@ class Simulation {
         // One high-priority cycle per visit regardless of token lateness.
         if (m.dispatcher.has_pending()) {
           start_hp_cycle(k, tth_expiry, Phase::HpWhile, visit_start);
-          return;
+          return kNoArrival;
         }
         [[fallthrough]];
       case Phase::HpWhile:
         if (budget && m.dispatcher.has_pending()) {
           start_hp_cycle(k, tth_expiry, Phase::HpWhile, visit_start);
-          return;
+          return kNoArrival;
         }
         [[fallthrough]];
       case Phase::LpWhile:
@@ -273,15 +291,15 @@ class Simulation {
         // phase is served first (never hurts HP response times).
         if (budget && m.dispatcher.has_pending()) {
           start_hp_cycle(k, tth_expiry, Phase::LpWhile, visit_start);
-          return;
+          return kNoArrival;
         }
         if (budget && !m.lp_queue.empty()) {
           start_lp_cycle(k, tth_expiry, visit_start);
-          return;
+          return kNoArrival;
         }
         break;
     }
-    pass_token(k, visit_start);
+    return pass_token(k, visit_start);
   }
 
   void start_hp_cycle(std::size_t k, Ticks tth_expiry, Phase next_phase, Ticks visit_start) {
@@ -326,7 +344,11 @@ class Simulation {
     }
   }
 
-  void pass_token(std::size_t k, Ticks visit_start) {
+  /// Pass the token on. This is the last action of every handler that
+  /// reaches it (TokenArrival, HpCycleEnd, LpCycleEnd): when the next arrival
+  /// fires in place the clock has already moved to it, so nothing of the
+  /// current event may run after this call.
+  std::size_t pass_token(std::size_t k, Ticks visit_start) {
     MasterState& m = masters_[k];
     m.token.total_hold = sat_add(m.token.total_hold, kernel_.now() - visit_start);
     trace(TraceKind::TokenPass, k, SIZE_MAX, 0);
@@ -338,17 +360,16 @@ class Simulation {
       leave_ring(k);
     }
 
-    const Ticks pass = profibus::token_pass_time(cfg_.net.bus);
-    Ticks dur = pass;
-    std::size_t next = (k + 1) % masters_.size();
+    Ticks dur = pass_time_;
+    std::size_t next = successor(k);
     while (!masters_[next].online) {
       // Offline successor: the pass times out after one slot time and the
       // token is re-addressed to the following station.
-      dur = sat_add(dur, sat_add(cfg_.net.bus.t_sl, pass));
+      dur = sat_add(dur, sat_add(cfg_.net.bus.t_sl, pass_time_));
       ++faults_.token_skips;
       trace(TraceKind::TokenSkip, next, SIZE_MAX, 0);
       notify(FaultKind::TokenSkip, next, SIZE_MAX, 0);
-      next = (next + 1) % masters_.size();
+      next = successor(next);
     }
 
     // Token loss: the pass fails and the ring recovers the token out-of-band
@@ -362,8 +383,17 @@ class Simulation {
       dur = sat_add(dur, cfg_.faults.token_recovery);
     }
 
-    kernel_.after(dur, SimEvent{.kind = SimEvent::Kind::TokenArrival,
-                                .master = static_cast<std::uint32_t>(next)});
+    // The arrival is usually the very next event; then it skips the queue.
+    const Ticks arrival = sat_add(kernel_.now(), dur);
+    if (kernel_.fire_in_place(arrival, cfg_.horizon)) return next;
+    kernel_.at(arrival, SimEvent{.kind = SimEvent::Kind::TokenArrival,
+                                 .master = static_cast<std::uint32_t>(next)});
+    return kNoArrival;
+  }
+
+  /// Station k+1 (mod n) of the logical ring.
+  [[nodiscard]] std::size_t successor(std::size_t k) const noexcept {
+    return k + 1 == masters_.size() ? 0 : k + 1;
   }
 
   void leave_ring(std::size_t k) {
@@ -472,13 +502,14 @@ class Simulation {
     return r;
   }
 
-  SimConfig cfg_;
+  const SimConfig& cfg_;
   Rng rng_;
   /// Dedicated fault stream: consulted only behind per-knob `> 0` gates, so
   /// disabling faults never perturbs rng_'s draw sequence (zero-fault runs
   /// stay byte-identical) and enabling one knob never shifts another's draws
   /// relative to the main traffic.
   Rng frng_;
+  const Ticks pass_time_;  ///< token_pass_time(bus), fixed for the run
   FaultStats faults_;
   BasicKernel<SimEvent> kernel_;
   std::vector<MasterState> masters_;

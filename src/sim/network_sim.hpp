@@ -106,11 +106,14 @@ struct SimConfig {
 /// Run one simulation; returns the collected statistics.
 ///
 /// Re-entrant: each call builds a private Simulation (kernel, dispatchers,
-/// RNG, stats) from a copy of `cfg`, and nothing in src/sim/ touches global
+/// RNG, stats) that reads `cfg` in place and is gone when the call returns.
+/// The run never writes to `cfg` and nothing in src/sim/ touches global
 /// mutable state, so concurrent calls — the engine's parallel simulation
-/// sweeps — are safe and bit-identical to serial runs with the same seed
-/// (regression: tests/sim/test_concurrent_sim.cpp). The optional `cfg.trace`
-/// sink is the one shared-state hatch: give each concurrent run its own.
+/// sweeps — are safe, even on one shared `cfg`, and bit-identical to serial
+/// runs with the same seed (regression: tests/sim/test_concurrent_sim.cpp),
+/// as long as no other thread modifies `cfg` during a call. The optional
+/// `cfg.trace` sink is the one shared-state hatch: give each concurrent run
+/// its own.
 [[nodiscard]] SimReport simulate(const SimConfig& cfg);
 
 }  // namespace profisched::sim

@@ -81,7 +81,10 @@ struct SimReport {
   FaultStats faults;  ///< injected-fault counters (all zero without faults)
   std::uint64_t lp_cycles_completed = 0;
   std::uint64_t events = 0;
-  std::uint64_t pool_recycles = 0;  ///< event-pool slot reuses (telemetry)
+  /// Event-pool slot reuses (telemetry). Only queued events take a slot: a
+  /// token arrival fired in place (BasicKernel::fire_in_place) counts in
+  /// `events` but never here.
+  std::uint64_t pool_recycles = 0;
   Ticks horizon = 0;
 
   /// Largest observed response across every stream of every master.

@@ -1,7 +1,15 @@
-// Unit tests for the network loader (INI → profibus::Network).
+// Unit tests for the network loader (INI → profibus::Network), plus a
+// mutation suite over the shipped configs: every mutant loads or throws a
+// typed error.
 #include "config/network_loader.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "profibus/dispatching.hpp"
 #include "profibus/ttr_setting.hpp"
@@ -164,6 +172,83 @@ TEST(NetworkLoader, ShippedConfigsLoadAndMatchScenarios) {
   const LoadedNetwork mix = load_network_file("configs/tight_deadline_mix.ini");
   EXPECT_FALSE(analyze_network(mix.net, profibus::ApPolicy::Fcfs).schedulable);
   EXPECT_TRUE(analyze_network(mix.net, profibus::ApPolicy::Dm).schedulable);
+}
+
+struct Xorshift {
+  std::uint64_t state;
+  std::uint64_t next() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+};
+
+/// One mutation of `text` at a random position: a truncation, a bit flip, a
+/// byte replaced by or inserted from the INI alphabet, or a splice of another
+/// stretch of the file.
+std::string mutate(const std::string& text, Xorshift& rng) {
+  static constexpr char kAlphabet[] = "0123456789.e-+_ =[]#;\nabcdefghijklmnoprstuvwxyz";
+  std::string m = text;
+  const std::size_t pos = rng.next() % m.size();
+  const char c = kAlphabet[rng.next() % (sizeof kAlphabet - 1)];
+  switch (rng.next() % 5) {
+    case 0:
+      m.resize(pos);
+      break;
+    case 1:
+      m[pos] = static_cast<char>(m[pos] ^ (1 << (rng.next() % 8)));
+      break;
+    case 2:
+      m[pos] = c;
+      break;
+    case 3:
+      m.insert(pos, 1, c);
+      break;
+    default: {
+      const std::size_t from = rng.next() % text.size();
+      m.insert(pos, text.substr(from, 1 + rng.next() % 40));
+      break;
+    }
+  }
+  return m;
+}
+
+// ROADMAP's fuzz contract for the INI loader: a mutant of a shipped config
+// either loads a network or is rejected with IniError (syntax, a bad value,
+// a misplaced section) or std::invalid_argument (a network the model
+// refuses). No other exception, and no crash or sanitizer report under the
+// ASan+UBSan job, which runs this suite through ctest.
+TEST(NetworkLoader, MutantsLoadOrThrowTyped) {
+  constexpr int kMutantsPerConfig = 20'000;
+  Xorshift rng{0xbf58476d1ce4e5b9ULL};
+  for (const char* path : {"configs/factory_cell.ini", "configs/tight_deadline_mix.ini"}) {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    std::size_t loaded = 0, ini_errors = 0, invalid = 0, other = 0;
+    for (int i = 0; i < kMutantsPerConfig; ++i) {
+      const std::string m = mutate(text, rng);
+      try {
+        (void)load_network(parse_ini(m));
+        ++loaded;
+      } catch (const IniError&) {
+        ++ini_errors;
+      } catch (const std::invalid_argument&) {
+        ++invalid;
+      } catch (const std::exception& e) {
+        if (++other <= 3) ADD_FAILURE() << "untyped error: " << e.what() << "\n" << m;
+      }
+    }
+    EXPECT_EQ(other, 0u) << path;
+    // Each outcome occurs, so the mutants reach past the parser into the
+    // loader and the model's validation.
+    EXPECT_GT(loaded, 0u) << path;
+    EXPECT_GT(ini_errors, 0u) << path;
+    EXPECT_GT(invalid, 0u) << path;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Unit tests for the --metrics run-manifest sidecar: full JSON round-trip
 // through to_json/parse_manifest, string sanitization into the engine's
-// escape-free grammar, schema-version rejection, and the file writer.
+// escape-free grammar, schema-version rejection, the file writer, and a
+// mutation suite: the parser accepts only the bytes to_json writes.
 #include "obs/manifest.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -121,6 +123,76 @@ TEST(ObsManifest, WriteManifestFileRoundTrips) {
   const Manifest r = parse_manifest(text.str());
   EXPECT_EQ(r.run.config_digest, m.run.config_digest);
   std::remove(path.c_str());
+}
+
+struct Xorshift {
+  std::uint64_t state;
+  std::uint64_t next() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+};
+
+/// One mutation of `text` at a random position: a truncation, a bit flip, an
+/// insertion drawn mostly from the manifest's own alphabet, a deletion, or a
+/// splice of another stretch of the document.
+std::string mutate(const std::string& text, Xorshift& rng) {
+  static constexpr char kAlphabet[] = "0123456789.e-+ \n\",:[]{}";
+  std::string m = text;
+  const std::size_t pos = rng.next() % m.size();
+  switch (rng.next() % 5) {
+    case 0:
+      m.resize(pos);
+      break;
+    case 1:
+      m[pos] = static_cast<char>(m[pos] ^ (1 << (rng.next() % 8)));
+      break;
+    case 2: {
+      const std::uint64_t r = rng.next();
+      const char c = r % 4 == 0 ? static_cast<char>(r >> 8)
+                                : kAlphabet[(r >> 8) % (sizeof kAlphabet - 1)];
+      m.insert(pos, 1, c);
+      break;
+    }
+    case 3:
+      m.erase(pos, 1 + rng.next() % 3);
+      break;
+    default: {
+      const std::size_t from = rng.next() % text.size();
+      m.insert(pos, text.substr(from, 1 + rng.next() % 24));
+      break;
+    }
+  }
+  return m;
+}
+
+// The ROADMAP fuzz contract for byte parsers: every mutant of a real-shaped
+// manifest either is rejected with std::invalid_argument or parses to a
+// manifest that to_json writes back in exactly the mutated bytes — no other
+// spelling of a number, no other whitespace, no trailing bytes.
+TEST(ObsManifest, MutantsRoundTripOrAreRejected) {
+  constexpr int kMutants = 60'000;
+  Xorshift rng{0x2545f4914f6cdd1dULL};
+  const std::string text = to_json(sample_manifest());
+  ASSERT_EQ(to_json(parse_manifest(text)), text);
+  std::size_t accepted = 0, diverged = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string m = mutate(text, rng);
+    Manifest parsed;
+    try {
+      parsed = parse_manifest(m);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++accepted;
+    if (to_json(parsed) != m && ++diverged <= 3) {
+      ADD_FAILURE() << "accepted a manifest that serializes differently:\n" << m;
+    }
+  }
+  EXPECT_EQ(diverged, 0u);
+  EXPECT_GT(accepted, 0u);  // the mutants reached past the parser
 }
 
 }  // namespace

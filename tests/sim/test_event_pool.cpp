@@ -6,7 +6,9 @@
 //    straightforward reference heap (the pre-rework representation),
 //    asserting identical (time, seq) pop order;
 //  * simulator level — seeded end-to-end runs compared byte-for-byte against
-//    committed golden trace renderings produced by the pre-rework simulator
+//    committed golden trace renderings: a zero-fault corpus produced by the
+//    pre-rework simulator, and faulted runs whose same-tick collisions pin
+//    the (time, seq) order of token arrivals fired in place
 //    (regenerate deliberately with PROFISCHED_REGEN_GOLDEN=1).
 #include <cstdlib>
 #include <fstream>
@@ -28,6 +30,7 @@ namespace profisched::sim {
 namespace {
 
 constexpr const char* kGoldenPath = "tests/golden/sim_trace_pr4.txt";
+constexpr const char* kFaultedGoldenPath = "tests/golden/sim_trace_faulted.txt";
 
 // ------------------------------------------------------------ queue level
 
@@ -242,22 +245,35 @@ TEST(EventPool, FaultedSameTickEventsStayDeterministic) {
   EXPECT_NE(faulted_render(3), faulted_render(23));
 }
 
-TEST(EventPool, SeededTracesMatchPreReworkGolden) {
-  const std::string got = full_corpus();
+/// Compare `got` byte-for-byte with the golden file at `path`, or rewrite
+/// that file when PROFISCHED_REGEN_GOLDEN is set.
+void expect_matches_golden(const std::string& got, const char* path) {
   if (std::getenv("PROFISCHED_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << got;
-    GTEST_SKIP() << "regenerated " << kGoldenPath;
+    GTEST_SKIP() << "regenerated " << path;
   }
-  std::ifstream in(kGoldenPath, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing " << kGoldenPath
-                         << " (run with PROFISCHED_REGEN_GOLDEN=1 to create)";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << path << " (run with PROFISCHED_REGEN_GOLDEN=1 to create)";
   std::ostringstream want;
   want << in.rdbuf();
+  ASSERT_EQ(got, want.str());
+}
+
+TEST(EventPool, SeededTracesMatchPreReworkGolden) {
   // Byte-identical: the pooled queue must not change event order, RNG draw
   // order, or any observable statistic.
-  ASSERT_EQ(got, want.str());
+  expect_matches_golden(full_corpus(), kGoldenPath);
+}
+
+// The determinism test above compares a run with itself, so it cannot see a
+// reordering. This one pins the faulted runs' bytes: with token_recovery
+// equal to the token pass time, recovered arrivals land on the same tick as
+// other pending events, where a queued event must fire before a token
+// arrival that would otherwise fire in place (BasicKernel::fire_in_place).
+TEST(EventPool, FaultedTracesMatchGolden) {
+  expect_matches_golden(faulted_render(3) + faulted_render(23), kFaultedGoldenPath);
 }
 
 }  // namespace

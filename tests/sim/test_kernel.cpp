@@ -107,5 +107,75 @@ TEST(Kernel, SaturatedTimesNeverFireOrWrap) {
   EXPECT_FALSE(fired);
 }
 
+// ---- fire_in_place: the next event skips the queue only when provably next
+
+TEST(Kernel, FiresInPlaceWhenStrictlyBeforeEveryPendingEvent) {
+  Kernel k;
+  std::vector<Ticks> seen;
+  k.at(10, [&] {
+    ASSERT_TRUE(k.fire_in_place(15, 100));
+    EXPECT_EQ(k.now(), 15);
+    seen.push_back(k.now());
+  });
+  k.at(20, [&] { seen.push_back(k.now()); });
+  k.run_until(100);
+  EXPECT_EQ(seen, (std::vector<Ticks>{15, 20}));
+}
+
+TEST(Kernel, SameInstantAsAPendingEventIsQueuedBehindIt) {
+  Kernel k;
+  std::vector<char> order;
+  k.at(10, [&] {
+    // 'a' is already queued at 20 with the lower sequence number, so it must
+    // fire first: the in-place firing is refused and 'b' queues behind it.
+    EXPECT_FALSE(k.fire_in_place(20, 100));
+    EXPECT_EQ(k.now(), 10);
+    k.at(20, [&] { order.push_back('b'); });
+  });
+  k.at(20, [&] { order.push_back('a'); });
+  k.run_until(100);
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b'}));
+}
+
+TEST(Kernel, FireInPlaceRefusesPastTheHorizonOrBeforeNow) {
+  Kernel k;
+  k.at(10, [] {});
+  k.run_until(10);
+  ASSERT_EQ(k.now(), 10);
+  EXPECT_FALSE(k.fire_in_place(51, 50));
+  EXPECT_FALSE(k.fire_in_place(9, 50));
+  EXPECT_EQ(k.now(), 10);
+  EXPECT_EQ(k.events_processed(), 1u);
+  EXPECT_THROW(k.after(-1, [] {}), std::invalid_argument);
+  // The horizon itself is inclusive, as in run_until, and so is now().
+  EXPECT_TRUE(k.fire_in_place(10, 50));
+  EXPECT_TRUE(k.fire_in_place(50, 50));
+  EXPECT_EQ(k.now(), 50);
+}
+
+TEST(Kernel, EmptyQueueWithinTheHorizonFiresInPlace) {
+  Kernel k;
+  int fired = 0;
+  k.at(5, [&] {
+    if (k.fire_in_place(30, 40)) ++fired;
+  });
+  k.run_until(40);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(k.now(), 30);
+}
+
+TEST(Kernel, InPlaceEventsCountAsProcessed) {
+  Kernel k;
+  int in_place = 0;
+  k.at(1, [&] {
+    // Three arrivals chained in place, as the simulator's token passes are.
+    for (Ticks t = 2; t <= 4; ++t) in_place += k.fire_in_place(t, 10) ? 1 : 0;
+  });
+  k.at(8, [] {});
+  EXPECT_EQ(k.run_until(10), 5u);
+  EXPECT_EQ(in_place, 3);
+  EXPECT_EQ(k.events_processed(), 5u);
+}
+
 }  // namespace
 }  // namespace profisched::sim
