@@ -78,7 +78,7 @@ void acceptance_curves() {
               "analysis-accepts-but-sim-misses: %zu (must be 0); pessimism ratio in "
               "[%.3f, %.3f]\n",
               table.rows.size(), runner.threads(), result.elapsed_s,
-              static_cast<unsigned long long>(result.total_bound_violations()),
+              static_cast<unsigned long long>(table.total_bound_violations()),
               table.accept_but_miss_count(), min_pessimism, max_pessimism);
   std::printf("Expected shape: every an%% <= its sim%% (the analysis is sufficient, the\n"
               "simulation cannot observe the worst case it bounds), both monotone down\n"

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "engine/detail/cli_parse.hpp"
 #include "engine/detail/hash.hpp"
@@ -322,31 +323,84 @@ const ModeTrait* find_mode(std::string_view word, const char* ModeTrait::*vocabu
 
 std::string_view to_string(SweepMode m) { return trait(m).spec_word; }
 
+namespace {
+
+/// Throws, naming `field`, unless lo <= v <= hi (lo < v with `open_lo`). NaN
+/// fails both tests.
+template <class T>
+void check_range(const std::string& field, T v, T lo, T hi, bool open_lo = false) {
+  if ((open_lo ? v > lo : v >= lo) && v <= hi) return;
+  const auto text = [](T x) {
+    if constexpr (std::is_floating_point_v<T>) {
+      return engine::detail::fmt_double_exact(x);
+    } else {
+      return std::to_string(x);
+    }
+  };
+  throw std::invalid_argument("job: " + field + ' ' + text(v) + " is outside " +
+                              (open_lo ? "(" : "[") + text(lo) + ", " + text(hi) + ']');
+}
+
+}  // namespace
+
 void validate_spec(const ShardSpec& spec) {
   const engine::SweepSpec& sw = spec.spec.sweep;
   const ModeTrait& mode = trait(spec.mode);
   if (sw.points.empty() || sw.scenarios_per_point == 0) {
     throw std::invalid_argument("job: needs >= 1 point and >= 1 scenario per point");
   }
-  if (sw.scenarios_per_point > kMaxScenarios || sw.points.size() > kMaxScenarios ||
-      sw.total_scenarios() > kMaxScenarios) {
+  if (sw.scenarios_per_point > engine::kMaxScenarios || sw.points.size() > engine::kMaxScenarios ||
+      sw.total_scenarios() > engine::kMaxScenarios) {
     throw std::invalid_argument("sweep too large (" + std::to_string(sw.points.size()) +
                                 " points x " + std::to_string(sw.scenarios_per_point) +
-                                " scenarios exceeds " + std::to_string(kMaxScenarios) +
+                                " scenarios exceeds " + std::to_string(engine::kMaxScenarios) +
                                 "); shrink the grid axes or --scenarios");
   }
   if (sw.policies.empty()) throw std::invalid_argument("job: needs >= 1 policy");
-  for (const engine::Policy p : sw.policies) {
-    if (!mode.admits(p)) {
-      throw std::invalid_argument("job: policy " + std::string(engine::to_string(p)) +
-                                  " is not available in " + mode.word + " mode");
+  for (std::size_t p = 0; p < sw.policies.size(); ++p) {
+    const std::string name(engine::to_string(sw.policies[p]));
+    if (!mode.admits(sw.policies[p])) {
+      throw std::invalid_argument("job: policy " + name + " is not available in " + mode.word +
+                                  " mode");
+    }
+    if (std::count(sw.policies.begin(), sw.policies.end(), sw.policies[p]) > 1) {
+      throw std::invalid_argument("job: policy " + name + " is listed twice");
     }
   }
-  if (spec.spec.replications == 0) throw std::invalid_argument("job: needs >= 1 replication");
-  if (sw.engine.fuel < 1) {
-    throw std::invalid_argument("job: fuel must be in [1, " +
-                                std::to_string(std::numeric_limits<int>::max()) + "], got " +
-                                std::to_string(sw.engine.fuel));
+
+  const workload::NetworkParams& b = sw.base;
+  check_range<std::size_t>("masters", b.n_masters, 1, engine::kMaxMasters);
+  check_range<std::size_t>("streams", b.streams_per_master, 1, engine::kMaxStreams);
+  check_range<Ticks>("ttr", b.ttr, 0, engine::kMaxTtr);
+  for (const engine::SweepPoint& pt : sw.points) {
+    check_range("point u", pt.total_u, 0.0, engine::kMaxUtilization, true);
+    check_range("point beta_lo", pt.beta_lo, 0.0, pt.beta_hi, true);
+    if (pt.n_masters != 0) {
+      check_range<std::size_t>("point masters", pt.n_masters, 1, engine::kMaxMasters);
+    }
+  }
+
+  const engine::SimOptions& so = spec.spec.sim;
+  check_range<std::size_t>("replications", spec.spec.replications, 1, engine::kMaxReplications);
+  check_range<Ticks>("horizon", so.horizon, 0, engine::kMaxHorizon);
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+  check_range("horizon_cycles", so.horizon_cycles, 0.0, kUnbounded, true);
+  check_range("quantile", so.quantile, 0.0, 1.0, true);
+  check_range("min_fraction", so.cycle_model.min_fraction, 0.0, 1.0);
+  check_range("slave_fail_prob", so.cycle_model.slave_fail_prob, 0.0, 1.0);
+  so.faults.validate();
+  check_range<Ticks>("faults recovery", so.faults.token_recovery, 0, engine::kMaxHorizon);
+  check_range<Ticks>("faults offline", so.faults.churn_offline, 0, engine::kMaxHorizon);
+  check_range<int>("faults retrans", so.faults.max_retransmissions, 0, engine::kMaxRetransmissions);
+
+  if ((mode.flag_groups & kBracketFlags) != 0) {
+    const opt::OptimizeOptions& o = spec.optimize;
+    const Ticks max_q = static_cast<Ticks>(engine::kMaxBracket) * sensitivity::kScaleOne;
+    check_range<Ticks>("optimize scale_hi_q", o.scale_hi_q, 1, max_q);
+    check_range<Ticks>("optimize scale_lo_q", o.scale_lo_q, 1, o.scale_hi_q);
+    check_range<Ticks>("optimize ttr_cap", o.ttr_cap, 1, engine::kMaxTtr);
+    check_range<Ticks>("optimize dratio_hi_q", o.dratio_hi_q, 1, max_q);
+    check_range<Ticks>("optimize dratio_lo_q", o.dratio_lo_q, 1, o.dratio_hi_q);
   }
 }
 
@@ -425,7 +479,9 @@ Apply set_true(bool& dst) {
 Apply q1024_into(Ticks& dst) {
   return [&dst](const std::string& v, std::string&) {
     double x = 0.0;
-    if (!engine::parse_cli_nonneg_double(v, x) || x <= 0.0 || x > 1e12) return false;
+    if (!engine::parse_cli_nonneg_double(v, x) || x <= 0.0 || x > engine::kMaxBracket) {
+      return false;
+    }
     dst = static_cast<Ticks>(std::llround(x * sensitivity::kScaleOne));
     return dst >= 1;
   };
@@ -461,12 +517,12 @@ bool parse_faults(const std::string& v, profibus::FaultModel& out, std::string& 
        : key == "churn"   ? out.churn_prob
                           : out.burst_correlation) = d;
     } else if (key == "recovery" || key == "offline") {
-      if (!engine::parse_cli_count(val, n, 1'000'000'000'000ULL)) {
+      if (!engine::parse_cli_count(val, n, engine::kMaxHorizon)) {
         return fail(key + " needs a tick count");
       }
       (key == "recovery" ? out.token_recovery : out.churn_offline) = static_cast<Ticks>(n);
     } else if (key == "retrans") {
-      if (!engine::parse_cli_count(val, n, 1'000)) {
+      if (!engine::parse_cli_count(val, n, engine::kMaxRetransmissions)) {
         return fail("retrans needs an integer in [0, 1000]");
       }
       out.max_retransmissions = static_cast<int>(n);
@@ -525,13 +581,13 @@ std::vector<Flag> job_flags(JobArgs& a, engine::GridCliArgs& grid, bool& sharded
        },
        "--combined is a `simulate` flag; shard and submit spell it --mode combined", true},
       {"--scenarios", kJob, kCommonFlags, "an integer in [1, 1e8]",
-       count_into(sw.scenarios_per_point, 1, kMaxScenarios)},
+       count_into(sw.scenarios_per_point, 1, engine::kMaxScenarios)},
       {"--masters", kJob, kCommonFlags, "a comma list of integers in [1, 4096]",
        store(grid.masters)},
       {"--split", kJob, kCommonFlags, "a comma list of weights", store(grid.split)},
       {"--skew", kJob, kCommonFlags, "a number >= 0", store(grid.skew)},
       {"--streams", kJob, kCommonFlags, "an integer in [1, 4096]",
-       count_into(sw.base.streams_per_master, 1, 4'096)},
+       count_into(sw.base.streams_per_master, 1, engine::kMaxStreams)},
       {"--u", kJob, kCommonFlags, "LO:HI:STEPS with numeric LO/HI and integer STEPS",
        store(grid.u)},
       {"--beta", kJob, kCommonFlags, "LO:HI:STEPS with numeric LO/HI and integer STEPS",
@@ -557,7 +613,7 @@ std::vector<Flag> job_flags(JobArgs& a, engine::GridCliArgs& grid, bool& sharded
       {"--seed", kJob, kCommonFlags, "a non-negative integer",
        count_into(sw.seed, 0, std::size_t(-1))},
       {"--ttr", kJob, kCommonFlags, "a tick count",
-       count_into(sw.base.ttr, 0, 1'000'000'000'000'000ULL)},
+       count_into(sw.base.ttr, 0, engine::kMaxTtr)},
       {"--method", kJob, kAnalysisFlags, "paper|refined",
        [&sw](const std::string& v, std::string&) {
          if (v != "paper" && v != "refined") return false;
@@ -566,9 +622,9 @@ std::vector<Flag> job_flags(JobArgs& a, engine::GridCliArgs& grid, bool& sharded
          return true;
        }},
       {"--reps", kJob, kSimFlags, "an integer in [1, 10000]",
-       count_into(a.job.spec.spec.replications, 1, 10'000)},
+       count_into(a.job.spec.spec.replications, 1, engine::kMaxReplications)},
       {"--horizon", kJob, kSimFlags, "a tick count >= 1",
-       count_into(sim.horizon, 1, 1'000'000'000'000ULL)},
+       count_into(sim.horizon, 1, engine::kMaxHorizon)},
       {"--cycles", kJob, kSimFlags, "a number > 0",
        [&sim](const std::string& v, std::string&) {
          return engine::parse_cli_nonneg_double(v, sim.horizon_cycles) && sim.horizon_cycles > 0;
@@ -596,7 +652,7 @@ std::vector<Flag> job_flags(JobArgs& a, engine::GridCliArgs& grid, bool& sharded
       {"--scale-lo", kJob, kBracketFlags, "a factor >= 1/1024", q1024_into(brackets.scale_lo_q)},
       {"--scale-hi", kJob, kBracketFlags, "a factor >= 1/1024", q1024_into(brackets.scale_hi_q)},
       {"--ttr-cap", kJob, kBracketFlags, "a tick count >= 1",
-       count_into(brackets.ttr_cap, 1, 1'000'000'000'000'000ULL)},
+       count_into(brackets.ttr_cap, 1, engine::kMaxTtr)},
       {"--dratio-lo", kJob, kBracketFlags, "a ratio >= 1/1024", q1024_into(brackets.dratio_lo_q)},
       {"--dratio-hi", kJob, kBracketFlags, "a ratio >= 1/1024", q1024_into(brackets.dratio_hi_q)},
       {"--threads", kBatch | surface_bit(Surface::Shard), kCommonFlags, "an integer in [0, 1024]",
@@ -695,9 +751,6 @@ bool parse_job_args(Surface surface, const std::vector<std::string>& args, JobAr
     if (a.inputs.empty()) return fail("merge needs at least one shard artifact file");
   } else {
     if (!engine::expand_cli_grid(grid, sw.base, sw.points, error)) return false;
-    const opt::OptimizeOptions& b = a.job.spec.optimize;
-    if (b.scale_lo_q > b.scale_hi_q) return fail("--scale-lo must not exceed --scale-hi");
-    if (b.dratio_lo_q > b.dratio_hi_q) return fail("--dratio-lo must not exceed --dratio-hi");
     try {
       validate_spec(a.job.spec);
     } catch (const std::exception& e) {

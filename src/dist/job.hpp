@@ -86,13 +86,13 @@ struct ModeTrait {
 [[nodiscard]] const ModeTrait* find_mode(std::string_view word,
                                          const char* ModeTrait::*vocabulary = &ModeTrait::word);
 
-/// Largest sweep any job source may describe.
-inline constexpr std::uint64_t kMaxScenarios = 100'000'000;
-
 /// Job validation every source passes through (flags, spec blocks from the
-/// wire, artifacts): at least one point, scenario, policy and replication,
-/// at most kMaxScenarios scenarios, and only policies the mode admits.
-/// Throws std::invalid_argument.
+/// wire, artifacts): at least one point, scenario and policy, at most
+/// engine::kMaxScenarios scenarios, distinct policies the mode admits, and
+/// every field a job flag sets inside that flag's range
+/// (engine/detail/cli_parse.hpp), plus [0, 1] for the cycle model's
+/// min_fraction and slave_fail_prob, which no flag sets. Throws
+/// std::invalid_argument naming the field.
 void validate_spec(const ShardSpec& spec);
 
 /// Merge a complete artifact set (moving its rows) and reduce it to the

@@ -1,10 +1,12 @@
 #include "dist/shard.hpp"
 
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "dist/job.hpp"
+#include "engine/detail/cli_parse.hpp"
 #include "engine/detail/serialize.hpp"
 #include "obs/metrics.hpp"
 
@@ -53,7 +55,10 @@ namespace {
 
 /// Bump with any change to the artifact bytes: readers name the format they
 /// refuse. v2: rows are `o id seed point` plus one cell-codec cell per policy.
-constexpr const char* kMagic = "profisched-shard v2";
+/// v3: the spec block's `engine` line carries only the T_cycle method and its
+/// `sim` line no horizon cap or histogram flag (the engine's fixed
+/// formulation, fuel, cap and histograms are not options).
+constexpr const char* kMagic = "profisched-shard v3";
 
 [[nodiscard]] const char* method_name(profibus::TcycleMethod m) {
   return m == profibus::TcycleMethod::PaperEq13 ? "paper" : "refined";
@@ -63,16 +68,6 @@ constexpr const char* kMagic = "profisched-shard v2";
   if (s == "paper") return profibus::TcycleMethod::PaperEq13;
   if (s == "refined") return profibus::TcycleMethod::PerMasterRefined;
   throw std::invalid_argument("shard artifact: unknown tcycle method '" + s + "'");
-}
-
-[[nodiscard]] const char* formulation_name(Formulation f) {
-  return f == Formulation::PaperLiteral ? "literal" : "refined";
-}
-
-[[nodiscard]] Formulation parse_formulation(const std::string& s) {
-  if (s == "literal") return Formulation::PaperLiteral;
-  if (s == "refined") return Formulation::Refined;
-  throw std::invalid_argument("shard artifact: unknown formulation '" + s + "'");
 }
 
 [[nodiscard]] const char* cycle_kind_name(sim::CycleModel::Kind k) {
@@ -98,12 +93,9 @@ constexpr const char* kMagic = "profisched-shard v2";
 }
 
 [[nodiscard]] engine::Policy parse_policy_name(const std::string& s) {
-  for (const engine::Policy p :
-       {engine::Policy::Fcfs, engine::Policy::Dm, engine::Policy::Edf, engine::Policy::Opa,
-        engine::Policy::TokenRing, engine::Policy::Holistic}) {
-    if (s == engine::to_string(p)) return p;
-  }
-  throw std::invalid_argument("shard artifact: unknown policy '" + s + "'");
+  const std::optional<engine::Policy> p = engine::find_policy(s);
+  if (!p) throw std::invalid_argument("shard artifact: unknown policy '" + s + "'");
+  return *p;
 }
 
 /// Line-oriented reader over an artifact: each fetch pops one line, checks
@@ -205,8 +197,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
     out += engine::to_string(sw.policies[p]);
   }
   out += '\n';
-  out += std::string("engine ") + method_name(sw.engine.method) + ' ' +
-         formulation_name(sw.engine.formulation) + ' ' + std::to_string(sw.engine.fuel) + '\n';
+  out += std::string("engine ") + method_name(sw.engine.method) + '\n';
   out += "base " + std::to_string(b.n_masters) + ' ' + std::to_string(b.streams_per_master) +
          ' ' + std::to_string(b.t_min) + ' ' + std::to_string(b.t_max) + ' ' +
          fmt_double_exact(b.deadline_lo) + ' ' + fmt_double_exact(b.deadline_hi) + ' ' +
@@ -234,8 +225,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   out += std::string("sim ") + cycle_kind_name(so.cycle_model.kind) + ' ' +
          fmt_double_exact(so.cycle_model.min_fraction) + ' ' +
          fmt_double_exact(so.cycle_model.slave_fail_prob) + ' ' + std::to_string(so.horizon) +
-         ' ' + fmt_double_exact(so.horizon_cycles) + ' ' + std::to_string(so.horizon_cap) + ' ' +
-         (so.lp_traffic ? '1' : '0') + ' ' + (so.collect_histograms ? '1' : '0') + ' ' +
+         ' ' + fmt_double_exact(so.horizon_cycles) + ' ' + (so.lp_traffic ? '1' : '0') + ' ' +
          fmt_double_exact(so.quantile) + ' ' + std::to_string(sh.spec.replications) + '\n';
   // Fault-injection knobs, emitted only when any are active: a zero-fault
   // spec block stays byte-identical to the pre-fault format, and merge's
@@ -271,10 +261,7 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   }
   if (sw.policies.empty()) throw std::invalid_argument("shard artifact: empty policy list");
 
-  const std::vector<std::string> eng = r.line("engine", 3);
-  sw.engine.method = parse_method(eng[0]);
-  sw.engine.formulation = parse_formulation(eng[1]);
-  sw.engine.fuel = to_int(eng[2], "fuel");
+  sw.engine.method = parse_method(r.line("engine", 1)[0]);
 
   const std::vector<std::string> base = r.line("base", 13);
   workload::NetworkParams& b = sw.base;
@@ -300,7 +287,9 @@ void append_spec(std::string& out, const ShardSpec& sh) {
   if (r.peek_keyword() == "skew") b.master_skew = to_double(r.line("skew", 1)[0]);
 
   const std::size_t n_points = to_size(r.line("points", 1)[0]);
-  if (n_points > kMaxScenarios) throw std::invalid_argument("shard spec: too many points");
+  if (n_points > engine::kMaxScenarios) {
+    throw std::invalid_argument("shard spec: too many points");
+  }
   sw.points.clear();
   for (std::size_t i = 0; i < n_points; ++i) {
     const std::vector<std::string> pt = r.line("point", 3, 4);
@@ -308,18 +297,16 @@ void append_spec(std::string& out, const ShardSpec& sh) {
                                            pt.size() == 4 ? to_size(pt[3]) : 0});
   }
 
-  const std::vector<std::string> so = r.line("sim", 10);
+  const std::vector<std::string> so = r.line("sim", 8);
   engine::SimOptions& o = sh.spec.sim;
   o.cycle_model.kind = parse_cycle_kind(so[0]);
   o.cycle_model.min_fraction = to_double(so[1]);
   o.cycle_model.slave_fail_prob = to_double(so[2]);
   o.horizon = to_ll(so[3]);
   o.horizon_cycles = to_double(so[4]);
-  o.horizon_cap = to_ll(so[5]);
-  o.lp_traffic = to_bool01(so[6]);
-  o.collect_histograms = to_bool01(so[7]);
-  o.quantile = to_double(so[8]);
-  sh.spec.replications = to_size(so[9]);
+  o.lp_traffic = to_bool01(so[5]);
+  o.quantile = to_double(so[6]);
+  sh.spec.replications = to_size(so[7]);
 
   if (r.peek_keyword() == "faults") {
     const std::vector<std::string> f = r.line("faults", 7);
@@ -330,7 +317,6 @@ void append_spec(std::string& out, const ShardSpec& sh) {
     o.faults.churn_prob = to_double(f[4]);
     o.faults.churn_offline = to_ll(f[5]);
     o.faults.burst_correlation = to_double(f[6]);
-    o.faults.validate();
   }
 
   if ((trait(sh.mode).flag_groups & kBracketFlags) != 0) {

@@ -59,10 +59,6 @@ std::vector<profibus::Transaction> per_stream_transactions(const profibus::Netwo
   return txs;
 }
 
-}  // namespace
-
-namespace {
-
 /// Cheap structural fingerprint so an id collision between different
 /// networks invalidates the memo instead of serving stale timing.
 Ticks network_fingerprint(const profibus::Network& net) {
@@ -78,87 +74,41 @@ Ticks network_fingerprint(const profibus::Network& net) {
 
 }  // namespace
 
-AnalysisEngine::Memo& AnalysisEngine::memo_for(const Scenario& sc) {
-  const Ticks fingerprint = network_fingerprint(sc.net);
-  const auto it = memo_.find(sc.id);
-  if (it != memo_.end() && it->second.n_streams == sc.net.total_high_streams() &&
-      it->second.ttr == sc.net.ttr && it->second.fingerprint == fingerprint) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  Memo& m = memo_[sc.id];
-  m.timing = profibus::compute_timing(sc.net, opt_.method);
-  m.n_streams = sc.net.total_high_streams();
-  m.ttr = sc.net.ttr;
-  m.fingerprint = fingerprint;
-  return m;
-}
-
-const profibus::TimingMemo& AnalysisEngine::timing(const Scenario& sc) {
-  return memo_for(sc).timing;
-}
-
-Report AnalysisEngine::analyze(const Scenario& sc, Policy policy) {
+const profibus::TimingMemo& AnalysisEngine::timing_for(const Scenario& sc) {
   // Validate up front: the memoized timing and token-ring paths would
   // otherwise touch stream parameters (compare against D) before any
   // underlying analysis gets the chance to reject the network.
   sc.net.validate();
-  return analyze_with(sc, policy, memo_for(sc));
+  const Ticks fingerprint = network_fingerprint(sc.net);
+  if (memo_ && memo_->id == sc.id && memo_->n_streams == sc.net.total_high_streams() &&
+      memo_->ttr == sc.net.ttr && memo_->fingerprint == fingerprint) {
+    ++hits_;
+    return memo_->timing;
+  }
+  ++misses_;
+  memo_ = Memo{sc.id, sc.net.total_high_streams(), sc.net.ttr, fingerprint,
+               profibus::compute_timing(sc.net, opt_.method)};
+  return memo_->timing;
 }
 
-AnalysisEngine::Memo& AnalysisEngine::memo_for_all(const Scenario& sc, std::size_t n_policies) {
-  sc.net.validate();
-  Memo& m = memo_for(sc);
-  // Every policy after the first is served from the shared bind — keep the
-  // hit counter equivalent to the per-policy analyze() sequence it replaces.
-  hits_ += n_policies - 1;
-  return m;
-}
-
-std::vector<Report> AnalysisEngine::analyze_all(const Scenario& sc,
-                                                std::span<const Policy> policies) {
-  if (policies.empty()) return {};
-  Memo& m = memo_for_all(sc, policies.size());
-  std::vector<Report> out;
-  out.reserve(policies.size());
-  for (const Policy policy : policies) out.push_back(analyze_with(sc, policy, m));
-  return out;
+Report AnalysisEngine::analyze(const Scenario& sc, Policy policy) {
+  return analyze_network(sc.net, timing_for(sc), policy, scratch_, sc.transactions);
 }
 
 VerdictReport AnalysisEngine::verdict(const Scenario& sc, Policy policy) {
-  sc.net.validate();
-  return verdict_with(sc, policy, memo_for(sc));
-}
-
-std::vector<VerdictReport> AnalysisEngine::verdict_all(const Scenario& sc,
-                                                       std::span<const Policy> policies) {
-  if (policies.empty()) return {};
-  Memo& m = memo_for_all(sc, policies.size());
-  std::vector<VerdictReport> out;
-  out.reserve(policies.size());
-  for (const Policy policy : policies) out.push_back(verdict_with(sc, policy, m));
-  return out;
-}
-
-Report AnalysisEngine::analyze_with(const Scenario& sc, Policy policy, Memo& m) {
-  return analyze_network(sc.net, m.timing, policy, opt_, scratch_, sc.transactions);
-}
-
-VerdictReport AnalysisEngine::verdict_with(const Scenario& sc, Policy policy, Memo& m) {
-  return {m.timing.tcycle,
-          network_schedulable(sc.net, m.timing, policy, opt_, scratch_, sc.transactions)};
+  const profibus::TimingMemo& tm = timing_for(sc);
+  return {tm.tcycle, network_schedulable(sc.net, tm, policy, scratch_, sc.transactions)};
 }
 
 bool network_schedulable(const profibus::Network& net, const TimingMemo& tm, Policy policy,
-                         const EngineOptions& opt, RtaScratch& scratch,
+                         RtaScratch& scratch,
                          const std::vector<profibus::Transaction>& transactions) {
-  if (policy == Policy::Edf) return profibus::edf_schedulable(net, tm, opt.fuel, scratch);
-  return analyze_network(net, tm, policy, opt, scratch, transactions).schedulable;
+  if (policy == Policy::Edf) return profibus::edf_schedulable(net, tm, kFuel, scratch);
+  return analyze_network(net, tm, policy, scratch, transactions).schedulable;
 }
 
 Report analyze_network(const profibus::Network& net, const TimingMemo& tm, Policy policy,
-                       const EngineOptions& opt, RtaScratch& scratch,
+                       RtaScratch& scratch,
                        const std::vector<profibus::Transaction>& transactions) {
   Report r;
   r.policy = policy;
@@ -171,18 +121,17 @@ Report analyze_network(const profibus::Network& net, const TimingMemo& tm, Polic
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Dm:
-      r.detail = analyze_dm(net, tm, opt.formulation, opt.fuel, &scratch);
+      r.detail = analyze_dm(net, tm, kFormulation, kFuel, &scratch);
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Edf:
-      r.detail = analyze_edf(net, tm, nullptr, opt.fuel, &scratch);
+      r.detail = analyze_edf(net, tm, nullptr, kFuel, &scratch);
       r.schedulable = r.detail.schedulable;
       break;
     case Policy::Opa: {
-      const auto orders = audsley_stream_orders(net, tm, opt.formulation, opt.fuel, &scratch);
-      r.detail = orders.has_value() ? analyze_fixed_priority(net, *orders, tm, opt.formulation,
-                                                             opt.fuel, &scratch)
-                                    : all_miss(net, tm);
+      const auto orders = audsley_stream_orders(net, tm, kFormulation, kFuel, &scratch);
+      r.detail = orders ? analyze_fixed_priority(net, *orders, tm, kFormulation, kFuel, &scratch)
+                        : all_miss(net, tm);
       r.schedulable = r.detail.schedulable;
       break;
     }

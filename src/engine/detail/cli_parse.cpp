@@ -37,23 +37,13 @@ bool parse_cli_policies(const std::string& list, std::vector<Policy>& out) {
   std::size_t start = 0;
   while (start <= list.size()) {
     const std::size_t comma = list.find(',', start);
-    const std::string name = list.substr(start, comma - start);
-    if (name == "fcfs") out.push_back(Policy::Fcfs);
-    else if (name == "dm") out.push_back(Policy::Dm);
-    else if (name == "edf") out.push_back(Policy::Edf);
-    else if (name == "opa") out.push_back(Policy::Opa);
-    else if (name == "token") out.push_back(Policy::TokenRing);
-    else if (name == "holistic") out.push_back(Policy::Holistic);
-    else return false;
-    // Duplicates would emit repeated policy columns the CSV/JSON formats
-    // cannot represent (their parse-back keys on the policy name).
-    for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-      if (out[i] == out.back()) return false;
-    }
+    const std::optional<Policy> p = find_policy(list.substr(start, comma - start), true);
+    if (!p) return false;
+    out.push_back(*p);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
-  return !out.empty();
+  return true;
 }
 
 bool parse_cli_u_grid(const std::string& s, double& u_lo, double& u_hi, std::size_t& u_steps) {
@@ -191,7 +181,7 @@ bool expand_cli_grid(const GridCliArgs& args, workload::NetworkParams& base,
   if (!args.masters.empty()) {
     for (const std::string& tok : split_list(args.masters)) {
       std::size_t m = 0;
-      if (!parse_cli_count(tok, m, 4'096) || m == 0) {
+      if (!parse_cli_count(tok, m, kMaxMasters) || m == 0) {
         return fail("--masters needs a comma list of integers in [1, 4096]");
       }
       masters_axis.push_back(m);
@@ -248,9 +238,8 @@ bool expand_cli_grid(const GridCliArgs& args, workload::NetworkParams& base,
   // callers enforce on total_scenarios() is also a valid cap here.
   points.clear();
   const std::size_t m_count = has_masters_axis ? masters_axis.size() : 1;
-  constexpr std::uint64_t kMaxPoints = 100'000'000;
   // u_steps, b_steps <= 1e6 and m_count <= 4096: the product fits uint64.
-  if (static_cast<std::uint64_t>(u_steps) * b_steps * m_count > kMaxPoints) {
+  if (static_cast<std::uint64_t>(u_steps) * b_steps * m_count > kMaxScenarios) {
     return fail("grid too large (" + std::to_string(u_steps) + " u x " +
                 std::to_string(b_steps) + " beta x " + std::to_string(m_count) +
                 " masters points); shrink the axis STEPS");

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,14 +16,36 @@
 
 namespace profisched::engine {
 
+// The ranges of the job flags. The flag table (dist/job.cpp) and the grid
+// expansion below parse against them, and dist::validate_spec holds spec
+// blocks from the wire and from artifacts to the same ranges.
+/// Scenarios in one sweep (--scenarios times the grid's points).
+inline constexpr std::uint64_t kMaxScenarios = 100'000'000;
+/// Each --masters value.
+inline constexpr std::size_t kMaxMasters = 4'096;
+/// --streams.
+inline constexpr std::size_t kMaxStreams = 4'096;
+/// --u HI, far past the saturation cliff at u = 1.
+inline constexpr double kMaxUtilization = 1'000.0;
+/// --ttr and --ttr-cap.
+inline constexpr Ticks kMaxTtr = 1'000'000'000'000'000;
+/// --reps.
+inline constexpr std::size_t kMaxReplications = 10'000;
+/// --horizon and the --faults recovery/offline durations.
+inline constexpr Ticks kMaxHorizon = 1'000'000'000'000;
+/// --faults retrans.
+inline constexpr int kMaxRetransmissions = 1'000;
+/// The --scale-* and --dratio-* factors.
+inline constexpr double kMaxBracket = 1e12;
+
 [[nodiscard]] bool parse_cli_count(const std::string& s, std::size_t& out,
                                    std::size_t max = std::size_t(-1));
 
 [[nodiscard]] bool parse_cli_nonneg_double(const std::string& s, double& out);
 
-/// Comma-separated policy names from fcfs,dm,edf,opa,token,holistic
-/// (duplicates rejected — the serialized column formats key on unique policy
-/// names). Which of them a mode can run is its trait's rule (dist/job.hpp).
+/// Comma-separated lowercase policy names (fcfs,dm,edf,opa,token,holistic;
+/// find_policy). Duplicates, and which policies a mode can run, are
+/// dist::validate_spec's rules.
 [[nodiscard]] bool parse_cli_policies(const std::string& list, std::vector<Policy>& out);
 
 /// "LO:HI:STEPS" utilization-grid argument (numeric LO/HI, integer STEPS).

@@ -1,8 +1,22 @@
 #include "engine/scenario.hpp"
 
+#include <cctype>
+#include <string>
+
 #include "engine/detail/hash.hpp"
 
 namespace profisched::engine {
+
+std::optional<Policy> find_policy(std::string_view name, bool lowercase) {
+  for (const Policy p : kAllPolicies) {
+    std::string own(to_string(p));
+    if (lowercase) {
+      for (char& c : own) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (name == own) return p;
+  }
+  return std::nullopt;
+}
 
 std::uint64_t canonical_hash(const Scenario& sc) {
   detail::Fnv1a64 h;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -35,6 +36,15 @@ enum class Policy {
   }
   return "?";
 }
+
+/// Every policy, in declaration order: the one list policy names are looked
+/// up in.
+inline constexpr Policy kAllPolicies[] = {Policy::Fcfs,  Policy::Dm,        Policy::Edf,
+                                          Policy::Opa,   Policy::TokenRing, Policy::Holistic};
+
+/// The policy called `name`: its to_string() name (spec blocks), or with
+/// `lowercase` that name in lower case (`--policies`). nullopt when none is.
+[[nodiscard]] std::optional<Policy> find_policy(std::string_view name, bool lowercase = false);
 
 /// One scenario. `id` keys the engine's memo, so it must be unique within an
 /// engine's lifetime (the sweep runner uses the global scenario index).

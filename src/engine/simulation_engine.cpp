@@ -31,7 +31,7 @@ Ticks SimulationEngine::horizon_for(const Scenario& sc) const {
   if (opt_.horizon > 0) return opt_.horizon;
   const Ticks tcycle = profibus::t_cycle(sc.net);
   const double h = opt_.horizon_cycles * static_cast<double>(tcycle);
-  const double capped = std::min(h, static_cast<double>(opt_.horizon_cap));
+  const double capped = std::min(h, static_cast<double>(kHorizonCap));
   return std::max<Ticks>(static_cast<Ticks>(std::ceil(capped)), 1);
 }
 
@@ -44,7 +44,7 @@ sim::SimConfig SimulationEngine::make_config(const Scenario& sc, Policy policy,
   cfg.seed = rep_seed(sc.seed, rep);
   cfg.cycle_model = opt_.cycle_model;
   cfg.faults = opt_.faults;
-  cfg.collect_histograms = opt_.collect_histograms;
+  cfg.collect_histograms = true;
 
   if (opt_.cycle_model.kind == sim::CycleModel::Kind::FrameLevel) {
     if (sc.frame_specs.size() != sc.net.n_masters()) {

@@ -24,17 +24,20 @@
 
 namespace profisched::engine {
 
-/// Tuning knobs of the simulation backend.
+/// Upper clamp, in ticks, of a horizon derived from horizon_cycles.
+inline constexpr Ticks kHorizonCap = 20'000'000;
+
+/// Tuning knobs of the simulation backend. Every run collects per-stream
+/// latency histograms (the observed-p99 column).
 struct SimOptions {
   /// How actual message-cycle durations are drawn (default: worst case, the
   /// regime where observed maxima can approach the analytic bounds).
   sim::CycleModel cycle_model;
 
   /// Explicit horizon in ticks; 0 derives one per scenario as
-  /// ceil(horizon_cycles · T_cycle(net)) clamped to horizon_cap.
+  /// ceil(horizon_cycles · T_cycle(net)) clamped to kHorizonCap.
   Ticks horizon = 0;
   double horizon_cycles = 50.0;
-  Ticks horizon_cap = 20'000'000;
 
   /// Give every master one background low-priority generator (cycle length
   /// Cl^k, one release per T_TR). Off by default: the validation regime runs
@@ -47,9 +50,6 @@ struct SimOptions {
   /// network-wide draw in make_config. A default FaultModel leaves every
   /// output byte-identical to a fault-free build.
   profibus::FaultModel faults;
-
-  /// Collect per-stream latency histograms (enables the observed-p99 column).
-  bool collect_histograms = true;
 
   /// Which percentile of the merged response distribution the observed_p99
   /// column reports (`profisched simulate --quantile`). Default 0.99 keeps

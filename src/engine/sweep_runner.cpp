@@ -194,7 +194,10 @@ SimSummary simulate_policy(const SimulationEngine& sim, const Scenario& sc, Poli
 // scenario half; serving one such scenario the other's record would silently
 // break the cached-equals-recomputed guarantee. The params half digests the
 // record kind, the policy, and every option that shapes the result, so any
-// knob change misses cleanly instead of serving stale data.
+// knob change misses cleanly instead of serving stale data. The engine's
+// fixed formulation, fuel, horizon cap and histogram collection are hashed
+// too, where earlier key layouts carried them, so caches written by earlier
+// builds keep hitting (tests/dist/test_job.cpp pins the keys).
 
 constexpr std::uint64_t kAnalysisRecordKind = 1;
 constexpr std::uint64_t kSimRecordKind = 2;
@@ -211,8 +214,8 @@ std::uint64_t analysis_params_digest(Policy policy, const EngineOptions& opt) {
   h.u64(kAnalysisRecordKind)
       .u64(static_cast<std::uint64_t>(policy))
       .u64(static_cast<std::uint64_t>(opt.method))
-      .u64(static_cast<std::uint64_t>(opt.formulation))
-      .i64(opt.fuel);
+      .u64(static_cast<std::uint64_t>(kFormulation))
+      .i64(kFuel);
   return h.digest();
 }
 
@@ -225,9 +228,9 @@ std::uint64_t sim_params_digest(Policy policy, const SimOptions& opt, std::size_
       .f64(opt.cycle_model.slave_fail_prob)
       .i64(opt.horizon)
       .f64(opt.horizon_cycles)
-      .i64(opt.horizon_cap)
+      .i64(kHorizonCap)
       .u64(opt.lp_traffic ? 1 : 0)
-      .u64(opt.collect_histograms ? 1 : 0)
+      .u64(1)  // histograms collected
       .f64(opt.quantile)
       .u64(replications);
   // Every fault knob shapes simulation outcomes (and the burst correlation
@@ -315,12 +318,8 @@ SweepResult SweepRunner::run(const SweepSpec& spec, IdRange range, ScenarioCache
   std::vector<AnalysisEngine> engines(pool_.size(), AnalysisEngine(spec.engine));
 
   // Per-policy parameter digests are loop-invariant; hash them once.
-  std::vector<std::uint64_t> params(spec.policies.size(), 0);
-  if (cache != nullptr) {
-    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-      params[p] = analysis_params_digest(spec.policies[p], spec.engine);
-    }
-  }
+  std::vector<std::uint64_t> params;
+  for (const Policy p : spec.policies) params.push_back(analysis_params_digest(p, spec.engine));
   RunnerMetrics& m = runner_metrics();
   const detail::AnalysisCells codec;
 
@@ -337,24 +336,14 @@ SweepResult SweepRunner::run(const SweepSpec& spec, IdRange range, ScenarioCache
     o.seed = sc.seed;
     o.point = static_cast<std::size_t>(id) / spec.scenarios_per_point;
     o.schedulable.reserve(spec.policies.size());
-    // A cell keeps only T_cycle and the verdict, so both branches take the
-    // engine's verdict dispatch (EDF stops at the first proven miss).
-    if (cache == nullptr) {
-      // Cross-policy batch: validate + memo-bind the scenario once. Identical
-      // verdicts, fewer per-policy overheads (the cache path stays per-policy
-      // so hits skip computation entirely).
-      for (const VerdictReport& v : engine.verdict_all(sc, spec.policies)) {
-        codec.push(o, {v.tcycle, v.schedulable});
-      }
-    } else {
-      for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-        detail::cached_cell(codec, cache, CacheKey{content, params[p]}, o, [&] {
-          const VerdictReport v = engine.verdict(sc, spec.policies[p]);
-          return detail::AnalysisCells::Cell{v.tcycle, v.schedulable};
-        });
-      }
+    // A cell keeps only T_cycle and the verdict, so it takes the engine's
+    // verdict dispatch (EDF stops at the first proven miss).
+    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
+      detail::cached_cell(codec, cache, CacheKey{content, params[p]}, o, [&] {
+        const VerdictReport v = engine.verdict(sc, spec.policies[p]);
+        return detail::AnalysisCells::Cell{v.tcycle, v.schedulable};
+      });
     }
-    engine.forget(sc.id);
   };
   run_scenarios(spec.total_scenarios(), range, out, per_scenario);
 
@@ -379,11 +368,9 @@ SimSweepResult SweepRunner::run_sim(const SimSweepSpec& spec, IdRange range,
   out.outcomes.resize(static_cast<std::size_t>(range.size()));
 
   const SimulationEngine sim(spec.sim);  // stateless: shared by every worker
-  std::vector<std::uint64_t> params(spec.sweep.policies.size(), 0);
-  if (cache != nullptr) {
-    for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      params[p] = sim_params_digest(spec.sweep.policies[p], spec.sim, spec.replications);
-    }
+  std::vector<std::uint64_t> params;
+  for (const Policy p : spec.sweep.policies) {
+    params.push_back(sim_params_digest(p, spec.sim, spec.replications));
   }
   RunnerMetrics& m = runner_metrics();
   const detail::SimCells codec;
@@ -426,12 +413,9 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
   const SimulationEngine sim(spec.sim);
   const bool faulted = spec.sim.faults.any();
   std::vector<AnalysisEngine> engines(pool_.size(), AnalysisEngine(spec.sweep.engine));
-  std::vector<std::uint64_t> params(spec.sweep.policies.size(), 0);
-  if (cache != nullptr) {
-    for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      params[p] = combined_params_digest(spec.sweep.policies[p], spec.sweep.engine, spec.sim,
-                                         spec.replications);
-    }
+  std::vector<std::uint64_t> params;
+  for (const Policy p : spec.sweep.policies) {
+    params.push_back(combined_params_digest(p, spec.sweep.engine, spec.sim, spec.replications));
   }
   RunnerMetrics& m = runner_metrics();
   const detail::CombinedCells codec{faulted};
@@ -448,14 +432,6 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
     o.sim.seed = sc.seed;
     o.sim.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
     o.sim.horizon = sim.horizon_for(sc);
-    // Without a cache, every policy's analysis is needed: batch them so the
-    // scenario is validated and memo-bound once (identical reports). With a
-    // cache, analysis only runs on misses — stay per-policy.
-    std::vector<Report> batched;
-    if (cache == nullptr) {
-      const obs::Span an_span(m.analyze);
-      batched = engine.analyze_all(sc, spec.sweep.policies);
-    }
     // Under faults the degraded network and timing memo are shared across
     // this scenario's policies (the per-policy degraded analyses dispatch
     // through them), computed lazily so full-hit cached scenarios skip it.
@@ -468,7 +444,7 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
         detail::CombinedCells::Cell c;
         c.sim.horizon = o.sim.horizon;
         obs::Span an_span(m.analyze);
-        const Report a = cache == nullptr ? std::move(batched[p]) : engine.analyze(sc, policy);
+        const Report a = engine.analyze(sc, policy);
         const auto max_response = [](const profibus::NetworkAnalysis& na) {
           Ticks wcrt = 0;
           for (const profibus::MasterAnalysis& ma : na.masters) {
@@ -492,8 +468,7 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
             dnet = profibus::degraded_network(sc.net, spec.sim.faults);
             dmemo = profibus::degraded_timing(*dnet, spec.sim.faults, spec.sweep.engine.method);
           }
-          degraded = analyze_network(*dnet, *dmemo, policy, spec.sweep.engine, engine.scratch())
-                         .detail;
+          degraded = analyze_network(*dnet, *dmemo, policy, engine.scratch()).detail;
           c.degraded_schedulable = degraded.schedulable;
           c.degraded_wcrt = max_response(degraded);
         }
@@ -516,7 +491,6 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
         return c;
       });
     }
-    engine.forget(sc.id);
   };
   run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
 
@@ -527,27 +501,6 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
   m.memo_hits.add(out.memo_hits);
   m.memo_misses.add(out.memo_misses);
   return out;
-}
-
-std::uint64_t CombinedResult::total_bound_violations() const noexcept {
-  std::uint64_t n = 0;
-  for (const CombinedOutcome& o : outcomes) {
-    for (const std::uint64_t v : o.bound_violations) n += v;
-  }
-  return n;
-}
-
-std::uint64_t CombinedResult::accept_but_miss_count() const noexcept {
-  std::uint64_t n = 0;
-  for (const CombinedOutcome& o : outcomes) {
-    // accept_basis(): degraded verdicts when the sweep ran with faults —
-    // clean acceptance is not a promise the faulted run is held to.
-    const std::vector<bool>& accept = o.accept_basis();
-    for (std::size_t p = 0; p < accept.size(); ++p) {
-      if (accept[p] && o.sim.misses[p] > 0) ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace profisched::engine

@@ -11,8 +11,11 @@
 // The same machinery drives every backend over one scenario range, through a
 // single ranged core surface (run_scenarios): each mode is an adapter that
 // sets up its engines/cache digests and hands the core a per-scenario
-// callback. Every entry point takes an optional IdRange — the full-sweep
-// overloads are thin wrappers passing [0, total):
+// callback. That callback computes each (scenario, policy) cell one way, per
+// policy through detail::cached_cell, which looks the cell up first when
+// there is a cache and otherwise only computes it. Every entry point takes an
+// optional IdRange — the full-sweep overloads are thin wrappers passing
+// [0, total):
 //   run()          — analysis only (AnalysisEngine);
 //   run_sim()      — simulation only (SimulationEngine, replicated runs with
 //                    (seed, scenario, replication)-keyed RNG streams);
@@ -198,19 +201,10 @@ struct CombinedOutcome {
   }
 };
 
+/// Combined-mode result; consistency_table (engine/sim_aggregate.hpp) joins
+/// it with its spec and counts the consistency violations.
 struct CombinedResult : RunStats {
   std::vector<CombinedOutcome> outcomes;  ///< indexed by global scenario id
-
-  /// Total streams (across scenarios and policies) whose observed response
-  /// exceeded the reference bound (degraded under faults, clean otherwise).
-  /// Must be 0 for a sound analysis.
-  [[nodiscard]] std::uint64_t total_bound_violations() const noexcept;
-  /// Scenarios×policies the reference analysis accepts but the simulation
-  /// misses a deadline in. Must be 0: accept ⇒ R_i <= D_i ⇒ no observable
-  /// miss. Under faults the accepting analysis is the DEGRADED one — this is
-  /// the fault axis's must-never-fire flag (an accepted degraded guarantee
-  /// the faulted sim violates).
-  [[nodiscard]] std::uint64_t accept_but_miss_count() const noexcept;
 };
 
 class SweepRunner {

@@ -54,7 +54,7 @@ profibus::NetworkTest optimize_network_test(engine::Policy policy,
   return [policy, engine](const profibus::Network& net) {
     thread_local RtaScratch scratch;
     return engine::network_schedulable(net, profibus::compute_timing(net, engine.method), policy,
-                                       engine, scratch);
+                                       scratch);
   };
 }
 
@@ -115,8 +115,8 @@ std::uint64_t optimize_params_digest(engine::Policy policy, const engine::Engine
       .u64(kOptimizeRecordVersion)
       .u64(static_cast<std::uint64_t>(policy))
       .u64(static_cast<std::uint64_t>(eng.method))
-      .u64(static_cast<std::uint64_t>(eng.formulation))
-      .i64(eng.fuel)
+      .u64(static_cast<std::uint64_t>(engine::kFormulation))
+      .i64(engine::kFuel)
       .i64(opt.scale_lo_q)
       .i64(opt.scale_hi_q)
       .i64(opt.ttr_cap)
@@ -192,11 +192,9 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
     tests.push_back(optimize_network_test(p, spec.sweep.engine));
   }
 
-  std::vector<std::uint64_t> params(spec.sweep.policies.size(), 0);
-  if (cache != nullptr) {
-    for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      params[p] = optimize_params_digest(spec.sweep.policies[p], spec.sweep.engine, spec.options);
-    }
+  std::vector<std::uint64_t> params;
+  for (const engine::Policy p : spec.sweep.policies) {
+    params.push_back(optimize_params_digest(p, spec.sweep.engine, spec.options));
   }
   const OptimizeCells codec;
 

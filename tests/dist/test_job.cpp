@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <sstream>
+
+#include "engine/detail/cli_parse.hpp"
 
 namespace profisched::dist {
 namespace {
@@ -148,7 +151,7 @@ TEST(CellCodec, StaleRecordTagsMissCleanly) {
 
 TEST(JobValidation, ParseSpecRejectsABlockOverTheCap) {
   ShardSpec spec = small_spec(SweepMode::Analysis);
-  spec.spec.sweep.scenarios_per_point = kMaxScenarios;  // x 2 points
+  spec.spec.sweep.scenarios_per_point = engine::kMaxScenarios;  // x 2 points
   const std::string block = serialize_spec(spec);
   try {
     (void)parse_spec(block);
@@ -156,7 +159,7 @@ TEST(JobValidation, ParseSpecRejectsABlockOverTheCap) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos) << e.what();
   }
-  spec.spec.sweep.scenarios_per_point = kMaxScenarios / 2;
+  spec.spec.sweep.scenarios_per_point = engine::kMaxScenarios / 2;
   EXPECT_NO_THROW((void)parse_spec(serialize_spec(spec)));
 }
 
@@ -196,12 +199,14 @@ TEST(JobValidation, ArtifactRowCountIsCheckedBeforeAnyRowOrAllocation) {
 
 TEST(JobValidation, OlderArtifactFormatsAreRefusedByName) {
   const std::string text = ShardRunner(1).run(small_spec(SweepMode::Analysis), 0, 1).to_text();
-  const std::string old = "profisched-shard v1" + text.substr(text.find('\n'));
-  try {
-    (void)ShardArtifact::from_text(old);
-    FAIL() << "an old-format artifact parsed";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("'profisched-shard v1'"), std::string::npos) << e.what();
+  ASSERT_EQ(text.substr(0, text.find('\n')), "profisched-shard v3");
+  for (const std::string magic : {"profisched-shard v1", "profisched-shard v2"}) {
+    try {
+      (void)ShardArtifact::from_text(magic + text.substr(text.find('\n')));
+      ADD_FAILURE() << magic << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + magic + "'"), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -235,6 +240,10 @@ TEST(JobFlags, SweepNamesTheBadFlag) {
   EXPECT_EQ(fail_message(Surface::Sweep, {"--frobnicate"}), "unknown sweep flag '--frobnicate'");
   EXPECT_EQ(fail_message(Surface::Sweep, {"--scenarios", "x"}),
             "--scenarios needs an integer in [1, 1e8]");
+  // A range the flag parser leaves open is the spec's, named the same way a
+  // SUBMIT spec block's is.
+  EXPECT_EQ(fail_message(Surface::Sweep, {"--u", "1500:2000:1"}),
+            "job: point u 1500 is outside (0, 1000]");
 }
 
 TEST(JobFlags, MethodAppliesToCombinedEverywhere) {
@@ -304,6 +313,60 @@ TEST(JobFlags, EverySurfaceAgreesInEveryMode) {
         EXPECT_EQ(serialize_spec(su.job.spec), serialize_spec(b.job.spec));
       }
     }
+  }
+}
+
+// ------------------------------------------------------------ cache keys
+
+/// ScenarioCache that misses every lookup and records the params half of
+/// each key, once, in first-lookup order.
+class KeyRecorder : public engine::ScenarioCache {
+ public:
+  bool load(const engine::CacheKey& key, std::string&) override {
+    const std::lock_guard lock(mu_);
+    if (std::find(params.begin(), params.end(), key.params) == params.end()) {
+      params.push_back(key.params);
+    }
+    return false;
+  }
+  void store(const engine::CacheKey&, const std::string&) override {}
+  std::vector<std::uint64_t> params;
+
+ private:
+  std::mutex mu_;
+};
+
+TEST(CacheKeys, DefaultJobsKeepTheirKeys) {
+  // The params half of every key a default job looks up, one per policy
+  // (FCFS, DM, EDF), as earlier builds computed them when the engine's
+  // formulation, fuel, horizon cap and histogram switch were still options.
+  // A change here makes every cache warmed by those builds miss.
+  const struct {
+    Surface surface;
+    std::vector<std::string> args;
+  } jobs[] = {
+      {Surface::Sweep, {}},
+      {Surface::Simulate, {}},
+      {Surface::Simulate, {"--combined"}},
+      {Surface::Simulate, {"--combined", "--faults", "loss=0.02,corrupt=0.05,burst=0.7"}},
+      {Surface::Optimize, {}},
+  };
+  const std::vector<std::uint64_t> keys[] = {
+      {0x7ed0f9756c1587ddULL, 0xcafce3f633283becULL, 0x89825f42b20208dfULL},
+      {0x63caec9944dfa910ULL, 0x6a2bebae87d58f09ULL, 0xe0081a08d168a5ceULL},
+      {0x81656c9cd81bc891ULL, 0xca9216cfbf598cf1ULL, 0x934db1d2b17a5523ULL},
+      {0x3ce1b42deedec1adULL, 0xc1fbd7516c64c006ULL, 0x49d158cb59b29f29ULL},
+      {0xda2aeaf39c26166fULL, 0x16ccaf11426d36b2ULL, 0x05babcc9b4a50fb1ULL},
+  };
+  for (std::size_t j = 0; j < std::size(jobs); ++j) {
+    std::vector<std::string> args = jobs[j].args;
+    args.insert(args.end(), {"--scenarios", "1", "--u", "0.5:0.5:1"});  // the grid is not keyed
+    JobArgs a;
+    std::string error;
+    ASSERT_TRUE(parse(jobs[j].surface, args, a, error)) << error;
+    KeyRecorder recorder;
+    (void)ShardRunner(1).run(a.job.spec, 0, 1, &recorder);
+    EXPECT_EQ(recorder.params, keys[j]) << "job " << j;
   }
 }
 

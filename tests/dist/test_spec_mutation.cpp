@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -249,22 +250,71 @@ TEST(SpecMutation, NumbersAndIntegersAreReadWhole) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_spec(with_line(text, "point", "point 0g.3 0.5 1")),
                std::invalid_argument);
-  // A fuel that does not fit an int is refused, not narrowed; one outside
-  // [1, INT_MAX] is refused by name.
-  for (const char* fuel : {"6544444536", "4294967297", "0", "-3"}) {
-    try {
-      (void)parse_spec(with_line(text, "engine", std::string("engine paper literal ") + fuel));
-      ADD_FAILURE() << "fuel " << fuel << " accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("fuel"), std::string::npos) << e.what();
-    }
-  }
   // A zero-fault `faults` line describes the fault-free run in other bytes.
   ShardSpec combined = base_spec(SweepMode::Combined);
   const std::string plain = serialize_spec(combined);
   const std::string zero = plain + "faults 0 0 0 0 0 0 0\n";
   EXPECT_THROW((void)parse_spec(zero), std::invalid_argument);
   EXPECT_THROW((void)parse_spec(plain + "\n"), std::invalid_argument);
+  // A retransmission count that does not fit an int is refused, not
+  // narrowed; one outside the flag's [0, 1000] is refused by name.
+  for (const char* retrans : {"6544444536", "4294967297", "1001", "-3"}) {
+    try {
+      (void)parse_spec(plain + "faults 0.1 0 0 " + retrans + " 0 0 0\n");
+      ADD_FAILURE() << "retransmissions " << retrans << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("retrans"), std::string::npos) << e.what();
+    }
+  }
+}
+
+/// Replace token `index` (0 = the keyword) of the first line starting with
+/// `key `.
+std::string with_token(const std::string& text, const std::string& key, std::size_t index,
+                       const std::string& token) {
+  const std::size_t at = text.find('\n' + key + ' ') + 1;
+  std::size_t begin = at;
+  for (std::size_t i = 0; i < index; ++i) begin = text.find(' ', begin) + 1;
+  const std::size_t end = std::min(text.find(' ', begin), text.find('\n', begin));
+  return std::string(text).replace(begin, end - begin, token);
+}
+
+TEST(SpecMutation, SpecBlocksObeyTheFlagRanges) {
+  // Every block here parses as bytes but asks for a value no job flag can
+  // set; each must be refused by name. The `sim` line carries min_fraction
+  // and slave_fail_prob, which have no flag, in [0, 1].
+  struct Hostile {
+    const char* key;
+    std::size_t token;
+    const char* value;
+    const char* field;
+  };
+  const Hostile cases[] = {
+      {"base", 1, "100000000", "masters"},
+      {"base", 2, "100000000", "streams"},
+      {"sim", 8, "1000000000000", "replications"},
+      {"sim", 7, "5", "quantile"},
+      {"sim", 4, "1000000000000000000", "horizon"},
+      {"point", 1, "0", "point u"},
+      {"point", 1, "1e+300", "point u"},
+      {"point", 2, "1.5", "point beta_lo"},  // beta_lo > beta_hi = 1
+      {"sim", 2, "nan", "min_fraction"},
+      {"sim", 2, "1e+300", "min_fraction"},
+      {"sim", 2, "2", "min_fraction"},
+      {"sim", 3, "7", "slave_fail_prob"},
+  };
+  const std::string text = serialize_spec(base_spec(SweepMode::Combined));
+  for (const Hostile& h : cases) {
+    const std::string block = with_token(text, h.key, h.token, h.value);
+    ASSERT_NE(block, text) << h.key << ' ' << h.token;
+    try {
+      (void)parse_spec(block);
+      ADD_FAILURE() << h.field << ' ' << h.value << " accepted:\n" << block;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(h.field), std::string::npos)
+          << h.field << ' ' << h.value << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -67,9 +67,18 @@ TEST(AnalysisEngine, TimingMemoIsReusedAcrossPolicies) {
   (void)engine.analyze(sc, Policy::Edf);
   EXPECT_EQ(engine.memo_misses(), 1u);  // one derivation only
   EXPECT_EQ(engine.memo_hits(), 3u);
-  EXPECT_EQ(engine.memo_size(), 1u);
+  (void)engine.verdict(sc, Policy::Opa);  // the verdict dispatch shares the memo
+  EXPECT_EQ(engine.memo_hits(), 4u);
   engine.forget(sc.id);
-  EXPECT_EQ(engine.memo_size(), 0u);
+  (void)engine.analyze(sc, Policy::Fcfs);  // forgotten: derived again
+  EXPECT_EQ(engine.memo_misses(), 2u);
+  EXPECT_EQ(engine.memo_hits(), 4u);
+  // The memo holds the scenario last analysed: another one replaces it.
+  const Scenario other = scenario_from(workload::scenarios::tight_deadline_mix(), 8);
+  (void)engine.analyze(other, Policy::Fcfs);
+  (void)engine.analyze(sc, Policy::Fcfs);
+  EXPECT_EQ(engine.memo_misses(), 4u);
+  EXPECT_EQ(engine.memo_hits(), 4u);
 }
 
 TEST(AnalysisEngine, MemoGuardsAgainstIdReuseWithDifferentNetwork) {

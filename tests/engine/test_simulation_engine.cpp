@@ -51,8 +51,8 @@ TEST(SimulationEngine, HorizonDerivesFromTcycleAndClamps) {
   opt.horizon_cycles = 10.0;
   EXPECT_EQ(SimulationEngine(opt).horizon_for(sc), 10 * tcycle);
 
-  opt.horizon_cap = 3 * tcycle;
-  EXPECT_EQ(SimulationEngine(opt).horizon_for(sc), 3 * tcycle);
+  opt.horizon_cycles = 1e12;  // far past the cap
+  EXPECT_EQ(SimulationEngine(opt).horizon_for(sc), kHorizonCap);
 
   opt.horizon = 12'345;  // explicit horizon wins
   EXPECT_EQ(SimulationEngine(opt).horizon_for(sc), 12'345);

@@ -132,10 +132,9 @@ TEST(SweepRunner, CliffVerdictsAreTheEngineVerdicts) {
   // A sweep cell keeps only the verdict, so the runner takes the engine's
   // verdict dispatch, where EDF stops at the first proven miss. On a cliff
   // grid (u 0.95 and 1.0, 1 and 3 masters) every cell must still equal
-  // AnalysisEngine::analyze, in the batch branch, in the cached branch on a
-  // cold cache, and read back from the warm one. Three streams per master
-  // keep analyze's exact scans at u = 1.0 short; D = T leaves EDF some
-  // accepted cells there.
+  // AnalysisEngine::analyze, without a cache, on a cold cache, and read back
+  // from the warm one. Three streams per master keep analyze's exact scans at
+  // u = 1.0 short; D = T leaves EDF some accepted cells there.
   SweepSpec spec = small_spec();
   spec.base.streams_per_master = 3;
   spec.points.clear();
@@ -148,7 +147,7 @@ TEST(SweepRunner, CliffVerdictsAreTheEngineVerdicts) {
   spec.policies = {Policy::Fcfs, Policy::Dm, Policy::Edf, Policy::Opa};
   SweepRunner runner(2);
   MemoryCache cache;
-  const SweepResult batch = runner.run(spec);
+  const SweepResult uncached = runner.run(spec);
   const SweepResult cold = runner.run(spec, &cache);
   const SweepResult warm = runner.run(spec, &cache);
   const std::uint64_t cells = spec.total_scenarios() * spec.policies.size();
@@ -161,7 +160,7 @@ TEST(SweepRunner, CliffVerdictsAreTheEngineVerdicts) {
     const Scenario sc = SweepRunner::make_scenario(spec, id);
     for (std::size_t p = 0; p < spec.policies.size(); ++p) {
       const Report want = engine.analyze(sc, spec.policies[p]);
-      for (const SweepResult* r : {&batch, &cold, &warm}) {
+      for (const SweepResult* r : {&uncached, &cold, &warm}) {
         const ScenarioOutcome& o = r->outcomes[id];
         EXPECT_EQ(o.tcycle, want.tcycle) << "id " << id;
         EXPECT_EQ(o.schedulable[p], want.schedulable)

@@ -25,7 +25,7 @@ NetworkAnalysis analyze_degraded(const Network& net, const FaultModel& faults,
                                  engine::Policy policy) {
   const Network dnet = degraded_network(net, faults);
   RtaScratch scratch;
-  return engine::analyze_network(dnet, degraded_timing(dnet, faults), policy, {}, scratch).detail;
+  return engine::analyze_network(dnet, degraded_timing(dnet, faults), policy, scratch).detail;
 }
 
 constexpr std::pair<ApPolicy, engine::Policy> kPolicies[] = {
