@@ -234,12 +234,13 @@ OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, const simd::Kerne
 /// passes the least fixed point, so an iterate whose response already exceeds
 /// `limit` proves the converged response does too. The outcome then carries
 /// that iterate's response (converged, as far as the scan's fold is concerned).
+/// `blocking` and `caps` are deadline_caps' for offset `a`, and `own_prior`
+/// is ⌊a/T_i⌋·C_i.
 OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, const simd::Kernels* k,
-                                            std::size_t i, Ticks a, int fuel, ItemModel model,
-                                            Ticks limit, std::vector<Ticks>& caps) {
+                                            std::size_t i, Ticks a, int fuel, Ticks limit,
+                                            Ticks blocking, Ticks own_prior,
+                                            const std::vector<Ticks>& caps) {
   const Ticks abs_deadline = sat_add(a, v.D[i]);
-  const Ticks blocking = deadline_caps(v, i, abs_deadline, model.blocking, caps);
-  const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
   if (k != nullptr) {
     // base = blocking + own_prior: sat_add over non-negative terms is
     // order-insensitive, so folding it up front matches the reference sum.
@@ -289,57 +290,65 @@ void shared_candidate_deadlines(const TaskSetView& v, Ticks first, Ticks last,
   out.erase(dup.begin(), dup.end());
 }
 
-/// max_a r_i(a) over the offsets produced (in ascending order) by
-/// `for_each_offset(visit)`, which must call visit per offset and stop when
-/// it returns false. Folds exactly like the reference max_over_offsets, and
-/// stops early once the maximum exceeds `bound` (see edf_response_time).
-template <typename OffsetsFn>
-EdfRtaResult edf_scan_offsets(const TaskSetView& v, std::size_t i, bool preemptive, int fuel,
-                              ItemModel model, Ticks bound, std::vector<Ticks>& caps,
-                              OffsetsFn for_each_offset) {
-  const simd::Kernels* k = v.simd_ok && v.n >= simd::kMinEdfLaneTasks ? simd::active() : nullptr;
-  // The bound applies to the reported response, which adds J_i under
-  // Origin::Arrival: r + J_i > bound exactly when r > bound − J_i.
-  const Ticks shift = model.origin == Origin::Arrival ? v.J[i] : 0;
-  const Ticks limit = bound == kNoBound ? kNoBound : bound - shift;
-  EdfRtaResult r;
-  Ticks best = 0;
-  Ticks best_a = 0;
-  Ticks warm_l = 0;
-  bool ok = true;
-  for_each_offset([&](Ticks a) {
-    ++r.offsets_examined;
-    const OffsetOutcomeView o =
-        preemptive ? offset_preemptive_view(v, k, i, a, fuel, warm_l, caps)
-                   : offset_nonpreemptive_view(v, k, i, a, fuel, model, limit, caps);
-    if (!o.converged) {
-      ok = false;
-      return false;
+/// Calls visit(a) for item i's candidate offsets within `h`, in ascending
+/// order, until visit returns false (see edf_response_time for `h`). Returns
+/// false, visiting none, when they number more than `max_offsets`.
+template <typename VisitFn>
+bool for_each_candidate_offset(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
+                               std::size_t max_offsets, std::vector<Ticks>& offsets,
+                               VisitFn visit) {
+  if (!h.shared) {
+    candidate_offsets_view(v, i, h.busy.length, offsets);
+    if (offsets.size() > max_offsets) return false;
+    for (const Ticks a : offsets) {
+      if (!visit(a)) break;
     }
-    if (preemptive) warm_l = o.fixed_point;
-    if (o.response > best) {
-      best = o.response;
-      best_a = a;
-    }
-    return best <= limit;
-  });
-  r.critical_offset = best_a;
-  if (ok) {
-    r.converged = best <= limit;
-    r.response = sat_add(best, shift);
+    return true;
   }
-  return r;
+  const Ticks di = v.D[i];
+  const auto lo = std::lower_bound(offsets.begin(), offsets.end(), di);
+  const auto hi = std::upper_bound(lo, offsets.end(), sat_add(h.busy.length, di));
+  // Offset 0 is prepended; the slice's first element re-yields it when
+  // s == D_i, so the deduplicated count drops by one in that case.
+  const bool dup0 = lo != hi && *lo == di;
+  const std::size_t n_offsets =
+      1 + static_cast<std::size_t>(hi - lo) - static_cast<std::size_t>(dup0);
+  if (n_offsets > max_offsets) return false;
+  if (!visit(Ticks{0})) return true;
+  for (auto it = lo; it != hi; ++it) {
+    const Ticks a = *it - di;
+    if (a == 0) continue;
+    if (!visit(a)) break;
+  }
+  return true;
+}
+
+/// The lane kernels an offset scan over `v` may use.
+const simd::Kernels* edf_lanes(const TaskSetView& v) {
+  return v.simd_ok && v.n >= simd::kMinEdfLaneTasks ? simd::active() : nullptr;
+}
+
+/// The bound on r_i(a) that keeps the reported response within `bound`: it
+/// adds J_i under Origin::Arrival, and r + J_i > bound exactly when
+/// r > bound − J_i.
+Ticks offset_limit(const TaskSetView& v, std::size_t i, ItemModel model, Ticks bound) {
+  const Ticks shift = model.origin == Origin::Arrival ? v.J[i] : 0;
+  return bound == kNoBound ? kNoBound : bound - shift;
 }
 
 }  // namespace
 
 EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
                        bool warm_start) {
-  EdfHorizon h;
-  h.busy = synchronous_busy_period(v, busy_fuel, warm_start ? scratch.warm_busy : 0);
-  if (!h.busy.bounded()) return h;
-  scratch.warm_busy = h.busy.length;
-  if (v.empty()) return h;  // nothing to enumerate (a master with no HP streams)
+  const BusyPeriod busy =
+      synchronous_busy_period(v, busy_fuel, warm_start ? scratch.warm_busy : 0);
+  if (busy.bounded()) scratch.warm_busy = busy.length;
+  return edf_horizon(v, busy, scratch);
+}
+
+EdfHorizon edf_horizon(const TaskSetView& v, const BusyPeriod& busy, RtaScratch& scratch) {
+  EdfHorizon h{.busy = busy};
+  if (!h.busy.bounded() || v.empty()) return h;  // nothing to enumerate
 
   // The tasks' candidate ranges [D_i, L + D_i] overlap while the deadlines
   // spread less than (n − 1)·L; then one shared set is the smaller
@@ -361,34 +370,83 @@ EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const EdfHor
                                const EdfRtaOptions& opt, RtaScratch& scratch, bool preemptive,
                                ItemModel model, Ticks bound) {
   if (!h.busy.bounded()) return {};
+  const simd::Kernels* k = edf_lanes(v);
   const int fuel = opt.fixed_point_fuel;
-  if (!h.shared) {
-    candidate_offsets_view(v, i, h.busy.length, scratch.offsets);
-    if (scratch.offsets.size() > opt.max_offsets) return {};
-    return edf_scan_offsets(v, i, preemptive, fuel, model, bound, scratch.caps, [&](auto visit) {
-      for (const Ticks a : scratch.offsets) {
-        if (!visit(a)) return;
-      }
-    });
-  }
-  const std::vector<Ticks>& cand = scratch.offsets;
-  const Ticks di = v.D[i];
-  const auto lo = std::lower_bound(cand.begin(), cand.end(), di);
-  const auto hi = std::upper_bound(lo, cand.end(), sat_add(h.busy.length, di));
-  // Offset 0 is prepended; the slice's first element re-yields it when
-  // s == D_i, so the deduplicated count drops by one in that case.
-  const bool dup0 = lo != hi && *lo == di;
-  const std::size_t n_offsets =
-      1 + static_cast<std::size_t>(hi - lo) - static_cast<std::size_t>(dup0);
-  if (n_offsets > opt.max_offsets) return {};
-  return edf_scan_offsets(v, i, preemptive, fuel, model, bound, scratch.caps, [&](auto visit) {
-    if (!visit(Ticks{0})) return;
-    for (auto it = lo; it != hi; ++it) {
-      const Ticks a = *it - di;
-      if (a == 0) continue;
-      if (!visit(a)) return;
+  const Ticks shift = model.origin == Origin::Arrival ? v.J[i] : 0;
+  const Ticks limit = offset_limit(v, i, model, bound);
+  std::vector<Ticks>& caps = scratch.caps;
+  // Folds exactly like the reference max_over_offsets, and stops once the
+  // maximum exceeds the bound.
+  EdfRtaResult r;
+  Ticks best = 0;
+  Ticks best_a = 0;
+  Ticks warm_l = 0;
+  bool ok = true;
+  const auto visit = [&](Ticks a) {
+    ++r.offsets_examined;
+    OffsetOutcomeView o;
+    if (preemptive) {
+      o = offset_preemptive_view(v, k, i, a, fuel, warm_l, caps);
+    } else {
+      const Ticks blocking = deadline_caps(v, i, sat_add(a, v.D[i]), model.blocking, caps);
+      const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
+      o = offset_nonpreemptive_view(v, k, i, a, fuel, limit, blocking, own_prior, caps);
     }
-  });
+    if (!o.converged) {
+      ok = false;
+      return false;
+    }
+    if (preemptive) warm_l = o.fixed_point;
+    if (o.response > best) {
+      best = o.response;
+      best_a = a;
+    }
+    return best <= limit;
+  };
+  if (!for_each_candidate_offset(v, i, h, opt.max_offsets, scratch.offsets, visit)) return {};
+  r.critical_offset = best_a;
+  if (ok) {
+    r.converged = best <= limit;
+    r.response = sat_add(best, shift);
+  }
+  return r;
+}
+
+bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
+                        const EdfRtaOptions& opt, RtaScratch& scratch, ItemModel model,
+                        Ticks from) {
+  if (!h.busy.bounded()) return false;
+  const simd::Kernels* k = edf_lanes(v);
+  const int fuel = opt.fixed_point_fuel;
+  const Ticks limit = offset_limit(v, i, model, v.D[i]);
+  std::vector<Ticks>& caps = scratch.caps;
+  // Every strict step of the fixed point after its first adds at least one
+  // C_j, so one that stays within L̂ converges within L̂ / min C_j + 2
+  // evaluations: the one-step acceptance below is sound only while that fits
+  // the fuel the exact scan has.
+  Ticks min_c = kNoBound;
+  for (std::size_t j = 0; j < v.n; ++j) min_c = std::min(min_c, v.C[j]);
+  bool meets = true;
+  const auto visit = [&](Ticks a) {
+    if (a < from) return true;
+    const Ticks blocking = deadline_caps(v, i, sat_add(a, v.D[i]), model.blocking, caps);
+    const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
+    // r_i(a) <= limit exactly when L(a) <= L̂ = a + limit − C_i. A pre-fixed
+    // point f(L̂) <= L̂ bounds the least fixed point, which the iteration
+    // from 0 reaches, so one evaluation of eq. 18 at L̂ accepts the offset.
+    if (limit >= v.C[i] && min_c > 0) {
+      const Ticks l_hat = sat_add(a, limit - v.C[i]);
+      if (l_hat / min_c <= fuel - 2) {
+        const Ticks work = hp_workload_view(v, caps, l_hat, /*start_time_form=*/true);
+        if (sat_add(blocking, sat_add(work, own_prior)) <= l_hat) return true;
+      }
+    }
+    const OffsetOutcomeView o =
+        offset_nonpreemptive_view(v, k, i, a, fuel, limit, blocking, own_prior, caps);
+    meets = o.converged && o.response <= limit;
+    return meets;
+  };
+  return for_each_candidate_offset(v, i, h, opt.max_offsets, scratch.offsets, visit) && meets;
 }
 
 namespace {

@@ -137,6 +137,13 @@ struct EdfHorizon {
 [[nodiscard]] EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
                                      bool warm_start = false);
 
+/// The horizon `busy` of the same view, given instead of computed, with the
+/// shared candidate set built by the same rule. profibus::edf_schedulable
+/// scans the offsets within [0, Σ_j C_j] this way before it computes the
+/// busy period.
+[[nodiscard]] EdfHorizon edf_horizon(const TaskSetView& v, const BusyPeriod& busy,
+                                     RtaScratch& scratch);
+
 /// Worst-case response time of the item at view position i, maximized over
 /// its candidate offsets within `h` (which must come from edf_horizon on the
 /// same view and scratch, or have shared == false: the scan then covers the
@@ -159,6 +166,21 @@ struct EdfHorizon {
                                              RtaScratch& scratch, bool preemptive,
                                              ItemModel model = kTaskModel,
                                              Ticks bound = kNoBound);
+
+/// Verdict-only non-preemptive scan: exactly edf_response_time(v, i, h, opt,
+/// scratch, false, model, v.D[i]).meets(v.D[i]) when `from` is 0, and the
+/// same over the candidate offsets a >= `from` otherwise (a caller that has
+/// already accepted the smaller ones skips them). An offset is accepted
+/// after one evaluation of eq. 9 at L̂ = a + D_i − C_i (less J_i under
+/// Origin::Arrival) when that L̂ is a pre-fixed point, f(L̂) <= L̂: the
+/// iteration from 0 then converges to a fixed point <= L̂, so r_i(a) meets
+/// the deadline. That shortcut is taken only when L̂ / min_j C_j + 2 <=
+/// opt.fixed_point_fuel, the evaluations that iteration can need, so a scan
+/// whose fuel runs out keeps its verdict. Any other offset runs the bounded
+/// fixed point, and the first that misses ends the scan.
+[[nodiscard]] bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
+                                      const EdfRtaOptions& opt, RtaScratch& scratch,
+                                      ItemModel model, Ticks from = 0);
 
 /// Whole-set outcome folded down to what a sweep cell needs — exactly what
 /// run_usweep derives from an EdfAnalysis, computed without materializing

@@ -114,13 +114,16 @@ struct FixedPoint {
   Ticks w = 0;
 };
 
+/// `limit` stops the iteration at the first iterate above it (see
+/// response_time_nonpreemptive's `bound`); kNoBound never stops it.
 template <bool Ceil>
 FixedPoint iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks base, Ticks w0,
-                          int fuel) {
+                          int fuel, Ticks limit) {
   FixedPoint out;
   Ticks w = w0;
   for (int it = 0; it < fuel; ++it) {
     out.w = w;
+    if (w > limit) return out;
     const Ticks next = sat_add(base, interference<Ceil>(pv, hp_count, w));
     out.result.iterations = it + 1;
     if (next == w) {
@@ -136,9 +139,10 @@ FixedPoint iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks bas
 }
 
 FixedPoint iterate(const TaskSetView& pv, const simd::Kernels* k, std::size_t hp_count,
-                   Ticks base, Ticks w0, Formulation form, int fuel) {
+                   Ticks base, Ticks w0, Formulation form, int fuel, Ticks limit = kNoBound) {
   const bool ceil_form = form == Formulation::PaperLiteral;
-  if (k != nullptr && hp_count >= simd::kMinFpLaneTasks) {
+  // The lane kernel runs to the fixed point; a limited iteration stays scalar.
+  if (k != nullptr && hp_count >= simd::kMinFpLaneTasks && limit == kNoBound) {
     const simd::FixedPointResult r =
         k->fp_fixed_point(pv.C, pv.T, pv.J, pv.recip_t, hp_count, base, w0, ceil_form, fuel);
     if (r.status == simd::Status::kOk) {
@@ -153,8 +157,8 @@ FixedPoint iterate(const TaskSetView& pv, const simd::Kernels* k, std::size_t hp
     // on the exact scalar path (deterministic, so the result is identical to
     // a scalar-only run).
   }
-  return ceil_form ? iterate_scalar<true>(pv, hp_count, base, w0, fuel)
-                   : iterate_scalar<false>(pv, hp_count, base, w0, fuel);
+  return ceil_form ? iterate_scalar<true>(pv, hp_count, base, w0, fuel, limit)
+                   : iterate_scalar<false>(pv, hp_count, base, w0, fuel, limit);
 }
 
 FixedPoint preemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
@@ -180,12 +184,14 @@ Ticks blocking_cost(Ticks c, Formulation form, Blocking blocking) {
 /// per-rank scans.
 FixedPoint nonpreemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
                                      std::size_t rank, Formulation form, int fuel, Ticks warm_w,
-                                     Ticks b, Ticks hp_exec, Origin origin = Origin::Arrival) {
-  FixedPoint fp = iterate(pv, k, rank, b, std::max(sat_add(b, hp_exec), warm_w), form, fuel);
-  if (fp.result.converged) {
-    fp.result.response = sat_add(fp.result.response, pv.C[rank]);
-    if (origin == Origin::Arrival) fp.result.response = sat_add(fp.result.response, pv.J[rank]);
-  }
+                                     Ticks b, Ticks hp_exec, Origin origin = Origin::Arrival,
+                                     Ticks bound = kNoBound) {
+  // R = w + C_i (+ J_i), so R exceeds the bound exactly when w exceeds this.
+  const Ticks added = origin == Origin::Arrival ? sat_add(pv.C[rank], pv.J[rank]) : pv.C[rank];
+  const Ticks limit = bound == kNoBound ? kNoBound : bound - added;
+  FixedPoint fp =
+      iterate(pv, k, rank, b, std::max(sat_add(b, hp_exec), warm_w), form, fuel, limit);
+  if (fp.result.converged) fp.result.response = sat_add(fp.result.response, added);
   return fp;
 }
 
@@ -271,13 +277,13 @@ RtaResult response_time_preemptive(const TaskSetView& pv, std::size_t rank, int 
 }
 
 RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank, Formulation form,
-                                      int fuel, Ticks warm_w, ItemModel model) {
+                                      int fuel, Ticks warm_w, ItemModel model, Ticks bound) {
   const simd::Kernels* k = pv.simd_ok && rank >= simd::kMinFpLaneTasks ? simd::active() : nullptr;
   Ticks hp_exec = 0;
   for (std::size_t j = 0; j < rank; ++j) hp_exec = sat_add(hp_exec, pv.C[j]);
   return nonpreemptive_fixed_point(pv, k, rank, form, fuel, warm_w,
                                    blocking_factor(pv, rank + 1, form, model.blocking), hp_exec,
-                                   model.origin)
+                                   model.origin, bound)
       .result;
 }
 

@@ -120,10 +120,19 @@ struct FpAnalysis {
 /// [0, rank) above it and (rank, n) below it. `model` picks the blocking
 /// term and the response origin: the profibus DM/OPA adapters pass
 /// kMessageModel over a master bound with C_i = T_cycle (paper eq. 16).
+///
+/// `bound` (>= 0) serves callers that only need R <= bound, such as a
+/// deadline test. The iterates climb from a lower bound on the least fixed
+/// point and never pass it, so the first iterate whose response would exceed
+/// the bound proves the converged response does too: the iteration stops
+/// there, unconverged, as if out of fuel. meets(bound) is therefore exactly
+/// the unbounded result's meets(bound). A bounded call runs the scalar loop;
+/// the default kNoBound is the full fixed point, bit for bit.
 [[nodiscard]] RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank,
                                                     Formulation form = kDefaultFormulation,
                                                     int fuel = 1 << 16, Ticks warm_w = 0,
-                                                    ItemModel model = kTaskModel);
+                                                    ItemModel model = kTaskModel,
+                                                    Ticks bound = kNoBound);
 
 /// Analyse a whole set under a priority order (highest first), preemptive.
 /// Runs on the SoA fast path via an internal scratch; bit-identical to

@@ -372,8 +372,18 @@ void validate_spec(const ShardSpec& spec) {
   check_range<std::size_t>("masters", b.n_masters, 1, engine::kMaxMasters);
   check_range<std::size_t>("streams", b.streams_per_master, 1, engine::kMaxStreams);
   check_range<Ticks>("ttr", b.ttr, 0, engine::kMaxTtr);
+  check_range<Ticks>("base t_max", b.t_max, 1, engine::kMaxPeriod);
+  check_range<Ticks>("base t_min", b.t_min, 1, b.t_max);
+  check_range("base deadline_hi", b.deadline_hi, 0.0, engine::kMaxDeadlineRatio, true);
+  check_range("base deadline_lo", b.deadline_lo, 0.0, b.deadline_hi, true);
+  check_range<Ticks>("base request_chars_max", b.request_chars_max, 1, engine::kMaxFrameChars);
+  check_range<Ticks>("base request_chars_min", b.request_chars_min, 1, b.request_chars_max);
+  check_range<Ticks>("base response_chars_max", b.response_chars_max, 1, engine::kMaxFrameChars);
+  check_range<Ticks>("base response_chars_min", b.response_chars_min, 1, b.response_chars_max);
+  check_range("base total_u", b.total_u, 0.0, engine::kMaxUtilization);
   for (const engine::SweepPoint& pt : sw.points) {
     check_range("point u", pt.total_u, 0.0, engine::kMaxUtilization, true);
+    check_range("point beta_hi", pt.beta_hi, 0.0, engine::kMaxDeadlineRatio, true);
     check_range("point beta_lo", pt.beta_lo, 0.0, pt.beta_hi, true);
     if (pt.n_masters != 0) {
       check_range<std::size_t>("point masters", pt.n_masters, 1, engine::kMaxMasters);

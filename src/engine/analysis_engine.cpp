@@ -103,7 +103,15 @@ VerdictReport AnalysisEngine::verdict(const Scenario& sc, Policy policy) {
 bool network_schedulable(const profibus::Network& net, const TimingMemo& tm, Policy policy,
                          RtaScratch& scratch,
                          const std::vector<profibus::Transaction>& transactions) {
-  if (policy == Policy::Edf) return profibus::edf_schedulable(net, tm, kFuel, scratch);
+  switch (policy) {
+    case Policy::Fcfs: return profibus::fcfs_schedulable(net, tm);
+    case Policy::Dm: return profibus::dm_schedulable(net, tm, kFormulation, kFuel, scratch);
+    case Policy::Edf: return profibus::edf_schedulable(net, tm, kFuel, scratch);
+    case Policy::Opa:
+      return profibus::audsley_stream_orders(net, tm, kFormulation, kFuel, &scratch).has_value();
+    case Policy::TokenRing:
+    case Policy::Holistic: break;
+  }
   return analyze_network(net, tm, policy, scratch, transactions).schedulable;
 }
 

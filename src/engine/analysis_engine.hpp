@@ -12,8 +12,11 @@
 //    call it directly;
 //  * network_schedulable, the verdict alone: verdict() (`sweep`, sweep shards
 //    and served sweep jobs) and the optimizer's bisection probes. It returns
-//    analyze_network's `schedulable`, but EDF stops at the first stream that
-//    provably misses (edf_schedulable).
+//    analyze_network's `schedulable` without building a NetworkAnalysis or
+//    any WCRT it does not need: FCFS compares nh·T_cycle with each D_i; DM
+//    bounds each fixed point by D_i and stops at the first miss; OPA is
+//    Audsley's success; EDF accepts offsets in one step where it can and
+//    stops at the first stream that provably misses.
 // The engine is deliberately NOT thread-safe: the sweep runner gives each
 // worker its own instance (scenario memo state is cheap).
 #pragma once
@@ -66,9 +69,10 @@ inline constexpr int kFuel = 1 << 16;
                                      const std::vector<profibus::Transaction>& transactions = {});
 
 /// The verdict dispatch: analyze_network(...).schedulable for the same
-/// arguments. EDF runs profibus::edf_schedulable, which stops at the first
-/// stream that provably misses; every other policy is cheap and runs
-/// analyze_network.
+/// arguments, from the verdict-only analyses: profibus::fcfs_schedulable,
+/// dm_schedulable, the success of audsley_stream_orders (OPA) and
+/// edf_schedulable. TokenRing and Holistic, which no hot path asks for,
+/// run analyze_network.
 [[nodiscard]] bool network_schedulable(const profibus::Network& net,
                                        const profibus::TimingMemo& tm, Policy policy,
                                        RtaScratch& scratch,

@@ -162,6 +162,8 @@ bool expand_cli_grid(const GridCliArgs& args, workload::NetworkParams& base,
   if (!args.beta_hi.empty() && !parse_cli_nonneg_double(args.beta_hi, beta_hi)) {
     return fail("--beta-hi needs a number >= 0");
   }
+  if (beta_lo > kMaxDeadlineRatio) return fail("--beta-lo must be <= 1000 (D = beta*T in Ticks)");
+  if (beta_hi > kMaxDeadlineRatio) return fail("--beta-hi must be <= 1000 (D = beta*T in Ticks)");
   if (beta_hi < beta_lo) return fail("inverted deadline spread (--beta-lo > --beta-hi)");
   if (beta_lo <= 0) return fail("--beta-lo must be > 0 (D = beta*T needs a positive ratio)");
   double b_ax_lo = 0.0, b_ax_hi = 0.0;
@@ -172,6 +174,9 @@ bool expand_cli_grid(const GridCliArgs& args, workload::NetworkParams& base,
       return fail("--beta needs LO:HI:STEPS with numeric LO/HI and integer STEPS");
     }
     if (!check_axis("--beta", b_ax_lo, b_ax_hi, b_steps, error)) return false;
+    if (b_ax_hi > kMaxDeadlineRatio) {
+      return fail("--beta grid needs HI <= 1000 (D = beta*T in Ticks)");
+    }
   }
 
   // --masters: one value keeps the classic single-structure sweep (points

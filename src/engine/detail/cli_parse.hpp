@@ -38,6 +38,26 @@ inline constexpr int kMaxRetransmissions = 1'000;
 /// The --scale-* and --dratio-* factors.
 inline constexpr double kMaxBracket = 1e12;
 
+// The spec's `base` line also carries generator fields that no flag sets; a
+// job keeps their defaults (workload::NetworkParams), and validate_spec holds
+// SUBMIT payloads and artifacts to these ranges:
+//  * periods 1 <= t_min <= t_max <= kMaxPeriod;
+//  * request and response frame sizes 1 <= min <= max <= kMaxFrameChars;
+//  * the deadline spread 0 < deadline_lo <= deadline_hi <= kMaxDeadlineRatio;
+//  * total_u in [0, kMaxUtilization] (every point sets its own);
+//  * the LP flag, 0 or 1, which the spec reader already enforces.
+/// The spec's base periods, in bit times.
+inline constexpr Ticks kMaxPeriod = 1'000'000'000'000'000;
+/// The spec's base frame sizes, in characters: the longest PROFIBUS telegram.
+inline constexpr Ticks kMaxFrameChars = 255;
+/// Every deadline ratio β, D = β·T: --beta HI, --beta-lo, --beta-hi, a spec
+/// point's beta_hi and the base deadline_hi. It keeps D inside Ticks for every
+/// period up to kMaxPeriod; a longer utilization-driven period whose deadline
+/// does not fit makes the generator throw.
+inline constexpr double kMaxDeadlineRatio = 1'000.0;
+static_assert(kMaxDeadlineRatio * static_cast<double>(kMaxPeriod) < 0x1p63,
+              "D = beta * T must fit in Ticks");
+
 [[nodiscard]] bool parse_cli_count(const std::string& s, std::size_t& out,
                                    std::size_t max = std::size_t(-1));
 

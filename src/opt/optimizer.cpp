@@ -11,14 +11,18 @@ namespace profisched::opt {
 
 namespace {
 
-/// Probe accounting per bisection axis: each counter totals the exact
-/// analysis evaluations that axis's binary search spent, straight from
-/// SensitivityResult::probes. `bisections` counts searches run.
+/// Probe accounting per bisection axis: each counter totals the verdict
+/// evaluations that axis's binary search spent, straight from
+/// SensitivityResult::probes. `bisections` counts searches run. The two
+/// stage timers are the sweep runner's series: scenario generation, and the
+/// bisections of all of a scenario's policies.
 struct OptMetrics {
   obs::Counter bisections = obs::Registry::global().counter("opt.bisections");
   obs::Counter probes_breakdown = obs::Registry::global().counter("opt.probes.breakdown");
   obs::Counter probes_ttr = obs::Registry::global().counter("opt.probes.ttr");
   obs::Counter probes_dratio = obs::Registry::global().counter("opt.probes.dratio");
+  obs::Timer generate = obs::Registry::global().timer("runner.generate");
+  obs::Timer analyze = obs::Registry::global().timer("runner.analyze");
 };
 
 OptMetrics& opt_metrics() {
@@ -197,13 +201,17 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
     params.push_back(optimize_params_digest(p, spec.sweep.engine, spec.options));
   }
   const OptimizeCells codec;
+  OptMetrics& m = opt_metrics();
 
   const auto per_scenario = [&](std::uint64_t id, std::size_t i, unsigned) {
+    obs::Span gen_span(m.generate);
     const engine::Scenario sc = engine::SweepRunner::make_scenario(spec.sweep, id);
     // Optima are a pure function of network content + options (no RNG use
     // past generation), so the scenario half of the key is the plain content
     // hash — equal-content scenarios share entries like analysis records do.
     const std::uint64_t content = cache != nullptr ? engine::canonical_hash(sc) : 0;
+    gen_span.stop();
+    const obs::Span stage_span(m.analyze);
 
     OptimizeOutcome& o = out.outcomes[i];  // disjoint slot per index
     o.id = sc.id;

@@ -15,9 +15,13 @@
 // from (seed, id) alone, outcomes land in slot id - range.begin, and every
 // probe runs through the engine's verdict dispatch, network_schedulable (same
 // method / formulation / fuel), so the base verdict here equals the sweep's
-// verdict for the same scenario. Results are byte-identical for any thread
+// verdict for the same scenario. A probe keeps one bit, and that dispatch
+// computes only the bit: no per-stream WCRTs, no NetworkAnalysis, each fixed
+// point bounded by its deadline. Results are byte-identical for any thread
 // count and any shard split (src/dist/ carries an Optimize mode), and cache
-// through ScenarioCache with a versioned params digest (record kind 4).
+// through ScenarioCache with a versioned params digest (record kind 4). With
+// --metrics, each scenario's generation and bisections are timed under the
+// sweep runner's runner.generate and runner.analyze series.
 #pragma once
 
 #include <string>
@@ -107,8 +111,9 @@ struct OptimizeSpec {
 /// The feasibility predicate the optimizer probes with: the engine's verdict
 /// dispatch (engine::network_schedulable, same method / formulation / fuel)
 /// for `policy`, as a profibus::NetworkTest over arbitrary (mutated) networks.
-/// Safe to call from several threads at once. Throws std::invalid_argument
-/// for non-optimizable policies.
+/// It answers engine::analyze_network(...).schedulable for the same network,
+/// from the verdict-only analyses. Safe to call from several threads at
+/// once. Throws std::invalid_argument for non-optimizable policies.
 [[nodiscard]] profibus::NetworkTest optimize_network_test(engine::Policy policy,
                                                           const engine::EngineOptions& engine);
 

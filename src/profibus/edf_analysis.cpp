@@ -50,15 +50,16 @@ bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel, RtaSc
     const TaskSetView& v = bind_master(scratch.arena, net.masters[k], memo.per_master[k]);
     if (v.overloaded()) return false;
     deadline_monotonic_order(net.masters[k], scratch.order);
-    const auto all_meet = [&](const EdfHorizon& h) {
+    const auto all_meet = [&](const EdfHorizon& h, Ticks from) {
       return std::ranges::all_of(scratch.order, [&](std::size_t i) {
-        const EdfRtaResult r =
-            edf_response_time(v, i, h, opt, scratch, /*preemptive=*/false, kMessageModel, v.D[i]);
-        return r.meets(v.D[i]);
+        return edf_meets_deadline(v, i, h, opt, scratch, kMessageModel, from);
       });
     };
-    const EdfHorizon prefix{.busy = {.length = v.total_execution()}};
-    if (!all_meet(prefix) || !all_meet(edf_horizon(v, fuel, scratch))) return false;
+    const Ticks prefix_end = v.total_execution();
+    if (!all_meet(edf_horizon(v, BusyPeriod{.length = prefix_end}, scratch), 0) ||
+        !all_meet(edf_horizon(v, fuel, scratch), sat_add(prefix_end, 1))) {
+      return false;
+    }
   }
   return true;
 }

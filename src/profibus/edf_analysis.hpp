@@ -60,8 +60,10 @@ struct EdfStreamDetail {
 /// Verdict-only analyze_edf: exactly analyze_edf(net, memo, nullptr, fuel,
 /// &scratch).schedulable, returned at the first stream that provably misses.
 /// R_i is a maximum over offsets, so one offset whose response exceeds D_i
-/// settles the verdict; every scan here runs with the bound D_i (see
-/// edf_response_time). Per master, after validating `net`:
+/// settles the verdict; every scan here is core's edf_meets_deadline, which
+/// bounds each fixed point by D_i and accepts an offset in one evaluation of
+/// eq. 18 where a pre-fixed point allows it. Per master, after validating
+/// `net`:
 ///  1. an overloaded master (Σ T_cycle/T_i > 1) is rejected at once;
 ///  2. its streams are visited in ascending D, ties by index (the DM order,
 ///     kept in scratch.order, so a warm call allocates nothing): the tight
@@ -70,7 +72,8 @@ struct EdfStreamDetail {
 ///     busy-period iteration starts at Σ_j C_j, so that is a lower bound on
 ///     L whenever L is bounded, and these offsets are a subset of the exact
 ///     scan's; when L is unbounded the exact verdict is a miss anyway;
-///  4. only then is the busy period computed and the full scan run.
+///  4. only then is the busy period computed and the rest of the scan run:
+///     the offsets past Σ_j C_j, since step 3 accepted the others.
 /// The first unschedulable master ends the call; later masters are not
 /// analysed.
 [[nodiscard]] bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel,

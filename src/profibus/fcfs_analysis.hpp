@@ -88,4 +88,8 @@ inline const TaskSetView& bind_master(TaskSetArena& arena, const Master& master,
 /// of re-deriving T_del / T_cycle for this call.
 [[nodiscard]] NetworkAnalysis analyze_fcfs(const Network& net, const TimingMemo& memo);
 
+/// Verdict-only analyze_fcfs: exactly analyze_fcfs(net, memo).schedulable,
+/// that is nh^k·T_cycle^k <= D_i^k for every stream, without allocating.
+[[nodiscard]] bool fcfs_schedulable(const Network& net, const TimingMemo& memo);
+
 }  // namespace profisched::profibus

@@ -21,6 +21,13 @@ StreamResponse message_response(const TaskSetView& pv, std::size_t rank, Formula
           r.converged && r.response != kNoBound && r.response <= pv.D[rank]};
 }
 
+/// message_response(...).meets_deadline, with D as the fixed point's bound:
+/// a miss stops at the first iterate above D − T_cycle.
+bool message_meets(const TaskSetView& pv, std::size_t rank, Formulation form, int fuel) {
+  return response_time_nonpreemptive(pv, rank, form, fuel, 0, kMessageModel, pv.D[rank])
+      .meets(pv.D[rank]);
+}
+
 /// Every stream of master k under `order` (highest first).
 void analyze_master(const Network& net, std::size_t k, const StreamOrder& order,
                     const TimingMemo& memo, Formulation form, int fuel, RtaScratch& scratch,
@@ -90,6 +97,20 @@ NetworkAnalysis analyze_dm(const Network& net, const TimingMemo& memo, Formulati
   });
 }
 
+bool dm_schedulable(const Network& net, const TimingMemo& memo, Formulation form, int fuel,
+                    RtaScratch& scratch) {
+  net.validate();
+  for (std::size_t k = 0; k < net.n_masters(); ++k) {
+    deadline_monotonic_order(net.masters[k], scratch.order);
+    const TaskSetView& pv =
+        bind_master(scratch.arena, net.masters[k], memo.per_master[k], scratch.order.data());
+    for (std::size_t rank = 0; rank < pv.n; ++rank) {
+      if (!message_meets(pv, rank, form, fuel)) return false;
+    }
+  }
+  return true;
+}
+
 std::optional<NetworkOrders> audsley_stream_orders(const Network& net, TcycleMethod method,
                                                    Formulation form, int fuel) {
   return audsley_stream_orders(net, compute_timing(net, method), form, fuel);
@@ -108,7 +129,7 @@ std::optional<NetworkOrders> audsley_stream_orders(const Network& net, const Tim
     // whether any stream sits below (blocking), so OPA's optimality applies.
     auto order = audsley_order(master.nh(), [&](std::span<const std::size_t> o, std::size_t r) {
       const TaskSetView& pv = bind_master(s.arena, master, memo.per_master[k], o.data());
-      return message_response(pv, r, form, fuel).meets_deadline;
+      return message_meets(pv, r, form, fuel);
     });
     if (!order.has_value()) return std::nullopt;
     out[k] = std::move(*order);

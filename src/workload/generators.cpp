@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "profibus/ttr_setting.hpp"
 #include "workload/uunifast.hpp"
@@ -73,6 +74,27 @@ std::vector<double> master_utilization_targets(const NetworkParams& p) {
   return targets;
 }
 
+namespace {
+
+/// llround(x) as Ticks; throws, naming `what`, when x does not fit (NaN
+/// included), where llround's result is unspecified and a clamp after it
+/// would turn the garbage into a plausible value. Every double below 2^63
+/// rounds to a representable Ticks.
+Ticks rounded_ticks(double x, const char* what) {
+  if (!(x > -0x1p63 && x < 0x1p63)) {
+    throw std::invalid_argument(std::string("random generation: ") + what + ' ' +
+                                std::to_string(x) + " does not fit in Ticks");
+  }
+  return static_cast<Ticks>(std::llround(x));
+}
+
+/// D = beta·T, rounded (the generators' deadline draw).
+Ticks deadline_of(double beta, Ticks period) {
+  return rounded_ticks(beta * static_cast<double>(period), "deadline beta*T");
+}
+
+}  // namespace
+
 Ticks log_uniform(Ticks lo, Ticks hi, sim::Rng& rng) {
   if (lo >= hi) return lo;
   const double llo = std::log(static_cast<double>(lo));
@@ -91,8 +113,7 @@ TaskSet random_task_set(const TaskSetParams& p, sim::Rng& rng) {
     t.C = std::clamp<Ticks>(static_cast<Ticks>(std::llround(u[i] * static_cast<double>(t.T))),
                             1, t.T);
     const double beta = p.deadline_lo + (p.deadline_hi - p.deadline_lo) * rng.uniform01();
-    t.D = std::clamp<Ticks>(static_cast<Ticks>(std::llround(beta * static_cast<double>(t.T))),
-                            t.C, std::max<Ticks>(t.T, t.C));
+    t.D = std::clamp<Ticks>(deadline_of(beta, t.T), t.C, std::max<Ticks>(t.T, t.C));
     if (p.jitter_max > 0) t.J = rng.uniform(std::min(p.jitter_max, t.D - t.C));
     t.name = "task" + std::to_string(i);
     tasks.push_back(std::move(t));
@@ -118,8 +139,7 @@ void fill_period_driven(const NetworkParams& p, GeneratedNetwork& out, sim::Rng&
       s.Ch = profibus::worst_case_cycle_time(out.net.bus, spec);
       s.T = log_uniform(p.t_min, p.t_max, rng);
       const double beta = p.deadline_lo + (p.deadline_hi - p.deadline_lo) * rng.uniform01();
-      s.D = std::max<Ticks>(static_cast<Ticks>(std::llround(beta * static_cast<double>(s.T))),
-                            s.Ch);
+      s.D = std::max<Ticks>(deadline_of(beta, s.T), s.Ch);
       s.name = master.name + ".s" + std::to_string(i);
       master.high_streams.push_back(std::move(s));
       out.specs[k].push_back(spec);
@@ -184,11 +204,9 @@ void fill_utilization_driven(const NetworkParams& p, GeneratedNetwork& out, sim:
     for (std::size_t i = 0; i < p.streams_per_master; ++i) {
       profibus::MessageStream& s = out.net.masters[k].high_streams[i];
       const double ui = std::max(u[i], 1e-9);
-      s.T = std::max<Ticks>(
-          s.Ch, static_cast<Ticks>(std::llround(static_cast<double>(tcycle) / ui)));
+      s.T = std::max<Ticks>(s.Ch, rounded_ticks(static_cast<double>(tcycle) / ui, "period"));
       const double beta = p.deadline_lo + (p.deadline_hi - p.deadline_lo) * rng.uniform01();
-      s.D = std::max<Ticks>(static_cast<Ticks>(std::llround(beta * static_cast<double>(s.T))),
-                            s.Ch);
+      s.D = std::max<Ticks>(deadline_of(beta, s.T), s.Ch);
     }
   }
 }

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/simd.hpp"
+#include "sim/rng.hpp"
+#include "workload/generators.hpp"
+
 namespace profisched {
 namespace {
 
@@ -170,6 +174,65 @@ TEST_P(BlockingSweep, ResponseMonotoneInBlockerLength) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockerLengths, BlockingSweep, ::testing::Values(1, 2, 5, 9, 20, 49));
+
+// response_time_nonpreemptive's `bound`, on UUniFast sets of 5 and 12 tasks
+// (12 reaches the lane interference kernel) near U = 1, with and without
+// jitter, under both formulations and the task and message models, with the
+// lanes active and forced scalar.
+class FpBound : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { simd::force_scalar(GetParam()); }
+  void TearDown() override { simd::force_scalar(false); }
+};
+
+TEST_P(FpBound, MeetsExactlyWhatTheUnboundedIterationMeets) {
+  RtaScratch scratch;
+  std::size_t uncrossed = 0, stopped = 0;
+  for (const std::size_t n : {5, 12}) {
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      sim::Rng rng(seed * 7919 + n);
+      workload::TaskSetParams p;
+      p.n = n;
+      p.total_u = 0.85 + 0.2 * rng.uniform01();
+      p.deadline_lo = 0.5;
+      p.jitter_max = seed % 3 == 0 ? 50 : 0;
+      const TaskSet ts = workload::random_task_set(p, rng);
+      const TaskSetView& v = scratch.arena.bind(ts, deadline_monotonic_order(ts));
+      for (const Formulation form : {Formulation::PaperLiteral, Formulation::Refined}) {
+        for (const ItemModel model : {kTaskModel, kMessageModel}) {
+          for (std::size_t rank = 0; rank < v.n; ++rank) {
+            const auto run = [&](Ticks bound) {
+              return response_time_nonpreemptive(v, rank, form, 1 << 16, 0, model, bound);
+            };
+            const RtaResult exact = run(kNoBound);
+            const Ticks r = exact.converged ? exact.response : kNoBound;
+            if (exact.converged) {
+              // A bound the response does not exceed changes nothing.
+              const RtaResult same = run(r);
+              EXPECT_TRUE(same.converged);
+              EXPECT_EQ(same.response, r) << "seed " << seed << " rank " << rank;
+              ++uncrossed;
+            }
+            const Ticks below = r == kNoBound ? 0 : r - 1;
+            for (const Ticks bound : {Ticks{0}, v.C[rank], v.D[rank], below}) {
+              const RtaResult b = run(bound);
+              EXPECT_EQ(b.meets(bound), exact.meets(bound))
+                  << "n " << n << " seed " << seed << " rank " << rank << " bound " << bound;
+              stopped += !b.converged && exact.converged;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(uncrossed, 0u);
+  EXPECT_GT(stopped, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dispatch, FpBound, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "ForcedScalar" : "Active";
+                         });
 
 }  // namespace
 }  // namespace profisched

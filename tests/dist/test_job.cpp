@@ -246,6 +246,24 @@ TEST(JobFlags, SweepNamesTheBadFlag) {
             "job: point u 1500 is outside (0, 1000]");
 }
 
+TEST(JobFlags, DeadlineRatiosFitInTicks) {
+  // D = beta*T must fit in Ticks for every period the spec allows; a ratio of
+  // 1e300 used to reach the generator, whose llround overflowed.
+  for (const Surface s : {Surface::Sweep, Surface::Simulate, Surface::Optimize, Surface::Shard,
+                          Surface::Submit}) {
+    EXPECT_EQ(fail_message(s, {"--beta-lo", "1e300", "--beta-hi", "1e300"}),
+              "--beta-lo must be <= 1000 (D = beta*T in Ticks)");
+    EXPECT_EQ(fail_message(s, {"--beta-hi", "1e300"}),
+              "--beta-hi must be <= 1000 (D = beta*T in Ticks)");
+    EXPECT_EQ(fail_message(s, {"--beta", "0.5:1e300:2"}),
+              "--beta grid needs HI <= 1000 (D = beta*T in Ticks)");
+  }
+  JobArgs a;
+  std::string error;
+  EXPECT_TRUE(parse(Surface::Sweep, {"--beta-lo", "1000", "--beta-hi", "1000"}, a, error))
+      << error;
+}
+
 TEST(JobFlags, MethodAppliesToCombinedEverywhere) {
   // `simulate --combined --method paper` has the single-process twin its
   // shard set needs: all three surfaces build the same spec.

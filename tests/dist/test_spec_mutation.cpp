@@ -282,12 +282,16 @@ std::string with_token(const std::string& text, const std::string& key, std::siz
 TEST(SpecMutation, SpecBlocksObeyTheFlagRanges) {
   // Every block here parses as bytes but asks for a value no job flag can
   // set; each must be refused by name. The `sim` line carries min_fraction
-  // and slave_fail_prob, which have no flag, in [0, 1].
+  // and slave_fail_prob, which have no flag, in [0, 1]; the `base` line's
+  // generator fields and every deadline ratio have the documented ranges of
+  // engine/detail/cli_parse.hpp.
   struct Hostile {
     const char* key;
     std::size_t token;
     const char* value;
     const char* field;
+    std::size_t token2 = 0;  ///< a second token of the same line, when set
+    const char* value2 = nullptr;
   };
   const Hostile cases[] = {
       {"base", 1, "100000000", "masters"},
@@ -302,10 +306,24 @@ TEST(SpecMutation, SpecBlocksObeyTheFlagRanges) {
       {"sim", 2, "1e+300", "min_fraction"},
       {"sim", 2, "2", "min_fraction"},
       {"sim", 3, "7", "slave_fail_prob"},
+      // Request chars that overflowed sim::Rng::uniform(lo, hi).
+      {"base", 7, "-9223372036854775807", "request_chars", 8, "9223372036854775807"},
+      {"base", 10, "256", "response_chars_max"},
+      {"base", 9, "0", "response_chars_min"},
+      {"base", 3, "0", "t_min"},
+      {"base", 3, "500000", "t_min"},  // t_min > t_max = 400000
+      {"base", 4, "1000000000000000000", "t_max"},
+      {"base", 6, "1e+300", "deadline_hi"},
+      {"base", 5, "0", "deadline_lo"},
+      {"base", 13, "nan", "total_u"},
+      {"base", 13, "-1", "total_u"},
+      // A deadline ratio whose D = beta*T no longer fits in Ticks.
+      {"point", 2, "1e+300", "point beta_hi", 3, "1e+300"},
   };
   const std::string text = serialize_spec(base_spec(SweepMode::Combined));
   for (const Hostile& h : cases) {
-    const std::string block = with_token(text, h.key, h.token, h.value);
+    std::string block = with_token(text, h.key, h.token, h.value);
+    if (h.value2 != nullptr) block = with_token(block, h.key, h.token2, h.value2);
     ASSERT_NE(block, text) << h.key << ' ' << h.token;
     try {
       (void)parse_spec(block);

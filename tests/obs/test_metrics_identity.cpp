@@ -5,6 +5,7 @@
 // across every engine backend (analysis, sim, combined, optimize).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "engine/aggregate.hpp"
@@ -107,11 +108,20 @@ TEST(ObsByteIdentity, CombinedSweepOutputsAreIdentical) {
   EXPECT_EQ(off_csv, on_csv);
 }
 
+/// Spans recorded so far by the runner.generate and runner.analyze timers.
+std::uint64_t stage_spans() {
+  const obs::Snapshot s = obs::Registry::global().snapshot();
+  return s.timer("runner.generate").count + s.timer("runner.analyze").count;
+}
+
 TEST(ObsByteIdentity, OptimizeOutputsAreIdentical) {
   opt::OptimizeSpec spec;
   spec.sweep = small_spec().sweep;
   spec.sweep.scenarios_per_point = 4;
   std::string off_csv, off_json, on_csv, on_json;
+  // Optimize runs attribute their time to the runner's stage timers, one
+  // generate and one analyze span per scenario, and only with telemetry on.
+  const std::uint64_t spans0 = stage_spans();
   {
     const ObsFlagsGuard flags(false, false);
     engine::SweepRunner runner(2);
@@ -120,6 +130,7 @@ TEST(ObsByteIdentity, OptimizeOutputsAreIdentical) {
     off_csv = table.to_csv();
     off_json = table.to_json();
   }
+  EXPECT_EQ(stage_spans(), spans0);
   {
     const ObsFlagsGuard flags(true, true);
     engine::SweepRunner runner(2);
@@ -128,6 +139,7 @@ TEST(ObsByteIdentity, OptimizeOutputsAreIdentical) {
     on_csv = table.to_csv();
     on_json = table.to_json();
   }
+  EXPECT_EQ(stage_spans(), spans0 + 2 * spec.sweep.total_scenarios());
   EXPECT_EQ(off_csv, on_csv);
   EXPECT_EQ(off_json, on_json);
 }

@@ -1,7 +1,10 @@
-// Golden lock (PR 6): the optimize tables for a small fixed spec are frozen
+// Golden lock: the optimize tables for two small fixed specs are frozen
 // byte-for-byte on disk. Any change to the bisection order, quantile math,
-// serialization, or scenario generation shows up as a diff here
-// (regenerate deliberately with PROFISCHED_REGEN_GOLDEN=1).
+// serialization, scenario generation or a probe's verdict shows up as a diff
+// here (regenerate deliberately with PROFISCHED_REGEN_GOLDEN=1).
+//  * optimize_pr6: 2 masters x 3 streams under FCFS, DM and EDF;
+//  * optimize_lanes: 2 masters x 8 streams under all four policies, OPA
+//    included, on masters large enough for the lane kernels.
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -9,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/job.hpp"
 #include "opt/opt_aggregate.hpp"
 #include "opt/optimizer.hpp"
 
@@ -17,6 +21,8 @@ namespace {
 
 constexpr const char* kCsvGolden = "tests/golden/optimize_pr6.csv";
 constexpr const char* kJsonGolden = "tests/golden/optimize_pr6.json";
+constexpr const char* kLanesCsvGolden = "tests/golden/optimize_lanes.csv";
+constexpr const char* kLanesJsonGolden = "tests/golden/optimize_lanes.json";
 
 OptimizeSpec golden_spec() {
   OptimizeSpec spec;
@@ -28,6 +34,19 @@ OptimizeSpec golden_spec() {
   spec.sweep.policies = {engine::Policy::Fcfs, engine::Policy::Dm, engine::Policy::Edf};
   spec.sweep.seed = 99;
   return spec;
+}
+
+/// The spec of `optimize --masters 2 --streams 8 --scenarios 8 --u
+/// 0.5:0.95:4 --policies fcfs,dm,edf,opa --seed 19`, through the job flags.
+OptimizeSpec lanes_spec() {
+  dist::JobArgs a;
+  std::string error;
+  EXPECT_TRUE(dist::parse_job_args(dist::Surface::Optimize,
+                                   {"--masters", "2", "--streams", "8", "--scenarios", "8", "--u",
+                                    "0.5:0.95:4", "--policies", "fcfs,dm,edf,opa", "--seed", "19"},
+                                   a, error))
+      << error;
+  return OptimizeSpec{a.job.spec.spec.sweep, a.job.spec.optimize};
 }
 
 void check_golden(const char* path, const std::string& got) {
@@ -57,6 +76,18 @@ TEST(OptimizeGolden, JsonMatches) {
   const OptimizeSpec spec = golden_spec();
   engine::SweepRunner runner(2);
   check_golden(kJsonGolden, aggregate_optimize(spec, run_optimize(runner, spec)).to_json());
+}
+
+TEST(OptimizeGolden, LanesCsvMatches) {
+  const OptimizeSpec spec = lanes_spec();
+  engine::SweepRunner runner(2);
+  check_golden(kLanesCsvGolden, aggregate_optimize(spec, run_optimize(runner, spec)).to_csv());
+}
+
+TEST(OptimizeGolden, LanesJsonMatches) {
+  const OptimizeSpec spec = lanes_spec();
+  engine::SweepRunner runner(2);
+  check_golden(kLanesJsonGolden, aggregate_optimize(spec, run_optimize(runner, spec)).to_json());
 }
 
 }  // namespace

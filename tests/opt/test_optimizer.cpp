@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <stdexcept>
+#include <vector>
 
 #include "dist/result_cache.hpp"
 
@@ -84,10 +85,41 @@ TEST(Optimizer, BaseVerdictMatchesTheSweepRunner) {
   }
 }
 
+/// The networks the three bisections probe around `po`, found for `net`
+/// under `options`: each axis's bracket ends and its boundary ± 1.
+std::vector<profibus::Network> probed_networks(const profibus::Network& net,
+                                               const PolicyOptimum& po,
+                                               const OptimizeOptions& options) {
+  std::vector<profibus::Network> out;
+  const auto around = [](Ticks lo, Ticks hi, Ticks boundary) {
+    std::vector<Ticks> v{lo, hi};
+    if (boundary > 0) {
+      for (const Ticks x : {boundary - 1, boundary, boundary + 1}) {
+        if (x >= lo && x <= hi) v.push_back(x);
+      }
+    }
+    return v;
+  };
+  for (const Ticks q : around(options.scale_lo_q, options.scale_hi_q, po.breakdown_q)) {
+    out.push_back(profibus::with_scaled_frames(net, q));
+  }
+  const Ticks ttr_floor = net.ring_latency() + 1;
+  for (const Ticks ttr : around(ttr_floor, options.ttr_cap, po.max_ttr)) {
+    out.push_back(profibus::with_ttr(net, ttr));
+  }
+  for (const Ticks q : around(options.dratio_lo_q, options.dratio_hi_q, po.min_dratio_q)) {
+    out.push_back(profibus::with_deadline_ratio(net, q));
+  }
+  return out;
+}
+
 TEST(Optimizer, ProbeVerdictIsTheEngineVerdict) {
   // The probe predicate runs the engine's verdict dispatch: on every
   // generated scenario, under every optimizable policy and both T_cycle
-  // methods, it answers exactly what AnalysisEngine::analyze answers.
+  // methods, it answers exactly what AnalysisEngine::analyze answers. On the
+  // mutated networks the bisections probe (see probed_networks; every fifth
+  // scenario of the non-cliff grid) it answers what engine::analyze_network
+  // answers.
   engine::SweepSpec sweep;
   sweep.base.n_masters = 3;
   sweep.base.streams_per_master = 5;
@@ -104,7 +136,8 @@ TEST(Optimizer, ProbeVerdictIsTheEngineVerdict) {
   cliff.scenarios_per_point = 12;
   const engine::Policy policies[] = {engine::Policy::Fcfs, engine::Policy::Dm,
                                      engine::Policy::Edf, engine::Policy::Opa};
-  std::size_t accepted = 0, checked = 0;
+  std::size_t accepted = 0, checked = 0, mutants = 0, mutants_accepted = 0;
+  RtaScratch scratch;
   for (const profibus::TcycleMethod method :
        {profibus::TcycleMethod::PaperEq13, profibus::TcycleMethod::PerMasterRefined}) {
     engine::EngineOptions options;
@@ -119,12 +152,25 @@ TEST(Optimizer, ProbeVerdictIsTheEngineVerdict) {
           EXPECT_EQ(probe(sc.net), want) << engine::to_string(p) << " id " << id;
           accepted += want;
           ++checked;
+          if (&spec == &cliff || id % 5 != 0) continue;
+          const PolicyOptimum po = optimize_policy(sc.net, probe, OptimizeOptions{});
+          for (const profibus::Network& m : probed_networks(sc.net, po, OptimizeOptions{})) {
+            const bool exact =
+                engine::analyze_network(m, profibus::compute_timing(m, method), p, scratch)
+                    .schedulable;
+            EXPECT_EQ(probe(m), exact) << engine::to_string(p) << " id " << id << " mutant";
+            mutants_accepted += exact;
+            ++mutants;
+          }
         }
       }
     }
   }
   EXPECT_EQ(checked, 2u * 4u * (240u + 12u));
   EXPECT_GT(accepted, 0u);
+  EXPECT_GT(mutants, 2u * 4u * 48u * 6u);
+  EXPECT_GT(mutants_accepted, 0u);
+  EXPECT_LT(mutants_accepted, mutants);
 }
 
 TEST(Optimizer, EveryBoundaryIsExact) {

@@ -8,8 +8,9 @@
 // U = 1, streams with T < T_cycle, jitter, far deadlines and fuel-starved
 // runs, and demands identical verdicts, Q, responses, meets_deadline, OPA
 // orders and EdfStreamDetail — with the SIMD lanes active and forced scalar.
-// The EDF cases also hold the verdict-only edf_schedulable to the exact
-// verdict.
+// Every policy's verdict-only path (fcfs_schedulable, dm_schedulable, the
+// success of audsley_stream_orders, edf_schedulable) is held to the exact
+// verdict on the same networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "engine/sweep_runner.hpp"
 #include "profibus/dm_analysis.hpp"
 #include "profibus/edf_analysis.hpp"
+#include "profibus/fcfs_analysis.hpp"
 #include "profibus/priority_assignment.hpp"
 
 namespace profisched::profibus {
@@ -439,6 +441,8 @@ TEST_P(MessageOracle, DeadlineMonotonic) {
         const NetworkAnalysis want = oracle::analyze_dm(c.net, memo, form, c.fuel);
         expect_same(want, analyze_dm(c.net, memo, form, c.fuel, &scratch), "dm", id);
         expect_same(want, analyze_dm(c.net, method, form, c.fuel), "dm (own scratch)", id);
+        EXPECT_EQ(dm_schedulable(c.net, memo, form, c.fuel, scratch), want.schedulable)
+            << "dm verdict id " << id;
         cov.schedulable += want.schedulable;
         for (const MasterAnalysis& ma : want.masters) {
           for (const StreamResponse& s : ma.streams) cov.unconverged += s.response == kNoBound;
@@ -467,9 +471,12 @@ TEST_P(MessageOracle, OptimalPriorityAssignment) {
         if (!want) continue;
         ++cov.schedulable;
         EXPECT_EQ(*want, *got) << "opa id " << id;
-        expect_same(oracle::analyze_fixed_priority(c.net, *want, memo, form, c.fuel),
-                    analyze_fixed_priority(c.net, *got, memo, form, c.fuel, &scratch), "fp",
-                    id);
+        const NetworkAnalysis final_fp =
+            oracle::analyze_fixed_priority(c.net, *want, memo, form, c.fuel);
+        expect_same(final_fp, analyze_fixed_priority(c.net, *got, memo, form, c.fuel, &scratch),
+                    "fp", id);
+        // The OPA verdict is Audsley's success: the final analysis accepts.
+        EXPECT_TRUE(final_fp.schedulable) << "opa verdict id " << id;
       }
     }
     // Arbitrary (reversed-DM) orders through the same adapter.
@@ -483,6 +490,24 @@ TEST_P(MessageOracle, OptimalPriorityAssignment) {
   }
   EXPECT_GE(cov.networks, 500u);
   EXPECT_GT(cov.schedulable, 0u);
+}
+
+TEST_P(MessageOracle, FirstComeFirstServedVerdict) {
+  const engine::SweepSpec spec = grid();
+  Coverage cov;
+  for (std::uint64_t id = 0; id < spec.total_scenarios(); ++id) {
+    const Case c = make_case(spec, id);
+    ++cov.networks;
+    for (const TcycleMethod method : kMethods) {
+      const TimingMemo memo = compute_timing(c.net, method);
+      const bool want = analyze_fcfs(c.net, memo).schedulable;
+      EXPECT_EQ(fcfs_schedulable(c.net, memo), want) << "fcfs verdict id " << id;
+      cov.schedulable += want;
+    }
+  }
+  EXPECT_GE(cov.networks, 500u);
+  EXPECT_GT(cov.schedulable, 0u);
+  EXPECT_LT(cov.schedulable, 2 * cov.networks);
 }
 
 TEST_P(MessageOracle, EarliestDeadlineFirst) {
@@ -520,6 +545,22 @@ TEST_P(MessageOracle, EarliestDeadlineFirst) {
   EXPECT_GT(cov.unconverged, 0u);  // an offset ran out of fuel mid-scan
 }
 
+/// The DM, OPA and FCFS verdict paths against the exact analyses (the
+/// oracle's for DM and OPA), under both formulations.
+void expect_fixed_priority_verdicts(const Network& net, const TimingMemo& memo, int fuel,
+                                    RtaScratch& scratch, const char* what) {
+  EXPECT_EQ(fcfs_schedulable(net, memo), analyze_fcfs(net, memo).schedulable) << what;
+  for (const Formulation form : kForms) {
+    EXPECT_EQ(dm_schedulable(net, memo, form, fuel, scratch),
+              oracle::analyze_dm(net, memo, form, fuel).schedulable)
+        << what;
+    const auto orders = oracle::audsley_stream_orders(net, memo, form, fuel);
+    const bool opa =
+        orders && oracle::analyze_fixed_priority(net, *orders, memo, form, fuel).schedulable;
+    EXPECT_EQ(audsley_stream_orders(net, memo, form, fuel, &scratch).has_value(), opa) << what;
+  }
+}
+
 TEST(MessageOracleU1, RoundingAboveOneKeepsTheVerdict) {
   // T_cycle/T = 9/14 + 9/28 + 9/252 is exactly 1, but its double sum rounds
   // to 1.0000000000000002. The busy period is bounded (the hyperperiod), so
@@ -550,6 +591,7 @@ TEST(MessageOracleU1, RoundingAboveOneKeepsTheVerdict) {
     const NetworkAnalysis got = analyze_edf(net, memo, &got_detail, kFuel, &scratch);
     expect_same(want, got, "edf u=1", static_cast<std::uint64_t>(d_scale));
     EXPECT_EQ(edf_schedulable(net, memo, kFuel, scratch), want.schedulable) << d_scale;
+    expect_fixed_priority_verdicts(net, memo, kFuel, scratch, "u=1");
     for (std::size_t i = 0; i < 3; ++i) {
       EXPECT_GT(want_detail[0][i].offsets_examined, 0u);  // busy period bounded
       EXPECT_EQ(want_detail[0][i].offsets_examined, got_detail[0][i].offsets_examined);
@@ -615,6 +657,7 @@ TEST_P(MessageOracle, EdfVerdictOnLaneSizedMasters) {
         expect_same(want, analyze_edf(net, memo, nullptr, kFuel, &scratch), "edf lanes", id);
         EXPECT_EQ(edf_schedulable(net, memo, kFuel, scratch), want.schedulable)
             << streams << " streams, id " << id;
+        expect_fixed_priority_verdicts(net, memo, kFuel, scratch, "lanes");
         ++networks;
         schedulable += want.schedulable;
         lane_masters += bind_master(scratch.arena, net.masters[0], memo.per_master[0]).simd_ok;

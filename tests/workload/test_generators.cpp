@@ -125,6 +125,24 @@ TEST(RandomNetwork, ExplicitTtrIsRespected) {
   EXPECT_EQ(random_network(p, rng).net.ttr, 123'456);
 }
 
+TEST(RandomNetwork, UnrepresentableDeadlinesThrow) {
+  // D = beta*T past Ticks used to be llround's unspecified result, clamped up
+  // to Ch; both generators now refuse it, and so does a period T_cycle/u_i
+  // past Ticks.
+  sim::Rng rng(7);
+  NetworkParams p;
+  p.deadline_lo = p.deadline_hi = 1e300;
+  EXPECT_THROW((void)random_network(p, rng), std::invalid_argument);
+  p.total_u = 0.5;
+  p.ttr = 3'000;
+  EXPECT_THROW((void)random_network(p, rng), std::invalid_argument);
+  p.deadline_lo = 0.5;
+  p.deadline_hi = 1.0;
+  p.ttr = 1'000'000'000'000'000'000;
+  p.streams_per_master = 64;  // shares near 1/128 put T = T_cycle/u_i near 1e20
+  EXPECT_THROW((void)random_network(p, rng), std::invalid_argument);
+}
+
 TEST(RandomNetwork, LowPriorityTrafficToggle) {
   sim::Rng rng(12);
   NetworkParams p;

@@ -16,7 +16,11 @@ Checks, in order:
      cache.file.corruption_heals <= cache.file.misses;
   5. histogram internal consistency — count == sum(bins) for every
      histogram;
-  6. optionally (--scenarios N) that runner.scenarios_completed matches the
+  6. stage attribution — a process that completed scenarios timed their
+     generation (runner.generate counts at least one span per completed
+     scenario) and their analysis or simulation (runner.analyze or
+     runner.simulate counts some span);
+  7. optionally (--scenarios N) that runner.scenarios_completed matches the
      scenario count the caller expected the process to execute.
 
 Exit code 0 = pass, 1 = fail (reasons on stderr).
@@ -129,8 +133,18 @@ def main(argv):
         if sum(bins) != h["count"]:
             return fail(f"histogram {name}: count {h['count']} != sum(bins) {sum(bins)}")
 
+    done = counters.get("runner.scenarios_completed", {"value": 0})["value"]
+    if done > 0:
+        spans = {s: timers.get(f"runner.{s}", {"count": 0})["count"]
+                 for s in ("generate", "analyze", "simulate")}
+        if spans["generate"] < done:
+            return fail(f"runner.generate counts {spans['generate']} spans for {done} "
+                        "completed scenarios")
+        if spans["analyze"] + spans["simulate"] == 0:
+            return fail(f"{done} scenarios completed, but runner.analyze and "
+                        "runner.simulate timed nothing")
+
     if expect_scenarios is not None:
-        done = counters.get("runner.scenarios_completed", {"value": 0})["value"]
         if done != expect_scenarios:
             return fail(f"runner.scenarios_completed is {done}, expected {expect_scenarios}")
 
