@@ -1,6 +1,8 @@
 #include "config/network_loader.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "profibus/ttr_setting.hpp"
 
@@ -54,13 +56,29 @@ Ticks duration(const IniSection& s, const std::string& key, Ticks ticks_per_ms) 
 
 }  // namespace
 
+Ticks horizon_ticks(Ticks milliseconds, Ticks ticks_per_ms) {
+  Ticks ticks = 0;
+  if (milliseconds < 0 || ticks_per_ms < 1 ||
+      __builtin_mul_overflow(milliseconds, ticks_per_ms, &ticks)) {
+    throw std::out_of_range(std::to_string(milliseconds) + " ms is out of range at " +
+                            std::to_string(ticks_per_ms) + " ticks/ms");
+  }
+  return ticks;
+}
+
 LoadedNetwork load_network(const IniFile& file) {
   LoadedNetwork out;
   out.net.bus = load_bus(file);
 
   const IniSection* netsec = file.find("network");
   if (netsec == nullptr) throw std::invalid_argument("missing [network] section");
-  if (auto v = netsec->get_ticks("ticks_per_ms")) out.ticks_per_ms = *v;
+  if (auto v = netsec->get_ticks("ticks_per_ms")) {
+    if (*v < 1) {
+      const IniEntry& e = *std::ranges::find(netsec->entries, "ticks_per_ms", &IniEntry::key);
+      throw IniError(e.line, "'ticks_per_ms = " + e.value + "' must be >= 1");
+    }
+    out.ticks_per_ms = *v;
+  }
 
   for (const IniSection& s : file.sections) {
     if (s.name == "master") {

@@ -12,7 +12,7 @@
 //   max_retry = 1
 //
 //   [network]
-//   ticks_per_ms = 500          # time unit for *_ms keys (default 500)
+//   ticks_per_ms = 500          # time unit for *_ms keys (default 500, >= 1)
 //   ttr = auto                  # eq.-15 maximum, or an explicit tick count
 //
 //   [master]                    # one per station, ring order = file order
@@ -47,5 +47,10 @@ struct LoadedNetwork {
 
 /// Convenience: parse + load from a path.
 [[nodiscard]] LoadedNetwork load_network_file(const std::string& path);
+
+/// A horizon of `milliseconds` in ticks at `ticks_per_ms`, the conversion the
+/// loader applies to `*_ms` durations. Throws std::out_of_range when either
+/// operand is out of its domain or the product does not fit in Ticks.
+[[nodiscard]] Ticks horizon_ticks(Ticks milliseconds, Ticks ticks_per_ms);
 
 }  // namespace profisched::config

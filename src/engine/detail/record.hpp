@@ -20,6 +20,7 @@
 #include <string>
 #include <system_error>
 #include <type_traits>
+#include <vector>
 
 #include "engine/detail/serialize.hpp"
 #include "engine/sweep_runner.hpp"
@@ -222,27 +223,49 @@ inline CacheCounters& cache_counters() {
   return m;
 }
 
-/// The cache sequence every mode runs per (scenario, policy) cell: look the
-/// record up, decode it and count the hit; on a miss (or a record that fails
-/// to decode or contradicts the scenario) compute the cell, count the miss
-/// and store it. Without a cache it only computes. The cell lands in `o`.
+/// The cache sequence every mode runs per scenario. It looks up every
+/// policy's cell under CacheKey{content, params[p]}, decoding each record and
+/// counting the hit; a record that fails to decode or contradicts the scenario
+/// counts as the miss it is. Then one call, compute(missing), computes all the
+/// misses: `missing` holds their policy indices ascending, and compute returns
+/// their cells in that order, so a mode can share work across its missing
+/// policies. Last, the cells land in `o` and the computed ones are stored, in
+/// policy order. Without a cache every cell is computed and nothing counted.
 template <class Codec, class Outcome, class Compute>
-void cached_cell(const Codec& codec, ScenarioCache* cache, const CacheKey& key, Outcome& o,
-                 Compute&& compute) {
-  if (cache != nullptr) {
+void cached_cells(const Codec& codec, ScenarioCache* cache, std::uint64_t content,
+                  const std::vector<std::uint64_t>& params, Outcome& o, Compute&& compute) {
+  std::vector<typename Codec::Cell> cells(params.size());
+  std::vector<std::size_t> missing;
+  if (cache == nullptr) {
+    for (std::size_t p = 0; p < params.size(); ++p) missing.push_back(p);
+  } else {
     CacheCounters& m = cache_counters();
-    m.lookups.add(1);
-    std::string payload;
-    typename Codec::Cell c;
-    if (cache->load(key, payload) && decode_record(codec, payload, c) && codec.push(o, c)) {
-      m.hits.add(1);
-      return;
+    // Pushing a hit onto a copy of the outcome checks it against the
+    // scenario without touching `o`, whose cells must go in policy order.
+    Outcome probe = o;
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      m.lookups.add(1);
+      std::string payload;
+      if (cache->load(CacheKey{content, params[p]}, payload) &&
+          decode_record(codec, payload, cells[p]) && codec.push(probe, cells[p])) {
+        m.hits.add(1);
+      } else {
+        m.misses.add(1);
+        missing.push_back(p);
+      }
     }
-    m.misses.add(1);
   }
-  const typename Codec::Cell c = compute();
-  codec.push(o, c);
-  if (cache != nullptr) cache->store(key, encode_record(codec, c));
+  if (!missing.empty()) {
+    std::vector<typename Codec::Cell> computed = compute(missing);
+    for (std::size_t j = 0; j < missing.size(); ++j) cells[missing[j]] = std::move(computed[j]);
+  }
+  std::size_t next = 0;  // the first missing policy not stored yet
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    codec.push(o, cells[p]);
+    if (cache == nullptr || next == missing.size() || missing[next] != p) continue;
+    cache->store(CacheKey{content, params[p]}, encode_record(codec, cells[p]));
+    ++next;
+  }
 }
 
 }  // namespace profisched::engine::detail

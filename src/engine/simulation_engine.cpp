@@ -99,6 +99,15 @@ sim::SimReport SimulationEngine::simulate(const Scenario& sc, Policy policy,
   return sim::simulate(make_config(sc, policy, rep));
 }
 
+sim::GroupReport SimulationEngine::simulate(const Scenario& sc, std::span<const Policy> policies,
+                                            std::uint64_t rep) const {
+  if (policies.empty()) throw std::invalid_argument("SimulationEngine: needs >= 1 policy");
+  std::vector<profibus::ApPolicy> group;
+  group.reserve(policies.size());
+  for (const Policy p : policies) group.push_back(to_ap_policy(p));
+  return sim::simulate(make_config(sc, policies.front(), rep), group);
+}
+
 SimSummary SimulationEngine::summarize(const sim::SimReport& r, double quantile) {
   SimSummary out;
   sim::Histogram merged;

@@ -10,13 +10,20 @@
 // adversarial pattern the analyses reason about); replications >= 1 draw
 // per-stream random phases in [0, T_i) from the replication's own RNG stream.
 //
+// The seed ignores the policy, and make_config differs across policies only
+// in `policy`: the runs of one (scenario, replication) under FCFS, DM and EDF
+// are one run until their dispatch differs. The grouped simulate() runs them
+// as one sim::simulate group run that forks only there; the sweeps take it
+// for every replication.
+//
 // The engine itself is stateless apart from its options: one instance can be
 // shared by any number of workers, and every simulate() call builds a fresh
-// sim::SimConfig / NetworkSim instance (the simulator keeps no global state —
-// see src/sim/rng.hpp and src/sim/network_sim.cpp).
+// sim::SimConfig and simulation (the simulator keeps no global state — see
+// src/sim/rng.hpp and src/sim/network_sim.cpp).
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "engine/scenario.hpp"
 #include "profibus/fault_model.hpp"
@@ -97,6 +104,12 @@ class SimulationEngine {
   /// Run one simulation of `sc` under `policy`, replication `rep`.
   [[nodiscard]] sim::SimReport simulate(const Scenario& sc, Policy policy,
                                         std::uint64_t rep = 0) const;
+
+  /// Run replication `rep` of `sc` under every policy in `policies` (distinct,
+  /// simulable) as one group run. The reports come in the order given, and
+  /// each equals simulate(sc, policy, rep).
+  [[nodiscard]] sim::GroupReport simulate(const Scenario& sc, std::span<const Policy> policies,
+                                          std::uint64_t rep) const;
 
   /// Reduce a report to the scalar sweep columns. The observed_p99 column
   /// reports the `quantile` percentile of the merged response distribution

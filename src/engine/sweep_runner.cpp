@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "engine/detail/hash.hpp"
@@ -80,10 +81,16 @@ void validate_sim_spec(const SimSweepSpec& spec) {
   if (spec.replications == 0) {
     throw std::invalid_argument("SimSweepSpec: needs >= 1 replication");
   }
-  for (const Policy p : spec.sweep.policies) {
+  for (std::size_t i = 0; i < spec.sweep.policies.size(); ++i) {
+    const Policy p = spec.sweep.policies[i];
     if (!SimulationEngine::simulable(p)) {
       throw std::invalid_argument(std::string("SimSweepSpec: policy ") +
                                   std::string(to_string(p)) + " cannot be simulated");
+    }
+    // One group run simulates a scenario's policies, and a group names each once.
+    if (std::count(spec.sweep.policies.begin(), spec.sweep.policies.begin() + i, p) > 0) {
+      throw std::invalid_argument(std::string("SimSweepSpec: policy ") +
+                                  std::string(to_string(p)) + " named twice");
     }
   }
 }
@@ -118,10 +125,15 @@ RunnerMetrics& runner_metrics() {
 /// Simulation-kernel bridge counters: the kernel's own tallies are plain
 /// per-run members (the inner event loop stays untouched); each completed
 /// replication folds them into the registry here, at the one funnel every
-/// sim-backed mode shares.
+/// sim-backed mode shares. `sim.events` and the per-run series count each
+/// policy's run in full; `sim.events_executed` counts the events the kernels
+/// actually ran, a prefix the policies shared once, and `sim.splits` the
+/// copies the group runs made.
 struct SimBridgeMetrics {
   obs::Counter replications = obs::Registry::global().counter("sim.replications");
   obs::Counter events = obs::Registry::global().counter("sim.events");
+  obs::Counter events_executed = obs::Registry::global().counter("sim.events_executed");
+  obs::Counter splits = obs::Registry::global().counter("sim.splits");
   obs::Counter pool_recycles = obs::Registry::global().counter("sim.pool_recycles");
   obs::Counter tokens_lost = obs::Registry::global().counter("sim.faults.tokens_lost");
   obs::Counter token_skips = obs::Registry::global().counter("sim.faults.token_skips");
@@ -137,49 +149,81 @@ SimBridgeMetrics& sim_bridge() {
   return b;
 }
 
-/// Simulate one (scenario, policy) across every replication, reducing to the
-/// sweep's scalar columns. When `per_stream_max` is non-null it receives, per
-/// (master, stream), the max observed response over all replications — the
-/// quantity the combined mode checks against each analytic bound.
-SimSummary simulate_policy(const SimulationEngine& sim, const Scenario& sc, Policy policy,
-                           std::size_t replications,
-                           std::vector<std::vector<Ticks>>* per_stream_max) {
-  SimSummary agg;
-  if (per_stream_max != nullptr) {
-    per_stream_max->assign(sc.net.n_masters(), {});
+/// One policy's simulation over every replication: its sweep columns, and per
+/// (master, stream) the max observed response, which the combined mode checks
+/// against each analytic bound.
+struct PolicySim {
+  SimSummary summary;
+  std::vector<std::vector<Ticks>> stream_max;
+};
+
+/// Simulate `sc` under each of `policies` across every replication, one group
+/// run per replication, and reduce each policy's reports to a PolicySim (in
+/// the order of `policies`).
+std::vector<PolicySim> simulate_policies(const SimulationEngine& sim, const Scenario& sc,
+                                         std::span<const Policy> policies,
+                                         std::size_t replications) {
+  std::vector<PolicySim> out(policies.size());
+  for (PolicySim& ps : out) {
+    ps.stream_max.resize(sc.net.n_masters());
     for (std::size_t k = 0; k < sc.net.n_masters(); ++k) {
-      (*per_stream_max)[k].assign(sc.net.masters[k].nh(), 0);
+      ps.stream_max[k].assign(sc.net.masters[k].nh(), 0);
     }
   }
   SimBridgeMetrics& b = sim_bridge();
   for (std::size_t rep = 0; rep < replications; ++rep) {
-    const sim::SimReport r = sim.simulate(sc, policy, rep);
-    b.replications.add(1);
-    b.events.add(r.events);
-    b.pool_recycles.add(r.pool_recycles);
-    b.tokens_lost.add(r.faults.tokens_lost);
-    b.token_skips.add(r.faults.token_skips);
-    b.leaves.add(r.faults.leaves);
-    b.rejoins.add(r.faults.rejoins);
-    b.corrupted.add(r.faults.corrupted_cycles);
-    b.retrans.add(r.faults.retransmissions);
-    b.churn_dropped.add(r.faults.churn_dropped);
-    const SimSummary s = SimulationEngine::summarize(r, sim.options().quantile);
-    agg.observed_max = std::max(agg.observed_max, s.observed_max);
-    agg.observed_p99 = std::max(agg.observed_p99, s.observed_p99);
-    agg.released += s.released;
-    agg.completed += s.completed;
-    agg.misses += s.misses;
-    agg.dropped += s.dropped;
-    if (per_stream_max != nullptr) {
+    const sim::GroupReport g = sim.simulate(sc, policies, rep);
+    b.events_executed.add(g.events_executed);
+    b.splits.add(g.splits);
+    for (std::size_t j = 0; j < policies.size(); ++j) {
+      const sim::SimReport& r = g.reports[j];
+      b.replications.add(1);
+      b.events.add(r.events);
+      b.pool_recycles.add(r.pool_recycles);
+      b.tokens_lost.add(r.faults.tokens_lost);
+      b.token_skips.add(r.faults.token_skips);
+      b.leaves.add(r.faults.leaves);
+      b.rejoins.add(r.faults.rejoins);
+      b.corrupted.add(r.faults.corrupted_cycles);
+      b.retrans.add(r.faults.retransmissions);
+      b.churn_dropped.add(r.faults.churn_dropped);
+      const SimSummary s = SimulationEngine::summarize(r, sim.options().quantile);
+      SimSummary& agg = out[j].summary;
+      agg.observed_max = std::max(agg.observed_max, s.observed_max);
+      agg.observed_p99 = std::max(agg.observed_p99, s.observed_p99);
+      agg.released += s.released;
+      agg.completed += s.completed;
+      agg.misses += s.misses;
+      agg.dropped += s.dropped;
       for (std::size_t k = 0; k < r.hp.size(); ++k) {
         for (std::size_t i = 0; i < r.hp[k].size(); ++i) {
-          (*per_stream_max)[k][i] = std::max((*per_stream_max)[k][i], r.hp[k][i].max_response);
+          out[j].stream_max[k][i] = std::max(out[j].stream_max[k][i], r.hp[k][i].max_response);
         }
       }
     }
   }
-  return agg;
+  return out;
+}
+
+/// Max over streams of the analytic response bound; kNoBound when any stream's
+/// iteration diverged.
+Ticks max_response(const profibus::NetworkAnalysis& na) {
+  Ticks wcrt = 0;
+  for (const profibus::MasterAnalysis& ma : na.masters) {
+    for (const profibus::StreamResponse& sr : ma.streams) {
+      if (sr.response == kNoBound) return kNoBound;
+      wcrt = std::max(wcrt, sr.response);
+    }
+  }
+  return wcrt;
+}
+
+/// The policies of `all` at the indices `missing`.
+std::vector<Policy> pick(const std::vector<Policy>& all, const std::vector<std::size_t>& missing) {
+  std::vector<Policy> out;
+  out.reserve(missing.size());
+  for (const std::size_t p : missing) out.push_back(all[p]);
+  return out;
 }
 
 // --------------------------------------------------------- cache keys
@@ -338,12 +382,15 @@ SweepResult SweepRunner::run(const SweepSpec& spec, IdRange range, ScenarioCache
     o.schedulable.reserve(spec.policies.size());
     // A cell keeps only T_cycle and the verdict, so it takes the engine's
     // verdict dispatch (EDF stops at the first proven miss).
-    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-      detail::cached_cell(codec, cache, CacheKey{content, params[p]}, o, [&] {
+    const auto compute = [&](const std::vector<std::size_t>& missing) {
+      std::vector<detail::AnalysisCells::Cell> cells;
+      for (const std::size_t p : missing) {
         const VerdictReport v = engine.verdict(sc, spec.policies[p]);
-        return detail::AnalysisCells::Cell{v.tcycle, v.schedulable};
-      });
-    }
+        cells.push_back({v.tcycle, v.schedulable});
+      }
+      return cells;
+    };
+    detail::cached_cells(codec, cache, content, params, o, compute);
   };
   run_scenarios(spec.total_scenarios(), range, out, per_scenario);
 
@@ -387,13 +434,15 @@ SimSweepResult SweepRunner::run_sim(const SimSweepSpec& spec, IdRange range,
     o.seed = sc.seed;
     o.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
     o.horizon = sim.horizon_for(sc);
-    for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      detail::cached_cell(codec, cache, CacheKey{content, params[p]}, o, [&] {
-        return detail::SimCells::Cell{
-            o.horizon,
-            simulate_policy(sim, sc, spec.sweep.policies[p], spec.replications, nullptr)};
-      });
-    }
+    const auto compute = [&](const std::vector<std::size_t>& missing) {
+      const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
+      std::vector<detail::SimCells::Cell> cells;
+      for (const PolicySim& ps : simulate_policies(sim, sc, policies, spec.replications)) {
+        cells.push_back({o.horizon, ps.summary});
+      }
+      return cells;
+    };
+    detail::cached_cells(codec, cache, content, params, o, compute);
   };
   run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
   return out;
@@ -437,24 +486,15 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
     // through them), computed lazily so full-hit cached scenarios skip it.
     std::optional<profibus::Network> dnet;
     std::optional<profibus::TimingMemo> dmemo;
-    std::vector<std::vector<Ticks>> per_stream_max;
-    for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      const Policy policy = spec.sweep.policies[p];
-      detail::cached_cell(codec, cache, CacheKey{content, params[p]}, o, [&] {
-        detail::CombinedCells::Cell c;
-        c.sim.horizon = o.sim.horizon;
-        obs::Span an_span(m.analyze);
-        const Report a = engine.analyze(sc, policy);
-        const auto max_response = [](const profibus::NetworkAnalysis& na) {
-          Ticks wcrt = 0;
-          for (const profibus::MasterAnalysis& ma : na.masters) {
-            for (const profibus::StreamResponse& sr : ma.streams) {
-              if (sr.response == kNoBound) return kNoBound;
-              wcrt = std::max(wcrt, sr.response);
-            }
-          }
-          return wcrt;
-        };
+    const auto compute = [&](const std::vector<std::size_t>& missing) {
+      std::vector<detail::CombinedCells::Cell> cells(missing.size());
+      // Per missing policy, the analysis its simulation is held to.
+      std::vector<profibus::NetworkAnalysis> refs(missing.size());
+      const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
+      for (std::size_t j = 0; j < missing.size(); ++j) {
+        detail::CombinedCells::Cell& c = cells[j];
+        const obs::Span an_span(m.analyze);
+        Report a = engine.analyze(sc, policies[j]);
         c.analytic_schedulable = a.schedulable;
         c.analytic_wcrt = max_response(a.detail);
 
@@ -462,35 +502,42 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
         // held to. The clean columns keep the steady-state verdict (their gap
         // is the price of faults); the consistency check below references
         // the degraded bounds instead.
-        profibus::NetworkAnalysis degraded;
         if (faulted) {
           if (!dnet) {
             dnet = profibus::degraded_network(sc.net, spec.sim.faults);
             dmemo = profibus::degraded_timing(*dnet, spec.sim.faults, spec.sweep.engine.method);
           }
-          degraded = analyze_network(*dnet, *dmemo, policy, engine.scratch()).detail;
-          c.degraded_schedulable = degraded.schedulable;
-          c.degraded_wcrt = max_response(degraded);
+          refs[j] = analyze_network(*dnet, *dmemo, policies[j], engine.scratch()).detail;
+          c.degraded_schedulable = refs[j].schedulable;
+          c.degraded_wcrt = max_response(refs[j]);
+        } else {
+          refs[j] = std::move(a.detail);
         }
-        an_span.stop();
-        {
-          const obs::Span sim_span(m.simulate);
-          c.sim.s = simulate_policy(sim, sc, policy, spec.replications, &per_stream_max);
-        }
+      }
+      std::vector<PolicySim> sims;
+      {
+        const obs::Span sim_span(m.simulate);
+        sims = simulate_policies(sim, sc, policies, spec.replications);
+      }
 
-        // Per-stream consistency: every bounded reference response (degraded
-        // under faults) must dominate that stream's observed max across all
-        // replications.
-        const profibus::NetworkAnalysis& ref = faulted ? degraded : a.detail;
+      // Per-stream consistency: every bounded reference response (degraded
+      // under faults) must dominate that stream's observed max across all
+      // replications.
+      for (std::size_t j = 0; j < missing.size(); ++j) {
+        cells[j].sim = {o.sim.horizon, sims[j].summary};
+        const profibus::NetworkAnalysis& ref = refs[j];
         for (std::size_t k = 0; k < ref.masters.size(); ++k) {
           for (std::size_t si = 0; si < ref.masters[k].streams.size(); ++si) {
             const Ticks bound = ref.masters[k].streams[si].response;
-            if (bound != kNoBound && per_stream_max[k][si] > bound) ++c.bound_violations;
+            if (bound != kNoBound && sims[j].stream_max[k][si] > bound) {
+              ++cells[j].bound_violations;
+            }
           }
         }
-        return c;
-      });
-    }
+      }
+      return cells;
+    };
+    detail::cached_cells(codec, cache, content, params, o, compute);
   };
   run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
 

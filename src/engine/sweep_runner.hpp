@@ -11,14 +11,17 @@
 // The same machinery drives every backend over one scenario range, through a
 // single ranged core surface (run_scenarios): each mode is an adapter that
 // sets up its engines/cache digests and hands the core a per-scenario
-// callback. That callback computes each (scenario, policy) cell one way, per
-// policy through detail::cached_cell, which looks the cell up first when
-// there is a cache and otherwise only computes it. Every entry point takes an
-// optional IdRange — the full-sweep overloads are thin wrappers passing
-// [0, total):
+// callback. That callback computes a scenario's cells one way, through
+// detail::cached_cells: it looks up every policy's cell when there is a
+// cache, computes all the misses in one call, and pushes the cells in policy
+// order. The simulation modes use that call to simulate the missing policies
+// as one group run per replication, which forks only where their dispatch
+// differs (SimulationEngine::simulate). Every entry point takes an optional
+// IdRange — the full-sweep overloads are thin wrappers passing [0, total):
 //   run()          — analysis only (AnalysisEngine);
 //   run_sim()      — simulation only (SimulationEngine, replicated runs with
-//                    (seed, scenario, replication)-keyed RNG streams);
+//                    (seed, scenario, replication)-keyed RNG streams, one
+//                    group run per replication for all the policies);
 //   run_combined() — both on the SAME generated scenarios, joining each
 //                    analytic verdict/bound with the observed simulation
 //                    behaviour (the analysis-vs-simulation acceptance data);
@@ -135,8 +138,8 @@ struct SweepResult : RunStats {
 };
 
 /// A sweep whose scenarios are simulated instead of (or as well as) analysed.
-/// `sweep` supplies the grid / policies / seed; every policy must satisfy
-/// SimulationEngine::simulable.
+/// `sweep` supplies the grid / policies / seed; the policies must be distinct
+/// and each must satisfy SimulationEngine::simulable.
 struct SimSweepSpec {
   SweepSpec sweep;
   SimOptions sim;
@@ -248,9 +251,10 @@ class SweepRunner {
   /// Whole-sweep wrapper: run over [0, total_scenarios()).
   [[nodiscard]] SweepResult run(const SweepSpec& spec, ScenarioCache* cache = nullptr);
 
-  /// Simulate the ranged scenarios under every policy × `replications`.
-  /// Outcomes are bit-identical for any thread count (generation and RNG
-  /// streams are index-keyed).
+  /// Simulate the ranged scenarios under every policy × `replications`, the
+  /// policies of one replication as one group run. Outcomes are bit-identical
+  /// for any thread count (generation and RNG streams are index-keyed) and to
+  /// per-policy runs.
   [[nodiscard]] SimSweepResult run_sim(const SimSweepSpec& spec, IdRange range,
                                        ScenarioCache* cache = nullptr);
 

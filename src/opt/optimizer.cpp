@@ -218,10 +218,14 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
     o.seed = sc.seed;
     o.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
     o.per_policy.reserve(spec.sweep.policies.size());
-    for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      engine::detail::cached_cell(codec, cache, engine::CacheKey{content, params[p]}, o,
-                                  [&] { return optimize_policy(sc.net, tests[p], spec.options); });
-    }
+    const auto compute = [&](const std::vector<std::size_t>& missing) {
+      std::vector<OptimizeCells::Cell> cells;
+      for (const std::size_t p : missing) {
+        cells.push_back(optimize_policy(sc.net, tests[p], spec.options));
+      }
+      return cells;
+    };
+    engine::detail::cached_cells(codec, cache, content, params, o, compute);
   };
   runner.run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
   return out;

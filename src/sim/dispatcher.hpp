@@ -15,6 +15,10 @@
 // DM orders by the stream's relative deadline, EDF by the request's absolute
 // deadline; ties resolve FIFO via the release sequence number, so behaviour
 // is deterministic.
+//
+// Given the same releases, the three shapes hold the same requests and agree
+// on the head until a refill picks differently; next_head() names that pick,
+// which is where a group run (network_sim.hpp) forks.
 #pragma once
 
 #include <cassert>
@@ -40,6 +44,7 @@ struct PendingRequest {
 /// Outgoing-queue state of one master.
 class Dispatcher {
  public:
+  Dispatcher() = default;  ///< FCFS
   explicit Dispatcher(profibus::ApPolicy policy) : policy_(policy) {}
 
   [[nodiscard]] profibus::ApPolicy policy() const noexcept { return policy_; }
@@ -64,6 +69,13 @@ class Dispatcher {
   [[nodiscard]] const PendingRequest& head() const {
     assert(!stack_.empty());
     return stack_.front();
+  }
+
+  /// The request complete_head() would put at the head next, or nullptr when
+  /// no other request waits.
+  [[nodiscard]] const PendingRequest* next_head() const {
+    if (policy_ == profibus::ApPolicy::Fcfs) return stack_.size() > 1 ? &stack_[1] : nullptr;
+    return ap_.empty() ? nullptr : &ap_.begin()->req;
   }
 
   /// Message cycle of head() completed: free the stack slot and, under a
@@ -108,7 +120,7 @@ class Dispatcher {
                                              : Key{r.abs_deadline, r.seq};
   }
 
-  profibus::ApPolicy policy_;
+  profibus::ApPolicy policy_ = profibus::ApPolicy::Fcfs;
   std::deque<PendingRequest> stack_;  ///< communication-stack FCFS queue
   std::multiset<Keyed> ap_;           ///< AP-level priority queue (empty for FCFS)
 };

@@ -44,6 +44,9 @@ class Histogram {
   /// Short text rendering: count, mean, p50/p95/p99, max.
   [[nodiscard]] std::string summary() const;
 
+  /// Bin for bin, with the exact count, sum and max.
+  bool operator==(const Histogram&) const = default;
+
  private:
   [[nodiscard]] static std::size_t bin_index(Ticks value) noexcept {
     if (value < kLinearLimit) return static_cast<std::size_t>(value);

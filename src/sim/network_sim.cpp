@@ -1,10 +1,12 @@
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace profisched::sim {
 
@@ -14,11 +16,15 @@ using profibus::ApPolicy;
 using profibus::Master;
 using profibus::MessageStream;
 
+/// The most policies one run can hold: a group's policies are distinct.
+constexpr std::size_t kMaxGroup = 3;
+
 /// Per-master run-time state.
 struct MasterState {
-  explicit MasterState(ApPolicy policy) : dispatcher(policy) {}
-
-  Dispatcher dispatcher;
+  /// One dispatcher per policy of the run's group, in group order. They get
+  /// the same releases and, until the run forks, hold the same requests and
+  /// the same head, so the protocol reads dispatchers[0] alone.
+  std::array<Dispatcher, kMaxGroup> dispatchers;
   std::deque<Ticks> lp_queue;  ///< pending low-priority cycle lengths (FCFS)
   Ticks last_token_arrival = 0;  ///< T_RR timer start (pseudocode init: 0)
   bool online = true;            ///< false while churned off the ring
@@ -71,14 +77,22 @@ std::uint64_t fault_stream_seed(std::uint64_t seed) {
 /// The token-passing procedure's result when no token arrival fired in place.
 constexpr std::size_t kNoArrival = std::numeric_limits<std::size_t>::max();
 
+/// next_head()'s choice when no other request waits.
+constexpr std::uint64_t kNoRefill = std::numeric_limits<std::uint64_t>::max();
+
 class Simulation {
  public:
-  /// Reads `cfg` in place; it must outlive the Simulation.
-  explicit Simulation(const SimConfig& cfg)
+  /// Reads `cfg` in place; it must outlive the Simulation. Simulates
+  /// `policies` as one group (validated by the caller); the copies it makes
+  /// where they dispatch differently wait in `forks`.
+  Simulation(const SimConfig& cfg, std::span<const ApPolicy> policies,
+             std::vector<Simulation>& forks)
       : cfg_(cfg),
         rng_(cfg.seed),
         frng_(fault_stream_seed(cfg.seed)),
-        pass_time_(profibus::token_pass_time(cfg.net.bus)) {
+        pass_time_(profibus::token_pass_time(cfg.net.bus)),
+        forks_(&forks),
+        group_size_(policies.size()) {
     cfg_.net.validate();
     cfg_.faults.validate();
     if (cfg_.horizon < 1) throw std::invalid_argument("SimConfig: horizon must be >= 1");
@@ -92,19 +106,28 @@ class Simulation {
     if (cfg_.cycle_model.kind == CycleModel::Kind::FrameLevel && cfg_.frame_specs.size() != n) {
       throw std::invalid_argument("SimConfig: FrameLevel cycle model needs frame_specs");
     }
-    masters_.reserve(n);
+    for (std::size_t j = 0; j < group_size_; ++j) slots_[j] = j;
+    masters_.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
-      masters_.emplace_back(cfg_.policy);
-      masters_.back().streams.resize(cfg_.net.masters[k].nh());
-      if (cfg_.collect_histograms) masters_.back().hist.resize(cfg_.net.masters[k].nh());
+      MasterState& m = masters_[k];
+      for (std::size_t j = 0; j < group_size_; ++j) m.dispatchers[j] = Dispatcher(policies[j]);
+      m.streams.resize(cfg_.net.masters[k].nh());
+      if (cfg_.collect_histograms) m.hist.resize(cfg_.net.masters[k].nh());
     }
   }
 
-  SimReport run() {
-    arm_generators();
-    kernel_.at(0, SimEvent{.kind = SimEvent::Kind::TokenArrival, .master = 0});
+  /// Run to the horizon (a fork first finishes the event it split at), then
+  /// write the group's reports into `out`.
+  void run(GroupReport& out) {
+    if (resume_) {
+      handle(*resume_);
+    } else {
+      arm_generators();
+      kernel_.at(0, SimEvent{.kind = SimEvent::Kind::TokenArrival, .master = 0});
+    }
     kernel_.run_until(cfg_.horizon, [this](SimEvent& e) { handle(e); });
-    return collect();
+    out.events_executed += kernel_.events_processed() - first_event_;
+    collect(out.reports);
   }
 
  private:
@@ -143,6 +166,7 @@ class Simulation {
         break;
       }
       case SimEvent::Kind::HpCycleEnd: {
+        if (group_size_ > 1) fork_where_refills_differ(k, e);
         MasterState& mm = masters_[k];
         StreamStats& st = mm.streams[e.req.stream];
         if (e.dropped) {
@@ -154,7 +178,7 @@ class Simulation {
           if (!mm.hist.empty()) mm.hist[e.req.stream].add(response);
           trace(TraceKind::CycleEnd, k, e.req.stream, response);
         }
-        mm.dispatcher.complete_head();
+        for (std::size_t j = 0; j < group_size_; ++j) mm.dispatchers[j].complete_head();
         arrival = token_phase(k, e.t0, e.phase, e.t1);
         break;
       }
@@ -180,6 +204,47 @@ class Simulation {
     // Token arrivals pass_token fired in place run here, in a loop rather
     // than by recursion: an idle stretch of the ring is thousands of passes.
     while (arrival != kNoArrival) arrival = on_token_arrival(arrival);
+  }
+
+  // ---- policy groups ---------------------------------------------------
+
+  /// Before the HpCycleEnd `e` of master k runs: compare the request each of
+  /// the group's dispatchers would put at the head next. The policies that
+  /// agree with the first go on here; every other distinct choice gets a copy
+  /// of the whole simulation, which finishes `e` first when its turn comes.
+  /// Until now every policy ran the same events, so each copy is exactly the
+  /// state its policies' own runs would have reached.
+  void fork_where_refills_differ(std::size_t k, const SimEvent& e) {
+    const std::array<Dispatcher, kMaxGroup>& ds = masters_[k].dispatchers;
+    std::array<std::uint64_t, kMaxGroup> choice{};
+    for (std::size_t j = 0; j < group_size_; ++j) {
+      const PendingRequest* next = ds[j].next_head();
+      choice[j] = next != nullptr ? next->seq : kNoRefill;
+    }
+    for (std::size_t j = 1; j < group_size_; ++j) {
+      const auto first = choice.begin();
+      if (std::find(first, first + j, choice[j]) != first + j) continue;  // has its copy
+      Simulation fork = *this;
+      fork.keep(choice, choice[j]);
+      fork.resume_ = e;
+      fork.first_event_ = kernel_.events_processed();
+      forks_->push_back(std::move(fork));
+    }
+    keep(choice, choice[0]);
+  }
+
+  /// Narrow the group to the policies whose choice is `which`.
+  void keep(const std::array<std::uint64_t, kMaxGroup>& choice, std::uint64_t which) {
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < group_size_; ++j) {
+      if (choice[j] != which) continue;
+      if (n != j) {
+        slots_[n] = slots_[j];
+        for (MasterState& m : masters_) m.dispatchers[n] = std::move(m.dispatchers[j]);
+      }
+      ++n;
+    }
+    group_size_ = n;
   }
 
   // ---- traffic --------------------------------------------------------
@@ -229,15 +294,17 @@ class Simulation {
       return;
     }
     trace(TraceKind::Release, k, i, 0);
-    masters_[k].dispatcher.release(PendingRequest{
+    const PendingRequest req{
         .stream = i,
         .release = kernel_.now(),
         .abs_deadline = sat_add(kernel_.now(), s.D),
         .rel_deadline = s.D,
         .seq = next_seq_++,
-    });
-    st.max_queue_depth_seen = std::max(st.max_queue_depth_seen,
-                                       static_cast<Ticks>(masters_[k].dispatcher.pending()));
+    };
+    MasterState& m = masters_[k];
+    for (std::size_t j = 0; j < group_size_; ++j) m.dispatchers[j].release(req);
+    st.max_queue_depth_seen =
+        std::max(st.max_queue_depth_seen, static_cast<Ticks>(m.dispatchers[0].pending()));
   }
 
   void schedule_lp_release(std::uint32_t k, std::uint32_t lp_index, Ticks at) {
@@ -275,13 +342,13 @@ class Simulation {
     switch (phase) {
       case Phase::GuaranteedHp:
         // One high-priority cycle per visit regardless of token lateness.
-        if (m.dispatcher.has_pending()) {
+        if (m.dispatchers[0].has_pending()) {
           start_hp_cycle(k, tth_expiry, Phase::HpWhile, visit_start);
           return kNoArrival;
         }
         [[fallthrough]];
       case Phase::HpWhile:
-        if (budget && m.dispatcher.has_pending()) {
+        if (budget && m.dispatchers[0].has_pending()) {
           start_hp_cycle(k, tth_expiry, Phase::HpWhile, visit_start);
           return kNoArrival;
         }
@@ -289,7 +356,7 @@ class Simulation {
       case Phase::LpWhile:
         // Prose rule: LP only when no HP pending; an HP arrival during the LP
         // phase is served first (never hurts HP response times).
-        if (budget && m.dispatcher.has_pending()) {
+        if (budget && m.dispatchers[0].has_pending()) {
           start_hp_cycle(k, tth_expiry, Phase::LpWhile, visit_start);
           return kNoArrival;
         }
@@ -304,7 +371,7 @@ class Simulation {
 
   void start_hp_cycle(std::size_t k, Ticks tth_expiry, Phase next_phase, Ticks visit_start) {
     MasterState& m = masters_[k];
-    const PendingRequest req = m.dispatcher.head();
+    const PendingRequest req = m.dispatchers[0].head();
     const MessageStream& s = cfg_.net.masters[k].high_streams[req.stream];
 
     bool dropped = false;
@@ -403,13 +470,17 @@ class Simulation {
     trace(TraceKind::StationLeave, k, SIZE_MAX, cfg_.faults.churn_offline);
     notify(FaultKind::StationLeft, k, SIZE_MAX, cfg_.faults.churn_offline);
     // A station off the ring loses its outgoing queues: every pending request
-    // is abandoned (dropped, never missed — it records no response time).
-    m.dispatcher.drain([&](const PendingRequest& req) {
+    // is abandoned (dropped, never missed — it records no response time). The
+    // group's dispatchers hold the same requests, so the first one counts them.
+    m.dispatchers[0].drain([&](const PendingRequest& req) {
       ++m.streams[req.stream].dropped;
       ++faults_.churn_dropped;
       trace(TraceKind::ChurnDrop, k, req.stream, 0);
       notify(FaultKind::ChurnDrop, k, req.stream, 0);
     });
+    for (std::size_t j = 1; j < group_size_; ++j) {
+      m.dispatchers[j].drain([](const PendingRequest&) {});
+    }
     m.lp_queue.clear();
     kernel_.after(cfg_.faults.churn_offline,
                   SimEvent{.kind = SimEvent::Kind::Rejoin,
@@ -485,7 +556,8 @@ class Simulation {
     }
   }
 
-  SimReport collect() {
+  /// One report serves every policy still in the group: their runs were one.
+  void collect(std::vector<SimReport>& reports) {
     SimReport r;
     r.horizon = cfg_.horizon;
     r.events = kernel_.events_processed();
@@ -499,7 +571,8 @@ class Simulation {
       r.token.push_back(m.token);
       if (cfg_.collect_histograms) r.response_hist.push_back(std::move(m.hist));
     }
-    return r;
+    for (std::size_t j = 0; j + 1 < group_size_; ++j) reports[slots_[j]] = r;
+    reports[slots_[group_size_ - 1]] = std::move(r);
   }
 
   const SimConfig& cfg_;
@@ -519,10 +592,49 @@ class Simulation {
   std::vector<std::vector<ReleaseProcess>> procs_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t lp_completed_ = 0;
+
+  /// Where this run's forks wait their turn (owned by the group run).
+  std::vector<Simulation>* forks_;
+  /// The group: dispatchers [0, group_size_) of every master serve it, and
+  /// slots_[j] is where dispatcher j's policy's report goes.
+  std::size_t group_size_;
+  std::array<std::size_t, kMaxGroup> slots_{};
+  /// A fork's first event: the HpCycleEnd it split at, popped and counted
+  /// before the copy was made.
+  std::optional<SimEvent> resume_;
+  std::uint64_t first_event_ = 0;  ///< events_processed() when this run began
 };
 
 }  // namespace
 
-SimReport simulate(const SimConfig& cfg) { return Simulation(cfg).run(); }
+GroupReport simulate(const SimConfig& cfg, std::span<const ApPolicy> policies) {
+  if (policies.empty()) throw std::invalid_argument("simulate: needs >= 1 policy");
+  for (std::size_t j = 0; j < policies.size(); ++j) {
+    if (std::find(policies.begin(), policies.begin() + j, policies[j]) != policies.begin() + j) {
+      throw std::invalid_argument("simulate: policy " + std::string(to_string(policies[j])) +
+                                  " named twice");
+    }
+  }
+  if (policies.size() > 1 && (cfg.trace != nullptr || cfg.listener != nullptr)) {
+    throw std::invalid_argument(
+        "simulate: a group of policies takes no trace sink or listener (drain callbacks would "
+        "come in per-policy order)");
+  }
+  GroupReport out;
+  out.reports.resize(policies.size());
+  std::vector<Simulation> forks;
+  Simulation(cfg, policies, forks).run(out);
+  while (!forks.empty()) {
+    Simulation fork = std::move(forks.back());
+    forks.pop_back();
+    ++out.splits;
+    fork.run(out);
+  }
+  return out;
+}
+
+SimReport simulate(const SimConfig& cfg) {
+  return std::move(simulate(cfg, std::span(&cfg.policy, 1)).reports.front());
+}
 
 }  // namespace profisched::sim

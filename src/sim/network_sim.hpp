@@ -33,7 +33,8 @@
 //                    construction). Requires per-stream frame specs.
 #pragma once
 
-#include <optional>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "profibus/dispatching.hpp"
@@ -65,6 +66,7 @@ struct LpTraffic {
 /// Complete simulation configuration.
 struct SimConfig {
   profibus::Network net;
+  /// The policy simulate(cfg) runs; a group run names its own policies.
   profibus::ApPolicy policy = profibus::ApPolicy::Fcfs;
 
   /// hp_traffic[k][i] — release process of stream i of master k. When empty,
@@ -103,17 +105,42 @@ struct SimConfig {
   bool collect_histograms = false;
 };
 
-/// Run one simulation; returns the collected statistics.
+/// The reports of one group run, plus what the sharing saved.
+struct GroupReport {
+  std::vector<SimReport> reports;     ///< one per policy, in the order asked for
+  std::uint64_t events_executed = 0;  ///< events the kernels ran; a shared prefix counts once
+  std::uint64_t splits = 0;           ///< copies made where the policies' dispatch differed
+};
+
+/// Run `cfg` under each of `policies` as one simulation that forks only where
+/// their dispatch differs; `cfg.policy` is not read. Every master keeps one
+/// Dispatcher per policy, and all of them get the same releases. The only step
+/// that depends on the policy is the stack-slot refill in
+/// Dispatcher::complete_head, so before each HpCycleEnd runs the simulation
+/// compares the request every policy would put at the head next. Where they
+/// differ it copies the whole simulation once per further choice, and each
+/// copy goes on with the policies that made that choice. Up to then the
+/// kernel queue, both RNG streams, the stats, the histograms and the fault
+/// state are the same for every policy, so each report equals the one-policy
+/// run's bit for bit, `events` and `pool_recycles` included (regression:
+/// tests/sim/test_policy_groups.cpp).
 ///
-/// Re-entrant: each call builds a private Simulation (kernel, dispatchers,
-/// RNG, stats) that reads `cfg` in place and is gone when the call returns.
-/// The run never writes to `cfg` and nothing in src/sim/ touches global
-/// mutable state, so concurrent calls — the engine's parallel simulation
-/// sweeps — are safe, even on one shared `cfg`, and bit-identical to serial
-/// runs with the same seed (regression: tests/sim/test_concurrent_sim.cpp),
-/// as long as no other thread modifies `cfg` during a call. The optional
-/// `cfg.trace` sink is the one shared-state hatch: give each concurrent run
-/// its own.
+/// Throws std::invalid_argument on an empty group, a repeated policy, or a
+/// group of two or more with a trace sink or a listener: drain callbacks
+/// would come in per-policy order.
+///
+/// Re-entrant: each call builds private Simulations (kernel, dispatchers, RNG,
+/// stats) that read `cfg` in place and are gone when the call returns. The
+/// run never writes to `cfg` and nothing in src/sim/ touches global mutable
+/// state, so concurrent calls — the engine's parallel simulation sweeps — are
+/// safe, even on one shared `cfg`, and bit-identical to serial runs with the
+/// same seed (regression: tests/sim/test_concurrent_sim.cpp), as long as no
+/// other thread modifies `cfg` during a call. The optional `cfg.trace` sink is
+/// the one shared-state hatch: give each concurrent run its own.
+[[nodiscard]] GroupReport simulate(const SimConfig& cfg,
+                                   std::span<const profibus::ApPolicy> policies);
+
+/// Run one simulation under `cfg.policy`: the one-policy group run.
 [[nodiscard]] SimReport simulate(const SimConfig& cfg);
 
 }  // namespace profisched::sim

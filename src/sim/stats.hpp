@@ -34,6 +34,8 @@ struct StreamStats {
     return completed == 0 ? 0.0
                           : static_cast<double>(total_response) / static_cast<double>(completed);
   }
+
+  bool operator==(const StreamStats&) const = default;
 };
 
 /// Aggregate over one master's token visits.
@@ -49,6 +51,8 @@ struct TokenStats {
     max_trr = std::max(max_trr, trr);
     if (trr >= ttr) ++late_tokens;
   }
+
+  bool operator==(const TokenStats&) const = default;
 };
 
 /// Network-wide counters of injected faults (see profibus::FaultModel). All
@@ -67,6 +71,8 @@ struct FaultStats {
     return tokens_lost + token_skips + leaves + rejoins + corrupted_cycles + retransmissions +
            churn_dropped;
   }
+
+  bool operator==(const FaultStats&) const = default;
 };
 
 /// Full simulation report.
@@ -102,6 +108,10 @@ struct SimReport {
       for (const StreamStats& s : master) n += s.deadline_misses;
     return n;
   }
+
+  /// Field by field, histograms bin by bin: what a group run's report must
+  /// share with the one-policy run it stands for.
+  bool operator==(const SimReport&) const = default;
 };
 
 }  // namespace profisched::sim

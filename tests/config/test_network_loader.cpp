@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -149,6 +150,44 @@ TEST(NetworkLoader, MillisecondDurationsOutOfRangeRejected) {
       EXPECT_NE(std::string(e.what()).find("'" + entry + "'"), std::string::npos) << e.what();
     }
   }
+}
+
+/// kMinimal with tick-valued durations and `ticks_per_ms = <tpm>` on line 3.
+std::string tick_valued(const std::string& tpm) {
+  return "[network]\nttr = 5000\nticks_per_ms = " + tpm +
+         "\n\n[master]\nname = plc\n\n[stream]\nname = sensor\nrequest_chars = 10\n"
+         "response_chars = 14\nperiod = 25000\ndeadline = 12500\n";
+}
+
+TEST(NetworkLoader, TicksPerMsBelowOneRejectedOnItsLine) {
+  // At 0 or below every time would print as "inf ms" or negative.
+  for (const char* bad : {"0", "-500"}) {
+    try {
+      (void)load_network(parse_ini(tick_valued(bad)));
+      ADD_FAILURE() << "ticks_per_ms = " << bad << " was accepted";
+    } catch (const IniError& e) {
+      EXPECT_EQ(e.line(), 3u);
+      EXPECT_NE(std::string(e.what()).find("ticks_per_ms"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(load_network(parse_ini(tick_valued("1"))).ticks_per_ms, 1);
+}
+
+TEST(NetworkLoader, HorizonTicksThrowsWhenTheProductDoesNotFit) {
+  EXPECT_EQ(horizon_ticks(1'000, 500), 500'000);
+  EXPECT_EQ(horizon_ticks(1'000'000'000, 500), 500'000'000'000);
+  const Ticks max = std::numeric_limits<Ticks>::max();
+  EXPECT_EQ(horizon_ticks(1, max), max);
+  EXPECT_THROW((void)horizon_ticks(2, max / 2 + 1), std::out_of_range);
+  EXPECT_THROW((void)horizon_ticks(1, 0), std::out_of_range);
+  EXPECT_THROW((void)horizon_ticks(-1, 500), std::out_of_range);
+
+  // A network that loads, since its durations are in ticks, but whose
+  // `simulate --ms 4` horizon is 4 · (2^62 + 1): that wraps to 4 ticks in
+  // 64-bit arithmetic.
+  const LoadedNetwork ln = load_network(parse_ini(tick_valued("4611686018427387905")));
+  EXPECT_THROW((void)horizon_ticks(4, ln.ticks_per_ms), std::out_of_range);
+  EXPECT_EQ(horizon_ticks(1, ln.ticks_per_ms), ln.ticks_per_ms);
 }
 
 TEST(NetworkLoader, StreamBeforeMasterRejected) {

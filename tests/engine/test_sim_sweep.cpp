@@ -5,8 +5,13 @@
 //    scenarios per policy — every analytic WCRT dominates the observed max
 //    response (zero per-stream bound violations) and no scenario the
 //    analysis accepts ever misses a deadline in simulation;
+//  * a cache warm for some policies gives the uncached outcomes;
 //  * malformed specs are rejected on the calling thread.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <mutex>
+#include <string>
 
 #include "engine/sim_aggregate.hpp"
 #include "engine/sweep_runner.hpp"
@@ -43,6 +48,45 @@ void expect_same_sim_outcomes(const SimSweepResult& a, const SimSweepResult& b) 
     EXPECT_EQ(a.outcomes[i].dropped, b.outcomes[i].dropped);
   }
 }
+
+void expect_same_combined_outcomes(const CombinedResult& a, const CombinedResult& b) {
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const CombinedOutcome& x = a.outcomes[i];
+    const CombinedOutcome& y = b.outcomes[i];
+    EXPECT_EQ(x.analytic_schedulable, y.analytic_schedulable);
+    EXPECT_EQ(x.analytic_wcrt, y.analytic_wcrt);
+    EXPECT_EQ(x.bound_violations, y.bound_violations);
+    EXPECT_EQ(x.degraded_schedulable, y.degraded_schedulable);
+    EXPECT_EQ(x.degraded_wcrt, y.degraded_wcrt);
+    EXPECT_EQ(x.sim.observed_max, y.sim.observed_max);
+    EXPECT_EQ(x.sim.observed_p99, y.sim.observed_p99);
+    EXPECT_EQ(x.sim.released, y.sim.released);
+    EXPECT_EQ(x.sim.completed, y.sim.completed);
+    EXPECT_EQ(x.sim.misses, y.sim.misses);
+    EXPECT_EQ(x.sim.dropped, y.sim.dropped);
+  }
+}
+
+/// In-memory ScenarioCache: the runner's cached branch without the disk.
+class MemoryCache final : public ScenarioCache {
+ public:
+  bool load(const CacheKey& key, std::string& payload) override {
+    const std::lock_guard lock(mu_);
+    const auto it = entries_.find({key.scenario, key.params});
+    if (it == entries_.end()) return false;
+    payload = it->second;
+    return true;
+  }
+  void store(const CacheKey& key, const std::string& payload) override {
+    const std::lock_guard lock(mu_);
+    entries_[{key.scenario, key.params}] = payload;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> entries_;
+};
 
 TEST(SimSweep, ResultsAreInvariantUnderThreadCount) {
   const SimSweepSpec spec = small_spec();
@@ -190,6 +234,47 @@ TEST(SimSweep, UniformCycleModelKeepsBoundsDominant) {
   EXPECT_EQ(table.accept_but_miss_count(), 0u);
 }
 
+// One grouped simulation per replication computes a scenario's missing
+// policies. With the cache warm for one policy, the others still come out as
+// they do uncached, and the cache counts one hit per scenario for the warm
+// policy and one miss for each of the others.
+TEST(SimSweep, PartlyWarmCachesMatchUncachedRuns) {
+  SimSweepSpec spec = small_spec();
+  spec.sim.faults.token_loss_prob = 0.02;
+  spec.sim.faults.token_recovery = 800;
+  spec.sim.faults.churn_prob = 0.01;
+  spec.sim.faults.churn_offline = 5'000;
+  const std::size_t n = spec.sweep.total_scenarios();
+  SweepRunner runner(3);
+  const SimSweepResult sim_cold = runner.run_sim(spec);
+  const CombinedResult combined_cold = runner.run_combined(spec);
+  for (const Policy warm : spec.sweep.policies) {
+    SimSweepSpec one = spec;
+    one.sweep.policies = {warm};
+    MemoryCache cache;
+    const SimSweepResult prefill = runner.run_sim(one, &cache);
+    EXPECT_EQ(prefill.cache_hits, 0u);
+    EXPECT_EQ(prefill.cache_misses, n);
+    const SimSweepResult partly = runner.run_sim(spec, &cache);
+    EXPECT_EQ(partly.cache_hits, n) << to_string(warm);
+    EXPECT_EQ(partly.cache_misses, 2 * n) << to_string(warm);
+    expect_same_sim_outcomes(partly, sim_cold);
+    const SimSweepResult full = runner.run_sim(spec, &cache);
+    EXPECT_EQ(full.cache_hits, 3 * n);
+    EXPECT_EQ(full.cache_misses, 0u);
+    expect_same_sim_outcomes(full, sim_cold);
+
+    MemoryCache combined_cache;
+    (void)runner.run_combined(one, &combined_cache);
+    const CombinedResult combined = runner.run_combined(spec, &combined_cache);
+    EXPECT_EQ(combined.cache_hits, n) << to_string(warm);
+    EXPECT_EQ(combined.cache_misses, 2 * n) << to_string(warm);
+    expect_same_combined_outcomes(combined, combined_cold);
+    EXPECT_EQ(consistency_table(spec, combined).to_csv(),
+              consistency_table(spec, combined_cold).to_csv());
+  }
+}
+
 TEST(SimSweep, RejectsBadSpecs) {
   SweepRunner runner(1);
   SimSweepSpec no_policies = small_spec();
@@ -204,6 +289,11 @@ TEST(SimSweep, RejectsBadSpecs) {
   SimSweepSpec no_points = small_spec();
   no_points.sweep.points.clear();
   EXPECT_THROW((void)runner.run_sim(no_points), std::invalid_argument);
+
+  SimSweepSpec twice = small_spec();
+  twice.sweep.policies = {Policy::Dm, Policy::Edf, Policy::Dm};
+  EXPECT_THROW((void)runner.run_sim(twice), std::invalid_argument);
+  EXPECT_THROW((void)runner.run_combined(twice), std::invalid_argument);
 
   SimSweepSpec analysis_only = small_spec();
   analysis_only.sweep.policies = {Policy::Fcfs, Policy::TokenRing};

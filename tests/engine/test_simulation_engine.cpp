@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "engine/sweep_runner.hpp"
 #include "profibus/token_ring_analysis.hpp"
 
@@ -106,6 +110,85 @@ TEST(SimulationEngine, LpTrafficAndFrameSpecsShapeTheConfig) {
   Scenario no_specs = sc;
   no_specs.frame_specs.clear();
   EXPECT_THROW((void)SimulationEngine(frame).make_config(no_specs, Policy::Fcfs, 0),
+               std::invalid_argument);
+}
+
+/// Every field of a simulator config but `policy`, space-separated.
+std::string without_policy(const sim::SimConfig& c) {
+  std::ostringstream o;
+  const auto put = [&o](auto... v) { ((o << v << ' '), ...); };
+  const profibus::BusParameters& b = c.net.bus;
+  put(c.net.ttr, b.bits_per_char, b.t_id1, b.t_sl, b.max_tsdr, b.min_tsdr, b.max_retry);
+  put(b.token_frame_chars);
+  for (const profibus::Master& m : c.net.masters) {
+    put(m.name, m.longest_low_cycle);
+    for (const profibus::MessageStream& s : m.high_streams) put(s.name, s.Ch, s.D, s.T, s.J);
+  }
+  for (const auto& master : c.hp_traffic) {
+    for (const sim::TrafficConfig& t : master) put(t.phase, t.jitter, t.sporadic);
+  }
+  for (const auto& master : c.lp_traffic) {
+    for (const sim::LpTraffic& l : master) put(l.period, l.cycle_len, l.phase);
+  }
+  for (const auto& master : c.frame_specs) {
+    for (const profibus::MessageCycleSpec& f : master) put(f.request_chars, f.response_chars);
+  }
+  const sim::CycleModel& m = c.cycle_model;
+  put(static_cast<int>(m.kind), m.min_fraction, m.slave_fail_prob);
+  const profibus::FaultModel& f = c.faults;
+  put(f.token_loss_prob, f.token_recovery, f.corruption_prob, f.max_retransmissions);
+  put(f.churn_prob, f.churn_offline, f.burst_correlation);
+  put(c.seed, c.horizon, c.trace, c.listener, c.collect_histograms);
+  return o.str();
+}
+
+// The premise of the grouped simulate(): one (scenario, replication) gives
+// every policy the same config but for `policy`, which a group run does not
+// read.
+TEST(SimulationEngine, ConfigsDifferAcrossPoliciesOnlyInPolicy) {
+  const Scenario sc = SweepRunner::make_scenario(one_point_spec(), 1);
+  SimOptions faulted;
+  faulted.faults.token_loss_prob = 0.02;
+  faulted.faults.token_recovery = 800;
+  faulted.faults.churn_prob = 0.01;
+  faulted.faults.churn_offline = 5'000;
+  faulted.faults.burst_correlation = 0.7;
+  SimOptions frame;
+  frame.cycle_model.kind = sim::CycleModel::Kind::FrameLevel;
+  frame.cycle_model.slave_fail_prob = 0.1;
+  frame.lp_traffic = true;
+  for (const SimOptions& opt : {SimOptions{}, faulted, frame}) {
+    const SimulationEngine engine(opt);
+    for (std::uint64_t rep = 0; rep < 3; ++rep) {
+      const sim::SimConfig fcfs = engine.make_config(sc, Policy::Fcfs, rep);
+      for (const Policy p : {Policy::Dm, Policy::Edf}) {
+        const sim::SimConfig other = engine.make_config(sc, p, rep);
+        EXPECT_EQ(other.policy, SimulationEngine::to_ap_policy(p));
+        EXPECT_EQ(without_policy(other), without_policy(fcfs)) << to_string(p) << " " << rep;
+      }
+    }
+  }
+}
+
+TEST(SimulationEngine, GroupedSimulateMatchesPerPolicyRuns) {
+  const Scenario sc = SweepRunner::make_scenario(one_point_spec(), 3);
+  SimOptions opt;
+  opt.faults.token_loss_prob = 0.05;
+  opt.faults.token_recovery = 600;
+  const SimulationEngine engine(opt);
+  const std::vector<Policy> group{Policy::Edf, Policy::Fcfs, Policy::Dm};
+  for (std::uint64_t rep = 0; rep < 3; ++rep) {
+    const sim::GroupReport g = engine.simulate(sc, group, rep);
+    ASSERT_EQ(g.reports.size(), group.size());
+    std::uint64_t events = 0;
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      EXPECT_TRUE(g.reports[j] == engine.simulate(sc, group[j], rep)) << to_string(group[j]);
+      events += g.reports[j].events;
+    }
+    EXPECT_LE(g.events_executed, events);
+  }
+  EXPECT_THROW((void)engine.simulate(sc, std::vector<Policy>{}, 0), std::invalid_argument);
+  EXPECT_THROW((void)engine.simulate(sc, std::vector<Policy>{Policy::Dm, Policy::Opa}, 0),
                std::invalid_argument);
 }
 

@@ -90,22 +90,43 @@ TEST(ObsByteIdentity, SimSweepOutputsAreIdentical) {
   EXPECT_EQ(off_csv, on_csv);
 }
 
+/// The simulation bridge's event and sharing counters, as they stand.
+struct SimCounts {
+  std::uint64_t events, executed, splits;
+};
+SimCounts sim_counts() {
+  const obs::Snapshot s = obs::Registry::global().snapshot();
+  return {s.counter("sim.events"), s.counter("sim.events_executed"), s.counter("sim.splits")};
+}
+
 TEST(ObsByteIdentity, CombinedSweepOutputsAreIdentical) {
   engine::SimSweepSpec spec = small_spec();
   spec.sim.faults.token_loss_prob = 0.02;  // exercise the fault bridge too
   spec.sim.faults.token_recovery = 600;
   std::string off_csv, on_csv;
+  const SimCounts c0 = sim_counts();
   {
     const ObsFlagsGuard flags(false, false);
     engine::SweepRunner runner(2);
     off_csv = engine::consistency_table(spec, runner.run_combined(spec, nullptr)).to_csv();
   }
+  const SimCounts c1 = sim_counts();
   {
     const ObsFlagsGuard flags(true, true);
     engine::SweepRunner runner(2);
     on_csv = engine::consistency_table(spec, runner.run_combined(spec, nullptr)).to_csv();
   }
+  const SimCounts c2 = sim_counts();
   EXPECT_EQ(off_csv, on_csv);
+  // The sharing series count the same with telemetry on and off: the group
+  // runs share prefixes, so the kernels ran fewer events than the per-policy
+  // runs count, and at least one run forked.
+  EXPECT_EQ(c2.events - c1.events, c1.events - c0.events);
+  EXPECT_EQ(c2.executed - c1.executed, c1.executed - c0.executed);
+  EXPECT_EQ(c2.splits - c1.splits, c1.splits - c0.splits);
+  EXPECT_GT(c1.executed - c0.executed, 0u);
+  EXPECT_LT(c1.executed - c0.executed, c1.events - c0.events);
+  EXPECT_GT(c1.splits - c0.splits, 0u);
 }
 
 /// Spans recorded so far by the runner.generate and runner.analyze timers.

@@ -20,7 +20,11 @@ Checks, in order:
      generation (runner.generate counts at least one span per completed
      scenario) and their analysis or simulation (runner.analyze or
      runner.simulate counts some span);
-  7. optionally (--scenarios N) that runner.scenarios_completed matches the
+  7. simulation sharing — a process that simulated (sim.replications > 0)
+     ran 0 < sim.events_executed <= sim.events: the policies of one
+     replication share their common prefix, so the kernels run at most the
+     events the per-policy runs count;
+  8. optionally (--scenarios N) that runner.scenarios_completed matches the
      scenario count the caller expected the process to execute.
 
 Exit code 0 = pass, 1 = fail (reasons on stderr).
@@ -143,6 +147,12 @@ def main(argv):
         if spans["analyze"] + spans["simulate"] == 0:
             return fail(f"{done} scenarios completed, but runner.analyze and "
                         "runner.simulate timed nothing")
+
+    if counters.get("sim.replications", {"value": 0})["value"] > 0:
+        events = counters.get("sim.events", {"value": 0})["value"]
+        executed = counters.get("sim.events_executed", {"value": 0})["value"]
+        if not 0 < executed <= events:
+            return fail(f"sim.events_executed ({executed}) outside (0, sim.events = {events}]")
 
     if expect_scenarios is not None:
         if done != expect_scenarios:

@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,7 +124,12 @@ int cmd_simulate(const LoadedNetwork& ln, const std::string& policy, Ticks milli
                  std::uint64_t seed, bool histograms, std::size_t trace_events) {
   sim::SimConfig cfg;
   cfg.net = ln.net;
-  cfg.horizon = milliseconds * ln.ticks_per_ms;
+  try {
+    cfg.horizon = config::horizon_ticks(milliseconds, ln.ticks_per_ms);
+  } catch (const std::out_of_range& e) {
+    std::fprintf(stderr, "error: --ms: %s\n", e.what());
+    return 2;
+  }
   cfg.seed = seed;
   cfg.collect_histograms = histograms;
   if (policy == "dm") cfg.policy = ApPolicy::Dm;
