@@ -152,16 +152,15 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
   table.row({"NP-DM analyze (ns/set)", fmt(np_ref, 0), fmt(np_opt, 0), fmt(np_ref / np_opt, 2)});
 
   // EDF whole-set analysis: reference per-task scan vs SoA + offset warm.
-  EdfRtaOptions edf_opt;
   for (const TaskSet& ts : pool) {
     EdfAnalysis ref;
     ref.per_task.resize(ts.size());
     ref.schedulable = true;
     for (std::size_t i = 0; i < ts.size(); ++i) {
-      ref.per_task[i] = edf_response_time_preemptive(ts, i, edf_opt);
+      ref.per_task[i] = edf_response_time_preemptive(ts, i, fuel);
       if (!ref.per_task[i].meets(ts[i].D)) ref.schedulable = false;
     }
-    const EdfAnalysis fast = analyze_preemptive_edf(ts, edf_opt, scratch);
+    const EdfAnalysis fast = analyze_preemptive_edf(ts, fuel, scratch);
     if (ref.schedulable != fast.schedulable) die("edf analyze");
     for (std::size_t i = 0; i < ts.size(); ++i) {
       if (ref.per_task[i].converged != fast.per_task[i].converged ||
@@ -177,7 +176,7 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
       [&] {
         for (const TaskSet& ts : pool) {
           for (std::size_t i = 0; i < ts.size(); ++i) {
-            const EdfRtaResult r = edf_response_time_preemptive(ts, i, edf_opt);
+            const EdfRtaResult r = edf_response_time_preemptive(ts, i, fuel);
             sink(&r);
           }
         }
@@ -189,7 +188,7 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
   ns = time_ns_per_op(
       [&] {
         for (const TaskSet& ts : pool) {
-          const EdfAnalysis a = analyze_preemptive_edf(ts, edf_opt, scratch);
+          const EdfAnalysis a = analyze_preemptive_edf(ts, fuel, scratch);
           sink(&a);
         }
       },
@@ -350,18 +349,17 @@ void simd_metrics(const Options& opt, JsonObject& out, Table& table) {
   orders.reserve(pool.size());
   for (const TaskSet& ts : pool) orders.push_back(deadline_monotonic_order(ts));
   RtaScratch scratch;
-  const EdfRtaOptions edf_opt;
 
   // Cross-check: scalar and vector runs of every pool set must agree on
   // verdicts, WCRTs and iteration counts exactly.
   for (std::size_t s = 0; s < pool.size(); ++s) {
     const FpAnalysis fp_vec =
         analyze_nonpreemptive_fp(pool[s], orders[s], kDefaultFormulation, fuel, scratch);
-    const EdfAnalysis edf_vec = analyze_preemptive_edf(pool[s], edf_opt, scratch);
+    const EdfAnalysis edf_vec = analyze_preemptive_edf(pool[s], fuel, scratch);
     simd::force_scalar(true);
     const FpAnalysis fp_sc =
         analyze_nonpreemptive_fp(pool[s], orders[s], kDefaultFormulation, fuel, scratch);
-    const EdfAnalysis edf_sc = analyze_preemptive_edf(pool[s], edf_opt, scratch);
+    const EdfAnalysis edf_sc = analyze_preemptive_edf(pool[s], fuel, scratch);
     simd::force_scalar(false);
     if (fp_sc.schedulable != fp_vec.schedulable) die("simd np-dm analyze");
     for (std::size_t i = 0; i < fp_sc.per_task.size(); ++i) {
@@ -399,7 +397,7 @@ void simd_metrics(const Options& opt, JsonObject& out, Table& table) {
 
   auto [edf_sc_ns, edf_vec_ns] = timed([&] {
     for (const TaskSet& ts : pool) {
-      const EdfAnalysis a = analyze_preemptive_edf(ts, edf_opt, scratch);
+      const EdfAnalysis a = analyze_preemptive_edf(ts, fuel, scratch);
       sink(&a);
     }
   });

@@ -96,18 +96,14 @@ OffsetResult response_at_offset_nonpreemptive(const TaskSet& ts, std::size_t i, 
 }
 
 template <typename PerOffsetFn>
-EdfRtaResult max_over_offsets(const TaskSet& ts, std::size_t i, const EdfRtaOptions& opt,
-                              PerOffsetFn per_offset) {
+EdfRtaResult max_over_offsets(const TaskSet& ts, std::size_t i, PerOffsetFn per_offset) {
   EdfRtaResult out;
   const BusyPeriod bp = synchronous_busy_period(ts);  // unbounded: report unschedulable
   if (!bp.bounded()) return out;
 
-  const std::vector<Ticks> offsets = edf_candidate_offsets(ts, i, bp.length);
-  if (offsets.size() > opt.max_offsets) return out;
-
   Ticks best = 0;
   Ticks best_a = 0;
-  for (const Ticks a : offsets) {
+  for (const Ticks a : edf_candidate_offsets(ts, i, bp.length)) {
     ++out.offsets_examined;
     const OffsetResult r = per_offset(a);
     if (!r.converged) {
@@ -127,65 +123,92 @@ EdfRtaResult max_over_offsets(const TaskSet& ts, std::size_t i, const EdfRtaOpti
 
 }  // namespace
 
-EdfRtaResult edf_response_time_preemptive(const TaskSet& ts, std::size_t i,
-                                          const EdfRtaOptions& opt) {
-  return max_over_offsets(ts, i, opt, [&](Ticks a) {
-    return response_at_offset_preemptive(ts, i, a, opt.fixed_point_fuel);
-  });
+EdfRtaResult edf_response_time_preemptive(const TaskSet& ts, std::size_t i, int fuel) {
+  return max_over_offsets(
+      ts, i, [&](Ticks a) { return response_at_offset_preemptive(ts, i, a, fuel); });
 }
 
-EdfRtaResult edf_response_time_nonpreemptive(const TaskSet& ts, std::size_t i,
-                                             const EdfRtaOptions& opt) {
-  return max_over_offsets(ts, i, opt, [&](Ticks a) {
-    return response_at_offset_nonpreemptive(ts, i, a, opt.fixed_point_fuel);
-  });
+EdfRtaResult edf_response_time_nonpreemptive(const TaskSet& ts, std::size_t i, int fuel) {
+  return max_over_offsets(
+      ts, i, [&](Ticks a) { return response_at_offset_nonpreemptive(ts, i, a, fuel); });
 }
 
 // ------------------------------------------------------------ SoA fast path
 
 namespace {
 
-/// Candidate offsets into a reused buffer — same generation order (hence
-/// identical sorted/deduplicated content) as edf_candidate_offsets above.
-void candidate_offsets_view(const TaskSetView& v, std::size_t i, Ticks horizon,
-                            std::vector<Ticks>& out) {
-  out.clear();
-  out.push_back(0);
-  const Ticks di = v.D[i];
-  for (std::size_t j = 0; j < v.n; ++j) {
-    const Ticks base = v.D[j] - v.J[j] - di;
-    const Ticks k0 = base >= 0 ? 0 : ceil_div(-base, v.T[j]);
-    for (Ticks k = k0;; ++k) {
-      const Ticks a = sat_add(sat_mul(k, v.T[j]), base);
-      if (a > horizon || a == kNoBound) break;
-      out.push_back(a);
-    }
-  }
-  std::ranges::sort(out);
-  const auto dup = std::ranges::unique(out);
-  out.erase(dup.begin(), dup.end());
-}
-
-/// The per-offset deadline caps 1 + ⌊(a + D_i − D_j + J_j)/T_j⌋ of the tasks
-/// that can interfere, hoisted out of the fixed point into `caps` (the lane
-/// kernel hoists the same caps). caps[j] is 0 exactly for j = i and for the
-/// later-deadline tasks (D_j − J_j > a + D_i); every other cap is >= 1.
-/// Returns eq. 9's blocking by those later-deadline tasks: max (C_j − 1) for
-/// tasks, the full max C_j (the paper's T*_cycle) for messages.
-Ticks deadline_caps(const TaskSetView& v, std::size_t i, Ticks abs_deadline, Blocking model,
-                    std::vector<Ticks>& caps) {
+/// Calls visit(a, blocking) for item i's candidate offsets a within
+/// [0, horizon] (eqs. 8/10), in ascending order, until visit returns false.
+/// They are 0 and every a = s − D_i for a deadline term s = k·T_j + D_j − J_j
+/// (k >= 0, any item j, i included) with D_i < s <= horizon + D_i: the same
+/// set as edf_candidate_offsets. One walk yields them, keeping each item's
+/// next term in scratch.next_terms: at each step it advances every item
+/// whose next term is the least one s (so coincident terms give one offset)
+/// and finds the next least term in the same pass. Before each visit,
+/// scratch.caps[j] counts j's terms <= a + D_i, which is eq. 9's deadline
+/// cap 1 + ⌊(a + D_i − D_j + J_j)/T_j⌋: 0 exactly for the later-deadline
+/// items (D_j − J_j > a + D_i). caps[i] stays 0. So no cap needs a division
+/// after offset 0's. `blocking` is eq. 9's blocking by the later-deadline
+/// items: max (C_j − 1) for tasks, the full max C_j (the paper's T*_cycle)
+/// for messages.
+template <typename VisitFn>
+void for_each_candidate_offset(const TaskSetView& v, std::size_t i, Ticks horizon, Blocking model,
+                               RtaScratch& scratch, VisitFn visit) {
+  const std::size_t n = v.n;
   const Ticks started = model == Blocking::Full ? 0 : 1;
-  caps.resize(v.n);
-  Ticks blocking = 0;
-  for (std::size_t j = 0; j < v.n; ++j) {
-    const bool later = v.D[j] - v.J[j] > abs_deadline;
-    if (j != i && later) blocking = std::max(blocking, v.C[j] - started);
-    caps[j] = j == i ? 0 : floor_div_plus1(abs_deadline - v.D[j] + v.J[j], v.T[j]);
+  const Ticks di = v.D[i];
+  // Terms are positive, so they step as unsigned: a term past Ticks' range
+  // lands above every horizon instead of overflowing.
+  const auto beyond = static_cast<std::uint64_t>(kNoBound);
+  const auto last = static_cast<std::uint64_t>(sat_add(horizon, di));
+  std::vector<std::uint64_t>& next = scratch.next_terms;
+  std::vector<Ticks>& caps = scratch.caps;
+  next.resize(n);
+  caps.assign(v.n_padded, 0);  // the lane kernel reads the padding slots
+  // Offset 0 counts each item's terms <= D_i.
+  std::uint64_t term = beyond;  // the least next term
+  for (std::size_t j = 0; j < n; ++j) {
+    const Ticks first = v.D[j] - v.J[j];
+    caps[j] = floor_div_plus1(di - first, v.T[j]);
+    next[j] = static_cast<std::uint64_t>(sat_add(first, sat_mul(caps[j], v.T[j])));
+    term = std::min(term, next[j]);
   }
-  return blocking;
+  caps[i] = 0;
+  // The later-deadline items are those whose first term D_j − J_j lies past
+  // the offset's deadline s, so the blocking changes only once s reaches
+  // the least such term, `unblocked`: at most once per item.
+  Ticks blocking = 0;
+  Ticks unblocked = kNoBound;
+  const auto later_items = [&](Ticks s) {
+    blocking = 0;
+    unblocked = kNoBound;
+    for (std::size_t j = 0; j < n; ++j) {
+      const Ticks first = v.D[j] - v.J[j];
+      if (j == i || first <= s) continue;
+      blocking = std::max(blocking, v.C[j] - started);
+      unblocked = std::min(unblocked, first);
+    }
+  };
+  later_items(di);
+  Ticks a = 0;
+  while (visit(a, blocking) && term != beyond && term <= last) {
+    const std::uint64_t s = term;
+    term = beyond;
+    // Branch-free: which items hit s differs at every step.
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t hit = next[j] == s;
+      const std::uint64_t stepped = next[j] + (static_cast<std::uint64_t>(v.T[j]) & (0 - hit));
+      next[j] = stepped;
+      caps[j] += static_cast<Ticks>(hit);
+      term = std::min(term, stepped);
+    }
+    caps[i] = 0;
+    a = static_cast<Ticks>(s) - di;
+    if (static_cast<Ticks>(s) >= unblocked) later_items(static_cast<Ticks>(s));
+  }
 }
 
-/// W_i(a, t) / W*_i(a, t) over the view, from the hoisted caps.
+/// W_i(a, t) / W*_i(a, t) over the view, from the walk's caps.
 Ticks hp_workload_view(const TaskSetView& v, const std::vector<Ticks>& caps, Ticks t,
                        bool start_time_form) {
   Ticks sum = 0;
@@ -205,22 +228,21 @@ struct OffsetOutcomeView {
   Ticks fixed_point = 0;
 };
 
+/// `caps` are the walk's for offset `a`.
 OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, const simd::Kernels* k,
                                          std::size_t i, Ticks a, int fuel, Ticks warm_l,
-                                         std::vector<Ticks>& caps) {
+                                         const std::vector<Ticks>& caps) {
   const Ticks own = sat_mul(floor_div_plus1(a, v.T[i]), v.C[i]);
-  const Ticks abs_deadline = sat_add(a, v.D[i]);
   Ticks L = std::max(own, warm_l);
   if (k != nullptr) {
     const simd::EdfOffsetResult r =
-        k->edf_offset_fixed_point(v.C, v.T, v.D, v.J, v.recip_t, v.n_padded, i, abs_deadline,
-                                  own, L, /*start_time_form=*/false, fuel);
+        k->edf_offset_fixed_point(v.C, v.T, v.J, v.recip_t, caps.data(), v.n_padded, own, L,
+                                  /*start_time_form=*/false, fuel);
     if (r.status == simd::Status::kOk) {
       if (!r.converged) return {};
       return {true, std::max(v.C[i], r.fixed_point - a), r.fixed_point};
     }
   }
-  deadline_caps(v, i, abs_deadline, Blocking::Started, caps);
   for (int it = 0; it < fuel; ++it) {
     const Ticks next = sat_add(hp_workload_view(v, caps, L, false), own);
     if (next == L) return {true, std::max(v.C[i], L - a), L};
@@ -234,18 +256,17 @@ OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, const simd::Kerne
 /// passes the least fixed point, so an iterate whose response already exceeds
 /// `limit` proves the converged response does too. The outcome then carries
 /// that iterate's response (converged, as far as the scan's fold is concerned).
-/// `blocking` and `caps` are deadline_caps' for offset `a`, and `own_prior`
-/// is ⌊a/T_i⌋·C_i.
+/// `blocking` and `caps` are the walk's for offset `a`, and `own_prior` is
+/// ⌊a/T_i⌋·C_i.
 OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, const simd::Kernels* k,
                                             std::size_t i, Ticks a, int fuel, Ticks limit,
                                             Ticks blocking, Ticks own_prior,
                                             const std::vector<Ticks>& caps) {
-  const Ticks abs_deadline = sat_add(a, v.D[i]);
   if (k != nullptr) {
     // base = blocking + own_prior: sat_add over non-negative terms is
     // order-insensitive, so folding it up front matches the reference sum.
     const simd::EdfOffsetResult r =
-        k->edf_offset_fixed_point(v.C, v.T, v.D, v.J, v.recip_t, v.n_padded, i, abs_deadline,
+        k->edf_offset_fixed_point(v.C, v.T, v.J, v.recip_t, caps.data(), v.n_padded,
                                   sat_add(blocking, own_prior), /*l0=*/0,
                                   /*start_time_form=*/true, fuel);
     if (r.status == simd::Status::kOk) {
@@ -266,131 +287,32 @@ OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, const simd::Ke
   return {};
 }
 
-/// Shared candidate-deadline set: every s = k·T_j + D_j − J_j within
-/// [first, last], sorted and deduplicated. With first = min_i D_i and last =
-/// L + max_i D_i, task i's candidate offsets are exactly
-/// {0} ∪ {s − D_i : s ∈ S, D_i <= s <= L + D_i} — the map a = s − D_i is a
-/// bijection between the reference's per-task candidates and the slice
-/// elements — so one sort serves all tasks where the reference sorts once
-/// per task.
-void shared_candidate_deadlines(const TaskSetView& v, Ticks first, Ticks last,
-                                std::vector<Ticks>& out) {
-  out.clear();
-  for (std::size_t j = 0; j < v.n; ++j) {
-    const Ticks base = v.D[j] - v.J[j];
-    const Ticks k0 = base >= first ? 0 : ceil_div(first - base, v.T[j]);
-    for (Ticks k = k0;; ++k) {
-      const Ticks s = sat_add(sat_mul(k, v.T[j]), base);
-      if (s > last || s == kNoBound) break;
-      out.push_back(s);
-    }
-  }
-  std::ranges::sort(out);
-  const auto dup = std::ranges::unique(out);
-  out.erase(dup.begin(), dup.end());
-}
-
-/// Calls visit(a) for item i's candidate offsets within `h`, in ascending
-/// order, until visit returns false (see edf_response_time for `h`). Returns
-/// false, visiting none, when they number more than `max_offsets`.
-template <typename VisitFn>
-bool for_each_candidate_offset(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
-                               std::size_t max_offsets, std::vector<Ticks>& offsets,
-                               VisitFn visit) {
-  if (!h.shared) {
-    candidate_offsets_view(v, i, h.busy.length, offsets);
-    if (offsets.size() > max_offsets) return false;
-    for (const Ticks a : offsets) {
-      if (!visit(a)) break;
-    }
-    return true;
-  }
-  const Ticks di = v.D[i];
-  const auto lo = std::lower_bound(offsets.begin(), offsets.end(), di);
-  const auto hi = std::upper_bound(lo, offsets.end(), sat_add(h.busy.length, di));
-  // Offset 0 is prepended; the slice's first element re-yields it when
-  // s == D_i, so the deduplicated count drops by one in that case.
-  const bool dup0 = lo != hi && *lo == di;
-  const std::size_t n_offsets =
-      1 + static_cast<std::size_t>(hi - lo) - static_cast<std::size_t>(dup0);
-  if (n_offsets > max_offsets) return false;
-  if (!visit(Ticks{0})) return true;
-  for (auto it = lo; it != hi; ++it) {
-    const Ticks a = *it - di;
-    if (a == 0) continue;
-    if (!visit(a)) break;
-  }
-  return true;
-}
-
 /// The lane kernels an offset scan over `v` may use.
 const simd::Kernels* edf_lanes(const TaskSetView& v) {
   return v.simd_ok && v.n >= simd::kMinEdfLaneTasks ? simd::active() : nullptr;
 }
 
-/// The bound on r_i(a) that keeps the reported response within `bound`: it
-/// adds J_i under Origin::Arrival, and r + J_i > bound exactly when
-/// r > bound − J_i.
-Ticks offset_limit(const TaskSetView& v, std::size_t i, ItemModel model, Ticks bound) {
-  const Ticks shift = model.origin == Origin::Arrival ? v.J[i] : 0;
-  return bound == kNoBound ? kNoBound : bound - shift;
-}
-
 }  // namespace
 
-EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
-                       bool warm_start) {
-  const BusyPeriod busy =
-      synchronous_busy_period(v, busy_fuel, warm_start ? scratch.warm_busy : 0);
-  if (busy.bounded()) scratch.warm_busy = busy.length;
-  return edf_horizon(v, busy, scratch);
-}
-
-EdfHorizon edf_horizon(const TaskSetView& v, const BusyPeriod& busy, RtaScratch& scratch) {
-  EdfHorizon h{.busy = busy};
-  if (!h.busy.bounded() || v.empty()) return h;  // nothing to enumerate
-
-  // The tasks' candidate ranges [D_i, L + D_i] overlap while the deadlines
-  // spread less than (n − 1)·L; then one shared set is the smaller
-  // enumeration. Past that it spans gaps no task reads.
-  Ticks min_d = kNoBound;
-  Ticks max_d = 0;
-  for (std::size_t j = 0; j < v.n; ++j) {
-    min_d = std::min(min_d, v.D[j]);
-    max_d = std::max(max_d, v.D[j]);
-  }
-  const Ticks last = sat_add(h.busy.length, max_d);
-  h.shared = last != kNoBound &&
-             max_d - min_d <= sat_mul(static_cast<Ticks>(v.n) - 1, h.busy.length);
-  if (h.shared) shared_candidate_deadlines(v, min_d, last, scratch.offsets);
-  return h;
-}
-
-EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
-                               const EdfRtaOptions& opt, RtaScratch& scratch, bool preemptive,
-                               ItemModel model, Ticks bound) {
-  if (!h.busy.bounded()) return {};
+EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const BusyPeriod& busy,
+                               RtaScratch& scratch, bool preemptive, ItemModel model, int fuel) {
+  if (!busy.bounded()) return {};
   const simd::Kernels* k = edf_lanes(v);
-  const int fuel = opt.fixed_point_fuel;
-  const Ticks shift = model.origin == Origin::Arrival ? v.J[i] : 0;
-  const Ticks limit = offset_limit(v, i, model, bound);
-  std::vector<Ticks>& caps = scratch.caps;
-  // Folds exactly like the reference max_over_offsets, and stops once the
-  // maximum exceeds the bound.
+  const std::vector<Ticks>& caps = scratch.caps;
+  // Folds exactly like the reference max_over_offsets.
   EdfRtaResult r;
   Ticks best = 0;
   Ticks best_a = 0;
   Ticks warm_l = 0;
   bool ok = true;
-  const auto visit = [&](Ticks a) {
+  const auto visit = [&](Ticks a, Ticks blocking) {
     ++r.offsets_examined;
     OffsetOutcomeView o;
     if (preemptive) {
       o = offset_preemptive_view(v, k, i, a, fuel, warm_l, caps);
     } else {
-      const Ticks blocking = deadline_caps(v, i, sat_add(a, v.D[i]), model.blocking, caps);
       const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
-      o = offset_nonpreemptive_view(v, k, i, a, fuel, limit, blocking, own_prior, caps);
+      o = offset_nonpreemptive_view(v, k, i, a, fuel, kNoBound, blocking, own_prior, caps);
     }
     if (!o.converged) {
       ok = false;
@@ -401,25 +323,24 @@ EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const EdfHor
       best = o.response;
       best_a = a;
     }
-    return best <= limit;
+    return true;
   };
-  if (!for_each_candidate_offset(v, i, h, opt.max_offsets, scratch.offsets, visit)) return {};
+  for_each_candidate_offset(v, i, busy.length, model.blocking, scratch, visit);
   r.critical_offset = best_a;
   if (ok) {
-    r.converged = best <= limit;
-    r.response = sat_add(best, shift);
+    r.converged = true;
+    r.response = sat_add(best, model.origin == Origin::Arrival ? v.J[i] : 0);
   }
   return r;
 }
 
-bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
-                        const EdfRtaOptions& opt, RtaScratch& scratch, ItemModel model,
-                        Ticks from) {
-  if (!h.busy.bounded()) return false;
+bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const BusyPeriod& busy,
+                        RtaScratch& scratch, ItemModel model, int fuel, Ticks from) {
+  if (!busy.bounded()) return false;
   const simd::Kernels* k = edf_lanes(v);
-  const int fuel = opt.fixed_point_fuel;
-  const Ticks limit = offset_limit(v, i, model, v.D[i]);
-  std::vector<Ticks>& caps = scratch.caps;
+  // The bound on r_i(a): the reported response adds J_i under Origin::Arrival.
+  const Ticks limit = v.D[i] - (model.origin == Origin::Arrival ? v.J[i] : 0);
+  const std::vector<Ticks>& caps = scratch.caps;
   // Every strict step of the fixed point after its first adds at least one
   // C_j, so one that stays within L̂ converges within L̂ / min C_j + 2
   // evaluations: the one-step acceptance below is sound only while that fits
@@ -427,9 +348,8 @@ bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const EdfHorizon& h
   Ticks min_c = kNoBound;
   for (std::size_t j = 0; j < v.n; ++j) min_c = std::min(min_c, v.C[j]);
   bool meets = true;
-  const auto visit = [&](Ticks a) {
+  const auto visit = [&](Ticks a, Ticks blocking) {
     if (a < from) return true;
-    const Ticks blocking = deadline_caps(v, i, sat_add(a, v.D[i]), model.blocking, caps);
     const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
     // r_i(a) <= limit exactly when L(a) <= L̂ = a + limit − C_i. A pre-fixed
     // point f(L̂) <= L̂ bounds the least fixed point, which the iteration
@@ -446,32 +366,34 @@ bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const EdfHorizon& h
     meets = o.converged && o.response <= limit;
     return meets;
   };
-  return for_each_candidate_offset(v, i, h, opt.max_offsets, scratch.offsets, visit) && meets;
+  for_each_candidate_offset(v, i, busy.length, model.blocking, scratch, visit);
+  return meets;
 }
 
 namespace {
 
 /// Whole-set driver shared by the EdfAnalysis and EdfCellResult entry
-/// points: binds the view, computes the horizon once (the reference
+/// points: binds the view, computes the busy period once (the reference
 /// evaluates it per task, but it is task-independent — identical verdict
 /// either way), and hands each task's EdfRtaResult to `sink(i, r, D_i)`.
 template <typename SinkFn>
-void analyze_edf_common(const TaskSet& ts, const EdfRtaOptions& opt, RtaScratch& scratch,
-                        bool warm_start, bool preemptive, int& busy_iterations, SinkFn sink) {
+void analyze_edf_common(const TaskSet& ts, int fuel, RtaScratch& scratch, bool warm_start,
+                        bool preemptive, int& busy_iterations, SinkFn sink) {
   const TaskSetView& v = scratch.arena.bind(ts);
-  const EdfHorizon h = edf_horizon(v, 1 << 20, scratch, warm_start);
-  busy_iterations = h.busy.iterations;
+  const BusyPeriod busy = synchronous_busy_period(v, 1 << 20, warm_start ? scratch.warm_busy : 0);
+  if (busy.bounded()) scratch.warm_busy = busy.length;
+  busy_iterations = busy.iterations;
   for (std::size_t i = 0; i < v.n; ++i) {
-    sink(i, edf_response_time(v, i, h, opt, scratch, preemptive), v.D[i]);
+    sink(i, edf_response_time(v, i, busy, scratch, preemptive, kTaskModel, fuel), v.D[i]);
   }
 }
 
-EdfAnalysis analyze_view_edf(const TaskSet& ts, const EdfRtaOptions& opt, RtaScratch& scratch,
-                             bool warm_start, bool preemptive) {
+EdfAnalysis analyze_view_edf(const TaskSet& ts, int fuel, RtaScratch& scratch, bool warm_start,
+                             bool preemptive) {
   EdfAnalysis out;
   out.per_task.resize(ts.size());
   out.schedulable = true;
-  analyze_edf_common(ts, opt, scratch, warm_start, preemptive, out.busy_iterations,
+  analyze_edf_common(ts, fuel, scratch, warm_start, preemptive, out.busy_iterations,
                      [&](std::size_t i, const EdfRtaResult& r, Ticks d) {
                        out.per_task[i] = r;
                        if (!r.meets(d)) out.schedulable = false;
@@ -481,12 +403,12 @@ EdfAnalysis analyze_view_edf(const TaskSet& ts, const EdfRtaOptions& opt, RtaScr
 
 }  // namespace
 
-EdfCellResult analyze_edf_cell(const TaskSet& ts, bool preemptive, const EdfRtaOptions& opt,
-                               RtaScratch& scratch, bool warm_start) {
+EdfCellResult analyze_edf_cell(const TaskSet& ts, bool preemptive, int fuel, RtaScratch& scratch,
+                               bool warm_start) {
   EdfCellResult out;
   out.schedulable = true;
   Ticks worst = 0;
-  analyze_edf_common(ts, opt, scratch, warm_start, preemptive, out.busy_iterations,
+  analyze_edf_common(ts, fuel, scratch, warm_start, preemptive, out.busy_iterations,
                      [&](std::size_t, const EdfRtaResult& r, Ticks d) {
                        out.offsets_examined += static_cast<std::uint64_t>(r.offsets_examined);
                        worst = (!r.converged || worst == kNoBound) ? kNoBound
@@ -497,24 +419,24 @@ EdfCellResult analyze_edf_cell(const TaskSet& ts, bool preemptive, const EdfRtaO
   return out;
 }
 
-EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt) {
+EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel) {
   RtaScratch scratch;
-  return analyze_view_edf(ts, opt, scratch, /*warm_start=*/false, /*preemptive=*/true);
+  return analyze_view_edf(ts, fuel, scratch, /*warm_start=*/false, /*preemptive=*/true);
 }
 
-EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt) {
+EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel) {
   RtaScratch scratch;
-  return analyze_view_edf(ts, opt, scratch, /*warm_start=*/false, /*preemptive=*/false);
+  return analyze_view_edf(ts, fuel, scratch, /*warm_start=*/false, /*preemptive=*/false);
 }
 
-EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt,
-                                   RtaScratch& scratch, bool warm_start) {
-  return analyze_view_edf(ts, opt, scratch, warm_start, /*preemptive=*/true);
+EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch,
+                                   bool warm_start) {
+  return analyze_view_edf(ts, fuel, scratch, warm_start, /*preemptive=*/true);
 }
 
-EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt,
-                                      RtaScratch& scratch, bool warm_start) {
-  return analyze_view_edf(ts, opt, scratch, warm_start, /*preemptive=*/false);
+EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch,
+                                      bool warm_start) {
+  return analyze_view_edf(ts, fuel, scratch, warm_start, /*preemptive=*/false);
 }
 
 }  // namespace profisched

@@ -30,9 +30,9 @@
 // the formulas reduce exactly to the paper's. The same kernels, with C
 // replaced by T_cycle, are the PROFIBUS message analysis of §4.3:
 // profibus/edf_analysis.cpp binds each master's streams straight into an
-// RtaScratch arena with C_i = T_cycle and calls edf_horizon and
-// edf_response_time below with kMessageModel (full-C blocking T*_cycle,
-// responses measured from AP-queue insertion).
+// RtaScratch arena with C_i = T_cycle, computes each master's synchronous
+// busy period and calls edf_response_time below with kMessageModel (full-C
+// blocking T*_cycle, responses measured from AP-queue insertion).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,7 @@ namespace profisched {
 
 /// Outcome of an EDF worst-case response-time computation for one task.
 struct EdfRtaResult {
-  bool converged = false;      ///< false => budget exhausted, or stopped at a bound
+  bool converged = false;      ///< false => unbounded busy period, or out of fuel
   Ticks response = kNoBound;   ///< worst-case response time (from event arrival)
   Ticks critical_offset = 0;   ///< the offset a achieving the maximum
   std::size_t offsets_examined = 0;
@@ -67,28 +67,23 @@ struct EdfAnalysis {
   int busy_iterations = 0;
 };
 
-/// Options bounding the (potentially large) offset enumeration.
-struct EdfRtaOptions {
-  std::size_t max_offsets = 1 << 22;  ///< abort (converged=false) beyond this
-  int fixed_point_fuel = 1 << 16;     ///< per-offset iteration bound
-};
-
 /// Candidate offsets A for task i within [0, horizon] (paper eqs. 8 and 10).
 [[nodiscard]] std::vector<Ticks> edf_candidate_offsets(const TaskSet& ts, std::size_t i,
                                                        Ticks horizon);
 
 /// Worst-case response time of task i under preemptive EDF (eqs. 6–8).
+/// `fuel` bounds each offset's fixed point.
 [[nodiscard]] EdfRtaResult edf_response_time_preemptive(const TaskSet& ts, std::size_t i,
-                                                        const EdfRtaOptions& opt = {});
+                                                        int fuel = 1 << 16);
 
 /// Worst-case response time of task i under non-preemptive EDF (eqs. 9–10).
 [[nodiscard]] EdfRtaResult edf_response_time_nonpreemptive(const TaskSet& ts, std::size_t i,
-                                                           const EdfRtaOptions& opt = {});
+                                                           int fuel = 1 << 16);
 
 /// Whole-set analyses. These run on the SoA fast path (shared busy period,
-/// reused offset buffers, warm-started per-offset fixed points — see the
-/// scratch overloads below); the per-task functions above are the retained
-/// references, and the two agree bit-for-bit
+/// one candidate-offset walk per task, warm-started per-offset fixed points —
+/// see the scratch overloads below); the per-task functions above are the
+/// retained references, and the two agree bit-for-bit
 /// (tests/core/test_kernel_equivalence.cpp). One caveat scopes that claim:
 /// a warm-seeded iteration starts closer to the fixed point, so with a fuel
 /// budget the reference exhausts mid-climb the fast path could still
@@ -96,9 +91,8 @@ struct EdfRtaOptions {
 /// large enough for the reference to converge or saturate (the 1 << 16
 /// default; a fuel-bound verdict is a resource limit, not an analysis
 /// result).
-[[nodiscard]] EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt = {});
-[[nodiscard]] EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts,
-                                                    const EdfRtaOptions& opt = {});
+[[nodiscard]] EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel = 1 << 16);
+[[nodiscard]] EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel = 1 << 16);
 
 // ---------------------------------------------------------- SoA fast path
 //
@@ -107,80 +101,49 @@ struct EdfRtaOptions {
 //    (it does not depend on the analysed task), and can be warm-started from
 //    scratch.warm_busy across compatible calls (`warm_start`, usweep
 //    contract: same structure, parameters only grown);
-//  * candidate offsets land in a reused scratch buffer;
+//  * the candidate offsets come from one ascending walk over the items'
+//    deadline progressions k·T_j + D_j − J_j (scratch.next_terms holds
+//    each item's next term) that also counts each offset's deadline caps
+//    and finds its blocking term: no offset needs a sort, and no cap a
+//    division;
 //  * preemptive only: the offset scan seeds each offset's fixed point L(a)
 //    from the previous offset's converged value — L(a) is monotone
 //    non-decreasing in a (W_i(a,t) and the own-instance term only grow with
 //    a), so the seed is a valid lower bound and the least fixed point
 //    reached is unchanged. (Non-preemptive L(a) is *not* monotone in a: the
 //    blocking term shrinks as a grows — that scan stays cold.)
-[[nodiscard]] EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt,
-                                                 RtaScratch& scratch, bool warm_start = false);
-[[nodiscard]] EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, const EdfRtaOptions& opt,
-                                                    RtaScratch& scratch,
-                                                    bool warm_start = false);
-
-/// The per-set half of the whole-set analyses: the synchronous busy period
-/// (the offset horizon L; kNoBound when overloaded or out of fuel) and
-/// whether scratch.offsets holds the shared candidate-deadline set.
-struct EdfHorizon {
-  BusyPeriod busy;
-  bool shared = false;
-};
-
-/// Horizon of an identity-bound view. The shared candidate set, which spans
-/// [min_j D_j, L + max_j D_j], is built only while max_j D_j − min_j D_j <=
-/// (n − 1)·L; deadlines spread wider (an optimizer probe at D = 64·T, a
-/// master whose periods differ 100-fold) leave the per-task sets smaller.
-/// `busy_fuel` bounds the busy-period iteration: the task analyses pass
-/// 1 << 20, the message analyses their one fuel budget.
-[[nodiscard]] EdfHorizon edf_horizon(const TaskSetView& v, int busy_fuel, RtaScratch& scratch,
-                                     bool warm_start = false);
-
-/// The horizon `busy` of the same view, given instead of computed, with the
-/// shared candidate set built by the same rule. profibus::edf_schedulable
-/// scans the offsets within [0, Σ_j C_j] this way before it computes the
-/// busy period.
-[[nodiscard]] EdfHorizon edf_horizon(const TaskSetView& v, const BusyPeriod& busy,
-                                     RtaScratch& scratch);
+[[nodiscard]] EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch,
+                                                 bool warm_start = false);
+[[nodiscard]] EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel,
+                                                    RtaScratch& scratch, bool warm_start = false);
 
 /// Worst-case response time of the item at view position i, maximized over
-/// its candidate offsets within `h` (which must come from edf_horizon on the
-/// same view and scratch, or have shared == false: the scan then covers the
-/// candidate offsets within [0, h.busy.length]). `model` picks eq. 9's
-/// blocking term and the response origin. When an offset fails to converge,
-/// critical_offset still reports the maximizing offset among those examined
-/// before it.
-///
-/// `bound` serves callers that only need R_i <= bound. R_i is a maximum over
-/// offsets, so one offset whose response exceeds the bound settles it: the
-/// scan stops there, and on the scalar non-preemptive path already inside the
-/// fixed point, whose iterates climb from 0 to the least fixed point and so
-/// never overshoot the response they converge to. The result then has
-/// converged == false, response = the value that crossed the bound (a lower
-/// bound on R_i), and critical_offset / offsets_examined up to that offset.
-/// So response > bound exactly when the exact R_i > bound (or the exact scan
-/// runs out of fuel). The default kNoBound is the exact scan, bit for bit.
+/// its candidate offsets within [0, busy.length] (`busy` is the view's
+/// synchronous busy period, or any horizon a caller wants scanned; an
+/// unbounded one yields an unconverged result). `model` picks eq. 9's
+/// blocking term and the response origin, and `fuel` bounds each offset's
+/// fixed point. When an offset fails to converge, critical_offset still
+/// reports the maximizing offset among those examined before it.
 [[nodiscard]] EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i,
-                                             const EdfHorizon& h, const EdfRtaOptions& opt,
-                                             RtaScratch& scratch, bool preemptive,
-                                             ItemModel model = kTaskModel,
-                                             Ticks bound = kNoBound);
+                                             const BusyPeriod& busy, RtaScratch& scratch,
+                                             bool preemptive, ItemModel model = kTaskModel,
+                                             int fuel = 1 << 16);
 
-/// Verdict-only non-preemptive scan: exactly edf_response_time(v, i, h, opt,
-/// scratch, false, model, v.D[i]).meets(v.D[i]) when `from` is 0, and the
-/// same over the candidate offsets a >= `from` otherwise (a caller that has
-/// already accepted the smaller ones skips them). An offset is accepted
-/// after one evaluation of eq. 9 at L̂ = a + D_i − C_i (less J_i under
-/// Origin::Arrival) when that L̂ is a pre-fixed point, f(L̂) <= L̂: the
+/// Verdict-only non-preemptive scan: exactly edf_response_time(v, i, busy,
+/// scratch, false, model, fuel).meets(v.D[i]) when `from` is 0, and the same
+/// over the candidate offsets a >= `from` otherwise (a caller that has
+/// already accepted the smaller ones skips them). R_i is a maximum over
+/// offsets, so the first offset whose response exceeds D_i ends the scan,
+/// and each fixed point stops once its iterate's response does. An offset is
+/// accepted after one evaluation of eq. 9 at L̂ = a + D_i − C_i (less J_i
+/// under Origin::Arrival) when that L̂ is a pre-fixed point, f(L̂) <= L̂: the
 /// iteration from 0 then converges to a fixed point <= L̂, so r_i(a) meets
-/// the deadline. That shortcut is taken only when L̂ / min_j C_j + 2 <=
-/// opt.fixed_point_fuel, the evaluations that iteration can need, so a scan
-/// whose fuel runs out keeps its verdict. Any other offset runs the bounded
-/// fixed point, and the first that misses ends the scan.
-[[nodiscard]] bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const EdfHorizon& h,
-                                      const EdfRtaOptions& opt, RtaScratch& scratch,
-                                      ItemModel model, Ticks from = 0);
+/// the deadline. That shortcut is taken only when L̂ / min_j C_j + 2 <= fuel,
+/// the evaluations that iteration can need, so a scan whose fuel runs out
+/// keeps its verdict. Any other offset runs the bounded fixed point.
+[[nodiscard]] bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const BusyPeriod& busy,
+                                      RtaScratch& scratch, ItemModel model, int fuel = 1 << 16,
+                                      Ticks from = 0);
 
 /// Whole-set outcome folded down to what a sweep cell needs — exactly what
 /// run_usweep derives from an EdfAnalysis, computed without materializing
@@ -194,8 +157,7 @@ struct EdfCellResult {
   std::uint64_t offsets_examined = 0;  ///< Σ per-task offsets examined
 };
 
-[[nodiscard]] EdfCellResult analyze_edf_cell(const TaskSet& ts, bool preemptive,
-                                             const EdfRtaOptions& opt, RtaScratch& scratch,
-                                             bool warm_start);
+[[nodiscard]] EdfCellResult analyze_edf_cell(const TaskSet& ts, bool preemptive, int fuel,
+                                             RtaScratch& scratch, bool warm_start);
 
 }  // namespace profisched

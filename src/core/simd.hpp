@@ -52,9 +52,9 @@ inline constexpr Ticks kMaxAccum = Ticks{1} << 44;
 inline constexpr std::size_t kMaxTasks = 256;
 
 /// Fewest summed tasks a lane-kernel call pays for: the FP interference sum
-/// from one full lane block plus a tail, the EDF offset recurrence — which
-/// also hoists a deadline cap for every slot — from two full blocks. Below
-/// these the scalar loops won on the 5-stream PROFIBUS masters.
+/// from one full lane block plus a tail, the EDF offset recurrence from two
+/// full blocks (measured while that kernel still computed its own deadline
+/// caps). Below these the scalar loops won on the 5-stream PROFIBUS masters.
 inline constexpr std::size_t kMinFpLaneTasks = 5;
 inline constexpr std::size_t kMinEdfLaneTasks = 8;
 
@@ -95,15 +95,14 @@ struct Kernels {
                                      Ticks w0, bool ceil_form, int fuel);
 
   /// EDF per-offset fixed point (eqs. 6 / 9 inner recurrence):
-  ///   L → base + Σ_j min(jobs_time(L + J[j], T[j]), by_deadline[j]) · C[j]
-  /// where by_deadline[j] = floor_div_plus1(abs_deadline − D[j] + J[j], T[j])
-  /// is hoisted once per offset inside the kernel (it is 0 exactly for the
-  /// excluded later-deadline tasks, and slot `self` is forced to 0).
+  ///   L → base + Σ_j min(jobs_time(L + J[j], T[j]), caps[j]) · C[j]
+  /// where caps[j] is the offset's deadline cap 1 + ⌊(a + D_i − D_j + J_j)/T_j⌋
+  /// (0 for the excluded later-deadline tasks and for the analysed task
+  /// itself, and 0 in the padding slots), as the EDF offset walk counts it.
   /// jobs_time is floor_div_plus1 when start_time_form else ceil_div_plus.
-  EdfOffsetResult (*edf_offset_fixed_point)(const Ticks* C, const Ticks* T, const Ticks* D,
-                                            const Ticks* J, const double* recip_t,
-                                            std::size_t count, std::size_t self,
-                                            Ticks abs_deadline, Ticks base, Ticks l0,
+  EdfOffsetResult (*edf_offset_fixed_point)(const Ticks* C, const Ticks* T, const Ticks* J,
+                                            const double* recip_t, const Ticks* caps,
+                                            std::size_t count, Ticks base, Ticks l0,
                                             bool start_time_form, int fuel);
 };
 

@@ -283,29 +283,14 @@ FixedPointResult fp_fixed_point_impl(const Ticks* C, const Ticks* T, const Ticks
 }
 
 template <class B, bool StartForm>
-EdfOffsetResult edf_offset_impl(const Ticks* C, const Ticks* T, const Ticks* D, const Ticks* J,
-                                const double* recip_t, std::size_t count, std::size_t self,
-                                Ticks abs_deadline, Ticks base, Ticks l0, int fuel) {
+EdfOffsetResult edf_offset_impl(const Ticks* C, const Ticks* T, const Ticks* J,
+                                const double* recip_t, const Ticks* caps, std::size_t count,
+                                Ticks base, Ticks l0, int fuel) {
   EdfOffsetResult out;
-  if (count > kMaxTasks || self >= count || base < 0 || base > kMaxAccum || l0 < 0 ||
-      l0 > kMaxAccum || abs_deadline < 0 || abs_deadline > 2 * kMaxAccum) {
+  if (count > kMaxTasks || base < 0 || base > kMaxAccum || l0 < 0 || l0 > kMaxAccum) {
     return out;
   }
   const std::size_t vec_n = count - count % B::kLanes;
-
-  // Hoisted per-offset deadline caps: floor_div_plus1(abs_deadline − D + J, T)
-  // is 0 exactly when D − J > abs_deadline — the reference's exclusion test —
-  // so no separate mask is needed; only the task's own slot is forced to 0.
-  alignas(32) Ticks bd[kMaxTasks];
-  const typename B::I adl = B::set1(abs_deadline);
-  for (std::size_t j = 0; j < vec_n; j += B::kLanes) {
-    const typename B::I a = B::add(B::sub(adl, B::load(D + j)), B::load(J + j));
-    B::store(bd + j, lane_jobs<B, false>(a, B::load(T + j), B::fload(recip_t + j)));
-  }
-  for (std::size_t j = vec_n; j < count; ++j) {
-    bd[j] = floor_div_plus1(abs_deadline - D[j] + J[j], T[j]);
-  }
-  bd[self] = 0;
 
   Ticks L = l0;
   for (int it = 0; it < fuel; ++it) {
@@ -316,15 +301,15 @@ EdfOffsetResult edf_offset_impl(const Ticks* C, const Ticks* T, const Ticks* D, 
       const typename B::I cv = B::load(C + j);
       const typename B::I a = B::add(lv, B::load(J + j));
       const typename B::I jb = lane_jobs<B, !StartForm>(a, tv, B::fload(recip_t + j));
-      const typename B::I bdv = B::load(bd + j);
-      const typename B::I m = B::blend(jb, bdv, B::cmpgt(jb, bdv));  // min
+      const typename B::I cap = B::load(caps + j);
+      const typename B::I m = B::blend(jb, cap, B::cmpgt(jb, cap));  // min
       acc = B::add(acc, B::mul_lo(m, cv));
     }
     Ticks sum = B::reduce_add(acc);
     for (std::size_t j = vec_n; j < count; ++j) {
       const Ticks arg = sat_add(L, J[j]);
       const Ticks by_time = StartForm ? floor_div_plus1(arg, T[j]) : ceil_div_plus(arg, T[j]);
-      sum = sat_add(sum, sat_mul(by_time < bd[j] ? by_time : bd[j], C[j]));
+      sum = sat_add(sum, sat_mul(by_time < caps[j] ? by_time : caps[j], C[j]));
     }
     const Ticks next = sat_add(base, sum);
     if (next == L) {
@@ -355,15 +340,12 @@ FixedPointResult fp_fixed_point_k(const Ticks* C, const Ticks* T, const Ticks* J
 }
 
 template <class B>
-EdfOffsetResult edf_offset_k(const Ticks* C, const Ticks* T, const Ticks* D, const Ticks* J,
-                             const double* recip_t, std::size_t count, std::size_t self,
-                             Ticks abs_deadline, Ticks base, Ticks l0, bool start_time_form,
-                             int fuel) {
+EdfOffsetResult edf_offset_k(const Ticks* C, const Ticks* T, const Ticks* J, const double* recip_t,
+                             const Ticks* caps, std::size_t count, Ticks base, Ticks l0,
+                             bool start_time_form, int fuel) {
   return start_time_form
-             ? edf_offset_impl<B, true>(C, T, D, J, recip_t, count, self, abs_deadline, base, l0,
-                                        fuel)
-             : edf_offset_impl<B, false>(C, T, D, J, recip_t, count, self, abs_deadline, base, l0,
-                                         fuel);
+             ? edf_offset_impl<B, true>(C, T, J, recip_t, caps, count, base, l0, fuel)
+             : edf_offset_impl<B, false>(C, T, J, recip_t, caps, count, base, l0, fuel);
 }
 
 template <class B>

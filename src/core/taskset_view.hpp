@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -176,12 +177,12 @@ const TaskSetView& TaskSetArena::bind_rows(const std::size_t* order, std::size_t
 /// refresh it on every run; callers opt into seeding from it explicitly.
 struct RtaScratch {
   TaskSetArena arena;
-  std::vector<Ticks> warm;        ///< per-rank converged queueing fixed points
-  Ticks warm_busy = 0;            ///< converged busy-period length
-  std::vector<Ticks> offsets;     ///< EDF candidate-offset buffer
-  std::vector<Ticks> caps;        ///< EDF per-offset deadline caps
-  std::vector<Ticks> np_blocking; ///< per-rank suffix-max blocking factors
-  std::vector<std::size_t> order; ///< priority-order buffer for per-call sorts
+  std::vector<Ticks> warm;                ///< per-rank converged queueing fixed points
+  Ticks warm_busy = 0;                    ///< converged busy-period length
+  std::vector<std::uint64_t> next_terms;  ///< EDF offset walk: each item's next deadline term
+  std::vector<Ticks> caps;                ///< EDF offset walk: each item's terms <= a + D_i
+  std::vector<Ticks> np_blocking;         ///< per-rank suffix-max blocking factors
+  std::vector<std::size_t> order;         ///< priority-order buffer for per-call sorts
 };
 
 }  // namespace profisched

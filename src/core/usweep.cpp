@@ -61,9 +61,6 @@ USweepResult run_usweep(const TaskSet& base, const USweepSpec& spec) {
   // within one recurrence family.
   std::vector<RtaScratch> scratch(spec.policies.size());
 
-  EdfRtaOptions edf_opt;
-  edf_opt.fixed_point_fuel = spec.fuel;
-
   for (std::size_t k = 0; k < spec.u_grid.size(); ++k) {
     const TaskSet ts = scale_to_utilization(base, spec.u_grid[k]);
     const bool warm = spec.warm_start && k > 0;
@@ -93,12 +90,12 @@ USweepResult run_usweep(const TaskSet& base, const USweepSpec& spec) {
           break;
         case Policy::Edf:
           pt.cells.push_back(
-              cell_from_edf(analyze_edf_cell(ts, /*preemptive=*/true, edf_opt, s, warm),
+              cell_from_edf(analyze_edf_cell(ts, /*preemptive=*/true, spec.fuel, s, warm),
                             out.busy_iterations, out.edf_offsets));
           break;
         case Policy::NpEdf:
           pt.cells.push_back(
-              cell_from_edf(analyze_edf_cell(ts, /*preemptive=*/false, edf_opt, s, warm),
+              cell_from_edf(analyze_edf_cell(ts, /*preemptive=*/false, spec.fuel, s, warm),
                             out.busy_iterations, out.edf_offsets));
           break;
       }

@@ -1,7 +1,6 @@
 #include "profibus/edf_analysis.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/response_time_edf.hpp"
 #include "profibus/priority_assignment.hpp"
@@ -13,30 +12,20 @@ NetworkAnalysis analyze_edf(const Network& net, TcycleMethod method,
   return analyze_edf(net, compute_timing(net, method), detail, fuel);
 }
 
-namespace {
-
-/// One offset budget for every message scan: uncapped, `fuel` per fixed point.
-EdfRtaOptions message_options(int fuel) {
-  return {.max_offsets = std::numeric_limits<std::size_t>::max(), .fixed_point_fuel = fuel};
-}
-
-}  // namespace
-
 NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
                             std::vector<std::vector<EdfStreamDetail>>* detail, int fuel,
                             RtaScratch* scratch) {
   RtaScratch local;
   RtaScratch& s = scratch != nullptr ? *scratch : local;
-  const EdfRtaOptions opt = message_options(fuel);
   if (detail) detail->assign(net.n_masters(), {});
   return analyze_masters(net, memo, [&](std::size_t k, MasterAnalysis& ma) {
     const Ticks tcycle = memo.per_master[k];
     const TaskSetView& v = bind_master(s.arena, net.masters[k], tcycle);
-    const EdfHorizon h = edf_horizon(v, fuel, s);
+    const BusyPeriod busy = synchronous_busy_period(v, fuel);
     if (detail) (*detail)[k].resize(v.n);
     for (std::size_t i = 0; i < v.n; ++i) {
-      const EdfRtaResult r = edf_response_time(v, i, h, opt, s, /*preemptive=*/false,
-                                               kMessageModel);
+      const EdfRtaResult r =
+          edf_response_time(v, i, busy, s, /*preemptive=*/false, kMessageModel, fuel);
       if (r.converged) ma.streams[i] = {r.response - tcycle, r.response, r.response <= v.D[i]};
       if (detail) (*detail)[k][i] = {r.critical_offset, r.offsets_examined};
     }
@@ -45,19 +34,18 @@ NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
 
 bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel, RtaScratch& scratch) {
   net.validate();
-  const EdfRtaOptions opt = message_options(fuel);
   for (std::size_t k = 0; k < net.n_masters(); ++k) {
     const TaskSetView& v = bind_master(scratch.arena, net.masters[k], memo.per_master[k]);
     if (v.overloaded()) return false;
     deadline_monotonic_order(net.masters[k], scratch.order);
-    const auto all_meet = [&](const EdfHorizon& h, Ticks from) {
+    const auto all_meet = [&](const BusyPeriod& busy, Ticks from) {
       return std::ranges::all_of(scratch.order, [&](std::size_t i) {
-        return edf_meets_deadline(v, i, h, opt, scratch, kMessageModel, from);
+        return edf_meets_deadline(v, i, busy, scratch, kMessageModel, fuel, from);
       });
     };
     const Ticks prefix_end = v.total_execution();
-    if (!all_meet(edf_horizon(v, BusyPeriod{.length = prefix_end}, scratch), 0) ||
-        !all_meet(edf_horizon(v, fuel, scratch), sat_add(prefix_end, 1))) {
+    if (!all_meet({.length = prefix_end}, 0) ||
+        !all_meet(synchronous_busy_period(v, fuel), sat_add(prefix_end, 1))) {
       return false;
     }
   }

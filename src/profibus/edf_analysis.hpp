@@ -68,12 +68,13 @@ struct EdfStreamDetail {
 ///  2. its streams are visited in ascending D, ties by index (the DM order,
 ///     kept in scratch.order, so a warm call allocates nothing): the tight
 ///     deadlines are the ones that miss first;
-///  3. each stream's candidate offsets within [0, Σ_j C_j] are scanned. The
-///     busy-period iteration starts at Σ_j C_j, so that is a lower bound on
-///     L whenever L is bounded, and these offsets are a subset of the exact
-///     scan's; when L is unbounded the exact verdict is a miss anyway;
-///  4. only then is the busy period computed and the rest of the scan run:
-///     the offsets past Σ_j C_j, since step 3 accepted the others.
+///  3. each stream's candidate offsets within [0, Σ_j C_j] are scanned, by
+///     passing BusyPeriod{.length = Σ_j C_j} as the horizon. The busy-period
+///     iteration starts at Σ_j C_j, so that is a lower bound on L whenever L
+///     is bounded, and these offsets are a subset of the exact scan's; when
+///     L is unbounded the exact verdict is a miss anyway;
+///  4. only then is the busy period computed and each stream scanned again
+///     over [0, L], from Σ_j C_j + 1 on: step 3 accepted the offsets below.
 /// The first unschedulable master ends the call; later masters are not
 /// analysed.
 [[nodiscard]] bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel,

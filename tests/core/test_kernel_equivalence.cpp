@@ -4,6 +4,7 @@
 // implementations — response, convergence flag AND iteration count where the
 // result defines one — over randomized UUniFast task sets spanning
 // convergent, divergent and degenerate regimes.
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,37 +132,75 @@ TEST(KernelEquivalence, BusyPeriodMatchesReference) {
   }
 }
 
+/// Hand-built sets whose deadline terms k·T_j + D_j − J_j coincide, each at
+/// n = 3, 8 and 12 (the lane offset kernel takes n >= 8):
+///  * identical items, with jitter so their busy period spans ten periods;
+///  * harmonic periods, doubling in blocks of four, with D = T;
+///  * a term landing exactly on D_0: every other item has D_j + T_j = D_0;
+///  * jitter that moves the odd items' D_j − J_j below the even items' D_i,
+///    though their D_j is larger.
+/// Every item takes U_j = 0.95 / n, less rounding.
+std::vector<TaskSet> coincident_term_sets() {
+  struct Shape {
+    Ticks T, D, J;
+  };
+  std::vector<TaskSet> out;
+  for (const Ticks n : {3, 8, 12}) {
+    const Ticks base = 100 * n;
+    const auto set = [&](auto shape) {
+      TaskSet ts;
+      for (Ticks j = 0; j < n; ++j) {
+        const Shape s = shape(j);
+        const Ticks c = std::max<Ticks>(1, s.T * 95 / (100 * n));
+        ts.push_back(Task{.C = c, .D = s.D, .T = s.T, .J = s.J, .name = ""});
+      }
+      return ts;
+    };
+    out.push_back(set([&](Ticks) { return Shape{base, 4 * base / 5, base / 2}; }));
+    out.push_back(set([&](Ticks j) { return Shape{base << (j % 4), base << (j % 4), 0}; }));
+    out.push_back(set([&](Ticks j) {
+      if (j == 0) return Shape{3 * base, 2 * base, 0};
+      return Shape{base + 10 * j, base - 10 * j, 0};
+    }));
+    out.push_back(set([&](Ticks j) {
+      return Shape{base + 10 * j, base + 10 * j, j % 2 == 1 ? 2 * base / 5 : 0};
+    }));
+  }
+  return out;
+}
+
 TEST(KernelEquivalence, EdfRtaMatchesReference) {
   RtaScratch scratch;
-  const EdfRtaOptions opt;
-  for (std::uint64_t seed = 1; seed <= kSetsPerPolicy; ++seed) {
-    const TaskSet ts = random_set(seed);
+  std::vector<TaskSet> sets;
+  for (std::uint64_t seed = 1; seed <= kSetsPerPolicy; ++seed) sets.push_back(random_set(seed));
+  for (TaskSet& ts : coincident_term_sets()) sets.push_back(std::move(ts));
+  for (std::size_t set = 0; set < sets.size(); ++set) {
+    const TaskSet& ts = sets[set];
     for (const bool preemptive : {true, false}) {
       EdfAnalysis ref;
       ref.per_task.resize(ts.size());
       ref.schedulable = true;
       for (std::size_t i = 0; i < ts.size(); ++i) {
-        ref.per_task[i] = preemptive ? edf_response_time_preemptive(ts, i, opt)
-                                     : edf_response_time_nonpreemptive(ts, i, opt);
+        ref.per_task[i] = preemptive ? edf_response_time_preemptive(ts, i)
+                                     : edf_response_time_nonpreemptive(ts, i);
         if (!ref.per_task[i].meets(ts[i].D)) ref.schedulable = false;
       }
       const EdfAnalysis plain =
-          preemptive ? analyze_preemptive_edf(ts, opt) : analyze_nonpreemptive_edf(ts, opt);
-      const EdfAnalysis reused = preemptive
-                                     ? analyze_preemptive_edf(ts, opt, scratch)
-                                     : analyze_nonpreemptive_edf(ts, opt, scratch);
-      EXPECT_EQ(ref.schedulable, plain.schedulable) << "seed " << seed;
-      EXPECT_EQ(ref.schedulable, reused.schedulable) << "seed " << seed;
+          preemptive ? analyze_preemptive_edf(ts) : analyze_nonpreemptive_edf(ts);
+      const EdfAnalysis reused = preemptive ? analyze_preemptive_edf(ts, 1 << 16, scratch)
+                                            : analyze_nonpreemptive_edf(ts, 1 << 16, scratch);
+      EXPECT_EQ(ref.schedulable, plain.schedulable) << "set " << set;
+      EXPECT_EQ(ref.schedulable, reused.schedulable) << "set " << set;
       for (std::size_t i = 0; i < ts.size(); ++i) {
         for (const EdfAnalysis* fast : {&plain, &reused}) {
           EXPECT_EQ(ref.per_task[i].converged, fast->per_task[i].converged)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
+              << "set " << set << " task " << i << " preemptive " << preemptive;
           EXPECT_EQ(ref.per_task[i].response, fast->per_task[i].response)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
+              << "set " << set << " task " << i << " preemptive " << preemptive;
           EXPECT_EQ(ref.per_task[i].critical_offset, fast->per_task[i].critical_offset)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
+              << "set " << set << " task " << i << " preemptive " << preemptive;
           EXPECT_EQ(ref.per_task[i].offsets_examined, fast->per_task[i].offsets_examined)
-              << "seed " << seed << " task " << i << " preemptive " << preemptive;
+              << "set " << set << " task " << i << " preemptive " << preemptive;
         }
       }
     }

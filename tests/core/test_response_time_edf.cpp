@@ -172,19 +172,18 @@ TEST_P(EdfMonotoneSweep, ResponseMonotoneInInterfererLoad) {
 
 INSTANTIATE_TEST_SUITE_P(InterfererLoads, EdfMonotoneSweep, ::testing::Values(1, 3, 5, 8, 12));
 
-// edf_response_time's `bound`, on UUniFast sets of 5 and 12 tasks (12 reaches
-// the lane offset kernel) near U = 1, preemptive and non-preemptive, under
-// the task and message models, with the lanes active and forced scalar.
+// edf_meets_deadline against the exact non-preemptive scan, on UUniFast
+// sets of 5 and 12 tasks (12 reaches the lane offset kernel) near U = 1,
+// under the task and message models, with the lanes active and forced scalar.
 class EdfBound : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override { simd::force_scalar(GetParam()); }
   void TearDown() override { simd::force_scalar(false); }
 };
 
-TEST_P(EdfBound, StopsExactlyWhenTheResponseExceedsIt) {
-  const EdfRtaOptions opt;
+TEST_P(EdfBound, VerdictScanMatchesTheExactScan) {
   RtaScratch scratch;
-  std::size_t uncrossed = 0, stopped_early = 0, misses = 0;
+  std::size_t meets = 0, misses = 0;
   for (const std::size_t n : {5, 12}) {
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
       sim::Rng rng(seed * 7919 + n);
@@ -195,43 +194,19 @@ TEST_P(EdfBound, StopsExactlyWhenTheResponseExceedsIt) {
       p.jitter_max = seed % 3 == 0 ? 50 : 0;
       const TaskSet ts = workload::random_task_set(p, rng);
       const TaskSetView& v = scratch.arena.bind(ts);
-      const EdfHorizon h = edf_horizon(v, 1 << 20, scratch);
-      for (const bool preemptive : {true, false}) {
-        for (const ItemModel model : {kTaskModel, kMessageModel}) {
-          for (std::size_t i = 0; i < v.n; ++i) {
-            const auto scan = [&](Ticks bound) {
-              return edf_response_time(v, i, h, opt, scratch, preemptive, model, bound);
-            };
-            const EdfRtaResult exact = scan(kNoBound);
-            const Ticks r = exact.converged ? exact.response : kNoBound;
-            if (exact.converged) {
-              // A bound the scan never crosses changes nothing.
-              const EdfRtaResult same = scan(exact.response);
-              EXPECT_TRUE(same.converged);
-              EXPECT_EQ(same.response, exact.response) << "seed " << seed << " task " << i;
-              EXPECT_EQ(same.critical_offset, exact.critical_offset);
-              EXPECT_EQ(same.offsets_examined, exact.offsets_examined);
-              ++uncrossed;
-            }
-            for (const Ticks bound : {Ticks{0}, v.C[i], v.D[i], r == kNoBound ? 0 : r - 1}) {
-              const EdfRtaResult b = scan(bound);
-              EXPECT_EQ(b.response > bound, r > bound)
-                  << "n " << n << " seed " << seed << " task " << i << " bound " << bound;
-              if (b.response <= bound) continue;
-              // Stopped at the bound: no exact maximum, a lower bound on it.
-              EXPECT_FALSE(b.converged);
-              EXPECT_LE(b.response, r);
-              EXPECT_LE(b.offsets_examined, exact.offsets_examined);
-              stopped_early += b.offsets_examined < exact.offsets_examined;
-              misses += bound == v.D[i];
-            }
-          }
+      const BusyPeriod busy = synchronous_busy_period(v, 1 << 20);
+      for (const ItemModel model : {kTaskModel, kMessageModel}) {
+        for (std::size_t i = 0; i < v.n; ++i) {
+          const bool exact =
+              edf_response_time(v, i, busy, scratch, /*preemptive=*/false, model).meets(v.D[i]);
+          EXPECT_EQ(edf_meets_deadline(v, i, busy, scratch, model), exact)
+              << "n " << n << " seed " << seed << " task " << i;
+          ++(exact ? meets : misses);
         }
       }
     }
   }
-  EXPECT_GT(uncrossed, 0u);
-  EXPECT_GT(stopped_early, 0u);
+  EXPECT_GT(meets, 0u);
   EXPECT_GT(misses, 0u);
 }
 

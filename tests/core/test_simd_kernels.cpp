@@ -147,12 +147,12 @@ TEST(SimdKernels, EntryGuardsReportFallbackWithoutPublishing) {
                   .status,
               Status::kFallback)
         << k->name << " w0 over kMaxAccum";
-    EXPECT_EQ(k->edf_offset_fixed_point(s.C.data(), s.T.data(), s.D.data(), s.J.data(),
-                                        s.recip.data(), s.padded(), /*self=*/s.padded(), 100, 0,
-                                        0, false, 64)
+    const std::vector<Ticks> caps(s.padded(), 1);
+    EXPECT_EQ(k->edf_offset_fixed_point(s.C.data(), s.T.data(), s.J.data(), s.recip.data(),
+                                        caps.data(), s.padded(), over, 0, false, 64)
                   .status,
               Status::kFallback)
-        << k->name << " self out of range";
+        << k->name << " EDF base over kMaxAccum";
   }
 }
 
@@ -275,16 +275,16 @@ TEST(SimdKernels, RandomizedFpSweepIdenticalScalarVsVector) {
 TEST(SimdKernels, RandomizedEdfSweepIdenticalScalarVsVector) {
   RtaScratch scratch;
   ScalarGuard guard(false);
-  const EdfRtaOptions opt;
+  const int fuel = 1 << 16;
   for (std::uint64_t seed = 1; seed <= kRandomSets; ++seed) {
     const TaskSet ts = random_set(seed);
     for (const bool preemptive : {true, false}) {
       simd::force_scalar(false);
-      const EdfAnalysis vec = preemptive ? analyze_preemptive_edf(ts, opt, scratch)
-                                         : analyze_nonpreemptive_edf(ts, opt, scratch);
+      const EdfAnalysis vec = preemptive ? analyze_preemptive_edf(ts, fuel, scratch)
+                                         : analyze_nonpreemptive_edf(ts, fuel, scratch);
       simd::force_scalar(true);
-      const EdfAnalysis sc = preemptive ? analyze_preemptive_edf(ts, opt, scratch)
-                                        : analyze_nonpreemptive_edf(ts, opt, scratch);
+      const EdfAnalysis sc = preemptive ? analyze_preemptive_edf(ts, fuel, scratch)
+                                        : analyze_nonpreemptive_edf(ts, fuel, scratch);
       EXPECT_EQ(sc.schedulable, vec.schedulable) << "seed " << seed;
       for (std::size_t i = 0; i < ts.size(); ++i) {
         EXPECT_EQ(sc.per_task[i].converged, vec.per_task[i].converged)

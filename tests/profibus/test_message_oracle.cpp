@@ -743,11 +743,10 @@ TEST(MessageOracleEdges, VerdictVisitsEveryMaster) {
   const Network late = edge_network({kMissesLate});
   const TimingMemo memo = compute_timing(late);
   const TaskSetView& v = bind_master(scratch.arena, late.masters[0], memo.per_master[0]);
-  const EdfHorizon prefix{.busy = {.length = v.total_execution()}};
-  const EdfRtaOptions opt{.fixed_point_fuel = kFuel};
+  const BusyPeriod prefix{.length = v.total_execution()};
   for (std::size_t i = 0; i < v.n; ++i) {
     const EdfRtaResult r =
-        edf_response_time(v, i, prefix, opt, scratch, /*preemptive=*/false, kMessageModel);
+        edf_response_time(v, i, prefix, scratch, /*preemptive=*/false, kMessageModel, kFuel);
     EXPECT_TRUE(r.meets(v.D[i])) << "stream " << i;
   }
 }
