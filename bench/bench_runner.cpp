@@ -11,8 +11,6 @@
 //     (per-task index-span calls, exactly the seed-era analyze loop) and
 //     through the SoA + scratch fast path, so the speedup ratio is computed
 //     in-binary and is robust to machine noise;
-//   * warm-start u-grid sweeps — run_usweep cold vs warm: wall time plus the
-//     deterministic fixed-point iteration counts (machine-independent);
 //   * SIMD dispatch ratios — the same fast paths timed with the vector
 //     kernels live vs force_scalar(true), from one binary, with every result
 //     (verdicts, WCRTs, iteration counts) compared bit-for-bit between the
@@ -37,7 +35,6 @@
 #include "core/response_time_edf.hpp"
 #include "core/response_time_fp.hpp"
 #include "core/simd.hpp"
-#include "core/usweep.hpp"
 #include "engine/sweep_runner.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/rng.hpp"
@@ -234,102 +231,6 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
   table.row({"busy period (ns/set)", fmt(bp_ref, 0), fmt(bp_opt, 0), fmt(bp_ref / bp_opt, 2)});
 }
 
-void usweep_metrics(const Options& opt, JsonObject& out, Table& table) {
-  sim::Rng rng(424242);
-  workload::TaskSetParams p;
-  p.n = opt.quick ? 10 : 14;
-  p.total_u = 0.5;
-  p.deadline_lo = 0.9;
-  p.deadline_hi = 1.0;
-  const TaskSet base = workload::random_task_set(p, rng);
-
-  // The grid leans into the saturation region: cold fixed points take the
-  // most iterations near U -> 1, which is exactly where acceptance-curve
-  // experiments need the most points — and where warm starts pay the most.
-  USweepSpec spec;
-  const std::size_t points = opt.quick ? 24 : 48;
-  for (std::size_t k = 0; k < points; ++k) {
-    spec.u_grid.push_back(0.55 + 0.43 * static_cast<double>(k) / static_cast<double>(points - 1));
-  }
-  spec.policies = {Policy::RateMonotonic, Policy::DeadlineMonotonic, Policy::NpDeadlineMonotonic,
-                   Policy::Edf, Policy::NpEdf};
-
-  // All-policy sweep: one cold + one warm pass. The EDF offset scans dwarf
-  // the FP recurrences here, so only the (deterministic, machine-independent)
-  // iteration counters are reported — wall-clock for the warm-start story is
-  // measured on the FP-only sweep below, where the recurrences ARE the cost.
-  spec.warm_start = false;
-  const USweepResult cold = run_usweep(base, spec);
-  spec.warm_start = true;
-  const USweepResult warm = run_usweep(base, spec);
-
-  // Warm-start must not change a single verdict or bound.
-  for (std::size_t k = 0; k < cold.points.size(); ++k) {
-    for (std::size_t c = 0; c < cold.points[k].cells.size(); ++c) {
-      if (cold.points[k].cells[c].schedulable != warm.points[k].cells[c].schedulable ||
-          cold.points[k].cells[c].worst_response != warm.points[k].cells[c].worst_response) {
-        die("usweep warm-start");
-      }
-    }
-  }
-
-  out.put("usweep_cold_fp_iters", cold.fp_iterations);
-  out.put("usweep_warm_fp_iters", warm.fp_iterations);
-  out.put("usweep_cold_busy_iters", cold.busy_iterations);
-  out.put("usweep_warm_busy_iters", warm.busy_iterations);
-  table.row({"u-grid FP iterations", std::to_string(cold.fp_iterations),
-             std::to_string(warm.fp_iterations),
-             fmt(static_cast<double>(cold.fp_iterations) /
-                     static_cast<double>(warm.fp_iterations),
-                 2)});
-  table.row({"u-grid busy-period iterations", std::to_string(cold.busy_iterations),
-             std::to_string(warm.busy_iterations),
-             fmt(static_cast<double>(cold.busy_iterations) /
-                     static_cast<double>(warm.busy_iterations),
-                 2)});
-
-  // Fixed-priority-only sweep: here the warm-started recurrences ARE the
-  // whole cost, so the wall-clock ratio tracks the iteration ratio. A dense
-  // grid is realistic for acceptance curves and is exactly where warm seeds
-  // land next to the new fixed points.
-  spec.u_grid.clear();
-  const std::size_t fp_points = opt.quick ? 64 : 160;
-  for (std::size_t k = 0; k < fp_points; ++k) {
-    spec.u_grid.push_back(0.55 +
-                          0.445 * static_cast<double>(k) / static_cast<double>(fp_points - 1));
-  }
-  spec.policies = {Policy::RateMonotonic, Policy::DeadlineMonotonic,
-                   Policy::NpDeadlineMonotonic};
-  spec.warm_start = false;
-  USweepResult fp_cold = run_usweep(base, spec);
-  const double fp_cold_ms = time_ns_per_op([&] { fp_cold = run_usweep(base, spec); },
-                                           min_seconds(opt)) / 1e6;
-  spec.warm_start = true;
-  USweepResult fp_warm = run_usweep(base, spec);
-  const double fp_warm_ms = time_ns_per_op([&] { fp_warm = run_usweep(base, spec); },
-                                           min_seconds(opt)) / 1e6;
-  for (std::size_t k = 0; k < fp_cold.points.size(); ++k) {
-    for (std::size_t c = 0; c < fp_cold.points[k].cells.size(); ++c) {
-      if (fp_cold.points[k].cells[c].schedulable != fp_warm.points[k].cells[c].schedulable ||
-          fp_cold.points[k].cells[c].worst_response !=
-              fp_warm.points[k].cells[c].worst_response) {
-        die("usweep fp warm-start");
-      }
-    }
-  }
-  out.put("usweep_fp_cold_ms", fp_cold_ms);
-  out.put("usweep_fp_warm_ms", fp_warm_ms);
-  out.put("usweep_fp_cold_iters", fp_cold.fp_iterations);
-  out.put("usweep_fp_warm_iters", fp_warm.fp_iterations);
-  table.row({"u-grid FP-only sweep (ms)", fmt(fp_cold_ms, 3), fmt(fp_warm_ms, 3),
-             fmt(fp_cold_ms / fp_warm_ms, 2)});
-  table.row({"u-grid FP-only iterations", std::to_string(fp_cold.fp_iterations),
-             std::to_string(fp_warm.fp_iterations),
-             fmt(static_cast<double>(fp_cold.fp_iterations) /
-                     static_cast<double>(fp_warm.fp_iterations),
-                 2)});
-}
-
 /// Vector-vs-scalar dispatch ratios: the same optimized paths, same binary,
 /// timed with the lane kernels live and with force_scalar(true). Results are
 /// compared bit-for-bit between the two runs first — any divergence aborts.
@@ -419,42 +320,6 @@ void simd_metrics(const Options& opt, JsonObject& out, Table& table) {
   out.put("core_busy_simd_ratio", bp_sc / bp_vec);
   table.row({"busy period scalar/vector", fmt(bp_sc / static_cast<double>(pool.size()), 0),
              fmt(bp_vec / static_cast<double>(pool.size()), 0), fmt(bp_sc / bp_vec, 2)});
-
-  // Warm FP-only sweep — the usweep acceptance metric — under both dispatches.
-  sim::Rng rng(424242);
-  workload::TaskSetParams p;
-  p.n = opt.quick ? 10 : 14;
-  p.total_u = 0.5;
-  p.deadline_lo = 0.9;
-  p.deadline_hi = 1.0;
-  const TaskSet base = workload::random_task_set(p, rng);
-  USweepSpec spec;
-  const std::size_t fp_points = opt.quick ? 64 : 160;
-  for (std::size_t k = 0; k < fp_points; ++k) {
-    spec.u_grid.push_back(0.55 +
-                          0.445 * static_cast<double>(k) / static_cast<double>(fp_points - 1));
-  }
-  spec.policies = {Policy::RateMonotonic, Policy::DeadlineMonotonic,
-                   Policy::NpDeadlineMonotonic};
-  spec.warm_start = true;
-  USweepResult sweep_vec = run_usweep(base, spec);
-  simd::force_scalar(true);
-  const USweepResult sweep_sc = run_usweep(base, spec);
-  simd::force_scalar(false);
-  if (sweep_sc.fp_iterations != sweep_vec.fp_iterations) die("simd usweep");
-  for (std::size_t k = 0; k < sweep_sc.points.size(); ++k) {
-    for (std::size_t c = 0; c < sweep_sc.points[k].cells.size(); ++c) {
-      if (sweep_sc.points[k].cells[c].schedulable != sweep_vec.points[k].cells[c].schedulable ||
-          sweep_sc.points[k].cells[c].worst_response !=
-              sweep_vec.points[k].cells[c].worst_response) {
-        die("simd usweep");
-      }
-    }
-  }
-  auto [usweep_sc, usweep_vec] = timed([&] { sweep_vec = run_usweep(base, spec); });
-  out.put("usweep_fp_warm_simd_ratio", usweep_sc / usweep_vec);
-  table.row({"u-grid FP-only warm scalar/vector (ms)", fmt(usweep_sc / 1e6, 3),
-             fmt(usweep_vec / 1e6, 3), fmt(usweep_sc / usweep_vec, 2)});
 }
 
 void engine_metrics(const Options& opt, JsonObject& out, Table& table) {
@@ -516,7 +381,6 @@ int run(const Options& opt) {
   banner("bench_runner", "hot-path kernel regression harness (PR 9)");
   Table table({"kernel", "reference", "optimized", "speedup"});
   core_analyze_metrics(opt, out, table);
-  usweep_metrics(opt, out, table);
   simd_metrics(opt, out, table);
   engine_metrics(opt, out, table);
   sim_metrics(opt, out, table);

@@ -1,7 +1,5 @@
 #include "core/busy_period.hpp"
 
-#include <algorithm>
-
 #include "core/simd.hpp"
 
 namespace profisched {
@@ -32,7 +30,7 @@ BusyPeriod synchronous_busy_period(const TaskSet& ts, int fuel) {
   return out;
 }
 
-BusyPeriod synchronous_busy_period(const TaskSetView& v, int fuel, Ticks warm_l) {
+BusyPeriod synchronous_busy_period(const TaskSetView& v, int fuel) {
   BusyPeriod out;
   if (v.empty()) return out;
   if (v.overloaded()) {
@@ -40,7 +38,7 @@ BusyPeriod synchronous_busy_period(const TaskSetView& v, int fuel, Ticks warm_l)
     return out;
   }
 
-  Ticks L = std::max(v.total_execution(), warm_l);
+  Ticks L = v.total_execution();
   // The busy-period recurrence is the FP interference sum with base 0 over
   // the full (padded) set — same vector kernel, same fallback contract.
   if (const simd::Kernels* k = v.simd_ok ? simd::active() : nullptr) {

@@ -30,13 +30,9 @@ struct BusyPeriod {
 [[nodiscard]] BusyPeriod synchronous_busy_period(const TaskSet& ts, int fuel = 1 << 20);
 
 /// SoA fast path over an identity-bound view (the reference above is
-/// retained for the equivalence suite). `warm_l` seeds the iteration: 0
-/// reproduces the reference exactly; otherwise it must be a lower bound on
-/// the busy period (e.g. its converged length at a lower utilization — W(t)
-/// is monotone in every C), which shortens the iteration without changing
-/// the fixed point. The view must be identity-bound: the U > 1 guard
-/// compares a double sum whose value is summation-order-sensitive.
-[[nodiscard]] BusyPeriod synchronous_busy_period(const TaskSetView& v, int fuel = 1 << 20,
-                                                 Ticks warm_l = 0);
+/// retained for the equivalence suite), with the reference's iterates. The
+/// view must be identity-bound: the U > 1 guard compares a double sum whose
+/// value is summation-order-sensitive.
+[[nodiscard]] BusyPeriod synchronous_busy_period(const TaskSetView& v, int fuel = 1 << 20);
 
 }  // namespace profisched

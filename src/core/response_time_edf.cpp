@@ -372,71 +372,40 @@ bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const BusyPeriod& b
 
 namespace {
 
-/// Whole-set driver shared by the EdfAnalysis and EdfCellResult entry
-/// points: binds the view, computes the busy period once (the reference
-/// evaluates it per task, but it is task-independent — identical verdict
-/// either way), and hands each task's EdfRtaResult to `sink(i, r, D_i)`.
-template <typename SinkFn>
-void analyze_edf_common(const TaskSet& ts, int fuel, RtaScratch& scratch, bool warm_start,
-                        bool preemptive, int& busy_iterations, SinkFn sink) {
+/// Whole-set driver behind the analyze_*_edf entry points: binds the view
+/// and computes the busy period once (the reference evaluates it per task,
+/// but it is task-independent, so the verdict is identical either way).
+EdfAnalysis analyze_view_edf(const TaskSet& ts, int fuel, RtaScratch& scratch, bool preemptive) {
   const TaskSetView& v = scratch.arena.bind(ts);
-  const BusyPeriod busy = synchronous_busy_period(v, 1 << 20, warm_start ? scratch.warm_busy : 0);
-  if (busy.bounded()) scratch.warm_busy = busy.length;
-  busy_iterations = busy.iterations;
-  for (std::size_t i = 0; i < v.n; ++i) {
-    sink(i, edf_response_time(v, i, busy, scratch, preemptive, kTaskModel, fuel), v.D[i]);
-  }
-}
-
-EdfAnalysis analyze_view_edf(const TaskSet& ts, int fuel, RtaScratch& scratch, bool warm_start,
-                             bool preemptive) {
+  const BusyPeriod busy = synchronous_busy_period(v, 1 << 20);
   EdfAnalysis out;
   out.per_task.resize(ts.size());
   out.schedulable = true;
-  analyze_edf_common(ts, fuel, scratch, warm_start, preemptive, out.busy_iterations,
-                     [&](std::size_t i, const EdfRtaResult& r, Ticks d) {
-                       out.per_task[i] = r;
-                       if (!r.meets(d)) out.schedulable = false;
-                     });
+  for (std::size_t i = 0; i < v.n; ++i) {
+    out.per_task[i] = edf_response_time(v, i, busy, scratch, preemptive, kTaskModel, fuel);
+    if (!out.per_task[i].meets(v.D[i])) out.schedulable = false;
+  }
   return out;
 }
 
 }  // namespace
 
-EdfCellResult analyze_edf_cell(const TaskSet& ts, bool preemptive, int fuel, RtaScratch& scratch,
-                               bool warm_start) {
-  EdfCellResult out;
-  out.schedulable = true;
-  Ticks worst = 0;
-  analyze_edf_common(ts, fuel, scratch, warm_start, preemptive, out.busy_iterations,
-                     [&](std::size_t, const EdfRtaResult& r, Ticks d) {
-                       out.offsets_examined += static_cast<std::uint64_t>(r.offsets_examined);
-                       worst = (!r.converged || worst == kNoBound) ? kNoBound
-                                                                   : std::max(worst, r.response);
-                       if (!r.meets(d)) out.schedulable = false;
-                     });
-  out.worst_response = worst;
-  return out;
-}
-
 EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel) {
   RtaScratch scratch;
-  return analyze_view_edf(ts, fuel, scratch, /*warm_start=*/false, /*preemptive=*/true);
+  return analyze_view_edf(ts, fuel, scratch, /*preemptive=*/true);
 }
 
 EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel) {
   RtaScratch scratch;
-  return analyze_view_edf(ts, fuel, scratch, /*warm_start=*/false, /*preemptive=*/false);
+  return analyze_view_edf(ts, fuel, scratch, /*preemptive=*/false);
 }
 
-EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch,
-                                   bool warm_start) {
-  return analyze_view_edf(ts, fuel, scratch, warm_start, /*preemptive=*/true);
+EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch) {
+  return analyze_view_edf(ts, fuel, scratch, /*preemptive=*/true);
 }
 
-EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch,
-                                      bool warm_start) {
-  return analyze_view_edf(ts, fuel, scratch, warm_start, /*preemptive=*/false);
+EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch) {
+  return analyze_view_edf(ts, fuel, scratch, /*preemptive=*/false);
 }
 
 }  // namespace profisched

@@ -35,7 +35,6 @@
 // blocking T*_cycle, responses measured from AP-queue insertion).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/busy_period.hpp"
@@ -61,10 +60,6 @@ struct EdfRtaResult {
 struct EdfAnalysis {
   std::vector<EdfRtaResult> per_task;
   bool schedulable = false;
-  /// Iterations the (set-wide) synchronous busy-period fixed point took; 0
-  /// when the set was rejected before computing it. Warm-started calls
-  /// report fewer — the observable the benchmark-regression harness tracks.
-  int busy_iterations = 0;
 };
 
 /// Candidate offsets A for task i within [0, horizon] (paper eqs. 8 and 10).
@@ -98,9 +93,7 @@ struct EdfAnalysis {
 //
 // Optimizations over the reference, all output-preserving:
 //  * the synchronous busy period is computed once per set, not once per task
-//    (it does not depend on the analysed task), and can be warm-started from
-//    scratch.warm_busy across compatible calls (`warm_start`, usweep
-//    contract: same structure, parameters only grown);
+//    (it does not depend on the analysed task);
 //  * the candidate offsets come from one ascending walk over the items'
 //    deadline progressions k·T_j + D_j − J_j (scratch.next_terms holds
 //    each item's next term) that also counts each offset's deadline caps
@@ -112,10 +105,9 @@ struct EdfAnalysis {
 //    a), so the seed is a valid lower bound and the least fixed point
 //    reached is unchanged. (Non-preemptive L(a) is *not* monotone in a: the
 //    blocking term shrinks as a grows — that scan stays cold.)
-[[nodiscard]] EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch,
-                                                 bool warm_start = false);
+[[nodiscard]] EdfAnalysis analyze_preemptive_edf(const TaskSet& ts, int fuel, RtaScratch& scratch);
 [[nodiscard]] EdfAnalysis analyze_nonpreemptive_edf(const TaskSet& ts, int fuel,
-                                                    RtaScratch& scratch, bool warm_start = false);
+                                                    RtaScratch& scratch);
 
 /// Worst-case response time of the item at view position i, maximized over
 /// its candidate offsets within [0, busy.length] (`busy` is the view's
@@ -144,20 +136,5 @@ struct EdfAnalysis {
 [[nodiscard]] bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const BusyPeriod& busy,
                                       RtaScratch& scratch, ItemModel model, int fuel = 1 << 16,
                                       Ticks from = 0);
-
-/// Whole-set outcome folded down to what a sweep cell needs — exactly what
-/// run_usweep derives from an EdfAnalysis, computed without materializing
-/// the per-task vector so a warm sweep step performs zero allocations. The
-/// fold is order-independent (sticky kNoBound, max over responses, summed
-/// counters), hence bit-identical to folding analyze_*_edf's per_task.
-struct EdfCellResult {
-  bool schedulable = false;
-  Ticks worst_response = 0;  ///< kNoBound if any task failed to converge
-  int busy_iterations = 0;
-  std::uint64_t offsets_examined = 0;  ///< Σ per-task offsets examined
-};
-
-[[nodiscard]] EdfCellResult analyze_edf_cell(const TaskSet& ts, bool preemptive, int fuel,
-                                             RtaScratch& scratch, bool warm_start);
 
 }  // namespace profisched

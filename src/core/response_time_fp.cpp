@@ -101,35 +101,21 @@ Ticks interference(const TaskSetView& pv, std::size_t hp_count, Ticks w) {
   return sum;
 }
 
-/// View-based fixed point, additionally exposing the last iterate w itself —
-/// the warm-start seed for the next compatible call (the RtaResult response
-/// has jitter/C folded in, so it cannot be reused directly). The last
-/// iterate is a sound seed even when the iteration diverged or ran out of
-/// fuel: every iterate is a lower bound on the (possibly nonexistent) fixed
-/// point, and at a higher utilization the recurrence only grows, so a
-/// re-diverging task resumes its climb near saturation instead of repeating
-/// it from the bottom.
-struct FixedPoint {
-  RtaResult result;
-  Ticks w = 0;
-};
-
 /// `limit` stops the iteration at the first iterate above it (see
 /// response_time_nonpreemptive's `bound`); kNoBound never stops it.
 template <bool Ceil>
-FixedPoint iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks base, Ticks w0,
-                          int fuel, Ticks limit) {
-  FixedPoint out;
+RtaResult iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks base, Ticks w0,
+                         int fuel, Ticks limit) {
+  RtaResult out;
   Ticks w = w0;
   for (int it = 0; it < fuel; ++it) {
-    out.w = w;
     if (w > limit) return out;
     const Ticks next = sat_add(base, interference<Ceil>(pv, hp_count, w));
-    out.result.iterations = it + 1;
+    out.iterations = it + 1;
     if (next == w) {
-      out.result.converged = true;
-      out.result.response = w;
-      out.result.queueing = w;
+      out.converged = true;
+      out.response = w;
+      out.queueing = w;
       return out;
     }
     if (next == kNoBound) return out;
@@ -138,19 +124,18 @@ FixedPoint iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks bas
   return out;
 }
 
-FixedPoint iterate(const TaskSetView& pv, const simd::Kernels* k, std::size_t hp_count,
-                   Ticks base, Ticks w0, Formulation form, int fuel, Ticks limit = kNoBound) {
+RtaResult iterate(const TaskSetView& pv, const simd::Kernels* k, std::size_t hp_count, Ticks base,
+                  Ticks w0, Formulation form, int fuel, Ticks limit = kNoBound) {
   const bool ceil_form = form == Formulation::PaperLiteral;
   // The lane kernel runs to the fixed point; a limited iteration stays scalar.
   if (k != nullptr && hp_count >= simd::kMinFpLaneTasks && limit == kNoBound) {
     const simd::FixedPointResult r =
         k->fp_fixed_point(pv.C, pv.T, pv.J, pv.recip_t, hp_count, base, w0, ceil_form, fuel);
     if (r.status == simd::Status::kOk) {
-      FixedPoint out;
-      out.result.converged = r.converged;
-      out.result.iterations = r.iterations;
-      if (r.converged) out.result.response = out.result.queueing = r.value;
-      out.w = r.last;
+      RtaResult out;
+      out.converged = r.converged;
+      out.iterations = r.iterations;
+      if (r.converged) out.response = out.queueing = r.value;
       return out;
     }
     // A gate tripped mid-iteration: recompute entirely from the original seed
@@ -161,13 +146,12 @@ FixedPoint iterate(const TaskSetView& pv, const simd::Kernels* k, std::size_t hp
                    : iterate_scalar<false>(pv, hp_count, base, w0, fuel, limit);
 }
 
-FixedPoint preemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
-                                  std::size_t rank, int fuel, Ticks warm_w) {
+RtaResult preemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k, std::size_t rank,
+                                 int fuel) {
   const Ticks ci = pv.C[rank];
-  FixedPoint fp =
-      iterate(pv, k, rank, ci, std::max(ci, warm_w), Formulation::PaperLiteral, fuel);
-  if (fp.result.converged) fp.result.response = sat_add(fp.result.response, pv.J[rank]);
-  return fp;
+  RtaResult r = iterate(pv, k, rank, ci, ci, Formulation::PaperLiteral, fuel);
+  if (r.converged) r.response = sat_add(r.response, pv.J[rank]);
+  return r;
 }
 
 /// One lower-priority item's blocking contribution (see blocking_factor).
@@ -179,32 +163,26 @@ Ticks blocking_cost(Ticks c, Formulation form, Blocking blocking) {
 
 /// `b` is blocking_factor(pv, rank + 1, form, model.blocking); `hp_exec` is
 /// the saturating Σ_{j < rank} C_j. Both folds are order-insensitive over
-/// non-negative operands, so the whole-set drivers precompute them
+/// non-negative operands, so the whole-set driver precomputes them
 /// incrementally (suffix max / running prefix) with results identical to the
 /// per-rank scans.
-FixedPoint nonpreemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
-                                     std::size_t rank, Formulation form, int fuel, Ticks warm_w,
-                                     Ticks b, Ticks hp_exec, Origin origin = Origin::Arrival,
-                                     Ticks bound = kNoBound) {
+RtaResult nonpreemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
+                                    std::size_t rank, Formulation form, int fuel, Ticks b,
+                                    Ticks hp_exec, Origin origin = Origin::Arrival,
+                                    Ticks bound = kNoBound) {
   // R = w + C_i (+ J_i), so R exceeds the bound exactly when w exceeds this.
   const Ticks added = origin == Origin::Arrival ? sat_add(pv.C[rank], pv.J[rank]) : pv.C[rank];
   const Ticks limit = bound == kNoBound ? kNoBound : bound - added;
-  FixedPoint fp =
-      iterate(pv, k, rank, b, std::max(sat_add(b, hp_exec), warm_w), form, fuel, limit);
-  if (fp.result.converged) fp.result.response = sat_add(fp.result.response, added);
-  return fp;
+  RtaResult r = iterate(pv, k, rank, b, sat_add(b, hp_exec), form, fuel, limit);
+  if (r.converged) r.response = sat_add(r.response, added);
+  return r;
 }
 
-/// Whole-set driver shared by the FpAnalysis and FpCellResult entry points;
-/// hands each rank's result to `sink(rank, fp.result, D_rank)`.
-template <typename SinkFn>
-void analyze_fp_common(const TaskSet& ts, const PriorityOrder& order, bool preemptive,
-                       Formulation form, int fuel, RtaScratch& scratch, bool warm_start,
-                       SinkFn sink) {
+/// Whole-set driver behind the analyze_*_fp entry points.
+FpAnalysis analyze_view(const TaskSet& ts, const PriorityOrder& order, bool preemptive,
+                        Formulation form, int fuel, RtaScratch& scratch) {
   const TaskSetView& pv = scratch.arena.bind(ts, order);
   const simd::Kernels* k = pv.simd_ok ? simd::active() : nullptr;
-  const bool seed = warm_start && scratch.warm.size() == pv.n;
-  scratch.warm.resize(pv.n);
 
   if (!preemptive) {
     // Suffix-max blocking factors: np_blocking[r] == blocking_factor(pv,
@@ -217,49 +195,23 @@ void analyze_fp_common(const TaskSet& ts, const PriorityOrder& order, bool preem
     }
   }
 
-  Ticks hp_exec = 0;  // running Σ_{j < rank} C_j (saturating)
-  for (std::size_t rank = 0; rank < pv.n; ++rank) {
-    const Ticks warm_w = seed ? scratch.warm[rank] : 0;
-    const FixedPoint fp =
-        preemptive ? preemptive_fixed_point(pv, k, rank, fuel, warm_w)
-                   : nonpreemptive_fixed_point(pv, k, rank, form, fuel, warm_w,
-                                               scratch.np_blocking[rank], hp_exec);
-    scratch.warm[rank] = fp.w;  // last iterate: sound even without convergence
-    hp_exec = sat_add(hp_exec, pv.C[rank]);
-    sink(rank, pv.index[rank], fp.result, pv.D[rank]);
-  }
-}
-
-FpAnalysis analyze_view(const TaskSet& ts, const PriorityOrder& order, bool preemptive,
-                        Formulation form, int fuel, RtaScratch& scratch, bool warm_start) {
   FpAnalysis out;
   out.per_task.resize(ts.size());
   out.schedulable = true;
-  analyze_fp_common(ts, order, preemptive, form, fuel, scratch, warm_start,
-                    [&](std::size_t, std::size_t i, const RtaResult& r, Ticks d) {
-                      out.per_task[i] = r;
-                      if (!r.meets(d)) out.schedulable = false;
-                    });
+  Ticks hp_exec = 0;  // running Σ_{j < rank} C_j (saturating)
+  for (std::size_t rank = 0; rank < pv.n; ++rank) {
+    const RtaResult r =
+        preemptive ? preemptive_fixed_point(pv, k, rank, fuel)
+                   : nonpreemptive_fixed_point(pv, k, rank, form, fuel, scratch.np_blocking[rank],
+                                               hp_exec);
+    hp_exec = sat_add(hp_exec, pv.C[rank]);
+    out.per_task[pv.index[rank]] = r;
+    if (!r.meets(pv.D[rank])) out.schedulable = false;
+  }
   return out;
 }
 
 }  // namespace
-
-FpCellResult analyze_fp_cell(const TaskSet& ts, const PriorityOrder& order, bool preemptive,
-                             Formulation form, int fuel, RtaScratch& scratch, bool warm_start) {
-  FpCellResult out;
-  out.schedulable = true;
-  Ticks worst = 0;
-  analyze_fp_common(ts, order, preemptive, form, fuel, scratch, warm_start,
-                    [&](std::size_t, std::size_t, const RtaResult& r, Ticks d) {
-                      out.iterations += static_cast<std::uint64_t>(r.iterations);
-                      worst = (!r.converged || worst == kNoBound) ? kNoBound
-                                                                  : std::max(worst, r.response);
-                      if (!r.meets(d)) out.schedulable = false;
-                    });
-  out.worst_response = worst;
-  return out;
-}
 
 Ticks blocking_factor(const TaskSetView& pv, std::size_t first_lower, Formulation form,
                       Blocking blocking) {
@@ -270,46 +222,40 @@ Ticks blocking_factor(const TaskSetView& pv, std::size_t first_lower, Formulatio
   return b;
 }
 
-RtaResult response_time_preemptive(const TaskSetView& pv, std::size_t rank, int fuel,
-                                   Ticks warm_w) {
+RtaResult response_time_preemptive(const TaskSetView& pv, std::size_t rank, int fuel) {
   const simd::Kernels* k = pv.simd_ok ? simd::active() : nullptr;
-  return preemptive_fixed_point(pv, k, rank, fuel, warm_w).result;
+  return preemptive_fixed_point(pv, k, rank, fuel);
 }
 
 RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank, Formulation form,
-                                      int fuel, Ticks warm_w, ItemModel model, Ticks bound) {
+                                      int fuel, ItemModel model, Ticks bound) {
   const simd::Kernels* k = pv.simd_ok && rank >= simd::kMinFpLaneTasks ? simd::active() : nullptr;
   Ticks hp_exec = 0;
   for (std::size_t j = 0; j < rank; ++j) hp_exec = sat_add(hp_exec, pv.C[j]);
-  return nonpreemptive_fixed_point(pv, k, rank, form, fuel, warm_w,
+  return nonpreemptive_fixed_point(pv, k, rank, form, fuel,
                                    blocking_factor(pv, rank + 1, form, model.blocking), hp_exec,
-                                   model.origin, bound)
-      .result;
+                                   model.origin, bound);
 }
 
 FpAnalysis analyze_preemptive_fp(const TaskSet& ts, const PriorityOrder& order, int fuel) {
   RtaScratch scratch;
-  return analyze_view(ts, order, /*preemptive=*/true, kDefaultFormulation, fuel, scratch,
-                      /*warm_start=*/false);
+  return analyze_view(ts, order, /*preemptive=*/true, kDefaultFormulation, fuel, scratch);
 }
 
 FpAnalysis analyze_nonpreemptive_fp(const TaskSet& ts, const PriorityOrder& order, Formulation form,
                                     int fuel) {
   RtaScratch scratch;
-  return analyze_view(ts, order, /*preemptive=*/false, form, fuel, scratch,
-                      /*warm_start=*/false);
+  return analyze_view(ts, order, /*preemptive=*/false, form, fuel, scratch);
 }
 
 FpAnalysis analyze_preemptive_fp(const TaskSet& ts, const PriorityOrder& order, int fuel,
-                                 RtaScratch& scratch, bool warm_start) {
-  return analyze_view(ts, order, /*preemptive=*/true, kDefaultFormulation, fuel, scratch,
-                      warm_start);
+                                 RtaScratch& scratch) {
+  return analyze_view(ts, order, /*preemptive=*/true, kDefaultFormulation, fuel, scratch);
 }
 
 FpAnalysis analyze_nonpreemptive_fp(const TaskSet& ts, const PriorityOrder& order,
-                                    Formulation form, int fuel, RtaScratch& scratch,
-                                    bool warm_start) {
-  return analyze_view(ts, order, /*preemptive=*/false, form, fuel, scratch, warm_start);
+                                    Formulation form, int fuel, RtaScratch& scratch) {
+  return analyze_view(ts, order, /*preemptive=*/false, form, fuel, scratch);
 }
 
 }  // namespace profisched

@@ -31,7 +31,6 @@
 // missed").
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -93,17 +92,9 @@ struct FpAnalysis {
 // against each other). The hot path iterates a priority-permuted TaskSetView
 // instead: higher-priority tasks are the prefix [0, rank), lower-priority
 // ones the suffix (rank, n), so the interference loop streams four flat
-// arrays with no index indirection and no per-task vector builds.
-//
-// `warm_w` seeds the fixed-point iteration: 0 reproduces the reference
-// iteration exactly (same iterates, same count); a non-zero seed must be a
-// lower bound on the fixed point (e.g. the converged w of the same task at a
-// lower utilization — the recurrence is monotone in every C). The iteration
-// then converges to the *same* least fixed point in fewer steps; only
-// RtaResult::iterations differs. (Starting closer also means a warm run can
-// converge within a fuel budget the cold run would exhaust — identical
-// verdicts assume fuel large enough for the cold iteration to converge or
-// saturate, which the 1 << 16 default is in practice.)
+// arrays with no index indirection and no per-task vector builds. Each
+// fixed point starts where the reference's does, so the iterates and their
+// count are the reference's too.
 
 /// Blocking factor over the view suffix [first_lower, n): max C_j when
 /// `blocking` is Full (messages, T*_cycle) or the formulation is
@@ -114,7 +105,7 @@ struct FpAnalysis {
 
 /// Preemptive response time of the task at view position `rank`.
 [[nodiscard]] RtaResult response_time_preemptive(const TaskSetView& pv, std::size_t rank,
-                                                 int fuel = 1 << 16, Ticks warm_w = 0);
+                                                 int fuel = 1 << 16);
 
 /// Non-preemptive response time of the item at view position `rank`, with
 /// [0, rank) above it and (rank, n) below it. `model` picks the blocking
@@ -130,7 +121,7 @@ struct FpAnalysis {
 /// the default kNoBound is the full fixed point, bit for bit.
 [[nodiscard]] RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank,
                                                     Formulation form = kDefaultFormulation,
-                                                    int fuel = 1 << 16, Ticks warm_w = 0,
+                                                    int fuel = 1 << 16,
                                                     ItemModel model = kTaskModel,
                                                     Ticks bound = kNoBound);
 
@@ -146,32 +137,10 @@ struct FpAnalysis {
                                                   int fuel = 1 << 16);
 
 /// Scratch-reusing forms: bind/iterate entirely inside `scratch` (no
-/// steady-state allocations across calls). With `warm_start` true and a
-/// scratch.warm left by a previous compatible call (same structure and
-/// order, parameters only grown — the usweep contract), each task's
-/// iteration is seeded from its previous fixed point. Responses are
-/// identical either way; iteration counts shrink.
+/// steady-state allocations across calls beyond the result vector).
 [[nodiscard]] FpAnalysis analyze_preemptive_fp(const TaskSet& ts, const PriorityOrder& order,
-                                               int fuel, RtaScratch& scratch,
-                                               bool warm_start = false);
+                                               int fuel, RtaScratch& scratch);
 [[nodiscard]] FpAnalysis analyze_nonpreemptive_fp(const TaskSet& ts, const PriorityOrder& order,
-                                                  Formulation form, int fuel, RtaScratch& scratch,
-                                                  bool warm_start = false);
-
-/// Whole-set outcome folded down to what a sweep cell needs — exactly the
-/// information run_usweep derives from an FpAnalysis, but computed without
-/// materializing the per-task result vector, so a warm sweep step performs
-/// zero allocations. The fold is order-independent (sticky kNoBound on any
-/// non-convergence, max over responses, summed iterations), hence
-/// bit-identical to folding analyze_*_fp's per_task output.
-struct FpCellResult {
-  bool schedulable = false;
-  Ticks worst_response = 0;  ///< kNoBound if any task diverged / ran out of fuel
-  std::uint64_t iterations = 0;  ///< Σ per-task fixed-point iterations
-};
-
-[[nodiscard]] FpCellResult analyze_fp_cell(const TaskSet& ts, const PriorityOrder& order,
-                                           bool preemptive, Formulation form, int fuel,
-                                           RtaScratch& scratch, bool warm_start);
+                                                  Formulation form, int fuel, RtaScratch& scratch);
 
 }  // namespace profisched

@@ -68,7 +68,6 @@ struct FixedPointResult {
   Status status = Status::kFallback;
   bool converged = false;
   Ticks value = 0;     ///< converged fixed point (valid when converged)
-  Ticks last = 0;      ///< last finite iterate examined (warm-start seed)
   int iterations = 0;  ///< matches the scalar reference count exactly
 };
 

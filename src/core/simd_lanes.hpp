@@ -247,7 +247,6 @@ FixedPointResult fp_fixed_point_impl(const Ticks* C, const Ticks* T, const Ticks
 
   Ticks w = w0;
   for (int it = 0; it < fuel; ++it) {
-    out.last = w;
     typename B::I acc = B::set1(0);
     const typename B::I wv = B::set1(w);
     for (std::size_t j = 0; j < vec_n; j += B::kLanes) {

@@ -128,8 +128,8 @@ const TaskSetView& TaskSetArena::bind_rows(const std::size_t* order, std::size_t
   // Pad to the widest lane width so full-set kernels need no tail pass.
   const std::size_t np = (n + 3) & ~std::size_t{3};
   // Reciprocals only depend on the T column: a position keeps its division
-  // while its period is unchanged (a utilization sweep never changes T; an
-  // OPA level test moves only the rotated positions).
+  // while its period is unchanged (an OPA level test moves only the rotated
+  // positions).
   c_.resize(np);
   t_.resize(np);
   d_.resize(np);
@@ -169,16 +169,10 @@ const TaskSetView& TaskSetArena::bind_rows(const std::size_t* order, std::size_t
 /// Per-worker scratch for the optimized core analyses: one arena plus the
 /// buffers the kernels would otherwise allocate per call. Reusing one
 /// RtaScratch across calls makes whole-set analyses allocation-free in
-/// steady state (only the per-call result vectors remain).
-///
-/// `warm` carries converged fixed points between *compatible* calls: the
-/// same task structure under the same priority order, with parameters that
-/// only grew (the utilization-sweep contract, see usweep.hpp). The analyses
-/// refresh it on every run; callers opt into seeding from it explicitly.
+/// steady state (only the per-call result vectors remain). No analysis
+/// result carries over from one call to the next.
 struct RtaScratch {
   TaskSetArena arena;
-  std::vector<Ticks> warm;                ///< per-rank converged queueing fixed points
-  Ticks warm_busy = 0;                    ///< converged busy-period length
   std::vector<std::uint64_t> next_terms;  ///< EDF offset walk: each item's next deadline term
   std::vector<Ticks> caps;                ///< EDF offset walk: each item's terms <= a + D_i
   std::vector<Ticks> np_blocking;         ///< per-rank suffix-max blocking factors

@@ -16,7 +16,7 @@ namespace {
 /// core's NP-FP kernel with blocking T*_cycle, R from AP-queue insertion.
 StreamResponse message_response(const TaskSetView& pv, std::size_t rank, Formulation form,
                                 int fuel) {
-  const RtaResult r = response_time_nonpreemptive(pv, rank, form, fuel, 0, kMessageModel);
+  const RtaResult r = response_time_nonpreemptive(pv, rank, form, fuel, kMessageModel);
   return {r.queueing, r.response,
           r.converged && r.response != kNoBound && r.response <= pv.D[rank]};
 }
@@ -24,7 +24,7 @@ StreamResponse message_response(const TaskSetView& pv, std::size_t rank, Formula
 /// message_response(...).meets_deadline, with D as the fixed point's bound:
 /// a miss stops at the first iterate above D − T_cycle.
 bool message_meets(const TaskSetView& pv, std::size_t rank, Formulation form, int fuel) {
-  return response_time_nonpreemptive(pv, rank, form, fuel, 0, kMessageModel, pv.D[rank])
+  return response_time_nonpreemptive(pv, rank, form, fuel, kMessageModel, pv.D[rank])
       .meets(pv.D[rank]);
 }
 

@@ -202,7 +202,7 @@ TEST_P(FpBound, MeetsExactlyWhatTheUnboundedIterationMeets) {
         for (const ItemModel model : {kTaskModel, kMessageModel}) {
           for (std::size_t rank = 0; rank < v.n; ++rank) {
             const auto run = [&](Ticks bound) {
-              return response_time_nonpreemptive(v, rank, form, 1 << 16, 0, model, bound);
+              return response_time_nonpreemptive(v, rank, form, 1 << 16, model, bound);
             };
             const RtaResult exact = run(kNoBound);
             const Ticks r = exact.converged ? exact.response : kNoBound;

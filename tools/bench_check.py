@@ -4,13 +4,15 @@
 Usage: bench_check.py CURRENT.json BASELINE.json
 
 Checks, in order:
-  1. schema match;
-  2. deterministic sanity — warm-started sweeps must do strictly less
-     fixed-point work than cold ones, and (same-config runs only) the
-     simulator must process exactly the baseline's event count: a drift
-     means the simulation behaved differently, not just slower;
+  1. schema match, and no stale baseline: every baseline key must be one the
+     current run emits (a *_simd_ratio key only when the current run had a
+     vector backend live), so the baseline cannot keep gates whose code the
+     harness no longer runs;
+  2. deterministic sanity — on same-config runs the simulator must process
+     exactly the baseline's event count: a drift means the simulation
+     behaved differently, not just slower;
   3. the headline acceptance: at least one in-binary speedup pair
-     (reference vs optimized analyze, cold vs warm sweep) must show >= 2x;
+     (reference vs optimized analyze) must show >= 2x;
   4. regression: no tracked speedup ratio may fall below half its baseline
      value, and no throughput metric below half the baseline (the ">2x
      regression fails" contract — ratios are machine-independent, the two
@@ -31,23 +33,15 @@ import sys
 SPEEDUP_PAIRS = [
     ("core_np_dm_analyze_ns_ref", "core_np_dm_analyze_ns_opt", "NP-DM analyze"),
     ("core_edf_analyze_ns_ref", "core_edf_analyze_ns_opt", "EDF analyze"),
-    ("usweep_fp_cold_ms", "usweep_fp_warm_ms", "FP u-grid sweep"),
-    ("usweep_fp_cold_iters", "usweep_fp_warm_iters", "FP u-grid iterations"),
 ]
 THROUGHPUT_KEYS = ["engine_scenarios_per_sec", "sim_events_per_sec"]
 SIMD_RATIO_KEYS = [
     ("core_np_dm_simd_ratio", "NP-DM analyze scalar/vector"),
     ("core_edf_simd_ratio", "EDF analyze scalar/vector"),
     ("core_busy_simd_ratio", "busy period scalar/vector"),
-    ("usweep_fp_warm_simd_ratio", "FP u-grid warm sweep scalar/vector"),
 ]
 # The vector path may not be slower than scalar beyond timing noise.
 SIMD_RATIO_FLOOR = 0.9
-WARM_LESS_THAN_COLD = [
-    ("usweep_warm_fp_iters", "usweep_cold_fp_iters"),
-    ("usweep_warm_busy_iters", "usweep_cold_busy_iters"),
-    ("usweep_fp_warm_iters", "usweep_fp_cold_iters"),
-]
 
 
 def fail(msg):
@@ -75,12 +69,10 @@ def main():
     if cur.get("schema") != base.get("schema"):
         rc |= fail(f"schema mismatch: {cur.get('schema')} vs {base.get('schema')}")
 
-    for warm_key, cold_key in WARM_LESS_THAN_COLD:
-        warm, cold = cur.get(warm_key), cur.get(cold_key)
-        if warm is None or cold is None:
-            rc |= fail(f"missing iteration counters {warm_key}/{cold_key}")
-        elif warm >= cold:
-            rc |= fail(f"warm start did not help: {warm_key}={warm} >= {cold_key}={cold}")
+    simd_live = cur.get("simd_active") == 1
+    for key in base:
+        if key not in cur and (simd_live or not key.endswith("_simd_ratio")):
+            rc |= fail(f"stale baseline: {key} is not emitted by the current run")
 
     same_config = cur.get("quick") == base.get("quick")
     if same_config and "sim_events_per_run" in base:
@@ -109,7 +101,7 @@ def main():
     if best < 2.0:
         rc |= fail(f"no tracked kernel reached the 2x acceptance bar (best {best:.2f}x)")
 
-    if cur.get("simd_active") == 1:
+    if simd_live:
         for key, label in SIMD_RATIO_KEYS:
             cur_r = cur.get(key)
             if cur_r is None:
