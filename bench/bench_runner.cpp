@@ -9,10 +9,12 @@
 //   * per-scenario analyze ns/op — the core fixed-priority / EDF whole-set
 //     analyses, measured BOTH through the retained reference implementations
 //     (per-task index-span calls, exactly the seed-era analyze loop) and
-//     through the SoA + scratch fast path, so the speedup ratio is computed
-//     in-binary and is robust to machine noise;
+//     through the SoA + scratch fast path, each key the median window of
+//     interleaved reference/fast-path window pairs, so the speedup ratio is
+//     computed in-binary and is robust to machine noise;
 //   * SIMD dispatch ratios — the same fast paths timed with the vector
-//     kernels live vs force_scalar(true), from one binary, with every result
+//     kernels live vs force_scalar(true), from one binary, as the median
+//     ratio over interleaved scalar/vector window pairs, with every result
 //     (verdicts, WCRTs, iteration counts) compared bit-for-bit between the
 //     two runs; ratio keys are only meaningful when simd_active == 1;
 //   * engine scenarios/sec and simulator events/sec — end-to-end rates of
@@ -21,11 +23,11 @@
 // Every ref/opt and scalar/vector pair is also cross-checked for identical
 // results — a disagreement aborts with a non-zero exit, so CI's "fail on
 // crash" also covers silent divergence.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -49,6 +51,40 @@ struct Options {
 };
 
 double min_seconds(const Options& opt) { return opt.quick ? 0.05 : 0.3; }
+
+/// Window pairs behind each timed pair of keys (odd, so a median is one
+/// window's reading).
+constexpr int kWindowPairs = 7;
+
+double median(std::vector<double> xs) {
+  const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
+  std::nth_element(xs.begin(), mid, xs.end());
+  return *mid;
+}
+
+/// Two bodies timed as kWindowPairs interleaved window pairs, the one timed
+/// first alternating: each body's median window (ns/op) and the median of
+/// the pairs' a/b ratios. One noisy window then sets neither a key nor a
+/// ratio taken from a pair of keys.
+struct PairTiming {
+  double a_ns, b_ns, ratio;
+};
+
+template <class BodyA, class BodyB>
+PairTiming interleaved(const Options& opt, BodyA&& a, BodyB&& b) {
+  std::vector<double> ta, tb, ratio;
+  for (int p = 0; p < kWindowPairs; ++p) {
+    if (p % 2 == 0) {
+      ta.push_back(time_ns_per_op(a, min_seconds(opt)));
+      tb.push_back(time_ns_per_op(b, min_seconds(opt)));
+    } else {
+      tb.push_back(time_ns_per_op(b, min_seconds(opt)));
+      ta.push_back(time_ns_per_op(a, min_seconds(opt)));
+    }
+    ratio.push_back(ta.back() / tb.back());
+  }
+  return {median(ta), median(tb), median(ratio)};
+}
 
 std::vector<TaskSet> task_pool(std::size_t count, std::size_t n, double u) {
   std::vector<TaskSet> pool;
@@ -123,7 +159,8 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
     return total_ns / static_cast<double>(pool.size());
   };
 
-  double ns = time_ns_per_op(
+  const PairTiming np = interleaved(
+      opt,
       [&] {
         for (std::size_t s = 0; s < pool.size(); ++s) {
           const FpAnalysis a = reference_fp_analysis(pool[s], orders[s], false,
@@ -131,20 +168,16 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
           sink(&a);
         }
       },
-      min_seconds(opt));
-  const double np_ref = per_set(ns);
-  out.put("core_np_dm_analyze_ns_ref", np_ref);
-
-  ns = time_ns_per_op(
       [&] {
         for (std::size_t s = 0; s < pool.size(); ++s) {
           const FpAnalysis a =
               analyze_nonpreemptive_fp(pool[s], orders[s], kDefaultFormulation, fuel, scratch);
           sink(&a);
         }
-      },
-      min_seconds(opt));
-  const double np_opt = per_set(ns);
+      });
+  const double np_ref = per_set(np.a_ns);
+  const double np_opt = per_set(np.b_ns);
+  out.put("core_np_dm_analyze_ns_ref", np_ref);
   out.put("core_np_dm_analyze_ns_opt", np_opt);
   table.row({"NP-DM analyze (ns/set)", fmt(np_ref, 0), fmt(np_opt, 0), fmt(np_ref / np_opt, 2)});
 
@@ -169,7 +202,8 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
     }
   }
 
-  ns = time_ns_per_op(
+  const PairTiming edf = interleaved(
+      opt,
       [&] {
         for (const TaskSet& ts : pool) {
           for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -178,19 +212,15 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
           }
         }
       },
-      min_seconds(opt));
-  const double edf_ref = per_set(ns);
-  out.put("core_edf_analyze_ns_ref", edf_ref);
-
-  ns = time_ns_per_op(
       [&] {
         for (const TaskSet& ts : pool) {
           const EdfAnalysis a = analyze_preemptive_edf(ts, fuel, scratch);
           sink(&a);
         }
-      },
-      min_seconds(opt));
-  const double edf_opt_ns = per_set(ns);
+      });
+  const double edf_ref = per_set(edf.a_ns);
+  const double edf_opt_ns = per_set(edf.b_ns);
+  out.put("core_edf_analyze_ns_ref", edf_ref);
   out.put("core_edf_analyze_ns_opt", edf_opt_ns);
   table.row(
       {"EDF analyze (ns/set)", fmt(edf_ref, 0), fmt(edf_opt_ns, 0), fmt(edf_ref / edf_opt_ns, 2)});
@@ -208,25 +238,23 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
     const BusyPeriod b = synchronous_busy_period(*views[s]);
     if (a.length != b.length || a.iterations != b.iterations) die("busy period");
   }
-  ns = time_ns_per_op(
+  const PairTiming bp = interleaved(
+      opt,
       [&] {
         for (const TaskSet& ts : pool) {
           const BusyPeriod b = synchronous_busy_period(ts);
           sink(&b);
         }
       },
-      min_seconds(opt));
-  const double bp_ref = per_set(ns);
-  out.put("core_busy_period_ns_ref", bp_ref);
-  ns = time_ns_per_op(
       [&] {
         for (const TaskSetView* v : views) {
           const BusyPeriod b = synchronous_busy_period(*v);
           sink(&b);
         }
-      },
-      min_seconds(opt));
-  const double bp_opt = per_set(ns);
+      });
+  const double bp_ref = per_set(bp.a_ns);
+  const double bp_opt = per_set(bp.b_ns);
+  out.put("core_busy_period_ns_ref", bp_ref);
   out.put("core_busy_period_ns_opt", bp_opt);
   table.row({"busy period (ns/set)", fmt(bp_ref, 0), fmt(bp_opt, 0), fmt(bp_ref / bp_opt, 2)});
 }
@@ -276,50 +304,57 @@ void simd_metrics(const Options& opt, JsonObject& out, Table& table) {
     }
   }
 
+  // Scalar windows against vector windows; each key is the median ratio.
+  // Setting the dispatch per op costs one atomic store per pool pass.
   const auto timed = [&](auto&& body) {
+    const PairTiming t = interleaved(
+        opt,
+        [&] {
+          simd::force_scalar(true);
+          body();
+        },
+        [&] {
+          simd::force_scalar(false);
+          body();
+        });
     simd::force_scalar(false);
-    const double vec_ns = time_ns_per_op(body, min_seconds(opt));
-    simd::force_scalar(true);
-    const double sc_ns = time_ns_per_op(body, min_seconds(opt));
-    simd::force_scalar(false);
-    return std::pair<double, double>{sc_ns, vec_ns};
+    return t;
   };
 
-  auto [np_sc, np_vec] = timed([&] {
+  const auto report = [&](const char* key, const char* label, const PairTiming& t) {
+    out.put(key, t.ratio);
+    table.row({label, fmt(t.a_ns / static_cast<double>(pool.size()), 0),
+               fmt(t.b_ns / static_cast<double>(pool.size()), 0), fmt(t.ratio, 2)});
+  };
+
+  const PairTiming np = timed([&] {
     for (std::size_t s = 0; s < pool.size(); ++s) {
       const FpAnalysis a =
           analyze_nonpreemptive_fp(pool[s], orders[s], kDefaultFormulation, fuel, scratch);
       sink(&a);
     }
   });
-  out.put("core_np_dm_simd_ratio", np_sc / np_vec);
-  table.row({"NP-DM analyze scalar/vector", fmt(np_sc / static_cast<double>(pool.size()), 0),
-             fmt(np_vec / static_cast<double>(pool.size()), 0), fmt(np_sc / np_vec, 2)});
+  report("core_np_dm_simd_ratio", "NP-DM analyze scalar/vector", np);
 
-  auto [edf_sc_ns, edf_vec_ns] = timed([&] {
+  const PairTiming edf = timed([&] {
     for (const TaskSet& ts : pool) {
       const EdfAnalysis a = analyze_preemptive_edf(ts, fuel, scratch);
       sink(&a);
     }
   });
-  out.put("core_edf_simd_ratio", edf_sc_ns / edf_vec_ns);
-  table.row({"EDF analyze scalar/vector", fmt(edf_sc_ns / static_cast<double>(pool.size()), 0),
-             fmt(edf_vec_ns / static_cast<double>(pool.size()), 0),
-             fmt(edf_sc_ns / edf_vec_ns, 2)});
+  report("core_edf_simd_ratio", "EDF analyze scalar/vector", edf);
 
   std::vector<TaskSetArena> arenas(pool.size());
   std::vector<const TaskSetView*> views;
   views.reserve(pool.size());
   for (std::size_t s = 0; s < pool.size(); ++s) views.push_back(&arenas[s].bind(pool[s]));
-  auto [bp_sc, bp_vec] = timed([&] {
+  const PairTiming bp = timed([&] {
     for (const TaskSetView* v : views) {
       const BusyPeriod b = synchronous_busy_period(*v);
       sink(&b);
     }
   });
-  out.put("core_busy_simd_ratio", bp_sc / bp_vec);
-  table.row({"busy period scalar/vector", fmt(bp_sc / static_cast<double>(pool.size()), 0),
-             fmt(bp_vec / static_cast<double>(pool.size()), 0), fmt(bp_sc / bp_vec, 2)});
+  report("core_busy_simd_ratio", "busy period scalar/vector", bp);
 }
 
 void engine_metrics(const Options& opt, JsonObject& out, Table& table) {
