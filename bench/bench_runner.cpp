@@ -262,9 +262,9 @@ void core_analyze_metrics(const Options& opt, JsonObject& out, Table& table) {
 /// Vector-vs-scalar dispatch ratios: the same optimized paths, same binary,
 /// timed with the lane kernels live and with force_scalar(true). Results are
 /// compared bit-for-bit between the two runs first — any divergence aborts.
-/// When no backend is active (non-AVX2 host, -DPROFISCHED_NO_SIMD=ON,
-/// PROFISCHED_SIMD=0) only simd_active / simd_backend are emitted, so
-/// tools/bench_check.py knows to skip the ratio gates.
+/// When no backend is active (non-AVX2 host, PROFISCHED_SIMD=0) only
+/// simd_active / simd_backend are emitted, so tools/bench_check.py knows to
+/// skip the ratio gates.
 void simd_metrics(const Options& opt, JsonObject& out, Table& table) {
   const bool active = simd::active() != nullptr;
   out.put("simd_active", static_cast<std::uint64_t>(active ? 1 : 0));

@@ -30,9 +30,10 @@ struct BusyPeriod {
 [[nodiscard]] BusyPeriod synchronous_busy_period(const TaskSet& ts, int fuel = 1 << 20);
 
 /// SoA fast path over an identity-bound view (the reference above is
-/// retained for the equivalence suite), with the reference's iterates. The
-/// view must be identity-bound: the U > 1 guard compares a double sum whose
-/// value is summation-order-sensitive.
+/// retained for the equivalence suite): W's fixed point from Σ C_i on
+/// job_sum_fixed_point (core/fixed_point.hpp), with the reference's
+/// iterates. The view must be identity-bound: the U > 1 guard compares a
+/// double sum whose value is summation-order-sensitive.
 [[nodiscard]] BusyPeriod synchronous_busy_period(const TaskSetView& v, int fuel = 1 << 20);
 
 }  // namespace profisched

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/simd.hpp"
+#include "core/fixed_point.hpp"
 
 namespace profisched {
 
@@ -164,7 +164,7 @@ void for_each_candidate_offset(const TaskSetView& v, std::size_t i, Ticks horizo
   std::vector<std::uint64_t>& next = scratch.next_terms;
   std::vector<Ticks>& caps = scratch.caps;
   next.resize(n);
-  caps.assign(v.n_padded, 0);  // the lane kernel reads the padding slots
+  caps.resize(n);
   // Offset 0 counts each item's terms <= D_i.
   std::uint64_t term = beyond;  // the least next term
   for (std::size_t j = 0; j < n; ++j) {
@@ -208,88 +208,14 @@ void for_each_candidate_offset(const TaskSetView& v, std::size_t i, Ticks horizo
   }
 }
 
-/// W_i(a, t) / W*_i(a, t) over the view, from the walk's caps.
-Ticks hp_workload_view(const TaskSetView& v, const std::vector<Ticks>& caps, Ticks t,
-                       bool start_time_form) {
-  Ticks sum = 0;
-  for (std::size_t j = 0; j < v.n; ++j) {
-    if (caps[j] == 0) continue;
-    const Ticks by_time = start_time_form ? floor_div_plus1(sat_add(t, v.J[j]), v.T[j])
-                                          : ceil_div_plus(sat_add(t, v.J[j]), v.T[j]);
-    sum = sat_add(sum, sat_mul(std::min(by_time, caps[j]), v.C[j]));
-  }
-  return sum;
+/// Eq. 9's constant term at offset `a`: the walk's blocking plus ⌊a/T_i⌋·C_i.
+Ticks np_base(const TaskSetView& v, std::size_t i, Ticks a, Ticks blocking) {
+  return sat_add(blocking, sat_mul(floor_div(a, v.T[i]), v.C[i]));
 }
 
-/// OffsetResult plus the converged L(a) (the next offset's warm seed).
-struct OffsetOutcomeView {
-  bool converged = false;
-  Ticks response = kNoBound;
-  Ticks fixed_point = 0;
-};
-
-/// `caps` are the walk's for offset `a`.
-OffsetOutcomeView offset_preemptive_view(const TaskSetView& v, const simd::Kernels* k,
-                                         std::size_t i, Ticks a, int fuel, Ticks warm_l,
-                                         const std::vector<Ticks>& caps) {
-  const Ticks own = sat_mul(floor_div_plus1(a, v.T[i]), v.C[i]);
-  Ticks L = std::max(own, warm_l);
-  if (k != nullptr) {
-    const simd::EdfOffsetResult r =
-        k->edf_offset_fixed_point(v.C, v.T, v.J, v.recip_t, caps.data(), v.n_padded, own, L,
-                                  /*start_time_form=*/false, fuel);
-    if (r.status == simd::Status::kOk) {
-      if (!r.converged) return {};
-      return {true, std::max(v.C[i], r.fixed_point - a), r.fixed_point};
-    }
-  }
-  for (int it = 0; it < fuel; ++it) {
-    const Ticks next = sat_add(hp_workload_view(v, caps, L, false), own);
-    if (next == L) return {true, std::max(v.C[i], L - a), L};
-    if (next == kNoBound) return {};
-    L = next;
-  }
-  return {};
-}
-
-/// `limit` stops the scalar fixed point early: L climbs from 0 and never
-/// passes the least fixed point, so an iterate whose response already exceeds
-/// `limit` proves the converged response does too. The outcome then carries
-/// that iterate's response (converged, as far as the scan's fold is concerned).
-/// `blocking` and `caps` are the walk's for offset `a`, and `own_prior` is
-/// ⌊a/T_i⌋·C_i.
-OffsetOutcomeView offset_nonpreemptive_view(const TaskSetView& v, const simd::Kernels* k,
-                                            std::size_t i, Ticks a, int fuel, Ticks limit,
-                                            Ticks blocking, Ticks own_prior,
-                                            const std::vector<Ticks>& caps) {
-  if (k != nullptr) {
-    // base = blocking + own_prior: sat_add over non-negative terms is
-    // order-insensitive, so folding it up front matches the reference sum.
-    const simd::EdfOffsetResult r =
-        k->edf_offset_fixed_point(v.C, v.T, v.J, v.recip_t, caps.data(), v.n_padded,
-                                  sat_add(blocking, own_prior), /*l0=*/0,
-                                  /*start_time_form=*/true, fuel);
-    if (r.status == simd::Status::kOk) {
-      if (!r.converged) return {};
-      return {true, sat_add(v.C[i], std::max<Ticks>(0, r.fixed_point - a)), r.fixed_point};
-    }
-  }
-  const auto response = [&](Ticks l) { return sat_add(v.C[i], std::max<Ticks>(0, l - a)); };
-  Ticks L = 0;
-  for (int it = 0; it < fuel; ++it) {
-    const Ticks next =
-        sat_add(blocking, sat_add(hp_workload_view(v, caps, L, true), own_prior));
-    if (next == L) return {true, response(L), L};
-    if (next == kNoBound) return {};
-    L = next;
-    if (response(L) > limit) return {true, response(L), L};
-  }
-  return {};
-}
-
-/// The lane kernels an offset scan over `v` may use.
-const simd::Kernels* edf_lanes(const TaskSetView& v) {
-  return v.simd_ok && v.n >= simd::kMinEdfLaneTasks ? simd::active() : nullptr;
+/// Eq. 9's r_i(a) from the fixed point L(a).
+Ticks np_response(const TaskSetView& v, std::size_t i, Ticks a, Ticks l) {
+  return sat_add(v.C[i], std::max<Ticks>(0, l - a));
 }
 
 }  // namespace
@@ -297,30 +223,35 @@ const simd::Kernels* edf_lanes(const TaskSetView& v) {
 EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const BusyPeriod& busy,
                                RtaScratch& scratch, bool preemptive, ItemModel model, int fuel) {
   if (!busy.bounded()) return {};
-  const simd::Kernels* k = edf_lanes(v);
   const std::vector<Ticks>& caps = scratch.caps;
   // Folds exactly like the reference max_over_offsets.
   EdfRtaResult r;
   Ticks best = 0;
   Ticks best_a = 0;
-  Ticks warm_l = 0;
+  Ticks warm_l = 0;  // the previous offset's L(a): the preemptive scan's seed
   bool ok = true;
   const auto visit = [&](Ticks a, Ticks blocking) {
     ++r.offsets_examined;
-    OffsetOutcomeView o;
+    Ticks response = 0;
     if (preemptive) {
-      o = offset_preemptive_view(v, k, i, a, fuel, warm_l, caps);
+      // Eq. 6: the own instances (1 + ⌊a/T_i⌋)·C_i are the base.
+      const Ticks own = sat_mul(floor_div_plus1(a, v.T[i]), v.C[i]);
+      const simd::FixedPointResult fp =
+          job_sum_fixed_point<true, true>(v, v.n, caps.data(), own, std::max(own, warm_l), fuel);
+      ok = fp.converged;
+      warm_l = fp.value;
+      response = std::max(v.C[i], fp.value - a);
     } else {
-      const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
-      o = offset_nonpreemptive_view(v, k, i, a, fuel, kNoBound, blocking, own_prior, caps);
+      // Eq. 9, cold from 0: its L(a) is not monotone in a.
+      const Ticks base = np_base(v, i, a, blocking);
+      const simd::FixedPointResult fp =
+          job_sum_fixed_point<false, true>(v, v.n, caps.data(), base, 0, fuel);
+      ok = fp.converged;
+      response = np_response(v, i, a, fp.value);
     }
-    if (!o.converged) {
-      ok = false;
-      return false;
-    }
-    if (preemptive) warm_l = o.fixed_point;
-    if (o.response > best) {
-      best = o.response;
+    if (!ok) return false;
+    if (response > best) {
+      best = response;
       best_a = a;
     }
     return true;
@@ -337,7 +268,6 @@ EdfRtaResult edf_response_time(const TaskSetView& v, std::size_t i, const BusyPe
 bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const BusyPeriod& busy,
                         RtaScratch& scratch, ItemModel model, int fuel, Ticks from) {
   if (!busy.bounded()) return false;
-  const simd::Kernels* k = edf_lanes(v);
   // The bound on r_i(a): the reported response adds J_i under Origin::Arrival.
   const Ticks limit = v.D[i] - (model.origin == Origin::Arrival ? v.J[i] : 0);
   const std::vector<Ticks>& caps = scratch.caps;
@@ -350,20 +280,19 @@ bool edf_meets_deadline(const TaskSetView& v, std::size_t i, const BusyPeriod& b
   bool meets = true;
   const auto visit = [&](Ticks a, Ticks blocking) {
     if (a < from) return true;
-    const Ticks own_prior = sat_mul(floor_div(a, v.T[i]), v.C[i]);
+    const Ticks base = np_base(v, i, a, blocking);
     // r_i(a) <= limit exactly when L(a) <= L̂ = a + limit − C_i. A pre-fixed
     // point f(L̂) <= L̂ bounds the least fixed point, which the iteration
     // from 0 reaches, so one evaluation of eq. 18 at L̂ accepts the offset.
-    if (limit >= v.C[i] && min_c > 0) {
-      const Ticks l_hat = sat_add(a, limit - v.C[i]);
-      if (l_hat / min_c <= fuel - 2) {
-        const Ticks work = hp_workload_view(v, caps, l_hat, /*start_time_form=*/true);
-        if (sat_add(blocking, sat_add(work, own_prior)) <= l_hat) return true;
-      }
+    const Ticks l_hat = sat_add(a, limit - v.C[i]);
+    if (limit >= v.C[i] && min_c > 0 && l_hat / min_c <= fuel - 2 &&
+        sat_add(base, job_sum<false, true>(v, v.n, caps.data(), l_hat)) <= l_hat) {
+      return true;
     }
-    const OffsetOutcomeView o =
-        offset_nonpreemptive_view(v, k, i, a, fuel, limit, blocking, own_prior, caps);
-    meets = o.converged && o.response <= limit;
+    // Otherwise the fixed point from 0, stopped once an iterate passes L̂.
+    const simd::FixedPointResult fp =
+        job_sum_fixed_point<false, true>(v, v.n, caps.data(), base, 0, fuel, l_hat);
+    meets = fp.converged && np_response(v, i, a, fp.value) <= limit;
     return meets;
   };
   for_each_candidate_offset(v, i, busy.length, model.blocking, scratch, visit);

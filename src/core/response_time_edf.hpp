@@ -99,6 +99,9 @@ struct EdfAnalysis {
 //    each item's next term) that also counts each offset's deadline caps
 //    and finds its blocking term: no offset needs a sort, and no cap a
 //    division;
+//  * each offset's L(a) is job_sum_fixed_point (core/fixed_point.hpp) over
+//    the walk's caps: the lane kernel from simd::kMinLaneTasks items, the
+//    verdict scan's limited fixed points included;
 //  * preemptive only: the offset scan seeds each offset's fixed point L(a)
 //    from the previous offset's converged value — L(a) is monotone
 //    non-decreasing in a (W_i(a,t) and the own-instance term only grow with

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/simd.hpp"
+#include "core/fixed_point.hpp"
 
 namespace profisched {
 
@@ -86,72 +86,21 @@ RtaResult response_time_nonpreemptive(const TaskSet& ts, std::size_t i,
 
 namespace {
 
-/// Σ_j I_j(w) over the priority prefix [0, hp_count) of a permuted view —
-/// the same sum as interference() above, streamed from flat arrays. The
-/// Formulation branch is hoisted to a template parameter so the loop body is
-/// branch-free (Ceil == PaperLiteral's ceil_div_plus).
-template <bool Ceil>
-Ticks interference(const TaskSetView& pv, std::size_t hp_count, Ticks w) {
-  Ticks sum = 0;
-  for (std::size_t j = 0; j < hp_count; ++j) {
-    const Ticks arg = sat_add(w, pv.J[j]);
-    const Ticks jobs = Ceil ? ceil_div_plus(arg, pv.T[j]) : floor_div_plus1(arg, pv.T[j]);
-    sum = sat_add(sum, sat_mul(jobs, pv.C[j]));
-  }
-  return sum;
-}
-
-/// `limit` stops the iteration at the first iterate above it (see
-/// response_time_nonpreemptive's `bound`); kNoBound never stops it.
-template <bool Ceil>
-RtaResult iterate_scalar(const TaskSetView& pv, std::size_t hp_count, Ticks base, Ticks w0,
-                         int fuel, Ticks limit) {
+/// The fixed point w → base + Σ_{j < hp_count} I_j(w) over the priority
+/// prefix of a permuted view, from w0, stopped at the first iterate above
+/// `limit` (see response_time_nonpreemptive's `bound`). PaperLiteral's I_j
+/// is the ceil form.
+RtaResult iterate(const TaskSetView& pv, std::size_t hp_count, Ticks base, Ticks w0,
+                  Formulation form, int fuel, Ticks limit = kNoBound) {
+  const simd::FixedPointResult fp =
+      form == Formulation::PaperLiteral
+          ? job_sum_fixed_point<true, false>(pv, hp_count, nullptr, base, w0, fuel, limit)
+          : job_sum_fixed_point<false, false>(pv, hp_count, nullptr, base, w0, fuel, limit);
   RtaResult out;
-  Ticks w = w0;
-  for (int it = 0; it < fuel; ++it) {
-    if (w > limit) return out;
-    const Ticks next = sat_add(base, interference<Ceil>(pv, hp_count, w));
-    out.iterations = it + 1;
-    if (next == w) {
-      out.converged = true;
-      out.response = w;
-      out.queueing = w;
-      return out;
-    }
-    if (next == kNoBound) return out;
-    w = next;
-  }
+  out.converged = fp.converged;
+  out.iterations = fp.iterations;
+  if (fp.converged) out.response = out.queueing = fp.value;
   return out;
-}
-
-RtaResult iterate(const TaskSetView& pv, const simd::Kernels* k, std::size_t hp_count, Ticks base,
-                  Ticks w0, Formulation form, int fuel, Ticks limit = kNoBound) {
-  const bool ceil_form = form == Formulation::PaperLiteral;
-  // The lane kernel runs to the fixed point; a limited iteration stays scalar.
-  if (k != nullptr && hp_count >= simd::kMinFpLaneTasks && limit == kNoBound) {
-    const simd::FixedPointResult r =
-        k->fp_fixed_point(pv.C, pv.T, pv.J, pv.recip_t, hp_count, base, w0, ceil_form, fuel);
-    if (r.status == simd::Status::kOk) {
-      RtaResult out;
-      out.converged = r.converged;
-      out.iterations = r.iterations;
-      if (r.converged) out.response = out.queueing = r.value;
-      return out;
-    }
-    // A gate tripped mid-iteration: recompute entirely from the original seed
-    // on the exact scalar path (deterministic, so the result is identical to
-    // a scalar-only run).
-  }
-  return ceil_form ? iterate_scalar<true>(pv, hp_count, base, w0, fuel, limit)
-                   : iterate_scalar<false>(pv, hp_count, base, w0, fuel, limit);
-}
-
-RtaResult preemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k, std::size_t rank,
-                                 int fuel) {
-  const Ticks ci = pv.C[rank];
-  RtaResult r = iterate(pv, k, rank, ci, ci, Formulation::PaperLiteral, fuel);
-  if (r.converged) r.response = sat_add(r.response, pv.J[rank]);
-  return r;
 }
 
 /// One lower-priority item's blocking contribution (see blocking_factor).
@@ -166,14 +115,13 @@ Ticks blocking_cost(Ticks c, Formulation form, Blocking blocking) {
 /// non-negative operands, so the whole-set driver precomputes them
 /// incrementally (suffix max / running prefix) with results identical to the
 /// per-rank scans.
-RtaResult nonpreemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* k,
-                                    std::size_t rank, Formulation form, int fuel, Ticks b,
-                                    Ticks hp_exec, Origin origin = Origin::Arrival,
-                                    Ticks bound = kNoBound) {
+RtaResult nonpreemptive_fixed_point(const TaskSetView& pv, std::size_t rank, Formulation form,
+                                    int fuel, Ticks b, Ticks hp_exec,
+                                    Origin origin = Origin::Arrival, Ticks bound = kNoBound) {
   // R = w + C_i (+ J_i), so R exceeds the bound exactly when w exceeds this.
   const Ticks added = origin == Origin::Arrival ? sat_add(pv.C[rank], pv.J[rank]) : pv.C[rank];
   const Ticks limit = bound == kNoBound ? kNoBound : bound - added;
-  RtaResult r = iterate(pv, k, rank, b, sat_add(b, hp_exec), form, fuel, limit);
+  RtaResult r = iterate(pv, rank, b, sat_add(b, hp_exec), form, fuel, limit);
   if (r.converged) r.response = sat_add(r.response, added);
   return r;
 }
@@ -182,7 +130,6 @@ RtaResult nonpreemptive_fixed_point(const TaskSetView& pv, const simd::Kernels* 
 FpAnalysis analyze_view(const TaskSet& ts, const PriorityOrder& order, bool preemptive,
                         Formulation form, int fuel, RtaScratch& scratch) {
   const TaskSetView& pv = scratch.arena.bind(ts, order);
-  const simd::Kernels* k = pv.simd_ok ? simd::active() : nullptr;
 
   if (!preemptive) {
     // Suffix-max blocking factors: np_blocking[r] == blocking_factor(pv,
@@ -200,10 +147,9 @@ FpAnalysis analyze_view(const TaskSet& ts, const PriorityOrder& order, bool pree
   out.schedulable = true;
   Ticks hp_exec = 0;  // running Σ_{j < rank} C_j (saturating)
   for (std::size_t rank = 0; rank < pv.n; ++rank) {
-    const RtaResult r =
-        preemptive ? preemptive_fixed_point(pv, k, rank, fuel)
-                   : nonpreemptive_fixed_point(pv, k, rank, form, fuel, scratch.np_blocking[rank],
-                                               hp_exec);
+    const RtaResult r = preemptive ? response_time_preemptive(pv, rank, fuel)
+                                   : nonpreemptive_fixed_point(pv, rank, form, fuel,
+                                                               scratch.np_blocking[rank], hp_exec);
     hp_exec = sat_add(hp_exec, pv.C[rank]);
     out.per_task[pv.index[rank]] = r;
     if (!r.meets(pv.D[rank])) out.schedulable = false;
@@ -223,16 +169,17 @@ Ticks blocking_factor(const TaskSetView& pv, std::size_t first_lower, Formulatio
 }
 
 RtaResult response_time_preemptive(const TaskSetView& pv, std::size_t rank, int fuel) {
-  const simd::Kernels* k = pv.simd_ok ? simd::active() : nullptr;
-  return preemptive_fixed_point(pv, k, rank, fuel);
+  const Ticks ci = pv.C[rank];
+  RtaResult r = iterate(pv, rank, ci, ci, Formulation::PaperLiteral, fuel);
+  if (r.converged) r.response = sat_add(r.response, pv.J[rank]);
+  return r;
 }
 
 RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank, Formulation form,
                                       int fuel, ItemModel model, Ticks bound) {
-  const simd::Kernels* k = pv.simd_ok && rank >= simd::kMinFpLaneTasks ? simd::active() : nullptr;
   Ticks hp_exec = 0;
   for (std::size_t j = 0; j < rank; ++j) hp_exec = sat_add(hp_exec, pv.C[j]);
-  return nonpreemptive_fixed_point(pv, k, rank, form, fuel,
+  return nonpreemptive_fixed_point(pv, rank, form, fuel,
                                    blocking_factor(pv, rank + 1, form, model.blocking), hp_exec,
                                    model.origin, bound);
 }

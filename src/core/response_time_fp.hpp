@@ -93,8 +93,9 @@ struct FpAnalysis {
 // instead: higher-priority tasks are the prefix [0, rank), lower-priority
 // ones the suffix (rank, n), so the interference loop streams four flat
 // arrays with no index indirection and no per-task vector builds. Each
-// fixed point starts where the reference's does, so the iterates and their
-// count are the reference's too.
+// fixed point runs on job_sum_fixed_point (core/fixed_point.hpp) from where
+// the reference's starts, so the iterates and their count are the
+// reference's too.
 
 /// Blocking factor over the view suffix [first_lower, n): max C_j when
 /// `blocking` is Full (messages, T*_cycle) or the formulation is
@@ -117,8 +118,9 @@ struct FpAnalysis {
 /// point and never pass it, so the first iterate whose response would exceed
 /// the bound proves the converged response does too: the iteration stops
 /// there, unconverged, as if out of fuel. meets(bound) is therefore exactly
-/// the unbounded result's meets(bound). A bounded call runs the scalar loop;
-/// the default kNoBound is the full fixed point, bit for bit.
+/// the unbounded result's meets(bound). Bounded or not, the call takes the
+/// lane kernel from simd::kMinLaneTasks higher-priority items; the default
+/// kNoBound is the full fixed point, bit for bit.
 [[nodiscard]] RtaResult response_time_nonpreemptive(const TaskSetView& pv, std::size_t rank,
                                                     Formulation form = kDefaultFormulation,
                                                     int fuel = 1 << 16,

@@ -1,14 +1,12 @@
-// simd.cpp — kernel-table dispatch. Detection runs once per process:
-// compile-time opt-out (-DPROFISCHED_NO_SIMD=ON) and the PROFISCHED_SIMD=0
-// environment knob both pin the scalar reference paths; otherwise the AVX2
-// table is selected after a cpuid check (the AVX2 TU is the only one built
-// with -mavx2, so the rest of the library stays baseline-ISA) and NEON is
-// the aarch64 baseline. force_scalar() is a process-wide override the bench
-// harness and equivalence tests flip to time/compare both paths in one
-// binary.
+// simd.cpp — kernel-table dispatch. Detection runs once per process, from a
+// static initializer: the PROFISCHED_SIMD=0 environment knob pins the scalar
+// loop; otherwise the AVX2 table is selected after a cpuid check (the AVX2
+// TU is the only one built with -mavx2, so the rest of the library stays
+// baseline-ISA) and NEON is the aarch64 baseline. force_scalar() is a
+// process-wide override the bench harness and equivalence tests flip to
+// time/compare both paths in one binary.
 #include "core/simd.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -21,8 +19,6 @@ const Kernels* neon_kernels() noexcept;  // simd_neon.cpp (nullptr off-aarch64)
 
 namespace {
 
-std::atomic<bool> g_force_scalar{false};
-
 bool env_disabled() noexcept {
   const char* v = std::getenv("PROFISCHED_SIMD");
   if (v == nullptr) return false;
@@ -31,16 +27,14 @@ bool env_disabled() noexcept {
 }
 
 const Kernels* detect() noexcept {
-#if defined(PROFISCHED_NO_SIMD)
-  return nullptr;
-#else
   if (env_disabled()) return nullptr;
 #if defined(__x86_64__) || defined(__i386__)
+  // Static initializers may run before the runtime fills in the cpu model.
+  __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) return avx2_kernels();
   return nullptr;
 #else
   return neon_kernels();
-#endif
 #endif
 }
 
@@ -51,11 +45,11 @@ const Kernels* detected() noexcept {
 
 }  // namespace
 
-const Kernels* active() noexcept {
-  return g_force_scalar.load(std::memory_order_relaxed) ? nullptr : detected();
-}
+std::atomic<const Kernels*> detail::g_active{detected()};
 
-void force_scalar(bool on) noexcept { g_force_scalar.store(on, std::memory_order_relaxed); }
+void force_scalar(bool on) noexcept {
+  detail::g_active.store(on ? nullptr : detected(), std::memory_order_relaxed);
+}
 
 const char* backend_name() noexcept {
   const Kernels* k = detected();

@@ -1,18 +1,19 @@
-// simd_lanes.hpp — lane backends and the generic kernel bodies they
+// simd_lanes.hpp — lane backends and the one generic kernel body they
 // instantiate. Internal to the simd*.cpp TUs; everything else includes only
 // simd.hpp.
 //
-// The bodies are written once, templated over a backend that supplies
-// fixed-width 64-bit integer and double lanes. Three backends exist:
+// The body is written once, templated over a backend that supplies
+// fixed-width 64-bit integer and double lanes and over the job-sum form
+// (ceil or floor+1, capped or not). Three backends exist:
 //   - ScalarBackend: plain arrays, compiles everywhere — this is what the
 //     equivalence tests exercise, so the shared body logic is verified even
-//     on builds without AVX2/NEON.
+//     on machines without AVX2/NEON.
 //   - Avx2Backend: visible only in a TU compiled with -mavx2 (simd_avx2.cpp).
 //   - NeonBackend: aarch64 baseline (simd_neon.cpp).
 //
 // Exactness contract (see simd.hpp): callers certify input magnitudes
 // ≤ 2^44 and the relational invariant 0 ≤ C ≤ T (T ≥ 1) — TaskSetView::simd_ok
-// checks both at bind time — and the bodies gate every iterate to ≤ 2^44,
+// checks both at bind time — and the body gates every iterate to ≤ 2^44,
 // returning Status::kFallback the moment a check trips. Inside that region
 // every lane product is statically bounded: jobs ≤ a'/T + 1 with |a'| < 2^46,
 // so jobs·C ≤ a'·(C/T) + C < 2^47 — no per-iteration overflow gate is
@@ -211,7 +212,7 @@ struct NeonBackend {
 };
 #endif  // __aarch64__
 
-// --------------------------------------------------------- generic bodies
+// ----------------------------------------------------------- generic body
 
 /// Lane job count:
 ///   jobs = max(floor((a + addend) / T) + inc, 0)
@@ -233,123 +234,67 @@ typename B::I lane_jobs(typename B::I a, typename B::I tv, typename B::F recip) 
   return B::and_(jobs, B::cmpgt(jobs, B::set1(-1)));  // max(jobs, 0)
 }
 
-// The bodies below do not re-verify the caller contract (magnitudes ≤ 2^44,
+// The body below does not re-verify the caller contract (magnitudes ≤ 2^44,
 // 0 ≤ C ≤ T, T ≥ 1): TaskSetView::simd_ok certifies it at bind time, and it
 // is what makes every lane product statically exact (jobs·C < 2^47).
 
-template <class B, bool Ceil>
-FixedPointResult fp_fixed_point_impl(const Ticks* C, const Ticks* T, const Ticks* J,
-                                     const double* recip_t, std::size_t count, Ticks base,
-                                     Ticks w0, int fuel) {
+/// The one lane body (see simd::FixedPointFn). Full lane blocks cover
+/// [0, count − count % kLanes); the scalar tail covers the rest, so no
+/// padding is read. Each evaluation checks `limit` before the kMaxAccum
+/// gate: an iterate that is exact and above the limit ends the iteration
+/// where the scalar loop ends it, with the same count.
+template <class B, bool Ceil, bool Capped>
+FixedPointResult fixed_point_impl(const Ticks* C, const Ticks* T, const Ticks* J,
+                                  const double* recip_t, const Ticks* caps, std::size_t count,
+                                  Ticks base, Ticks seed, Ticks limit, int fuel) {
   FixedPointResult out;
-  if (count > kMaxTasks || base < 0 || base > kMaxAccum || w0 < 0 || w0 > kMaxAccum) return out;
+  if (count > kMaxTasks || base < 0 || base > kMaxAccum || seed < 0 || seed > kMaxAccum) {
+    return out;
+  }
+  out.status = Status::kOk;
+  if (seed > limit) return out;
   const std::size_t vec_n = count - count % B::kLanes;
 
-  Ticks w = w0;
-  for (int it = 0; it < fuel; ++it) {
+  Ticks w = seed;
+  for (int it = 1; it <= fuel; ++it) {
     typename B::I acc = B::set1(0);
     const typename B::I wv = B::set1(w);
     for (std::size_t j = 0; j < vec_n; j += B::kLanes) {
       const typename B::I tv = B::load(T + j);
-      const typename B::I cv = B::load(C + j);
       const typename B::I a = B::add(wv, B::load(J + j));
-      const typename B::I jb = lane_jobs<B, Ceil>(a, tv, B::fload(recip_t + j));
-      acc = B::add(acc, B::mul_lo(jb, cv));
+      typename B::I jb = lane_jobs<B, Ceil>(a, tv, B::fload(recip_t + j));
+      if constexpr (Capped) {
+        const typename B::I cap = B::load(caps + j);
+        jb = B::blend(jb, cap, B::cmpgt(jb, cap));  // min
+      }
+      acc = B::add(acc, B::mul_lo(jb, B::load(C + j)));
     }
     Ticks sum = B::reduce_add(acc);
     for (std::size_t j = vec_n; j < count; ++j) {
       const Ticks arg = sat_add(w, J[j]);
-      const Ticks jobs = Ceil ? ceil_div_plus(arg, T[j]) : floor_div_plus1(arg, T[j]);
+      Ticks jobs = Ceil ? ceil_div_plus(arg, T[j]) : floor_div_plus1(arg, T[j]);
+      if constexpr (Capped) jobs = jobs < caps[j] ? jobs : caps[j];
       sum = sat_add(sum, sat_mul(jobs, C[j]));
     }
     const Ticks next = sat_add(base, sum);
-    out.iterations = it + 1;
+    out.iterations = it;
     if (next == w) {
-      out.status = Status::kOk;
       out.converged = true;
       out.value = w;
       return out;
     }
-    if (next == kNoBound) {
-      out.status = Status::kOk;  // reference diverges at the identical iterate
-      return out;
-    }
-    if (next > kMaxAccum) return out;  // kFallback: leaving the exact region
+    if (next > limit) return out;  // exact in-region: the reference stops here too
+    if (next > kMaxAccum) return FixedPointResult{};  // kFallback: leaving the exact region
     w = next;
   }
-  out.status = Status::kOk;  // fuel exhausted in-region: reference state identical
-  return out;
-}
-
-template <class B, bool StartForm>
-EdfOffsetResult edf_offset_impl(const Ticks* C, const Ticks* T, const Ticks* J,
-                                const double* recip_t, const Ticks* caps, std::size_t count,
-                                Ticks base, Ticks l0, int fuel) {
-  EdfOffsetResult out;
-  if (count > kMaxTasks || base < 0 || base > kMaxAccum || l0 < 0 || l0 > kMaxAccum) {
-    return out;
-  }
-  const std::size_t vec_n = count - count % B::kLanes;
-
-  Ticks L = l0;
-  for (int it = 0; it < fuel; ++it) {
-    typename B::I acc = B::set1(0);
-    const typename B::I lv = B::set1(L);
-    for (std::size_t j = 0; j < vec_n; j += B::kLanes) {
-      const typename B::I tv = B::load(T + j);
-      const typename B::I cv = B::load(C + j);
-      const typename B::I a = B::add(lv, B::load(J + j));
-      const typename B::I jb = lane_jobs<B, !StartForm>(a, tv, B::fload(recip_t + j));
-      const typename B::I cap = B::load(caps + j);
-      const typename B::I m = B::blend(jb, cap, B::cmpgt(jb, cap));  // min
-      acc = B::add(acc, B::mul_lo(m, cv));
-    }
-    Ticks sum = B::reduce_add(acc);
-    for (std::size_t j = vec_n; j < count; ++j) {
-      const Ticks arg = sat_add(L, J[j]);
-      const Ticks by_time = StartForm ? floor_div_plus1(arg, T[j]) : ceil_div_plus(arg, T[j]);
-      sum = sat_add(sum, sat_mul(by_time < caps[j] ? by_time : caps[j], C[j]));
-    }
-    const Ticks next = sat_add(base, sum);
-    if (next == L) {
-      out.status = Status::kOk;
-      out.converged = true;
-      out.fixed_point = L;
-      return out;
-    }
-    if (next == kNoBound) {
-      out.status = Status::kOk;  // reference diverges identically
-      return out;
-    }
-    if (next > kMaxAccum) return out;  // kFallback
-    L = next;
-  }
-  out.status = Status::kOk;  // fuel exhausted in-region
-  return out;
-}
-
-// --------------------------------------------------- runtime-bool wrappers
-
-template <class B>
-FixedPointResult fp_fixed_point_k(const Ticks* C, const Ticks* T, const Ticks* J,
-                                  const double* recip_t, std::size_t count, Ticks base, Ticks w0,
-                                  bool ceil_form, int fuel) {
-  return ceil_form ? fp_fixed_point_impl<B, true>(C, T, J, recip_t, count, base, w0, fuel)
-                   : fp_fixed_point_impl<B, false>(C, T, J, recip_t, count, base, w0, fuel);
-}
-
-template <class B>
-EdfOffsetResult edf_offset_k(const Ticks* C, const Ticks* T, const Ticks* J, const double* recip_t,
-                             const Ticks* caps, std::size_t count, Ticks base, Ticks l0,
-                             bool start_time_form, int fuel) {
-  return start_time_form
-             ? edf_offset_impl<B, true>(C, T, J, recip_t, caps, count, base, l0, fuel)
-             : edf_offset_impl<B, false>(C, T, J, recip_t, caps, count, base, l0, fuel);
+  return out;  // fuel exhausted in-region: reference state identical
 }
 
 template <class B>
 constexpr Kernels make_kernels(const char* name) {
-  return Kernels{name, &fp_fixed_point_k<B>, &edf_offset_k<B>};
+  return Kernels{name,
+                 {{&fixed_point_impl<B, false, false>, &fixed_point_impl<B, false, true>},
+                  {&fixed_point_impl<B, true, false>, &fixed_point_impl<B, true, true>}}};
 }
 
 }  // namespace profisched::simd::detail

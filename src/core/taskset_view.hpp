@@ -48,19 +48,13 @@ struct TaskSetView {
   const std::size_t* index = nullptr;  ///< view position -> TaskSet position
   std::size_t n = 0;
 
-  /// Arena-bound views pad the four arrays out to this count (a multiple of
-  /// the widest lane width) with neutral slots (C=0, T=1, D=0, J=0) so the
-  /// full-set vector kernels need no tail handling; the padding contributes
-  /// exactly zero to every sum. n_padded == n for hand-built views.
-  std::size_t n_padded = 0;
-
-  /// Per-element 1.0 / T[i] (padded like the arrays), or nullptr for
-  /// hand-built views. Precomputed at bind so the lane kernels never divide.
+  /// Per-element 1.0 / T[i], or nullptr for hand-built views. Precomputed at
+  /// bind so the lane kernel never divides.
   const double* recip_t = nullptr;
 
-  /// True when this view satisfies the vector-kernel input gate (every
+  /// True when this view satisfies the lane kernel's input gate (every
   /// C/T/D/J ≤ simd::kMaxValue, 0 ≤ C ≤ T, n ≤ simd::kMaxTasks) and recip_t
-  /// is bound.
+  /// is bound: job_sum_fixed_point may then run the kernel on it.
   bool simd_ok = false;
 
   [[nodiscard]] bool empty() const noexcept { return n == 0; }
@@ -111,7 +105,7 @@ class TaskSetArena {
   /// (row(p) when `order` is null), where row(i) yields anything with C, T,
   /// D and J members. The profibus message adapters bind a master's streams
   /// with C = T_cycle this way. Rows may break TaskSet's C ≤ T invariant;
-  /// such a view is simply not simd_ok and runs on the scalar kernels.
+  /// such a view is simply not simd_ok and runs the scalar loop.
   template <typename RowFn>
   const TaskSetView& bind_rows(const std::size_t* order, std::size_t n, RowFn&& row);
 
@@ -125,16 +119,14 @@ class TaskSetArena {
 template <typename RowFn>
 const TaskSetView& TaskSetArena::bind_rows(const std::size_t* order, std::size_t n,
                                            RowFn&& row) {
-  // Pad to the widest lane width so full-set kernels need no tail pass.
-  const std::size_t np = (n + 3) & ~std::size_t{3};
   // Reciprocals only depend on the T column: a position keeps its division
   // while its period is unchanged (an OPA level test moves only the rotated
   // positions).
-  c_.resize(np);
-  t_.resize(np);
-  d_.resize(np);
-  j_.resize(np);
-  recip_t_.resize(np);
+  c_.resize(n);
+  t_.resize(n);
+  d_.resize(n);
+  j_.resize(n);
+  recip_t_.resize(n);
   idx_.resize(n);
   Ticks max_field = 0;
   bool rel_ok = true;  // 0 ≤ C ≤ T: the kernels' product-exactness invariant
@@ -152,17 +144,9 @@ const TaskSetView& TaskSetArena::bind_rows(const std::size_t* order, std::size_t
     max_field = std::max({max_field, r.T, r.D, r.J});  // C ≤ T checked below
     rel_ok = rel_ok && r.C >= 0 && r.C <= r.T;
   }
-  for (std::size_t p = n; p < np; ++p) {
-    c_[p] = 0;
-    t_[p] = 1;
-    recip_t_[p] = 1.0;
-    d_[p] = 0;
-    j_[p] = 0;
-  }
-  view_ = TaskSetView{c_.data(), t_.data(),    d_.data(),
-                      j_.data(), idx_.data(),  n,
-                      np,        recip_t_.data(),
-                      rel_ok && n <= simd::kMaxTasks && max_field <= simd::kMaxValue};
+  const bool simd_ok = rel_ok && n <= simd::kMaxTasks && max_field <= simd::kMaxValue;
+  view_ = TaskSetView{c_.data(), t_.data(), d_.data(), j_.data(), idx_.data(), n, recip_t_.data(),
+                      simd_ok};
   return view_;
 }
 

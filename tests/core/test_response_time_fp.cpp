@@ -176,9 +176,10 @@ TEST_P(BlockingSweep, ResponseMonotoneInBlockerLength) {
 INSTANTIATE_TEST_SUITE_P(BlockerLengths, BlockingSweep, ::testing::Values(1, 2, 5, 9, 20, 49));
 
 // response_time_nonpreemptive's `bound`, on UUniFast sets of 5 and 12 tasks
-// (12 reaches the lane interference kernel) near U = 1, with and without
-// jitter, under both formulations and the task and message models, with the
-// lanes active and forced scalar.
+// (ranks from simd::kMinLaneTasks of the 12 reach the lane kernel, bounded
+// calls included) near U = 1, with and without jitter, under both
+// formulations and the task and message models, with the lanes active and
+// forced scalar.
 class FpBound : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override { simd::force_scalar(GetParam()); }
@@ -187,7 +188,7 @@ class FpBound : public ::testing::TestWithParam<bool> {
 
 TEST_P(FpBound, MeetsExactlyWhatTheUnboundedIterationMeets) {
   RtaScratch scratch;
-  std::size_t uncrossed = 0, stopped = 0;
+  std::size_t uncrossed = 0, stopped = 0, lane_calls = 0;
   for (const std::size_t n : {5, 12}) {
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
       sim::Rng rng(seed * 7919 + n);
@@ -219,6 +220,7 @@ TEST_P(FpBound, MeetsExactlyWhatTheUnboundedIterationMeets) {
               EXPECT_EQ(b.meets(bound), exact.meets(bound))
                   << "n " << n << " seed " << seed << " rank " << rank << " bound " << bound;
               stopped += !b.converged && exact.converged;
+              lane_calls += v.simd_ok && rank >= simd::kMinLaneTasks;
             }
           }
         }
@@ -227,6 +229,7 @@ TEST_P(FpBound, MeetsExactlyWhatTheUnboundedIterationMeets) {
   }
   EXPECT_GT(uncrossed, 0u);
   EXPECT_GT(stopped, 0u);
+  EXPECT_GT(lane_calls, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Dispatch, FpBound, ::testing::Values(false, true),

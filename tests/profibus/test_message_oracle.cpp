@@ -605,7 +605,7 @@ TEST(MessageOracleCliff, EdfAtUtilizationOne) {
   // master): their EDF rows mix finite WCRTs with exhausted busy periods,
   // decided by the fuel, the uncapped offset scan and the overload
   // pre-check. Seconds of EDF each, so this runs once, on the active
-  // dispatch (the forced-scalar CI job covers the scalar build).
+  // dispatch (the forced-scalar CI job covers the scalar one).
   engine::SweepSpec spec;
   spec.base.n_masters = 1;
   spec.base.streams_per_master = 5;
@@ -633,10 +633,11 @@ TEST(MessageOracleCliff, EdfAtUtilizationOne) {
 }
 
 TEST_P(MessageOracle, EdfVerdictOnLaneSizedMasters) {
-  // Masters of 8 and 12 streams reach simd::kMinEdfLaneTasks: with the lanes
-  // active, edf_schedulable's bounded scans run the lane offset kernel and
-  // stop after the offset that crosses D_i. Deadlines in [T/2, T] put misses
-  // below the cliff; exact scans of such masters at u = 1.0 take seconds.
+  // Masters of 8 and 12 streams reach simd::kMinLaneTasks: with the lanes
+  // active, edf_schedulable's bounded scans run the lane kernel, each fixed
+  // point stopped at its limit, and stop after the offset that crosses D_i.
+  // Deadlines in [T/2, T] put misses below the cliff; exact scans of such
+  // masters at u = 1.0 take seconds.
   RtaScratch scratch;
   std::size_t networks = 0, schedulable = 0, lane_masters = 0;
   for (const std::size_t streams : {8, 12}) {
@@ -660,13 +661,14 @@ TEST_P(MessageOracle, EdfVerdictOnLaneSizedMasters) {
         expect_fixed_priority_verdicts(net, memo, kFuel, scratch, "lanes");
         ++networks;
         schedulable += want.schedulable;
-        lane_masters += bind_master(scratch.arena, net.masters[0], memo.per_master[0]).simd_ok;
+        const TaskSetView& v = bind_master(scratch.arena, net.masters[0], memo.per_master[0]);
+        lane_masters += v.simd_ok && v.n >= simd::kMinLaneTasks;
       }
     }
   }
   EXPECT_GT(schedulable, 0u);
   EXPECT_LT(schedulable, networks);
-  EXPECT_EQ(lane_masters, networks);  // every master passes the lane gate
+  EXPECT_EQ(lane_masters, networks);  // every master reaches the lane kernel
 }
 
 /// Hand-built masters for edf_schedulable's per-master loop, as (T, D)

@@ -18,12 +18,13 @@ Checks, in order:
      regression fails" contract — ratios are machine-independent, the two
      throughput floors are the coarse backstop);
   5. SIMD dispatch: when the current run had a vector backend live
-     (simd_active == 1) every scalar/vector ratio key must be present, show
-     the vector path at least as fast as scalar (>= 0.9, noise margin), and
-     not regress below half its baseline ratio. Runs without an active
-     backend (-DPROFISCHED_NO_SIMD=ON builds, non-SIMD hosts) skip these
-     gates — bench_runner itself exits non-zero on any scalar/vector result
-     divergence, so CI still covers exactness there.
+     (simd_active == 1) every scalar/vector ratio key (bench_runner's median
+     over interleaved window pairs) must be present, show the vector path
+     at least as fast as scalar (>= 0.9, noise margin), and not regress
+     below half its baseline ratio. Runs without an active backend
+     (PROFISCHED_SIMD=0, non-SIMD hosts) skip these gates — bench_runner
+     itself exits non-zero on any scalar/vector result divergence, so CI
+     still covers exactness there.
 
 Exit code 0 = pass, 1 = fail (reasons on stderr).
 """
