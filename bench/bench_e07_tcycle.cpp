@@ -41,7 +41,8 @@ void run_experiment() {
     const Network net = make_ring(n, 20'000);
     const Ticks tdel = t_del(net);
     const Ticks tcycle = t_cycle(net);
-    const std::vector<Ticks> refined = t_cycle_per_master(net, TcycleMethod::PerMasterRefined);
+    const std::vector<Ticks> refined =
+      compute_timing(net, TcycleMethod::PerMasterRefined).per_master;
     const Ticks refined_max = *std::max_element(refined.begin(), refined.end());
 
     sim::SimConfig cfg;

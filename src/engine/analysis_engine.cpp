@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace profisched::engine {
@@ -100,19 +102,37 @@ VerdictReport AnalysisEngine::verdict(const Scenario& sc, Policy policy) {
   return {tm.tcycle, network_schedulable(sc.net, tm, policy, scratch_, sc.transactions)};
 }
 
-bool network_schedulable(const profibus::Network& net, const TimingMemo& tm, Policy policy,
-                         RtaScratch& scratch,
-                         const std::vector<profibus::Transaction>& transactions) {
+bool has_master_verdict(Policy policy) {
+  return policy == Policy::Fcfs || policy == Policy::Dm || policy == Policy::Edf ||
+         policy == Policy::Opa;
+}
+
+bool master_schedulable(const profibus::Master& master, Ticks tcycle, Policy policy,
+                        RtaScratch& scratch) {
   switch (policy) {
-    case Policy::Fcfs: return profibus::fcfs_schedulable(net, tm);
-    case Policy::Dm: return profibus::dm_schedulable(net, tm, kFormulation, kFuel, scratch);
-    case Policy::Edf: return profibus::edf_schedulable(net, tm, kFuel, scratch);
+    case Policy::Fcfs: return profibus::fcfs_master_schedulable(master, tcycle);
+    case Policy::Dm:
+      return profibus::dm_master_schedulable(master, tcycle, kFormulation, kFuel, scratch);
+    case Policy::Edf: return profibus::edf_master_schedulable(master, tcycle, kFuel, scratch);
     case Policy::Opa:
-      return profibus::audsley_stream_orders(net, tm, kFormulation, kFuel, &scratch).has_value();
+      return profibus::audsley_master_order(master, tcycle, kFormulation, kFuel, scratch)
+          .has_value();
     case Policy::TokenRing:
     case Policy::Holistic: break;
   }
-  return analyze_network(net, tm, policy, scratch, transactions).schedulable;
+  throw std::invalid_argument(std::string("master_schedulable: policy ") +
+                              std::string(to_string(policy)) + " has no per-master verdict");
+}
+
+bool network_schedulable(const profibus::Network& net, const TimingMemo& tm, Policy policy,
+                         RtaScratch& scratch,
+                         const std::vector<profibus::Transaction>& transactions) {
+  if (!has_master_verdict(policy)) {
+    return analyze_network(net, tm, policy, scratch, transactions).schedulable;
+  }
+  return profibus::all_masters_schedulable(net, tm, [&](const profibus::Master& m, Ticks tc) {
+    return master_schedulable(m, tc, policy, scratch);
+  });
 }
 
 Report analyze_network(const profibus::Network& net, const TimingMemo& tm, Policy policy,

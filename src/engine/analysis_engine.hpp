@@ -11,12 +11,16 @@
 //    (`simulate --combined`), and the combined sweep's degraded bounds, which
 //    call it directly;
 //  * network_schedulable, the verdict alone: verdict() (`sweep`, sweep shards
-//    and served sweep jobs) and the optimizer's bisection probes. It returns
-//    analyze_network's `schedulable` without building a NetworkAnalysis or
-//    any WCRT it does not need: FCFS compares nh·T_cycle with each D_i; DM
-//    bounds each fixed point by D_i and stops at the first miss; OPA is
-//    Audsley's success; EDF accepts offsets in one step where it can and
-//    stops at the first stream that provably misses.
+//    and served sweep jobs) and the optimizer's reference predicate. It
+//    returns analyze_network's `schedulable` without building a
+//    NetworkAnalysis or any WCRT it does not need. The paper's policies
+//    analyse every master on its own (§4.3: C_i = T_cycle^k), so for FCFS,
+//    DM, EDF and OPA it validates the network once and ANDs one per-master
+//    verdict, master_schedulable, over the masters: FCFS compares nh·T_cycle
+//    with each D_i; DM bounds each fixed point by D_i and stops at the first
+//    miss; OPA is Audsley's success; EDF accepts offsets in one step where it
+//    can and stops at the first stream that provably misses. The optimizer's
+//    own probes call master_schedulable directly, one master at a time.
 // The engine is deliberately NOT thread-safe: the sweep runner gives each
 // worker its own instance (scenario memo state is cheap).
 #pragma once
@@ -68,11 +72,26 @@ inline constexpr int kFuel = 1 << 16;
                                      RtaScratch& scratch,
                                      const std::vector<profibus::Transaction>& transactions = {});
 
+/// Whether `policy` has a per-master verdict: the paper's FCFS, DM and EDF
+/// queues and OPA. TokenRing and Holistic do not.
+[[nodiscard]] bool has_master_verdict(Policy policy);
+
+/// The per-master verdict of a paper policy: whether `master`, its streams
+/// each served as C_i = `tcycle` (§4.3), meets every deadline under
+/// `policy`. It is master k's verdict in analyze_network(...) with
+/// T_cycle^k = `tcycle`, from the verdict-only analyses:
+/// profibus::fcfs_master_schedulable, dm_master_schedulable, the success of
+/// audsley_master_order (OPA) and edf_master_schedulable. It reads the
+/// network only through this master and `tcycle`, and does not validate.
+/// Throws std::invalid_argument unless has_master_verdict(policy).
+[[nodiscard]] bool master_schedulable(const profibus::Master& master, Ticks tcycle,
+                                      Policy policy, RtaScratch& scratch);
+
 /// The verdict dispatch: analyze_network(...).schedulable for the same
-/// arguments, from the verdict-only analyses: profibus::fcfs_schedulable,
-/// dm_schedulable, the success of audsley_stream_orders (OPA) and
-/// edf_schedulable. TokenRing and Holistic, which no hot path asks for,
-/// run analyze_network.
+/// arguments. For a policy with a per-master verdict it validates `net` once
+/// and ANDs master_schedulable over the masters in ring order
+/// (profibus::all_masters_schedulable), stopping at the first reject.
+/// TokenRing and Holistic, which no hot path asks for, run analyze_network.
 [[nodiscard]] bool network_schedulable(const profibus::Network& net,
                                        const profibus::TimingMemo& tm, Policy policy,
                                        RtaScratch& scratch,

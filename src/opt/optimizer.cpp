@@ -1,5 +1,6 @@
 #include "opt/optimizer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -13,14 +14,21 @@ namespace {
 
 /// Probe accounting per bisection axis: each counter totals the verdict
 /// evaluations that axis's binary search spent, straight from
-/// SensitivityResult::probes. `bisections` counts searches run. The two
-/// stage timers are the sweep runner's series: scenario generation, and the
-/// bisections of all of a scenario's policies.
+/// SensitivityResult::probes. `bisections` counts searches run. The
+/// master_verdicts series count how run_optimize's probes reached each master
+/// verdict: by an analysis (on any axis; the D/T axis's share separately), or
+/// from the per-master bracket without one. The two stage timers are the
+/// sweep runner's series: scenario generation, and the bisections of all of a
+/// scenario's policies.
 struct OptMetrics {
   obs::Counter bisections = obs::Registry::global().counter("opt.bisections");
   obs::Counter probes_breakdown = obs::Registry::global().counter("opt.probes.breakdown");
   obs::Counter probes_ttr = obs::Registry::global().counter("opt.probes.ttr");
   obs::Counter probes_dratio = obs::Registry::global().counter("opt.probes.dratio");
+  obs::Counter analysed = obs::Registry::global().counter("opt.master_verdicts.analysed");
+  obs::Counter analysed_dratio =
+      obs::Registry::global().counter("opt.master_verdicts.analysed_dratio");
+  obs::Counter decided = obs::Registry::global().counter("opt.master_verdicts.decided");
   obs::Timer generate = obs::Registry::global().timer("runner.generate");
   obs::Timer analyze = obs::Registry::global().timer("runner.analyze");
 };
@@ -30,19 +38,172 @@ OptMetrics& opt_metrics() {
   return m;
 }
 
+/// The three searches and the PolicyOptimum they assemble, over `probes`:
+/// anything that answers the base configuration (base()) and one probe per
+/// axis (scaled(q), ttr(T_TR), dratio(q)) for `net`.
+template <typename Probes>
+PolicyOptimum search(const profibus::Network& net, Probes& probes,
+                     const OptimizeOptions& options) {
+  OptMetrics& m = opt_metrics();
+  PolicyOptimum o;
+  o.schedulable = probes.base();
+
+  const auto breakdown = sensitivity::max_satisfying(
+      options.scale_lo_q, options.scale_hi_q, [&](Ticks q) { return probes.scaled(q); });
+  m.bisections.add(1);
+  m.probes_breakdown.add(breakdown.probes);
+  if (breakdown) {
+    o.breakdown_q = breakdown.value;
+    o.breakdown_cap = breakdown.cap_hit;
+    o.breakdown_u = breakdown_utilization_at(net, breakdown.value);
+  }
+
+  // profibus::max_schedulable_ttr's bracket: below ring latency + 1 the
+  // token starves.
+  const Ticks ttr_floor = sat_add(net.ring_latency(), 1);
+  const auto ttr = sensitivity::max_satisfying(ttr_floor, std::max(ttr_floor, options.ttr_cap),
+                                               [&](Ticks t) { return probes.ttr(t); });
+  m.bisections.add(1);
+  m.probes_ttr.add(ttr.probes);
+  if (ttr) {
+    o.max_ttr = ttr.value;
+    o.ttr_cap_hit = ttr.cap_hit;
+  }
+
+  const auto dratio = sensitivity::min_satisfying(options.dratio_lo_q, options.dratio_hi_q,
+                                                  [&](Ticks q) { return probes.dratio(q); });
+  m.bisections.add(1);
+  m.probes_dratio.add(dratio.probes);
+  if (dratio) {
+    o.min_dratio_q = dratio.value;
+    o.dratio_floor = dratio.cap_hit;
+  }
+  return o;
+}
+
+/// The reference probes: each one builds its network and asks `test`.
+struct NetworkProbes {
+  const profibus::Network& net;
+  const profibus::NetworkTest& test;
+
+  bool base() const { return test(net); }
+  bool scaled(Ticks q) const { return test(profibus::with_scaled_frames(net, q)); }
+  bool ttr(Ticks ttr) const { return test(profibus::with_ttr(net, ttr)); }
+  bool dratio(Ticks q) const { return test(profibus::with_deadline_ratio(net, q)); }
+};
+
+/// What the probes of every policy of one scenario share: the validated base
+/// network, its masters' cycle maxima and its per-master T_cycle.
+struct ProbeBase {
+  ProbeBase(const profibus::Network& base, profibus::TcycleMethod m)
+      : net(base), method(m), maxima(profibus::cycle_maxima(base)) {
+    // Every probe network is valid when the base is: scaling keeps Ch >= 1
+    // and Cl >= 0, the T_TR axis starts at ring latency + 1 >= 1, and
+    // D = max(Ch, ⌈T·q/1024⌉) >= 1.
+    net.validate();
+    profibus::t_cycle_per_master(net.ttr, maxima, method, tcycle);
+  }
+
+  const profibus::Network& net;
+  profibus::TcycleMethod method;
+  std::vector<profibus::CycleMaxima> maxima;
+  std::vector<Ticks> tcycle;
+};
+
+/// Decides one (scenario, policy)'s probes one master at a time with
+/// engine::master_schedulable (see optimizer.hpp for why the bracket is
+/// exact). The base, breakdown and T_TR probes take their T_cycle vectors
+/// from the base's cycle maxima and analyse master k only when T_cycle^k
+/// lies strictly inside its bracket; the D/T probes analyse the
+/// with_deadline_ratio network at the base T_cycle, with no bracket.
+class MasterProbes {
+ public:
+  MasterProbes(const ProbeBase& base, engine::Policy policy, RtaScratch& scratch)
+      : base_(base),
+        policy_(policy),
+        scratch_(scratch),
+        // T_cycle >= T_TR >= 1, so 0 accepts nothing; kNoBound marks "none
+        // rejected yet", so the bracket never rejects a saturated T_cycle.
+        accepted_(base.maxima.size(), 0),
+        rejected_(base.maxima.size(), kNoBound) {}
+
+  bool base() { return t_axis(base_.tcycle); }
+
+  bool scaled(Ticks q) {
+    scaled_.clear();
+    for (const profibus::CycleMaxima& m : base_.maxima) {
+      scaled_.push_back(profibus::scale_cycle_maxima(m, q));
+    }
+    profibus::t_cycle_per_master(base_.net.ttr, scaled_, base_.method, tcycle_);
+    return t_axis(tcycle_);
+  }
+
+  bool ttr(Ticks ttr) {
+    profibus::t_cycle_per_master(ttr, base_.maxima, base_.method, tcycle_);
+    return t_axis(tcycle_);
+  }
+
+  bool dratio(Ticks q) {
+    const profibus::Network probe = profibus::with_deadline_ratio(base_.net, q);
+    return all_masters([&](std::size_t k) {
+      ++analysed_dratio_;
+      return engine::master_schedulable(probe.masters[k], base_.tcycle[k], policy_, scratch_);
+    });
+  }
+
+  /// Add this decider's master-verdict counts to the sidecar series.
+  void count(OptMetrics& m) const {
+    m.analysed.add(analysed_ + analysed_dratio_);
+    m.analysed_dratio.add(analysed_dratio_);
+    m.decided.add(decided_);
+  }
+
+ private:
+  /// A probe that changes only the T_cycle vector `tcycle`.
+  bool t_axis(const std::vector<Ticks>& tcycle) {
+    return all_masters([&](std::size_t k) {
+      const Ticks t = tcycle[k];
+      if (t <= accepted_[k] || (t >= rejected_[k] && t != kNoBound)) {
+        ++decided_;
+        return t <= accepted_[k];
+      }
+      ++analysed_;
+      const bool ok = engine::master_schedulable(base_.net.masters[k], t, policy_, scratch_);
+      (ok ? accepted_[k] : rejected_[k]) = t;
+      return ok;
+    });
+  }
+
+  /// verdict(k) ANDed over the masters, from the bottleneck on in ring order.
+  template <typename Verdict>
+  bool all_masters(Verdict&& verdict) {
+    const std::size_t n = base_.maxima.size();
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t k = (bottleneck_ + j) % n;
+      if (!verdict(k)) {
+        bottleneck_ = k;
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const ProbeBase& base_;
+  engine::Policy policy_;
+  RtaScratch& scratch_;
+  std::vector<Ticks> accepted_;
+  std::vector<Ticks> rejected_;
+  std::size_t bottleneck_ = 0;
+  std::vector<profibus::CycleMaxima> scaled_;
+  std::vector<Ticks> tcycle_;
+  std::uint64_t analysed_ = 0;
+  std::uint64_t analysed_dratio_ = 0;
+  std::uint64_t decided_ = 0;
+};
+
 }  // namespace
 
-bool optimizable(engine::Policy policy) {
-  switch (policy) {
-    case engine::Policy::Fcfs:
-    case engine::Policy::Dm:
-    case engine::Policy::Edf:
-    case engine::Policy::Opa:
-      return true;
-    default:
-      return false;
-  }
-}
+bool optimizable(engine::Policy policy) { return engine::has_master_verdict(policy); }
 
 profibus::NetworkTest optimize_network_test(engine::Policy policy,
                                             const engine::EngineOptions& engine) {
@@ -69,38 +230,8 @@ double breakdown_utilization_at(const profibus::Network& net, Ticks q1024) {
 
 PolicyOptimum optimize_policy(const profibus::Network& net, const profibus::NetworkTest& test,
                               const OptimizeOptions& options) {
-  OptMetrics& m = opt_metrics();
-  PolicyOptimum o;
-  o.schedulable = test(net);
-
-  const auto breakdown = sensitivity::max_satisfying(
-      options.scale_lo_q, options.scale_hi_q,
-      [&](Ticks q) { return test(profibus::with_scaled_frames(net, q)); });
-  m.bisections.add(1);
-  m.probes_breakdown.add(breakdown.probes);
-  if (breakdown) {
-    o.breakdown_q = breakdown.value;
-    o.breakdown_cap = breakdown.cap_hit;
-    o.breakdown_u = breakdown_utilization_at(net, breakdown.value);
-  }
-
-  const auto ttr = profibus::max_schedulable_ttr(net, test, options.ttr_cap);
-  m.bisections.add(1);
-  m.probes_ttr.add(ttr.probes);
-  if (ttr) {
-    o.max_ttr = ttr.value;
-    o.ttr_cap_hit = ttr.cap_hit;
-  }
-
-  const auto dratio =
-      profibus::min_deadline_ratio(net, test, options.dratio_lo_q, options.dratio_hi_q);
-  m.bisections.add(1);
-  m.probes_dratio.add(dratio.probes);
-  if (dratio) {
-    o.min_dratio_q = dratio.value;
-    o.dratio_floor = dratio.cap_hit;
-  }
-  return o;
+  NetworkProbes probes{net, test};
+  return search(net, probes, options);
 }
 
 namespace {
@@ -188,14 +319,6 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
   OptimizeResult out;
   out.outcomes.resize(static_cast<std::size_t>(range.size()));
 
-  // One predicate per policy, shared by every worker: the tests are stateless
-  // closures over pure analysis calls, safe to probe concurrently.
-  std::vector<profibus::NetworkTest> tests;
-  tests.reserve(spec.sweep.policies.size());
-  for (const engine::Policy p : spec.sweep.policies) {
-    tests.push_back(optimize_network_test(p, spec.sweep.engine));
-  }
-
   std::vector<std::uint64_t> params;
   for (const engine::Policy p : spec.sweep.policies) {
     params.push_back(optimize_params_digest(p, spec.sweep.engine, spec.options));
@@ -219,9 +342,13 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
     o.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
     o.per_policy.reserve(spec.sweep.policies.size());
     const auto compute = [&](const std::vector<std::size_t>& missing) {
+      thread_local RtaScratch scratch;
+      const ProbeBase base(sc.net, spec.sweep.engine.method);
       std::vector<OptimizeCells::Cell> cells;
       for (const std::size_t p : missing) {
-        cells.push_back(optimize_policy(sc.net, tests[p], spec.options));
+        MasterProbes probes(base, spec.sweep.policies[p], scratch);
+        cells.push_back(search(sc.net, probes, spec.options));
+        probes.count(m);
       }
       return cells;
     };

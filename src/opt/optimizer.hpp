@@ -11,17 +11,45 @@
 //   max T_TR — largest target token rotation time that keeps the verdict;
 //   min D/T ratio — smallest uniform deadline-to-period ratio sustainable.
 //
+// One search driver runs the three bisections and assembles the
+// PolicyOptimum, over either of two probe paths:
+//  * optimize_policy(net, NetworkTest, options), the reference for arbitrary
+//    predicates: every probe builds its network (with_scaled_frames, with_ttr,
+//    with_deadline_ratio) and asks the predicate. optimize_network_test is
+//    the engine's verdict dispatch, engine::network_schedulable, as such a
+//    predicate.
+//  * run_optimize (`optimize`, `shard --mode optimize`, served optimize
+//    jobs) decides each (scenario, policy)'s probes one master at a time with
+//    the engine's per-master verdict, engine::master_schedulable (same
+//    method / formulation / fuel), so its verdicts equal the reference's and
+//    the base verdict equals the sweep's. On the base, breakdown and T_TR
+//    probes a master's verdict depends only on its T_cycle^k, which comes
+//    from the base network's cycle maxima (profibus::t_cycle_per_master, the
+//    formula compute_timing runs), so those probes build no network. Each
+//    master keeps the largest T_cycle^k an analysis accepted and the
+//    smallest one an analysis rejected, and is analysed only when a probe's
+//    T_cycle^k lies strictly between the two: every paper test is monotone
+//    in C = T_cycle (FCFS: nh·T_cycle <= D_i; DM: eq. 16 with the order set
+//    by D alone; EDF: U, busy period, eq. 18 and its one-step acceptance;
+//    OPA: Audsley's search over level tests monotone in C). That holds while
+//    no fixed point runs out of engine::kFuel, the same assumption the
+//    bisections themselves make; once a run-out budget is a verdict of its
+//    own ("unknown"), the bracket must record only exact verdicts. The D/T
+//    probes move the deadlines, so they analyse the with_deadline_ratio
+//    network at the base T_cycle and keep no bracket (DM's order can flip at
+//    ceiling ties). Every probe visits the masters from the one that rejected
+//    last.
+// A probe keeps one bit, and both paths compute only the bit: no per-stream
+// WCRTs, no NetworkAnalysis, each fixed point bounded by its deadline.
+//
 // Determinism contract matches the sweep runner: scenarios are regenerated
-// from (seed, id) alone, outcomes land in slot id - range.begin, and every
-// probe runs through the engine's verdict dispatch, network_schedulable (same
-// method / formulation / fuel), so the base verdict here equals the sweep's
-// verdict for the same scenario. A probe keeps one bit, and that dispatch
-// computes only the bit: no per-stream WCRTs, no NetworkAnalysis, each fixed
-// point bounded by its deadline. Results are byte-identical for any thread
-// count and any shard split (src/dist/ carries an Optimize mode), and cache
-// through ScenarioCache with a versioned params digest (record kind 4). With
-// --metrics, each scenario's generation and bisections are timed under the
-// sweep runner's runner.generate and runner.analyze series.
+// from (seed, id) alone and outcomes land in slot id - range.begin. Results
+// are byte-identical for any thread count and any shard split (src/dist/
+// carries an Optimize mode), and cache through ScenarioCache with a
+// versioned params digest (record kind 4). With --metrics, each scenario's
+// generation and bisections are timed under the sweep runner's
+// runner.generate and runner.analyze series, and the opt.* counters count
+// bisections, probes per axis and how each master verdict was reached.
 #pragma once
 
 #include <string>
@@ -103,14 +131,14 @@ struct OptimizeSpec {
   OptimizeOptions options;
 };
 
-/// Policies the optimizer can synthesize parameters for (the four
-/// AP-queue analyses; TokenRing/Holistic have no per-policy verdict to
-/// bisect against).
+/// Policies the optimizer can synthesize parameters for: those with a
+/// per-master verdict (engine::has_master_verdict), the four AP-queue
+/// analyses. TokenRing and Holistic have none.
 [[nodiscard]] bool optimizable(engine::Policy policy);
 
-/// The feasibility predicate the optimizer probes with: the engine's verdict
-/// dispatch (engine::network_schedulable, same method / formulation / fuel)
-/// for `policy`, as a profibus::NetworkTest over arbitrary (mutated) networks.
+/// The reference path's feasibility predicate: the engine's verdict dispatch
+/// (engine::network_schedulable, same method / formulation / fuel) for
+/// `policy`, as a profibus::NetworkTest over arbitrary (mutated) networks.
 /// It answers engine::analyze_network(...).schedulable for the same network,
 /// from the verdict-only analyses. Safe to call from several threads at
 /// once. Throws std::invalid_argument for non-optimizable policies.
@@ -122,13 +150,16 @@ struct OptimizeSpec {
 /// (the infeasible sentinel).
 [[nodiscard]] double breakdown_utilization_at(const profibus::Network& net, Ticks q1024);
 
-/// Run the three searches for one network under one predicate.
+/// Run the three searches for one network under one predicate: the
+/// reference path, which builds every probe's network.
 [[nodiscard]] PolicyOptimum optimize_policy(const profibus::Network& net,
                                             const profibus::NetworkTest& test,
                                             const OptimizeOptions& options);
 
 /// Optimize the scenarios with ids in `range`, fanned across `runner`'s pool
-/// through the same ranged core as every sweep mode. With a cache, each
+/// through the same ranged core as every sweep mode, deciding the probes
+/// master by master (see the header comment); each optimum equals
+/// optimize_policy under optimize_network_test. With a cache, each
 /// (scenario, policy) optimum is looked up by content address first and only
 /// misses are bisected (and stored); outcomes are bit-identical either way.
 [[nodiscard]] OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spec,

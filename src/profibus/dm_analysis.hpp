@@ -56,12 +56,12 @@ namespace profisched::profibus {
                                          Formulation form = Formulation::PaperLiteral,
                                          int fuel = 1 << 16, RtaScratch* scratch = nullptr);
 
-/// Verdict-only analyze_dm: exactly analyze_dm(net, memo, form, fuel,
-/// &scratch).schedulable, with no NetworkAnalysis built. Each stream's fixed
+/// Master k's verdict in analyze_dm(net, memo, form, fuel, &scratch) with
+/// T_cycle^k = `tcycle`, with no NetworkAnalysis built. Each stream's fixed
 /// point takes D_i as its bound (response_time_nonpreemptive), so a miss
 /// stops at the first iterate above D_i − T_cycle, and the call returns at
 /// the first stream that misses.
-[[nodiscard]] bool dm_schedulable(const Network& net, const TimingMemo& memo, Formulation form,
-                                  int fuel, RtaScratch& scratch);
+[[nodiscard]] bool dm_master_schedulable(const Master& master, Ticks tcycle, Formulation form,
+                                         int fuel, RtaScratch& scratch);
 
 }  // namespace profisched::profibus

@@ -32,24 +32,18 @@ NetworkAnalysis analyze_edf(const Network& net, const TimingMemo& memo,
   });
 }
 
-bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel, RtaScratch& scratch) {
-  net.validate();
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    const TaskSetView& v = bind_master(scratch.arena, net.masters[k], memo.per_master[k]);
-    if (v.overloaded()) return false;
-    deadline_monotonic_order(net.masters[k], scratch.order);
-    const auto all_meet = [&](const BusyPeriod& busy, Ticks from) {
-      return std::ranges::all_of(scratch.order, [&](std::size_t i) {
-        return edf_meets_deadline(v, i, busy, scratch, kMessageModel, fuel, from);
-      });
-    };
-    const Ticks prefix_end = v.total_execution();
-    if (!all_meet({.length = prefix_end}, 0) ||
-        !all_meet(synchronous_busy_period(v, fuel), sat_add(prefix_end, 1))) {
-      return false;
-    }
-  }
-  return true;
+bool edf_master_schedulable(const Master& master, Ticks tcycle, int fuel, RtaScratch& scratch) {
+  const TaskSetView& v = bind_master(scratch.arena, master, tcycle);
+  if (v.overloaded()) return false;
+  deadline_monotonic_order(master, scratch.order);
+  const auto all_meet = [&](const BusyPeriod& busy, Ticks from) {
+    return std::ranges::all_of(scratch.order, [&](std::size_t i) {
+      return edf_meets_deadline(v, i, busy, scratch, kMessageModel, fuel, from);
+    });
+  };
+  const Ticks prefix_end = v.total_execution();
+  return all_meet({.length = prefix_end}, 0) &&
+         all_meet(synchronous_busy_period(v, fuel), sat_add(prefix_end, 1));
 }
 
 }  // namespace profisched::profibus

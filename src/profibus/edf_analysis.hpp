@@ -57,13 +57,12 @@ struct EdfStreamDetail {
     std::vector<std::vector<EdfStreamDetail>>* detail = nullptr, int fuel = 1 << 16,
     RtaScratch* scratch = nullptr);
 
-/// Verdict-only analyze_edf: exactly analyze_edf(net, memo, nullptr, fuel,
-/// &scratch).schedulable, returned at the first stream that provably misses.
-/// R_i is a maximum over offsets, so one offset whose response exceeds D_i
-/// settles the verdict; every scan here is core's edf_meets_deadline, which
-/// bounds each fixed point by D_i and accepts an offset in one evaluation of
-/// eq. 18 where a pre-fixed point allows it. Per master, after validating
-/// `net`:
+/// Master k's verdict in analyze_edf(net, memo, nullptr, fuel, &scratch)
+/// with T_cycle^k = `tcycle`, returned at the first stream that provably
+/// misses. R_i is a maximum over offsets, so one offset whose response
+/// exceeds D_i settles the verdict; every scan here is core's
+/// edf_meets_deadline, which bounds each fixed point by D_i and accepts an
+/// offset in one evaluation of eq. 18 where a pre-fixed point allows it:
 ///  1. an overloaded master (Σ T_cycle/T_i > 1) is rejected at once;
 ///  2. its streams are visited in ascending D, ties by index (the DM order,
 ///     kept in scratch.order, so a warm call allocates nothing): the tight
@@ -75,9 +74,7 @@ struct EdfStreamDetail {
 ///     L is unbounded the exact verdict is a miss anyway;
 ///  4. only then is the busy period computed and each stream scanned again
 ///     over [0, L], from Σ_j C_j + 1 on: step 3 accepted the offsets below.
-/// The first unschedulable master ends the call; later masters are not
-/// analysed.
-[[nodiscard]] bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel,
-                                   RtaScratch& scratch);
+[[nodiscard]] bool edf_master_schedulable(const Master& master, Ticks tcycle, int fuel,
+                                          RtaScratch& scratch);
 
 }  // namespace profisched::profibus

@@ -20,16 +20,11 @@ NetworkAnalysis analyze_fcfs(const Network& net, const TimingMemo& memo) {
   });
 }
 
-bool fcfs_schedulable(const Network& net, const TimingMemo& memo) {
-  net.validate();
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    const Master& master = net.masters[k];
-    const Ticks response = sat_mul(static_cast<Ticks>(master.nh()), memo.per_master[k]);
-    for (const MessageStream& s : master.high_streams) {
-      if (response == kNoBound || response > s.D) return false;
-    }
-  }
-  return true;
+bool fcfs_master_schedulable(const Master& master, Ticks tcycle) {
+  const Ticks response = sat_mul(static_cast<Ticks>(master.nh()), tcycle);
+  return std::ranges::all_of(master.high_streams, [&](const MessageStream& s) {
+    return response != kNoBound && response <= s.D;
+  });
 }
 
 }  // namespace profisched::profibus

@@ -64,6 +64,22 @@ NetworkAnalysis analyze_masters(const Network& net, const TimingMemo& memo,
   return out;
 }
 
+/// The shape every verdict shares: validate `net`, then AND
+/// `master_verdict(master, T_cycle^k)` over its masters in ring order,
+/// stopping at the first master it rejects. A per-master verdict reads the
+/// network only through its own master and T_cycle^k (the streams' T, D and J,
+/// with every C_i = T_cycle^k), which is what lets the optimizer decide its
+/// probes one master at a time.
+template <typename MasterVerdict>
+bool all_masters_schedulable(const Network& net, const TimingMemo& memo,
+                             MasterVerdict&& master_verdict) {
+  net.validate();
+  for (std::size_t k = 0; k < net.n_masters(); ++k) {
+    if (!master_verdict(net.masters[k], memo.per_master[k])) return false;
+  }
+  return true;
+}
+
 /// Bind one master's streams into `arena` as the uniprocessor item set of
 /// paper §4.3: C_i = T_cycle, T/D/J from the streams, in `order` (stream
 /// order when null). DM, OPA and EDF run the core kernels on this view with
@@ -88,8 +104,8 @@ inline const TaskSetView& bind_master(TaskSetArena& arena, const Master& master,
 /// of re-deriving T_del / T_cycle for this call.
 [[nodiscard]] NetworkAnalysis analyze_fcfs(const Network& net, const TimingMemo& memo);
 
-/// Verdict-only analyze_fcfs: exactly analyze_fcfs(net, memo).schedulable,
-/// that is nh^k·T_cycle^k <= D_i^k for every stream, without allocating.
-[[nodiscard]] bool fcfs_schedulable(const Network& net, const TimingMemo& memo);
+/// Master k's verdict in analyze_fcfs(net, memo) with T_cycle^k = `tcycle`:
+/// nh^k·T_cycle^k <= D_i^k for every stream, without allocating.
+[[nodiscard]] bool fcfs_master_schedulable(const Master& master, Ticks tcycle);
 
 }  // namespace profisched::profibus

@@ -97,16 +97,12 @@ NetworkAnalysis analyze_dm(const Network& net, const TimingMemo& memo, Formulati
   });
 }
 
-bool dm_schedulable(const Network& net, const TimingMemo& memo, Formulation form, int fuel,
-                    RtaScratch& scratch) {
-  net.validate();
-  for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    deadline_monotonic_order(net.masters[k], scratch.order);
-    const TaskSetView& pv =
-        bind_master(scratch.arena, net.masters[k], memo.per_master[k], scratch.order.data());
-    for (std::size_t rank = 0; rank < pv.n; ++rank) {
-      if (!message_meets(pv, rank, form, fuel)) return false;
-    }
+bool dm_master_schedulable(const Master& master, Ticks tcycle, Formulation form, int fuel,
+                           RtaScratch& scratch) {
+  deadline_monotonic_order(master, scratch.order);
+  const TaskSetView& pv = bind_master(scratch.arena, master, tcycle, scratch.order.data());
+  for (std::size_t rank = 0; rank < pv.n; ++rank) {
+    if (!message_meets(pv, rank, form, fuel)) return false;
   }
   return true;
 }
@@ -114,6 +110,16 @@ bool dm_schedulable(const Network& net, const TimingMemo& memo, Formulation form
 std::optional<NetworkOrders> audsley_stream_orders(const Network& net, TcycleMethod method,
                                                    Formulation form, int fuel) {
   return audsley_stream_orders(net, compute_timing(net, method), form, fuel);
+}
+
+std::optional<StreamOrder> audsley_master_order(const Master& master, Ticks tcycle,
+                                                Formulation form, int fuel, RtaScratch& scratch) {
+  // The response at a level depends only on the *set* above it and on
+  // whether any stream sits below (blocking), so OPA's optimality applies.
+  return audsley_order(master.nh(), [&](std::span<const std::size_t> o, std::size_t r) {
+    const TaskSetView& pv = bind_master(scratch.arena, master, tcycle, o.data());
+    return message_meets(pv, r, form, fuel);
+  });
 }
 
 std::optional<NetworkOrders> audsley_stream_orders(const Network& net, const TimingMemo& memo,
@@ -124,13 +130,7 @@ std::optional<NetworkOrders> audsley_stream_orders(const Network& net, const Tim
   RtaScratch& s = scratch != nullptr ? *scratch : local;
   NetworkOrders out(net.n_masters());
   for (std::size_t k = 0; k < net.n_masters(); ++k) {
-    const Master& master = net.masters[k];
-    // The response at a level depends only on the *set* above it and on
-    // whether any stream sits below (blocking), so OPA's optimality applies.
-    auto order = audsley_order(master.nh(), [&](std::span<const std::size_t> o, std::size_t r) {
-      const TaskSetView& pv = bind_master(s.arena, master, memo.per_master[k], o.data());
-      return message_meets(pv, r, form, fuel);
-    });
+    auto order = audsley_master_order(net.masters[k], memo.per_master[k], form, fuel, s);
     if (!order.has_value()) return std::nullopt;
     out[k] = std::move(*order);
   }

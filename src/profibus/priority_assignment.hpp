@@ -46,14 +46,21 @@ void deadline_monotonic_order(const Master& master, StreamOrder& order);
     Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16,
     RtaScratch* scratch = nullptr);
 
-/// Audsley's OPA at the message level: per master, find some priority order
-/// under which every stream meets its deadline (eq.-16 analysis), bottom-up
-/// through core's audsley_order, trying streams in ascending index order.
-/// Each level test is a verdict, so its fixed point takes D as its bound (see
-/// dm_schedulable). Returns std::nullopt if no fixed order schedules some
-/// master. Success is also the OPA verdict: a level test analyses a stream
-/// with the same streams above and below it as analyze_fixed_priority does
-/// under the returned orders, so that analysis accepts every stream.
+/// Audsley's OPA for one master with T_cycle^k = `tcycle`: some priority
+/// order under which every stream meets its deadline (eq.-16 analysis),
+/// found bottom-up through core's audsley_order, trying streams in ascending
+/// index order. Each level test is a verdict, so its fixed point takes D as
+/// its bound (see dm_master_schedulable). std::nullopt if no fixed order
+/// schedules the master. Success is also the master's OPA verdict: a level
+/// test analyses a stream with the same streams above and below it as
+/// analyze_fixed_priority does under the returned order, so that analysis
+/// accepts every stream.
+[[nodiscard]] std::optional<StreamOrder> audsley_master_order(const Master& master, Ticks tcycle,
+                                                              Formulation form, int fuel,
+                                                              RtaScratch& scratch);
+
+/// audsley_master_order for every master: std::nullopt if some master has
+/// no order.
 [[nodiscard]] std::optional<NetworkOrders> audsley_stream_orders(
     const Network& net, TcycleMethod method = TcycleMethod::PaperEq13,
     Formulation form = Formulation::PaperLiteral, int fuel = 1 << 16);

@@ -10,13 +10,19 @@ NetworkTest network_test_for(ApPolicy policy, TcycleMethod method) {
   };
 }
 
+Ticks scale_cycle(Ticks c, Ticks q1024, Ticks least) {
+  return std::max(ceil_div(sat_mul(c, q1024), sensitivity::kScaleOne), least);
+}
+
+CycleMaxima scale_cycle_maxima(const CycleMaxima& m, Ticks q1024) {
+  return {m.high == 0 ? 0 : scale_cycle(m.high, q1024, 1), scale_cycle(m.low, q1024, 0)};
+}
+
 Network with_scaled_frames(const Network& net, Ticks q1024) {
   Network out = net;
   for (Master& m : out.masters) {
-    for (MessageStream& s : m.high_streams) {
-      s.Ch = std::max<Ticks>(ceil_div(sat_mul(s.Ch, q1024), sensitivity::kScaleOne), 1);
-    }
-    m.longest_low_cycle = ceil_div(sat_mul(m.longest_low_cycle, q1024), sensitivity::kScaleOne);
+    for (MessageStream& s : m.high_streams) s.Ch = scale_cycle(s.Ch, q1024, 1);
+    m.longest_low_cycle = scale_cycle(m.longest_low_cycle, q1024, 0);
   }
   return out;
 }

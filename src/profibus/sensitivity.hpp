@@ -5,11 +5,12 @@
 //
 // All searches are exact binary searches through the unified core of
 // core/sensitivity_search.hpp, driven by a caller-supplied NetworkTest
-// predicate — so the same functions serve plain analyze_network verdicts,
-// alternative T_cycle methods, and the optimizer's engine-matched dispatch.
-// The network mutators (with_scaled_frames / with_deadline_ratio / with_ttr)
-// are exported so callers can evaluate the configuration the boundary value
-// denotes (e.g. its message utilization).
+// predicate — so the same functions serve plain analyze_network verdicts and
+// alternative T_cycle methods. The network mutators (with_scaled_frames /
+// with_deadline_ratio / with_ttr) are exported for the optimizer's axes
+// (src/opt/), and so callers can evaluate the configuration a boundary value
+// denotes (e.g. its message utilization); scale_cycle_maxima gives the
+// optimizer a scaled network's T_cycle without building it.
 #pragma once
 
 #include <functional>
@@ -29,9 +30,19 @@ using NetworkTest = std::function<bool(const Network&)>;
 // ---- network mutators (the parameter axes the searches walk) ----------
 
 /// Every message-cycle length — each stream's Ch and each master's Cl —
-/// multiplied by q/1024, rounding up (pessimistic), Ch floored at 1.
-/// T_del and T_cycle grow along via the analyses.
+/// multiplied by q/1024, rounding up (pessimistic), Ch floored at 1 (see
+/// scale_cycle). T_del and T_cycle grow along via the analyses.
 [[nodiscard]] Network with_scaled_frames(const Network& net, Ticks q1024);
+
+/// with_scaled_frames' rounding of one cycle length: max(⌈c·q/1024⌉, least),
+/// saturating, with least 1 for a stream's Ch and 0 for a master's Cl. It is
+/// monotone in c.
+[[nodiscard]] Ticks scale_cycle(Ticks c, Ticks q1024, Ticks least);
+
+/// A master's CycleMaxima after with_scaled_frames(·, q1024). scale_cycle is
+/// monotone, so the longest scaled cycle is the scaled longest one; a master
+/// without high-priority streams keeps high = 0.
+[[nodiscard]] CycleMaxima scale_cycle_maxima(const CycleMaxima& m, Ticks q1024);
 
 /// Every stream's deadline set to ratio beta = q/1024 of its period:
 /// D_i = max(Ch_i, ceil(T_i · q / 1024)). Smaller q = tighter deadlines.

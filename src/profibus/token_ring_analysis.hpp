@@ -17,8 +17,13 @@
 // only one *high-priority* cycle (Ch-max) for the masters strictly between j
 // and k on the ring — those can only have used the late token for their one
 // guaranteed HP message.
+//
+// Both methods read a network only through T_TR and each master's two cycle
+// maxima (CycleMaxima), so the optimizer's probes, which change only those,
+// derive their T_cycle vectors from the same formula as compute_timing.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "profibus/network.hpp"
@@ -30,6 +35,15 @@ enum class TcycleMethod {
   PerMasterRefined,  ///< per-position refinement (see header comment)
 };
 
+/// What eqs. 13–14 read of one master: max_i Ch_i^k and Cl^k.
+struct CycleMaxima {
+  Ticks high = 0;  ///< Master::longest_high_cycle (0 without HP streams)
+  Ticks low = 0;   ///< Master::longest_low_cycle
+};
+
+/// Every master's CycleMaxima, in ring order.
+[[nodiscard]] std::vector<CycleMaxima> cycle_maxima(const Network& net);
+
 /// Worst-case token lateness T_del (eq. 13).
 [[nodiscard]] Ticks t_del(const Network& net);
 
@@ -37,10 +51,12 @@ enum class TcycleMethod {
 /// (eq. 14): T_cycle = T_TR + T_del.
 [[nodiscard]] Ticks t_cycle(const Network& net);
 
-/// Per-master T_cycle. PaperEq13 returns the uniform eq.-14 value for every
-/// master; PerMasterRefined returns a (never larger) position-aware bound.
-[[nodiscard]] std::vector<Ticks> t_cycle_per_master(const Network& net,
-                                                    TcycleMethod method = TcycleMethod::PaperEq13);
+/// Per-master T_cycle of a ring with target rotation time `ttr` and the
+/// masters' cycle maxima `maxima` (ring order), into `out`. PaperEq13 gives
+/// every master the uniform eq.-14 value; PerMasterRefined a (never larger)
+/// position-aware bound.
+void t_cycle_per_master(Ticks ttr, std::span<const CycleMaxima> maxima, TcycleMethod method,
+                        std::vector<Ticks>& out);
 
 /// The timed-token timing facts every policy analysis needs. All of
 /// analyze_fcfs / analyze_dm / analyze_edf / analyze_fixed_priority re-derive
@@ -51,7 +67,7 @@ struct TimingMemo {
   TcycleMethod method = TcycleMethod::PaperEq13;
   Ticks tdel = 0;                 ///< worst-case token lateness (eq. 13)
   Ticks tcycle = 0;               ///< uniform eq.-14 bound T_TR + T_del
-  std::vector<Ticks> per_master;  ///< t_cycle_per_master(net, method)
+  std::vector<Ticks> per_master;  ///< t_cycle_per_master of net.ttr and cycle_maxima(net)
 };
 
 /// Compute the memo in one pass over the network.

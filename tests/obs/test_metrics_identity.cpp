@@ -2,11 +2,14 @@
 // instrumentation changes ZERO bytes of any primary artifact. Each test runs
 // the same small sweep with telemetry off and fully on (timed spans + the
 // progress heartbeat) and compares the serialized outputs byte-for-byte,
-// across every engine backend (analysis, sim, combined, optimize).
+// across every engine backend (analysis, sim, combined, optimize). The
+// optimizer's opt.* counters also repeat exactly across thread counts and
+// shard splits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "engine/aggregate.hpp"
 #include "engine/sim_aggregate.hpp"
@@ -163,6 +166,55 @@ TEST(ObsByteIdentity, OptimizeOutputsAreIdentical) {
   EXPECT_EQ(stage_spans(), spans0 + 2 * spec.sweep.total_scenarios());
   EXPECT_EQ(off_csv, on_csv);
   EXPECT_EQ(off_json, on_json);
+}
+
+/// The optimizer's counters, as they stand.
+std::vector<std::uint64_t> opt_counts() {
+  const obs::Snapshot s = obs::Registry::global().snapshot();
+  std::vector<std::uint64_t> out;
+  for (const char* name :
+       {"opt.bisections", "opt.probes.breakdown", "opt.probes.ttr", "opt.probes.dratio",
+        "opt.master_verdicts.analysed", "opt.master_verdicts.analysed_dratio",
+        "opt.master_verdicts.decided"}) {
+    out.push_back(s.counter(name));
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> minus(const std::vector<std::uint64_t>& a,
+                                 const std::vector<std::uint64_t>& b) {
+  std::vector<std::uint64_t> out(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
+  return out;
+}
+
+TEST(ObsByteIdentity, OptimizeCountersRepeatAcrossThreadsAndShards) {
+  // Each (scenario, policy)'s probes and master verdicts depend on that cell
+  // alone, so every opt.* counter sums to the same value on any thread count
+  // and any split of the id range into shards.
+  opt::OptimizeSpec spec;
+  spec.sweep = small_spec().sweep;
+  spec.sweep.base.n_masters = 3;
+  spec.sweep.policies = {engine::Policy::Fcfs, engine::Policy::Dm, engine::Policy::Edf,
+                         engine::Policy::Opa};
+  spec.sweep.engine.method = profibus::TcycleMethod::PerMasterRefined;
+  const std::uint64_t total = spec.sweep.total_scenarios();
+  const auto counted = [&](unsigned threads, std::uint64_t shards) {
+    const std::vector<std::uint64_t> before = opt_counts();
+    engine::SweepRunner runner(threads);
+    for (std::uint64_t k = 0; k < shards; ++k) {
+      (void)opt::run_optimize(runner, spec,
+                              engine::IdRange{total * k / shards, total * (k + 1) / shards});
+    }
+    return minus(opt_counts(), before);
+  };
+  const std::vector<std::uint64_t> one = counted(1, 1);
+  EXPECT_EQ(one[0], 3 * total * spec.sweep.policies.size());
+  EXPECT_GT(one[4], 0u);  // analysed
+  EXPECT_GT(one[6], 0u);  // decided
+  EXPECT_EQ(counted(4, 1), one);
+  EXPECT_EQ(counted(1, 3), one);
+  EXPECT_EQ(counted(4, 5), one);
 }
 
 }  // namespace

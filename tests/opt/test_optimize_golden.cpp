@@ -4,11 +4,15 @@
 // here (regenerate deliberately with PROFISCHED_REGEN_GOLDEN=1).
 //  * optimize_pr6: 2 masters x 3 streams under FCFS, DM and EDF;
 //  * optimize_lanes: 2 masters x 8 streams under all four policies, OPA
-//    included, on masters large enough for the lane kernels.
+//    included, on masters large enough for the lane kernels;
+//  * optimize_refined: 3 masters x 5 streams under all four policies with
+//    the PerMasterRefined T_cycle method, which gives each master its own
+//    T_cycle on every probe.
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,8 @@ constexpr const char* kCsvGolden = "tests/golden/optimize_pr6.csv";
 constexpr const char* kJsonGolden = "tests/golden/optimize_pr6.json";
 constexpr const char* kLanesCsvGolden = "tests/golden/optimize_lanes.csv";
 constexpr const char* kLanesJsonGolden = "tests/golden/optimize_lanes.json";
+constexpr const char* kRefinedCsvGolden = "tests/golden/optimize_refined.csv";
+constexpr const char* kRefinedJsonGolden = "tests/golden/optimize_refined.json";
 
 OptimizeSpec golden_spec() {
   OptimizeSpec spec;
@@ -36,17 +42,22 @@ OptimizeSpec golden_spec() {
   return spec;
 }
 
-/// The spec of `optimize --masters 2 --streams 8 --scenarios 8 --u
-/// 0.5:0.95:4 --policies fcfs,dm,edf,opa --seed 19`, through the job flags.
-OptimizeSpec lanes_spec() {
+/// The spec of `optimize FLAGS`, through the job flags.
+OptimizeSpec spec_of(const std::vector<std::string>& flags) {
   dist::JobArgs a;
   std::string error;
-  EXPECT_TRUE(dist::parse_job_args(dist::Surface::Optimize,
-                                   {"--masters", "2", "--streams", "8", "--scenarios", "8", "--u",
-                                    "0.5:0.95:4", "--policies", "fcfs,dm,edf,opa", "--seed", "19"},
-                                   a, error))
-      << error;
+  EXPECT_TRUE(dist::parse_job_args(dist::Surface::Optimize, flags, a, error)) << error;
   return OptimizeSpec{a.job.spec.spec.sweep, a.job.spec.optimize};
+}
+
+OptimizeSpec lanes_spec() {
+  return spec_of({"--masters", "2", "--streams", "8", "--scenarios", "8", "--u", "0.5:0.95:4",
+                  "--policies", "fcfs,dm,edf,opa", "--seed", "19"});
+}
+
+OptimizeSpec refined_spec() {
+  return spec_of({"--masters", "3", "--streams", "5", "--scenarios", "8", "--u", "0.35:0.95:3",
+                  "--policies", "fcfs,dm,edf,opa", "--seed", "41", "--method", "refined"});
 }
 
 void check_golden(const char* path, const std::string& got) {
@@ -88,6 +99,19 @@ TEST(OptimizeGolden, LanesJsonMatches) {
   const OptimizeSpec spec = lanes_spec();
   engine::SweepRunner runner(2);
   check_golden(kLanesJsonGolden, aggregate_optimize(spec, run_optimize(runner, spec)).to_json());
+}
+
+TEST(OptimizeGolden, RefinedCsvMatches) {
+  const OptimizeSpec spec = refined_spec();
+  engine::SweepRunner runner(2);
+  check_golden(kRefinedCsvGolden, aggregate_optimize(spec, run_optimize(runner, spec)).to_csv());
+}
+
+TEST(OptimizeGolden, RefinedJsonMatches) {
+  const OptimizeSpec spec = refined_spec();
+  engine::SweepRunner runner(2);
+  check_golden(kRefinedJsonGolden,
+               aggregate_optimize(spec, run_optimize(runner, spec)).to_json());
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 // U = 1, streams with T < T_cycle, jitter, far deadlines and fuel-starved
 // runs, and demands identical verdicts, Q, responses, meets_deadline, OPA
 // orders and EdfStreamDetail — with the SIMD lanes active and forced scalar.
-// Every policy's verdict-only path (fcfs_schedulable, dm_schedulable, the
-// success of audsley_stream_orders, edf_schedulable) is held to the exact
-// verdict on the same networks.
+// Every policy's per-master verdict (fcfs_master_schedulable,
+// dm_master_schedulable, the success of audsley_master_order,
+// edf_master_schedulable), ANDed over the masters as
+// engine::network_schedulable does, is held to the exact verdict on the same
+// networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -419,6 +421,24 @@ struct Coverage {
   std::size_t networks = 0, schedulable = 0, exact_u1 = 0, unconverged = 0;
 };
 
+// The network verdicts of the per-master verdict paths.
+bool fcfs_schedulable(const Network& net, const TimingMemo& memo) {
+  return all_masters_schedulable(net, memo, fcfs_master_schedulable);
+}
+
+bool dm_schedulable(const Network& net, const TimingMemo& memo, Formulation form, int fuel,
+                    RtaScratch& scratch) {
+  return all_masters_schedulable(net, memo, [&](const Master& m, Ticks tcycle) {
+    return dm_master_schedulable(m, tcycle, form, fuel, scratch);
+  });
+}
+
+bool edf_schedulable(const Network& net, const TimingMemo& memo, int fuel, RtaScratch& scratch) {
+  return all_masters_schedulable(net, memo, [&](const Master& m, Ticks tcycle) {
+    return edf_master_schedulable(m, tcycle, fuel, scratch);
+  });
+}
+
 class MessageOracle : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override { simd::force_scalar(GetParam()); }
@@ -634,7 +654,7 @@ TEST(MessageOracleCliff, EdfAtUtilizationOne) {
 
 TEST_P(MessageOracle, EdfVerdictOnLaneSizedMasters) {
   // Masters of 8 and 12 streams reach simd::kMinLaneTasks: with the lanes
-  // active, edf_schedulable's bounded scans run the lane kernel, each fixed
+  // active, edf_master_schedulable's bounded scans run the lane kernel, each fixed
   // point stopped at its limit, and stop after the offset that crosses D_i.
   // Deadlines in [T/2, T] put misses below the cliff; exact scans of such
   // masters at u = 1.0 take seconds.
@@ -671,7 +691,7 @@ TEST_P(MessageOracle, EdfVerdictOnLaneSizedMasters) {
   EXPECT_EQ(lane_masters, networks);  // every master reaches the lane kernel
 }
 
-/// Hand-built masters for edf_schedulable's per-master loop, as (T, D)
+/// Hand-built masters for edf_schedulable's loop over masters, as (T, D)
 /// pairs in half T_cycles with no jitter:
 ///  * kMeets: three lax streams, T = D = 40·T_cycle;
 ///  * kEmpty: no high-priority streams;
@@ -740,7 +760,7 @@ TEST(MessageOracleEdges, VerdictVisitsEveryMaster) {
     EXPECT_EQ(edf_schedulable(net, memo, kFuel, scratch), schedulable) << "case " << id;
   }
 
-  // kMissesLate passes edf_schedulable's [0, Σ_j C_j] pass: its miss needs
+  // kMissesLate passes edf_master_schedulable's [0, Σ_j C_j] pass: its miss needs
   // the full scan.
   const Network late = edge_network({kMissesLate});
   const TimingMemo memo = compute_timing(late);

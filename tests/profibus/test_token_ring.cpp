@@ -38,14 +38,15 @@ TEST(TCycle, TtrPlusTdel) {
 
 TEST(TCyclePerMaster, PaperMethodIsUniform) {
   const Network net = three_master_net();
-  const std::vector<Ticks> tc = t_cycle_per_master(net, TcycleMethod::PaperEq13);
+  const std::vector<Ticks> tc = compute_timing(net, TcycleMethod::PaperEq13).per_master;
   ASSERT_EQ(tc.size(), 3u);
   for (const Ticks v : tc) EXPECT_EQ(v, t_cycle(net));
 }
 
 TEST(TCyclePerMaster, RefinedNeverExceedsPaperBound) {
   const Network net = three_master_net();
-  const std::vector<Ticks> refined = t_cycle_per_master(net, TcycleMethod::PerMasterRefined);
+  const std::vector<Ticks> refined =
+      compute_timing(net, TcycleMethod::PerMasterRefined).per_master;
   const Ticks uniform = t_cycle(net);
   for (const Ticks v : refined) {
     EXPECT_LE(v, uniform);
@@ -61,7 +62,8 @@ TEST(TCyclePerMaster, RefinedHandComputedAsymmetricRing) {
   //   j=2: 400
   // → 1100. (The uniform eq.-13 bound charges 1500.)
   const Network net = three_master_net();
-  const std::vector<Ticks> refined = t_cycle_per_master(net, TcycleMethod::PerMasterRefined);
+  const std::vector<Ticks> refined =
+      compute_timing(net, TcycleMethod::PerMasterRefined).per_master;
   EXPECT_EQ(refined[0], 10'000 + 1100);
   // m1: j=0 → 400 + nothing between 0 and 1 = 400; j=1 (self, full loop):
   // 700 + Ch(m2) + Ch(m0) = 1500; j=2 → 400 + Ch(m0) = 800. → 1500.

@@ -24,7 +24,12 @@ Checks, in order:
      ran 0 < sim.events_executed <= sim.events: the policies of one
      replication share their common prefix, so the kernels run at most the
      events the per-policy runs count;
-  8. optionally (--scenarios N) that runner.scenarios_completed matches the
+  8. optimizer accounting — a process that bisected (opt.bisections > 0)
+     reached at least one master verdict per probe, by analysis or from the
+     per-master bracket: opt.master_verdicts.analysed + .decided >= the sum
+     of opt.probes.*; the D/T probes keep no bracket, so
+     opt.probes.dratio <= .analysed_dratio <= .analysed;
+  9. optionally (--scenarios N) that runner.scenarios_completed matches the
      scenario count the caller expected the process to execute.
 
 Exit code 0 = pass, 1 = fail (reasons on stderr).
@@ -153,6 +158,22 @@ def main(argv):
         executed = counters.get("sim.events_executed", {"value": 0})["value"]
         if not 0 < executed <= events:
             return fail(f"sim.events_executed ({executed}) outside (0, sim.events = {events}]")
+
+    def counter(name):
+        return counters.get(name, {"value": 0})["value"]
+
+    if counter("opt.bisections") > 0:
+        probes = sum(counter(f"opt.probes.{axis}") for axis in ("breakdown", "ttr", "dratio"))
+        analysed = counter("opt.master_verdicts.analysed")
+        decided = counter("opt.master_verdicts.decided")
+        dratio = counter("opt.master_verdicts.analysed_dratio")
+        if analysed + decided < probes:
+            return fail(f"opt.master_verdicts.analysed ({analysed}) + .decided ({decided}) < "
+                        f"the {probes} opt.probes.* (every probe decides a master)")
+        if not counter("opt.probes.dratio") <= dratio <= analysed:
+            return fail(f"opt.master_verdicts.analysed_dratio ({dratio}) outside "
+                        f"[opt.probes.dratio = {counter('opt.probes.dratio')}, "
+                        f".analysed = {analysed}]")
 
     if expect_scenarios is not None:
         if done != expect_scenarios:
