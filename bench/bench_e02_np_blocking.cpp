@@ -20,8 +20,10 @@ constexpr int kSetsPerCell = 300;
 void run_experiment() {
   bench::banner("E2", "preemptive vs non-preemptive fixed-priority response times (eqs. 1-2)");
 
-  std::printf("\nMean worst-case response, normalized by deadline (%d sets per cell, n=5, D in [0.7T, T]):\n",
-              kSetsPerCell);
+  std::printf(
+      "\nMean worst-case response, normalized by deadline (%d sets per cell, n=5, D in "
+      "[0.7T, T]):\n",
+      kSetsPerCell);
   Table t({"U", "R/D preemptive", "R/D np-refined", "R/D np-literal", "sched% pre",
            "sched% np-ref", "sched% np-lit"});
   sim::Rng rng(42);

@@ -18,8 +18,10 @@ constexpr int kSetsPerCell = 300;
 void run_experiment() {
   bench::banner("E3", "EDF processor-demand test: horizon growth as U -> 1 (eq. 3)");
 
-  std::printf("\nMean busy-period horizon and checkpoint count (%d sets per cell, n=6, D in [0.8T, T]):\n",
-              kSetsPerCell);
+  std::printf(
+      "\nMean busy-period horizon and checkpoint count (%d sets per cell, n=6, D in "
+      "[0.8T, T]):\n",
+      kSetsPerCell);
   Table t({"U", "feasible%", "mean horizon", "mean checkpoints", "max checkpoints"});
   sim::Rng rng(7);
   for (const double u : {0.50, 0.70, 0.85, 0.92, 0.96, 0.98, 0.995}) {

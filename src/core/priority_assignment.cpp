@@ -11,7 +11,8 @@ template <typename KeyFn>
 PriorityOrder sorted_order(const TaskSet& ts, KeyFn key) {
   PriorityOrder order(ts.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::ranges::stable_sort(order, [&](std::size_t a, std::size_t b) { return key(ts[a]) < key(ts[b]); });
+  std::ranges::stable_sort(order,
+                           [&](std::size_t a, std::size_t b) { return key(ts[a]) < key(ts[b]); });
   return order;
 }
 

@@ -23,15 +23,11 @@ namespace profisched::sensitivity {
 /// the sensitivity layer (q = 1024 means "unchanged").
 inline constexpr Ticks kScaleOne = 1024;
 
-/// Default upper bracket for growth searches: 64x (the historical cap both
-/// sensitivity headers hard-coded).
+/// Default upper bracket for growth searches: 64x.
 inline constexpr Ticks kDefaultMaxScaleQ = 64 * kScaleOne;
 
 /// Deadline searches cap at D = multiple · T (the historical 64·T cap).
 inline constexpr Ticks kDefaultDeadlineCapMultiple = 64;
-
-/// Default T_TR search cap (profibus-level searches).
-inline constexpr Ticks kDefaultTtrCap = 1 << 24;
 
 /// Outcome of one exact search over a monotone predicate.
 struct SensitivityResult {

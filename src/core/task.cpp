@@ -9,7 +9,8 @@ namespace {
 void validate_one(const Task& t, std::size_t index) {
   const auto fail = [&](const char* what) {
     throw std::invalid_argument("Task #" + std::to_string(index) +
-                                (t.name.empty() ? std::string{} : " (" + t.name + ")") + ": " + what);
+                                (t.name.empty() ? std::string{} : " (" + t.name + ")") + ": " +
+                                what);
   };
   if (t.C < 1) fail("C must be >= 1 tick");
   if (t.T < 1) fail("T must be >= 1 tick");

@@ -22,15 +22,10 @@ namespace {
 //
 // A mode class names its outcome rows in ShardArtifact and MergedSweep, its
 // cell codec, its compute call and its reducer; the templates below turn it
-// into the trait's codec and merge entries.
+// into the trait's codec and merge entries. A row starts with the outcome's
+// header (engine::detail::header: id, seed, point).
 
-/// Row header (id, seed, point) of an outcome; combined rows keep it in .sim.
-template <class Outcome>
-Outcome& header(Outcome& o) {
-  return o;
-}
-const engine::SimScenarioOutcome& header(const engine::CombinedOutcome& o) { return o.sim; }
-engine::SimScenarioOutcome& header(engine::CombinedOutcome& o) { return o.sim; }
+using engine::detail::header;
 
 struct AnalysisMode {
   using Codec = engine::detail::AnalysisCells;

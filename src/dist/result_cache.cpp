@@ -111,7 +111,8 @@ bool ResultCache::load(const engine::CacheKey& key, std::string& payload) {
 
   std::string body(len, '\0');
   is.read(body.data(), static_cast<std::streamsize>(len));
-  if (static_cast<std::size_t>(is.gcount()) != len || is.get() != std::ifstream::traits_type::eof()) {
+  if (static_cast<std::size_t>(is.gcount()) != len ||
+      is.get() != std::ifstream::traits_type::eof()) {
     return miss(true);
   }
   payload = std::move(body);

@@ -14,6 +14,10 @@
 // p of an outcome) and push(o, c) (append a cell; false, leaving `o`
 // untouched, when the cell contradicts the scenario). Bump a tag whenever its
 // bytes change: stale cache entries then miss cleanly.
+//
+// run_cells, at the end, is the per-scenario skeleton every mode runs: a mode
+// brings only its codec, its params digests, an optional prepare step and the
+// body that computes its missing cells.
 #pragma once
 
 #include <charconv>
@@ -22,6 +26,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "engine/detail/hash.hpp"
 #include "engine/detail/serialize.hpp"
 #include "engine/sweep_runner.hpp"
 #include "obs/metrics.hpp"
@@ -266,6 +271,77 @@ void cached_cells(const Codec& codec, ScenarioCache* cache, std::uint64_t conten
     cache->store(CacheKey{content, params[p]}, encode_record(codec, cells[p]));
     ++next;
   }
+}
+
+/// Row header (id, seed, point) of an outcome; combined outcomes keep it in .sim.
+template <class Outcome>
+Outcome& header(Outcome& o) {
+  return o;
+}
+inline const SimScenarioOutcome& header(const CombinedOutcome& o) { return o.sim; }
+inline SimScenarioOutcome& header(CombinedOutcome& o) { return o.sim; }
+
+/// The runner's per-scenario stage timers.
+struct StageTimers {
+  obs::Timer generate = obs::Registry::global().timer("runner.generate");
+  obs::Timer analyze = obs::Registry::global().timer("runner.analyze");
+  obs::Timer simulate = obs::Registry::global().timer("runner.simulate");
+};
+
+inline StageTimers& stage_timers() {
+  static StageTimers t;
+  return t;
+}
+
+/// Scenario half of a cache key: canonical_hash(sc). Simulation outcomes also
+/// depend on the RNG seed the replication streams derive from, and
+/// equal-content scenarios with different seeds occur in real sweeps, so
+/// `seeded` (simulation-backed) records fold sc.seed in.
+inline std::uint64_t content_digest(const Scenario& sc, bool seeded) {
+  const std::uint64_t content = canonical_hash(sc);
+  return seeded ? Fnv1a64().u64(content).u64(sc.seed).digest() : content;
+}
+
+struct NoPrepare {
+  template <class Outcome>
+  void operator()(const Scenario&, Outcome&) const {}
+};
+
+/// The per-scenario skeleton of every mode, over the scenarios of `sweep`
+/// with ids in `range`. It checks the range before sizing out.outcomes, then
+/// per scenario: regenerates it under runner.generate, digests its content
+/// (content_digest), writes the outcome header and runs prepare(sc, o); then,
+/// under `stage` (an empty Timer for a body that times itself), fills o's
+/// cells through cached_cells, whose misses compute(sc, o, missing, worker)
+/// computes. digest(policy) is the params half of that policy's cache key.
+template <class Codec, class Digest, class Result, class Compute, class Prepare = NoPrepare>
+void run_cells(SweepRunner& runner, const SweepSpec& sweep, IdRange range, ScenarioCache* cache,
+               const Codec& codec, Digest&& digest, bool seeded, obs::Timer stage, Result& out,
+               Compute&& compute, Prepare prepare = {}) {
+  validate_range(range, sweep.total_scenarios());
+  out.outcomes.resize(static_cast<std::size_t>(range.size()));
+  std::vector<std::uint64_t> params;  // loop-invariant: hashed once
+  for (const Policy p : sweep.policies) params.push_back(digest(p));
+  const StageTimers& t = stage_timers();
+
+  const auto per_scenario = [&](std::uint64_t id, std::size_t i, unsigned worker) {
+    obs::Span gen_span(t.generate);
+    const Scenario sc = SweepRunner::make_scenario(sweep, id);
+    const std::uint64_t content = cache != nullptr ? content_digest(sc, seeded) : 0;
+    gen_span.stop();
+    const obs::Span stage_span(stage);
+
+    auto& o = out.outcomes[i];  // disjoint slot per index
+    auto& h = header(o);
+    h.id = sc.id;
+    h.seed = sc.seed;
+    h.point = static_cast<std::size_t>(id) / sweep.scenarios_per_point;
+    prepare(sc, o);
+    cached_cells(codec, cache, content, params, o, [&](const std::vector<std::size_t>& missing) {
+      return compute(sc, o, missing, worker);
+    });
+  };
+  runner.run_scenarios(sweep.total_scenarios(), range, out, per_scenario);
 }
 
 }  // namespace profisched::engine::detail

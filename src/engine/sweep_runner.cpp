@@ -69,35 +69,40 @@ Scenario SweepRunner::make_scenario(const SweepSpec& spec, std::uint64_t id) {
   return sc;
 }
 
-namespace {
+void validate_range(IdRange range, std::uint64_t total) {
+  if (range.begin > range.end || range.end > total) {
+    throw std::out_of_range("SweepRunner: shard range outside the sweep");
+  }
+}
 
-void validate_sim_spec(const SimSweepSpec& spec) {
-  if (spec.sweep.policies.empty()) {
-    throw std::invalid_argument("SimSweepSpec: needs >= 1 policy");
+void validate_sweep(const SweepSpec& sweep, bool (*admits)(Policy), const char* what) {
+  const std::string name(what);
+  if (sweep.policies.empty()) throw std::invalid_argument(name + ": needs >= 1 policy");
+  if (sweep.points.empty() || sweep.scenarios_per_point == 0) {
+    throw std::invalid_argument(name + ": needs >= 1 point and >= 1 scenario per point");
   }
-  if (spec.sweep.points.empty() || spec.sweep.scenarios_per_point == 0) {
-    throw std::invalid_argument("SimSweepSpec: needs >= 1 point and >= 1 scenario per point");
-  }
-  if (spec.replications == 0) {
-    throw std::invalid_argument("SimSweepSpec: needs >= 1 replication");
-  }
-  for (std::size_t i = 0; i < spec.sweep.policies.size(); ++i) {
-    const Policy p = spec.sweep.policies[i];
-    if (!SimulationEngine::simulable(p)) {
-      throw std::invalid_argument(std::string("SimSweepSpec: policy ") +
-                                  std::string(to_string(p)) + " cannot be simulated");
-    }
-    // One group run simulates a scenario's policies, and a group names each once.
-    if (std::count(spec.sweep.policies.begin(), spec.sweep.policies.begin() + i, p) > 0) {
-      throw std::invalid_argument(std::string("SimSweepSpec: policy ") +
-                                  std::string(to_string(p)) + " named twice");
+  for (const Policy p : sweep.policies) {
+    if (!admits(p)) {
+      throw std::invalid_argument(name + ": policy " + std::string(to_string(p)) +
+                                  " is not available in this mode");
     }
   }
 }
 
-void validate_range(IdRange range, std::uint64_t total) {
-  if (range.begin > range.end || range.end > total) {
-    throw std::out_of_range("SweepRunner: shard range outside the sweep");
+namespace {
+
+void validate_sim_spec(const SimSweepSpec& spec) {
+  validate_sweep(spec.sweep, &SimulationEngine::simulable, "SimSweepSpec");
+  if (spec.replications == 0) {
+    throw std::invalid_argument("SimSweepSpec: needs >= 1 replication");
+  }
+  // One group run simulates a scenario's policies, and a group names each once.
+  const std::vector<Policy>& policies = spec.sweep.policies;
+  for (auto p = policies.begin(); p != policies.end(); ++p) {
+    if (std::find(policies.begin(), p, *p) != p) {
+      throw std::invalid_argument("SimSweepSpec: policy " + std::string(to_string(*p)) +
+                                  " named twice");
+    }
   }
 }
 
@@ -112,14 +117,22 @@ struct RunnerMetrics {
   obs::Counter memo_hits = obs::Registry::global().counter("engine.memo_hits");
   obs::Counter memo_misses = obs::Registry::global().counter("engine.memo_misses");
   obs::Timer range_timer = obs::Registry::global().timer("runner.range");
-  obs::Timer generate = obs::Registry::global().timer("runner.generate");
-  obs::Timer analyze = obs::Registry::global().timer("runner.analyze");
-  obs::Timer simulate = obs::Registry::global().timer("runner.simulate");
 };
 
 RunnerMetrics& runner_metrics() {
   static RunnerMetrics m;
   return m;
+}
+
+/// Add the per-worker engines' timing-memo counts to `out` and the
+/// engine.memo_* series.
+void fold_memo(const std::vector<AnalysisEngine>& engines, RunStats& out) {
+  for (const AnalysisEngine& e : engines) {
+    out.memo_hits += e.memo_hits();
+    out.memo_misses += e.memo_misses();
+  }
+  runner_metrics().memo_hits.add(out.memo_hits);
+  runner_metrics().memo_misses.add(out.memo_misses);
 }
 
 /// Simulation-kernel bridge counters: the kernel's own tallies are plain
@@ -233,10 +246,10 @@ std::vector<Policy> pick(const std::vector<Policy>& all, const std::vector<std::
 // Scenario) for the ANALYSIS records, whose results are a pure function of
 // the network content. Simulation outcomes additionally depend on the
 // scenario's RNG seed (rep_seed() drives cycle-duration draws and the random
-// replication phases), and equal-content different-seed scenarios genuinely
-// occur in real sweeps, so the sim/combined keys fold sc.seed into the
-// scenario half; serving one such scenario the other's record would silently
-// break the cached-equals-recomputed guarantee. The params half digests the
+// replication phases), so the sim/combined keys fold sc.seed into the
+// scenario half (detail::content_digest); serving an equal-content scenario
+// of another seed its record would silently break the
+// cached-equals-recomputed guarantee. The params half digests the
 // record kind, the policy, and every option that shapes the result, so any
 // knob change misses cleanly instead of serving stale data. The engine's
 // fixed formulation, fuel, horizon cap and histogram collection are hashed
@@ -246,12 +259,6 @@ std::vector<Policy> pick(const std::vector<Policy>& all, const std::vector<std::
 constexpr std::uint64_t kAnalysisRecordKind = 1;
 constexpr std::uint64_t kSimRecordKind = 2;
 constexpr std::uint64_t kCombinedRecordKind = 3;
-
-/// Scenario half of a simulation-backed cache key: content digest + the RNG
-/// seed the replication streams derive from.
-std::uint64_t seeded_content_digest(const Scenario& sc) {
-  return detail::Fnv1a64().u64(canonical_hash(sc)).u64(sc.seed).digest();
-}
 
 std::uint64_t analysis_params_digest(Policy policy, const EngineOptions& opt) {
   detail::Fnv1a64 h;
@@ -347,59 +354,27 @@ SweepResult SweepRunner::run(const SweepSpec& spec, ScenarioCache* cache) {
 }
 
 SweepResult SweepRunner::run(const SweepSpec& spec, IdRange range, ScenarioCache* cache) {
-  if (spec.policies.empty()) {
-    throw std::invalid_argument("SweepSpec: needs >= 1 policy");
-  }
-  if (spec.points.empty() || spec.scenarios_per_point == 0) {
-    throw std::invalid_argument("SweepSpec: needs >= 1 point and >= 1 scenario per point");
-  }
-  validate_range(range, spec.total_scenarios());
+  validate_sweep(spec, [](Policy) { return true; }, "SweepSpec");
   SweepResult out;
-  out.outcomes.resize(static_cast<std::size_t>(range.size()));
-
   // One engine per worker slot: the timing memo is reused across this
   // scenario's policies without any cross-thread locking.
   std::vector<AnalysisEngine> engines(pool_.size(), AnalysisEngine(spec.engine));
-
-  // Per-policy parameter digests are loop-invariant; hash them once.
-  std::vector<std::uint64_t> params;
-  for (const Policy p : spec.policies) params.push_back(analysis_params_digest(p, spec.engine));
-  RunnerMetrics& m = runner_metrics();
-  const detail::AnalysisCells codec;
-
-  const auto per_scenario = [&](std::uint64_t id, std::size_t i, unsigned worker) {
-    AnalysisEngine& engine = engines[worker];
-    obs::Span gen_span(m.generate);
-    const Scenario sc = make_scenario(spec, id);
-    const std::uint64_t content = cache != nullptr ? canonical_hash(sc) : 0;
-    gen_span.stop();
-    const obs::Span stage_span(m.analyze);
-
-    ScenarioOutcome& o = out.outcomes[i];  // disjoint slot per index
-    o.id = sc.id;
-    o.seed = sc.seed;
-    o.point = static_cast<std::size_t>(id) / spec.scenarios_per_point;
-    o.schedulable.reserve(spec.policies.size());
-    // A cell keeps only T_cycle and the verdict, so it takes the engine's
-    // verdict dispatch (EDF stops at the first proven miss).
-    const auto compute = [&](const std::vector<std::size_t>& missing) {
-      std::vector<detail::AnalysisCells::Cell> cells;
-      for (const std::size_t p : missing) {
-        const VerdictReport v = engine.verdict(sc, spec.policies[p]);
-        cells.push_back({v.tcycle, v.schedulable});
-      }
-      return cells;
-    };
-    detail::cached_cells(codec, cache, content, params, o, compute);
+  // A cell keeps only T_cycle and the verdict, so it takes the engine's
+  // verdict dispatch (EDF stops at the first proven miss).
+  const auto compute = [&](const Scenario& sc, const ScenarioOutcome&,
+                           const std::vector<std::size_t>& missing, unsigned worker) {
+    std::vector<detail::AnalysisCells::Cell> cells;
+    for (const std::size_t p : missing) {
+      const VerdictReport v = engines[worker].verdict(sc, spec.policies[p]);
+      cells.push_back({v.tcycle, v.schedulable});
+    }
+    return cells;
   };
-  run_scenarios(spec.total_scenarios(), range, out, per_scenario);
-
-  for (const AnalysisEngine& e : engines) {
-    out.memo_hits += e.memo_hits();
-    out.memo_misses += e.memo_misses();
-  }
-  m.memo_hits.add(out.memo_hits);
-  m.memo_misses.add(out.memo_misses);
+  detail::run_cells(
+      *this, spec, range, cache, detail::AnalysisCells{},
+      [&](Policy p) { return analysis_params_digest(p, spec.engine); }, /*seeded=*/false,
+      detail::stage_timers().analyze, out, compute);
+  fold_memo(engines, out);
   return out;
 }
 
@@ -410,41 +385,22 @@ SimSweepResult SweepRunner::run_sim(const SimSweepSpec& spec, ScenarioCache* cac
 SimSweepResult SweepRunner::run_sim(const SimSweepSpec& spec, IdRange range,
                                     ScenarioCache* cache) {
   validate_sim_spec(spec);
-  validate_range(range, spec.sweep.total_scenarios());
   SimSweepResult out;
-  out.outcomes.resize(static_cast<std::size_t>(range.size()));
-
   const SimulationEngine sim(spec.sim);  // stateless: shared by every worker
-  std::vector<std::uint64_t> params;
-  for (const Policy p : spec.sweep.policies) {
-    params.push_back(sim_params_digest(p, spec.sim, spec.replications));
-  }
-  RunnerMetrics& m = runner_metrics();
-  const detail::SimCells codec;
-
-  const auto per_scenario = [&](std::uint64_t id, std::size_t i, unsigned) {
-    obs::Span gen_span(m.generate);
-    const Scenario sc = make_scenario(spec.sweep, id);
-    const std::uint64_t content = cache != nullptr ? seeded_content_digest(sc) : 0;
-    gen_span.stop();
-    const obs::Span stage_span(m.simulate);
-
-    SimScenarioOutcome& o = out.outcomes[i];  // disjoint slot per index
-    o.id = sc.id;
-    o.seed = sc.seed;
-    o.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
-    o.horizon = sim.horizon_for(sc);
-    const auto compute = [&](const std::vector<std::size_t>& missing) {
-      const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
-      std::vector<detail::SimCells::Cell> cells;
-      for (const PolicySim& ps : simulate_policies(sim, sc, policies, spec.replications)) {
-        cells.push_back({o.horizon, ps.summary});
-      }
-      return cells;
-    };
-    detail::cached_cells(codec, cache, content, params, o, compute);
+  const auto compute = [&](const Scenario& sc, const SimScenarioOutcome& o,
+                           const std::vector<std::size_t>& missing, unsigned) {
+    const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
+    std::vector<detail::SimCells::Cell> cells;
+    for (const PolicySim& ps : simulate_policies(sim, sc, policies, spec.replications)) {
+      cells.push_back({o.horizon, ps.summary});
+    }
+    return cells;
   };
-  run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
+  detail::run_cells(
+      *this, spec.sweep, range, cache, detail::SimCells{},
+      [&](Policy p) { return sim_params_digest(p, spec.sim, spec.replications); }, /*seeded=*/true,
+      detail::stage_timers().simulate, out, compute,
+      [&](const Scenario& sc, SimScenarioOutcome& o) { o.horizon = sim.horizon_for(sc); });
   return out;
 }
 
@@ -455,98 +411,80 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, ScenarioCache
 CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range,
                                          ScenarioCache* cache) {
   validate_sim_spec(spec);
-  validate_range(range, spec.sweep.total_scenarios());
   CombinedResult out;
-  out.outcomes.resize(static_cast<std::size_t>(range.size()));
-
   const SimulationEngine sim(spec.sim);
   const bool faulted = spec.sim.faults.any();
   std::vector<AnalysisEngine> engines(pool_.size(), AnalysisEngine(spec.sweep.engine));
-  std::vector<std::uint64_t> params;
-  for (const Policy p : spec.sweep.policies) {
-    params.push_back(combined_params_digest(p, spec.sweep.engine, spec.sim, spec.replications));
-  }
-  RunnerMetrics& m = runner_metrics();
-  const detail::CombinedCells codec{faulted};
+  const detail::StageTimers& t = detail::stage_timers();
 
-  const auto per_scenario = [&](std::uint64_t id, std::size_t i, unsigned worker) {
+  const auto compute = [&](const Scenario& sc, const CombinedOutcome& o,
+                           const std::vector<std::size_t>& missing, unsigned worker) {
     AnalysisEngine& engine = engines[worker];
-    obs::Span gen_span(m.generate);
-    const Scenario sc = make_scenario(spec.sweep, id);
-    const std::uint64_t content = cache != nullptr ? seeded_content_digest(sc) : 0;
-    gen_span.stop();
-
-    CombinedOutcome& o = out.outcomes[i];  // disjoint slot per index
-    o.sim.id = sc.id;
-    o.sim.seed = sc.seed;
-    o.sim.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
-    o.sim.horizon = sim.horizon_for(sc);
-    // Under faults the degraded network and timing memo are shared across
-    // this scenario's policies (the per-policy degraded analyses dispatch
-    // through them), computed lazily so full-hit cached scenarios skip it.
+    std::vector<detail::CombinedCells::Cell> cells(missing.size());
+    // Per missing policy, the analysis its simulation is held to.
+    std::vector<profibus::NetworkAnalysis> refs(missing.size());
+    const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
+    // Under faults the degraded network and timing memo are built in the
+    // first policy's analysis and shared by the rest (the per-policy degraded
+    // analyses dispatch through them).
     std::optional<profibus::Network> dnet;
     std::optional<profibus::TimingMemo> dmemo;
-    const auto compute = [&](const std::vector<std::size_t>& missing) {
-      std::vector<detail::CombinedCells::Cell> cells(missing.size());
-      // Per missing policy, the analysis its simulation is held to.
-      std::vector<profibus::NetworkAnalysis> refs(missing.size());
-      const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
-      for (std::size_t j = 0; j < missing.size(); ++j) {
-        detail::CombinedCells::Cell& c = cells[j];
-        const obs::Span an_span(m.analyze);
-        Report a = engine.analyze(sc, policies[j]);
-        c.analytic_schedulable = a.schedulable;
-        c.analytic_wcrt = max_response(a.detail);
+    for (std::size_t j = 0; j < missing.size(); ++j) {
+      detail::CombinedCells::Cell& c = cells[j];
+      const obs::Span an_span(t.analyze);
+      Report a = engine.analyze(sc, policies[j]);
+      c.analytic_schedulable = a.schedulable;
+      c.analytic_wcrt = max_response(a.detail);
 
-        // Degraded-mode analysis: the guarantee the FAULTED simulation is
-        // held to. The clean columns keep the steady-state verdict (their gap
-        // is the price of faults); the consistency check below references
-        // the degraded bounds instead.
-        if (faulted) {
-          if (!dnet) {
-            dnet = profibus::degraded_network(sc.net, spec.sim.faults);
-            dmemo = profibus::degraded_timing(*dnet, spec.sim.faults, spec.sweep.engine.method);
-          }
-          refs[j] = analyze_network(*dnet, *dmemo, policies[j], engine.scratch()).detail;
-          c.degraded_schedulable = refs[j].schedulable;
-          c.degraded_wcrt = max_response(refs[j]);
-        } else {
-          refs[j] = std::move(a.detail);
+      // Degraded-mode analysis: the guarantee the FAULTED simulation is
+      // held to. The clean columns keep the steady-state verdict (their gap
+      // is the price of faults); the consistency check below references
+      // the degraded bounds instead.
+      if (faulted) {
+        if (!dnet) {
+          dnet = profibus::degraded_network(sc.net, spec.sim.faults);
+          dmemo = profibus::degraded_timing(*dnet, spec.sim.faults, spec.sweep.engine.method);
         }
+        refs[j] = analyze_network(*dnet, *dmemo, policies[j], engine.scratch()).detail;
+        c.degraded_schedulable = refs[j].schedulable;
+        c.degraded_wcrt = max_response(refs[j]);
+      } else {
+        refs[j] = std::move(a.detail);
       }
-      std::vector<PolicySim> sims;
-      {
-        const obs::Span sim_span(m.simulate);
-        sims = simulate_policies(sim, sc, policies, spec.replications);
-      }
+    }
+    std::vector<PolicySim> sims;
+    {
+      const obs::Span sim_span(t.simulate);
+      sims = simulate_policies(sim, sc, policies, spec.replications);
+    }
 
-      // Per-stream consistency: every bounded reference response (degraded
-      // under faults) must dominate that stream's observed max across all
-      // replications.
-      for (std::size_t j = 0; j < missing.size(); ++j) {
-        cells[j].sim = {o.sim.horizon, sims[j].summary};
-        const profibus::NetworkAnalysis& ref = refs[j];
-        for (std::size_t k = 0; k < ref.masters.size(); ++k) {
-          for (std::size_t si = 0; si < ref.masters[k].streams.size(); ++si) {
-            const Ticks bound = ref.masters[k].streams[si].response;
-            if (bound != kNoBound && sims[j].stream_max[k][si] > bound) {
-              ++cells[j].bound_violations;
-            }
+    // Per-stream consistency: every bounded reference response (degraded
+    // under faults) must dominate that stream's observed max across all
+    // replications.
+    for (std::size_t j = 0; j < missing.size(); ++j) {
+      cells[j].sim = {o.sim.horizon, sims[j].summary};
+      const profibus::NetworkAnalysis& ref = refs[j];
+      for (std::size_t k = 0; k < ref.masters.size(); ++k) {
+        for (std::size_t si = 0; si < ref.masters[k].streams.size(); ++si) {
+          const Ticks bound = ref.masters[k].streams[si].response;
+          if (bound != kNoBound && sims[j].stream_max[k][si] > bound) {
+            ++cells[j].bound_violations;
           }
         }
       }
-      return cells;
-    };
-    detail::cached_cells(codec, cache, content, params, o, compute);
+    }
+    return cells;
   };
-  run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
-
-  for (const AnalysisEngine& e : engines) {
-    out.memo_hits += e.memo_hits();
-    out.memo_misses += e.memo_misses();
-  }
-  m.memo_hits.add(out.memo_hits);
-  m.memo_misses.add(out.memo_misses);
+  // No stage timer: the body times each policy's analysis and the group
+  // simulation itself.
+  detail::run_cells(
+      *this, spec.sweep, range, cache, detail::CombinedCells{faulted},
+      [&](Policy p) {
+        return combined_params_digest(p, spec.sweep.engine, spec.sim, spec.replications);
+      },
+      /*seeded=*/true, obs::Timer{}, out, compute,
+      [&](const Scenario& sc, CombinedOutcome& o) { o.sim.horizon = sim.horizon_for(sc); });
+  fold_memo(engines, out);
   return out;
 }
 

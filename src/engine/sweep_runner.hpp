@@ -8,16 +8,19 @@
 // pre-sized vector. Results are therefore bit-identical for any thread count
 // — the acceptance property tests/engine/test_sweep_runner.cpp locks in.
 //
-// The same machinery drives every backend over one scenario range, through a
-// single ranged core surface (run_scenarios): each mode is an adapter that
-// sets up its engines/cache digests and hands the core a per-scenario
-// callback. That callback computes a scenario's cells one way, through
-// detail::cached_cells: it looks up every policy's cell when there is a
-// cache, computes all the misses in one call, and pushes the cells in policy
-// order. The simulation modes use that call to simulate the missing policies
-// as one group run per replication, which forks only where their dispatch
-// differs (SimulationEngine::simulate). Every entry point takes an optional
-// IdRange — the full-sweep overloads are thin wrappers passing [0, total):
+// The same machinery drives every backend over one scenario range. One
+// driver, detail::run_cells (engine/detail/record.hpp), owns the
+// per-scenario skeleton on the pool's ranged core (run_scenarios): the range
+// check, generation, the cache digest, the outcome header and the stage
+// timer. It computes a scenario's cells through detail::cached_cells, which
+// looks up every policy's cell when there is a cache, computes all the misses
+// in one call, and pushes the cells in policy order. A mode supplies only its
+// cell codec, its per-policy params digests, an optional prepare step and
+// that compute body. The simulation modes use the one call to simulate the
+// missing policies as one group run per replication, which forks only where
+// their dispatch differs (SimulationEngine::simulate). Every entry point
+// takes an optional IdRange — the full-sweep overloads are thin wrappers
+// passing [0, total):
 //   run()          — analysis only (AnalysisEngine);
 //   run_sim()      — simulation only (SimulationEngine, replicated runs with
 //                    (seed, scenario, replication)-keyed RNG streams, one
@@ -26,7 +29,7 @@
 //                    analytic verdict/bound with the observed simulation
 //                    behaviour (the analysis-vs-simulation acceptance data);
 //   opt::run_optimize() (src/opt/) — per-scenario parameter synthesis,
-//                    driving the same core from outside this header.
+//                    through the same driver from outside this header.
 #pragma once
 
 #include <cstdint>
@@ -108,6 +111,15 @@ struct SweepSpec {
     return points.size() * scenarios_per_point;
   }
 };
+
+/// Throws std::out_of_range unless range.begin <= range.end <= total: every
+/// mode checks its range before it sizes its outcomes.
+void validate_range(IdRange range, std::uint64_t total);
+
+/// The spec check every engine mode shares: throws std::invalid_argument,
+/// naming `what`, unless `sweep` has >= 1 point, >= 1 scenario per point and
+/// >= 1 policy, each of which `admits`.
+void validate_sweep(const SweepSpec& sweep, bool (*admits)(Policy), const char* what);
 
 /// Per-scenario result: one verdict per requested policy (indexed like
 /// SweepSpec::policies) plus the shared timing facts.
@@ -228,13 +240,14 @@ class SweepRunner {
   using ScenarioFn = std::function<void(std::uint64_t id, std::size_t slot, unsigned worker)>;
 
   /// The one ranged execution core every mode shares: validates `range`
-  /// against `total`, fans fn(id, slot, worker) across the pool for each id
-  /// in [range.begin, range.end), captures the first worker exception and
-  /// rethrows it on the calling thread after the pool drains, and records the
-  /// wall clock in `stats`. Callers size their outcome vector to
-  /// range.size() beforehand and write only their own slot — that (plus
-  /// index-keyed generation) is the whole thread-count-invariance argument.
-  /// Public so out-of-header modes (src/opt/) drive the identical surface.
+  /// against `total` (validate_range), fans fn(id, slot, worker) across the
+  /// pool for each id in [range.begin, range.end), captures the first worker
+  /// exception and rethrows it on the calling thread after the pool drains,
+  /// and records the wall clock in `stats`. Callers size their outcome
+  /// vector to range.size() beforehand and write only their own slot — that
+  /// (plus index-keyed generation) is the whole thread-count-invariance
+  /// argument. Public so detail::run_cells, a template outside the class,
+  /// can drive it.
   void run_scenarios(std::uint64_t total, IdRange range, RunStats& stats,
                      const ScenarioFn& fn);
 

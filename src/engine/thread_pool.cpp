@@ -107,7 +107,8 @@ void ThreadPool::parallel_for(std::size_t n,
   // Wait for this call's own slots (not wait_idle: other callers may share
   // the pool).
   std::unique_lock lock(shared->mu);
-  shared->cv.wait(lock, [&] { return shared->done_workers.load(std::memory_order_acquire) == slots; });
+  shared->cv.wait(lock,
+                  [&] { return shared->done_workers.load(std::memory_order_acquire) == slots; });
 }
 
 unsigned ThreadPool::default_threads() noexcept {

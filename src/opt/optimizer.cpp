@@ -17,9 +17,7 @@ namespace {
 /// SensitivityResult::probes. `bisections` counts searches run. The
 /// master_verdicts series count how run_optimize's probes reached each master
 /// verdict: by an analysis (on any axis; the D/T axis's share separately), or
-/// from the per-master bracket without one. The two stage timers are the
-/// sweep runner's series: scenario generation, and the bisections of all of a
-/// scenario's policies.
+/// from the per-master bracket without one.
 struct OptMetrics {
   obs::Counter bisections = obs::Registry::global().counter("opt.bisections");
   obs::Counter probes_breakdown = obs::Registry::global().counter("opt.probes.breakdown");
@@ -29,8 +27,6 @@ struct OptMetrics {
   obs::Counter analysed_dratio =
       obs::Registry::global().counter("opt.master_verdicts.analysed_dratio");
   obs::Counter decided = obs::Registry::global().counter("opt.master_verdicts.decided");
-  obs::Timer generate = obs::Registry::global().timer("runner.generate");
-  obs::Timer analyze = obs::Registry::global().timer("runner.analyze");
 };
 
 OptMetrics& opt_metrics() {
@@ -58,8 +54,7 @@ PolicyOptimum search(const profibus::Network& net, Probes& probes,
     o.breakdown_u = breakdown_utilization_at(net, breakdown.value);
   }
 
-  // profibus::max_schedulable_ttr's bracket: below ring latency + 1 the
-  // token starves.
+  // The T_TR bracket floor: below ring latency + 1 the token starves.
   const Ticks ttr_floor = sat_add(net.ring_latency(), 1);
   const auto ttr = sensitivity::max_satisfying(ttr_floor, std::max(ttr_floor, options.ttr_cap),
                                                [&](Ticks t) { return probes.ttr(t); });
@@ -261,18 +256,7 @@ std::uint64_t optimize_params_digest(engine::Policy policy, const engine::Engine
 }
 
 void validate_spec(const OptimizeSpec& spec) {
-  if (spec.sweep.policies.empty()) {
-    throw std::invalid_argument("OptimizeSpec: needs >= 1 policy");
-  }
-  for (const engine::Policy p : spec.sweep.policies) {
-    if (!optimizable(p)) {
-      throw std::invalid_argument(std::string("OptimizeSpec: policy ") +
-                                  std::string(engine::to_string(p)) + " cannot be optimized");
-    }
-  }
-  if (spec.sweep.points.empty() || spec.sweep.scenarios_per_point == 0) {
-    throw std::invalid_argument("OptimizeSpec: needs >= 1 point and >= 1 scenario per point");
-  }
+  engine::validate_sweep(spec.sweep, &optimizable, "OptimizeSpec");
   const OptimizeOptions& o = spec.options;
   if (o.scale_lo_q < 1 || o.scale_lo_q > o.scale_hi_q) {
     throw std::invalid_argument("OptimizeOptions: scale bracket needs 1 <= lo <= hi");
@@ -313,48 +297,27 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
 OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spec,
                             engine::IdRange range, engine::ScenarioCache* cache) {
   validate_spec(spec);
-  if (range.begin > range.end || range.end > spec.sweep.total_scenarios()) {
-    throw std::out_of_range("run_optimize: shard range outside the sweep");
-  }
   OptimizeResult out;
-  out.outcomes.resize(static_cast<std::size_t>(range.size()));
-
-  std::vector<std::uint64_t> params;
-  for (const engine::Policy p : spec.sweep.policies) {
-    params.push_back(optimize_params_digest(p, spec.sweep.engine, spec.options));
-  }
-  const OptimizeCells codec;
-  OptMetrics& m = opt_metrics();
-
-  const auto per_scenario = [&](std::uint64_t id, std::size_t i, unsigned) {
-    obs::Span gen_span(m.generate);
-    const engine::Scenario sc = engine::SweepRunner::make_scenario(spec.sweep, id);
-    // Optima are a pure function of network content + options (no RNG use
-    // past generation), so the scenario half of the key is the plain content
-    // hash — equal-content scenarios share entries like analysis records do.
-    const std::uint64_t content = cache != nullptr ? engine::canonical_hash(sc) : 0;
-    gen_span.stop();
-    const obs::Span stage_span(m.analyze);
-
-    OptimizeOutcome& o = out.outcomes[i];  // disjoint slot per index
-    o.id = sc.id;
-    o.seed = sc.seed;
-    o.point = static_cast<std::size_t>(id) / spec.sweep.scenarios_per_point;
-    o.per_policy.reserve(spec.sweep.policies.size());
-    const auto compute = [&](const std::vector<std::size_t>& missing) {
-      thread_local RtaScratch scratch;
-      const ProbeBase base(sc.net, spec.sweep.engine.method);
-      std::vector<OptimizeCells::Cell> cells;
-      for (const std::size_t p : missing) {
-        MasterProbes probes(base, spec.sweep.policies[p], scratch);
-        cells.push_back(search(sc.net, probes, spec.options));
-        probes.count(m);
-      }
-      return cells;
-    };
-    engine::detail::cached_cells(codec, cache, content, params, o, compute);
+  OptMetrics& m = opt_metrics();  // a fully cached run still shows the opt.* series
+  const auto compute = [&](const engine::Scenario& sc, const OptimizeOutcome&,
+                           const std::vector<std::size_t>& missing, unsigned) {
+    thread_local RtaScratch scratch;
+    const ProbeBase base(sc.net, spec.sweep.engine.method);
+    std::vector<OptimizeCells::Cell> cells;
+    for (const std::size_t p : missing) {
+      MasterProbes probes(base, spec.sweep.policies[p], scratch);
+      cells.push_back(search(sc.net, probes, spec.options));
+      probes.count(m);
+    }
+    return cells;
   };
-  runner.run_scenarios(spec.sweep.total_scenarios(), range, out, per_scenario);
+  // Optima are a pure function of network content + options (no RNG use
+  // past generation), so the scenario half of the key is the plain content
+  // hash — equal-content scenarios share entries like analysis records do.
+  engine::detail::run_cells(
+      runner, spec.sweep, range, cache, OptimizeCells{},
+      [&](engine::Policy p) { return optimize_params_digest(p, spec.sweep.engine, spec.options); },
+      /*seeded=*/false, engine::detail::stage_timers().analyze, out, compute);
   return out;
 }
 

@@ -46,10 +46,12 @@
 // from (seed, id) alone and outcomes land in slot id - range.begin. Results
 // are byte-identical for any thread count and any shard split (src/dist/
 // carries an Optimize mode), and cache through ScenarioCache with a
-// versioned params digest (record kind 4). With --metrics, each scenario's
-// generation and bisections are timed under the sweep runner's
-// runner.generate and runner.analyze series, and the opt.* counters count
-// bisections, probes per axis and how each master verdict was reached.
+// versioned params digest (record kind 4). run_optimize is one more mode on
+// the sweep runner's driver (engine::detail::run_cells), which times each
+// scenario's generation and bisections under runner.generate and
+// runner.analyze as it times every mode; with --metrics the opt.* counters
+// also count bisections, probes per axis and how each master verdict was
+// reached.
 #pragma once
 
 #include <string>
@@ -157,7 +159,7 @@ struct OptimizeSpec {
                                             const OptimizeOptions& options);
 
 /// Optimize the scenarios with ids in `range`, fanned across `runner`'s pool
-/// through the same ranged core as every sweep mode, deciding the probes
+/// through the same driver as every sweep mode, deciding the probes
 /// master by master (see the header comment); each optimum equals
 /// optimize_policy under optimize_network_test. With a cache, each
 /// (scenario, policy) optimum is looked up by content address first and only

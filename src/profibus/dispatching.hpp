@@ -27,8 +27,8 @@ enum class ApPolicy {
 }
 
 /// Run the worst-case response-time analysis for `policy` over the network.
-[[nodiscard]] inline NetworkAnalysis analyze_network(const Network& net, ApPolicy policy,
-                                                     TcycleMethod method = TcycleMethod::PaperEq13) {
+[[nodiscard]] inline NetworkAnalysis analyze_network(
+    const Network& net, ApPolicy policy, TcycleMethod method = TcycleMethod::PaperEq13) {
   switch (policy) {
     case ApPolicy::Fcfs: return analyze_fcfs(net, method);
     case ApPolicy::Dm: return analyze_dm(net, method);

@@ -18,7 +18,8 @@ Ticks worst_case_cycle_time(const BusParameters& bus, const MessageCycleSpec& sp
   // longer bounds the cycle: with a short response frame the all-timeout path
   // can dominate (t_sl > max_tsdr + response).
   Ticks all_fail_path = bus.t_id1;
-  for (int r = 0; r < bus.max_retry + 1; ++r) all_fail_path = sat_add(all_fail_path, failed_attempt);
+  for (int r = 0; r < bus.max_retry + 1; ++r)
+    all_fail_path = sat_add(all_fail_path, failed_attempt);
 
   return std::max(success_path, all_fail_path);
 }

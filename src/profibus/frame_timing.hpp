@@ -67,8 +67,8 @@ struct MessageCycleSpec {
 /// cycle.
 [[nodiscard]] Ticks worst_case_cycle_time(const BusParameters& bus, const MessageCycleSpec& spec);
 
-/// Best-case message-cycle length (no retries, minimum turnaround) — used by
-/// the simulator when sampling actual cycle durations.
+/// Best-case message-cycle length (no retries, minimum turnaround): the low
+/// end of the cycle lengths worst_case_cycle_time bounds.
 [[nodiscard]] Ticks best_case_cycle_time(const BusParameters& bus, const MessageCycleSpec& spec);
 
 /// Time to pass the token to the ring successor (token frame + idle).

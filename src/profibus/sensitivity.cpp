@@ -4,12 +4,6 @@
 
 namespace profisched::profibus {
 
-NetworkTest network_test_for(ApPolicy policy, TcycleMethod method) {
-  return [policy, method](const Network& net) {
-    return analyze_network(net, policy, method).schedulable;
-  };
-}
-
 Ticks scale_cycle(Ticks c, Ticks q1024, Ticks least) {
   return std::max(ceil_div(sat_mul(c, q1024), sensitivity::kScaleOne), least);
 }
@@ -53,16 +47,6 @@ double message_utilization(const Network& net) {
   return u;
 }
 
-sensitivity::SensitivityResult frame_scaling_headroom(const Network& net,
-                                                      const NetworkTest& test,
-                                                      Ticks max_factor_q1024) {
-  // q = kScaleOne is the identity scaling, so the floor probe doubles as the
-  // "schedulable to begin with" check.
-  return sensitivity::max_satisfying(
-      sensitivity::kScaleOne, max_factor_q1024,
-      [&](Ticks q) { return test(with_scaled_frames(net, q)); });
-}
-
 sensitivity::SensitivityResult stream_deadline_margin(const Network& net,
                                                       const NetworkTest& test,
                                                       std::size_t master, std::size_t stream) {
@@ -75,19 +59,6 @@ sensitivity::SensitivityResult stream_deadline_margin(const Network& net,
   const Ticks cap = sat_mul(target.T, sensitivity::kDefaultDeadlineCapMultiple);
   return sensitivity::min_satisfying(target.Ch, cap,
                                      [&](Ticks d) { return test(with_deadline(d)); });
-}
-
-sensitivity::SensitivityResult max_schedulable_ttr(const Network& net, const NetworkTest& test,
-                                                   Ticks cap) {
-  const Ticks floor = sat_add(net.ring_latency(), 1);
-  return sensitivity::max_satisfying(floor, std::max(floor, cap),
-                                     [&](Ticks ttr) { return test(with_ttr(net, ttr)); });
-}
-
-sensitivity::SensitivityResult min_deadline_ratio(const Network& net, const NetworkTest& test,
-                                                  Ticks lo_q1024, Ticks hi_q1024) {
-  return sensitivity::min_satisfying(
-      lo_q1024, hi_q1024, [&](Ticks q) { return test(with_deadline_ratio(net, q)); });
 }
 
 }  // namespace profisched::profibus

@@ -1,16 +1,16 @@
-// sensitivity.hpp (profibus) — network-level sensitivity analysis: the
-// margins a fieldbus engineer actually asks about. How much can every frame
-// grow (firmware update adds fields to each PDU) before the guarantees
-// break? How tight could one stream's deadline go? How high can T_TR be set?
-//
-// All searches are exact binary searches through the unified core of
-// core/sensitivity_search.hpp, driven by a caller-supplied NetworkTest
-// predicate — so the same functions serve plain analyze_network verdicts and
-// alternative T_cycle methods. The network mutators (with_scaled_frames /
-// with_deadline_ratio / with_ttr) are exported for the optimizer's axes
-// (src/opt/), and so callers can evaluate the configuration a boundary value
-// denotes (e.g. its message utilization); scale_cycle_maxima gives the
-// optimizer a scaled network's T_cycle without building it.
+// sensitivity.hpp (profibus) — the network mutators that walk the margins a
+// fieldbus engineer asks about: how much can every frame grow (a firmware
+// update adds fields to each PDU), how tight can the deadlines go, how high
+// can T_TR be set? The searches over whole-network axes are the optimizer's
+// (src/opt/optimizer.hpp: breakdown, max T_TR, min D/T): with_scaled_frames /
+// with_deadline_ratio / with_ttr build its reference probes and let callers
+// evaluate the configuration a boundary value denotes (e.g. its message
+// utilization); scale_cycle_maxima gives it a scaled network's T_cycle
+// without building the network. One search stays here, because it has no
+// whole-network axis: stream_deadline_margin, the smallest deadline one
+// stream can sustain (the paper's per-stream margin claim), an exact binary
+// search through core/sensitivity_search.hpp over a caller-supplied
+// NetworkTest such as opt::optimize_network_test.
 #pragma once
 
 #include <functional>
@@ -22,10 +22,6 @@ namespace profisched::profibus {
 
 /// A predicate deciding schedulability of a (modified) network.
 using NetworkTest = std::function<bool(const Network&)>;
-
-/// Standard test for a policy under a T_cycle method, as a reusable predicate.
-[[nodiscard]] NetworkTest network_test_for(ApPolicy policy,
-                                           TcycleMethod method = TcycleMethod::PaperEq13);
 
 // ---- network mutators (the parameter axes the searches walk) ----------
 
@@ -55,15 +51,7 @@ using NetworkTest = std::function<bool(const Network&)>;
 /// every master (master order, then stream order — deterministic).
 [[nodiscard]] double message_utilization(const Network& net);
 
-// ---- exact searches ---------------------------------------------------
-
-/// Largest frame-scaling factor (q/1024) keeping `test` true. Infeasible when
-/// the unscaled network already fails; cap_hit when `max_factor_q1024` still
-/// passes. The breakdown utilization is
-/// message_utilization(with_scaled_frames(net, result.value)).
-[[nodiscard]] sensitivity::SensitivityResult frame_scaling_headroom(
-    const Network& net, const NetworkTest& test,
-    Ticks max_factor_q1024 = sensitivity::kDefaultMaxScaleQ);
+// ---- per-stream search -------------------------------------------------
 
 /// Smallest deadline stream (master, stream) can sustain, all else fixed —
 /// the exact value passing at D_min but failing at D_min − 1. Monotone for
@@ -74,21 +62,5 @@ using NetworkTest = std::function<bool(const Network&)>;
                                                                     const NetworkTest& test,
                                                                     std::size_t master,
                                                                     std::size_t stream);
-
-/// Largest T_TR keeping `test` true (the DM/EDF generalization of eq. 15's
-/// FCFS-only bound; exact search since no closed form exists for eqs. 16–18).
-/// Bracket floor is ring_latency + 1 (below that the token starves).
-/// Distinct from ttr_setting.hpp's closed-form max_schedulable_ttr(net): this
-/// overload requires the predicate.
-[[nodiscard]] sensitivity::SensitivityResult max_schedulable_ttr(
-    const Network& net, const NetworkTest& test, Ticks cap = sensitivity::kDefaultTtrCap);
-
-/// Smallest uniform D/T ratio beta = q/1024 (applied via with_deadline_ratio)
-/// keeping `test` true — how tight can every deadline go, relative to its
-/// period? Infeasible when even beta = hi_q/1024 fails; cap_hit when the
-/// floor lo_q already passes.
-[[nodiscard]] sensitivity::SensitivityResult min_deadline_ratio(
-    const Network& net, const NetworkTest& test, Ticks lo_q1024 = 64,
-    Ticks hi_q1024 = sensitivity::kDefaultMaxScaleQ);
 
 }  // namespace profisched::profibus

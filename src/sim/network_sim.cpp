@@ -375,7 +375,8 @@ class Simulation {
     const MessageStream& s = cfg_.net.masters[k].high_streams[req.stream];
 
     bool dropped = false;
-    const Ticks dur = corrupted_duration(k, req.stream, sample_hp_duration(k, req.stream, s, dropped));
+    const Ticks dur =
+        corrupted_duration(k, req.stream, sample_hp_duration(k, req.stream, s, dropped));
     trace(TraceKind::CycleStart, k, req.stream, dur);
     note_overrun(m, k, tth_expiry, dur);
 

@@ -29,8 +29,7 @@ inline constexpr Ticks kTicksPerMs = 500;
 
 /// A single-master process-monitoring station with n_streams sensor polls of
 /// identical frames, periods stepping ×1.5 from `base_period_ms`, and
-/// deadlines equal to periods. The simplest non-trivial configuration — used
-/// by the quickstart example.
+/// deadlines equal to periods. The simplest non-trivial configuration.
 [[nodiscard]] profibus::Network process_monitoring(std::size_t n_streams = 5,
                                                    Ticks base_period_ms = 20);
 

@@ -301,6 +301,18 @@ TEST(SimSweep, RejectsBadSpecs) {
   EXPECT_THROW((void)runner.run_combined(analysis_only), std::invalid_argument);
 }
 
+TEST(SimSweep, RejectsRangesOutsideTheSweep) {
+  // The range is checked before any outcome is allocated: 2^40 outcome
+  // slots would not fit in memory.
+  SweepRunner runner(1);
+  const SimSweepSpec spec = small_spec();
+  for (const IdRange r :
+       {IdRange{5, 4}, IdRange{0, spec.sweep.total_scenarios() + 1}, IdRange{0, 1ULL << 40}}) {
+    EXPECT_THROW((void)runner.run_sim(spec, r), std::out_of_range) << r.begin << ' ' << r.end;
+    EXPECT_THROW((void)runner.run_combined(spec, r), std::out_of_range) << r.begin << ' ' << r.end;
+  }
+}
+
 TEST(SimSweep, WorkerExceptionsSurfaceOnTheCallingThread) {
   // UUniFast mode without an explicit T_TR is rejected inside a worker; the
   // error must reach the caller, not std::terminate the process.

@@ -197,5 +197,16 @@ TEST(SweepRunner, RejectsEmptySpecs) {
   EXPECT_THROW((void)runner.run(no_reps), std::invalid_argument);
 }
 
+TEST(SweepRunner, RejectsRangesOutsideTheSweep) {
+  // The range is checked before any outcome is allocated: 2^40 outcome
+  // slots would not fit in memory.
+  SweepRunner runner(1);
+  const SweepSpec spec = small_spec();
+  for (const IdRange r :
+       {IdRange{5, 4}, IdRange{0, spec.total_scenarios() + 1}, IdRange{0, 1ULL << 40}}) {
+    EXPECT_THROW((void)runner.run(spec, r), std::out_of_range) << r.begin << ' ' << r.end;
+  }
+}
+
 }  // namespace
 }  // namespace profisched::engine

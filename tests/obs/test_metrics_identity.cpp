@@ -2,9 +2,10 @@
 // instrumentation changes ZERO bytes of any primary artifact. Each test runs
 // the same small sweep with telemetry off and fully on (timed spans + the
 // progress heartbeat) and compares the serialized outputs byte-for-byte,
-// across every engine backend (analysis, sim, combined, optimize). The
-// optimizer's opt.* counters also repeat exactly across thread counts and
-// shard splits.
+// across every engine backend (analysis, sim, combined, optimize). Each also
+// counts the runner's stage spans: one generate span per scenario and the
+// mode's stage spans, only with telemetry on. The optimizer's opt.* counters
+// also repeat exactly across thread counts and shard splits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,6 +41,23 @@ class ObsFlagsGuard {
   bool was_progress_;
 };
 
+/// Spans recorded so far by the runner's stage timers.
+struct StageSpans {
+  std::uint64_t generate, analyze, simulate;
+  bool operator==(const StageSpans&) const = default;
+};
+StageSpans stage_spans() {
+  const obs::Snapshot s = obs::Registry::global().snapshot();
+  return {s.timer("runner.generate").count, s.timer("runner.analyze").count,
+          s.timer("runner.simulate").count};
+}
+
+/// The stage spans after `before` plus the given ones.
+StageSpans plus(const StageSpans& before, std::uint64_t generate, std::uint64_t analyze,
+                std::uint64_t simulate) {
+  return {before.generate + generate, before.analyze + analyze, before.simulate + simulate};
+}
+
 engine::SimSweepSpec small_spec() {
   engine::SimSweepSpec spec;
   spec.sweep.base.n_masters = 1;
@@ -56,7 +74,9 @@ engine::SimSweepSpec small_spec() {
 
 TEST(ObsByteIdentity, AnalysisSweepOutputsAreIdentical) {
   const engine::SimSweepSpec spec = small_spec();
+  const std::uint64_t n = spec.sweep.total_scenarios();
   std::string off_csv, off_json, on_csv, on_json;
+  const StageSpans spans0 = stage_spans();
   {
     const ObsFlagsGuard flags(false, false);
     engine::SweepRunner runner(2);
@@ -65,6 +85,7 @@ TEST(ObsByteIdentity, AnalysisSweepOutputsAreIdentical) {
     off_csv = curves.to_csv();
     off_json = curves.to_json();
   }
+  EXPECT_EQ(stage_spans(), spans0);
   {
     const ObsFlagsGuard flags(true, true);
     engine::SweepRunner runner(2);
@@ -73,23 +94,28 @@ TEST(ObsByteIdentity, AnalysisSweepOutputsAreIdentical) {
     on_csv = curves.to_csv();
     on_json = curves.to_json();
   }
+  EXPECT_EQ(stage_spans(), plus(spans0, n, n, 0));
   EXPECT_EQ(off_csv, on_csv);
   EXPECT_EQ(off_json, on_json);
 }
 
 TEST(ObsByteIdentity, SimSweepOutputsAreIdentical) {
   const engine::SimSweepSpec spec = small_spec();
+  const std::uint64_t n = spec.sweep.total_scenarios();
   std::string off_csv, on_csv;
+  const StageSpans spans0 = stage_spans();
   {
     const ObsFlagsGuard flags(false, false);
     engine::SweepRunner runner(2);
     off_csv = engine::aggregate_sim(spec, runner.run_sim(spec, nullptr)).to_csv();
   }
+  EXPECT_EQ(stage_spans(), spans0);
   {
     const ObsFlagsGuard flags(true, true);
     engine::SweepRunner runner(2);
     on_csv = engine::aggregate_sim(spec, runner.run_sim(spec, nullptr)).to_csv();
   }
+  EXPECT_EQ(stage_spans(), plus(spans0, n, 0, n));
   EXPECT_EQ(off_csv, on_csv);
 }
 
@@ -106,13 +132,16 @@ TEST(ObsByteIdentity, CombinedSweepOutputsAreIdentical) {
   engine::SimSweepSpec spec = small_spec();
   spec.sim.faults.token_loss_prob = 0.02;  // exercise the fault bridge too
   spec.sim.faults.token_recovery = 600;
+  const std::uint64_t n = spec.sweep.total_scenarios();
   std::string off_csv, on_csv;
   const SimCounts c0 = sim_counts();
+  const StageSpans spans0 = stage_spans();
   {
     const ObsFlagsGuard flags(false, false);
     engine::SweepRunner runner(2);
     off_csv = engine::consistency_table(spec, runner.run_combined(spec, nullptr)).to_csv();
   }
+  EXPECT_EQ(stage_spans(), spans0);
   const SimCounts c1 = sim_counts();
   {
     const ObsFlagsGuard flags(true, true);
@@ -120,6 +149,9 @@ TEST(ObsByteIdentity, CombinedSweepOutputsAreIdentical) {
     on_csv = engine::consistency_table(spec, runner.run_combined(spec, nullptr)).to_csv();
   }
   const SimCounts c2 = sim_counts();
+  // Without a cache every policy is computed: one analyze span per (scenario,
+  // policy), one simulate span per scenario's group simulation.
+  EXPECT_EQ(stage_spans(), plus(spans0, n, n * spec.sweep.policies.size(), n));
   EXPECT_EQ(off_csv, on_csv);
   // The sharing series count the same with telemetry on and off: the group
   // runs share prefixes, so the kernels ran fewer events than the per-policy
@@ -132,20 +164,14 @@ TEST(ObsByteIdentity, CombinedSweepOutputsAreIdentical) {
   EXPECT_GT(c1.splits - c0.splits, 0u);
 }
 
-/// Spans recorded so far by the runner.generate and runner.analyze timers.
-std::uint64_t stage_spans() {
-  const obs::Snapshot s = obs::Registry::global().snapshot();
-  return s.timer("runner.generate").count + s.timer("runner.analyze").count;
-}
-
 TEST(ObsByteIdentity, OptimizeOutputsAreIdentical) {
   opt::OptimizeSpec spec;
   spec.sweep = small_spec().sweep;
   spec.sweep.scenarios_per_point = 4;
+  const std::uint64_t n = spec.sweep.total_scenarios();
   std::string off_csv, off_json, on_csv, on_json;
-  // Optimize runs attribute their time to the runner's stage timers, one
-  // generate and one analyze span per scenario, and only with telemetry on.
-  const std::uint64_t spans0 = stage_spans();
+  // Optimize runs attribute their bisections to runner.analyze.
+  const StageSpans spans0 = stage_spans();
   {
     const ObsFlagsGuard flags(false, false);
     engine::SweepRunner runner(2);
@@ -163,7 +189,7 @@ TEST(ObsByteIdentity, OptimizeOutputsAreIdentical) {
     on_csv = table.to_csv();
     on_json = table.to_json();
   }
-  EXPECT_EQ(stage_spans(), spans0 + 2 * spec.sweep.total_scenarios());
+  EXPECT_EQ(stage_spans(), plus(spans0, n, n, 0));
   EXPECT_EQ(off_csv, on_csv);
   EXPECT_EQ(off_json, on_json);
 }

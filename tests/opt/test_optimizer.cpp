@@ -274,7 +274,10 @@ TEST(Optimizer, RejectsBadSpecsAndRanges) {
   bad_bracket.options.scale_hi_q = 1'024;
   EXPECT_THROW((void)run_optimize(runner, bad_bracket), std::invalid_argument);
 
-  EXPECT_THROW((void)run_optimize(runner, spec, engine::IdRange{0, 1'000}), std::out_of_range);
+  for (const engine::IdRange r :
+       {engine::IdRange{5, 4}, engine::IdRange{0, 1'000}, engine::IdRange{0, 1ULL << 40}}) {
+    EXPECT_THROW((void)run_optimize(runner, spec, r), std::out_of_range) << r.begin << ' ' << r.end;
+  }
   EXPECT_FALSE(optimizable(engine::Policy::Holistic));
   EXPECT_THROW((void)optimize_network_test(engine::Policy::TokenRing, spec.sweep.engine),
                std::invalid_argument);

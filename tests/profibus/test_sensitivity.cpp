@@ -1,34 +1,49 @@
-// Unit tests for network-level sensitivity analysis, on the unified
-// predicate-based SensitivityResult API.
+// Unit tests for network-level sensitivity analysis: the optimizer's
+// whole-network searches (opt::optimize_policy under the engine's verdict
+// predicate) on the shipped configs, and the per-stream deadline margin.
 #include "profibus/sensitivity.hpp"
 
 #include <gtest/gtest.h>
 
+#include "opt/optimizer.hpp"
 #include "profibus/ttr_setting.hpp"
 #include "workload/scenarios.hpp"
 
 namespace profisched::profibus {
 namespace {
 
+using engine::Policy;
+
 Network demo() { return workload::scenarios::factory_cell(); }
+
+NetworkTest test_for(Policy policy) { return opt::optimize_network_test(policy, {}); }
+
+opt::PolicyOptimum optimum(const Network& net, Policy policy) {
+  return opt::optimize_policy(net, test_for(policy), {});
+}
 
 TEST(NetSensitivity, UnschedulableHasNoHeadroom) {
   const Network net = workload::scenarios::tight_deadline_mix();
-  // FCFS fails already; DM holds.
-  EXPECT_FALSE(frame_scaling_headroom(net, network_test_for(ApPolicy::Fcfs)).feasible);
-  EXPECT_TRUE(frame_scaling_headroom(net, network_test_for(ApPolicy::Dm)).feasible);
+  // FCFS fails already, so it breaks down below the generated frame sizes;
+  // DM holds, and at least at them.
+  const opt::PolicyOptimum fcfs = optimum(net, Policy::Fcfs);
+  EXPECT_FALSE(fcfs.schedulable);
+  EXPECT_LT(fcfs.breakdown_q, sensitivity::kScaleOne);
+  const opt::PolicyOptimum dm = optimum(net, Policy::Dm);
+  EXPECT_TRUE(dm.schedulable);
+  EXPECT_GE(dm.breakdown_q, sensitivity::kScaleOne);
 }
 
 TEST(NetSensitivity, FrameGrowthBoundaryExact) {
   const Network net = demo();
-  for (const ApPolicy policy : {ApPolicy::Fcfs, ApPolicy::Dm, ApPolicy::Edf}) {
-    const auto q = frame_scaling_headroom(net, network_test_for(policy));
-    ASSERT_TRUE(q.feasible) << to_string(policy);
-    EXPECT_GE(q.value, sensitivity::kScaleOne);
+  for (const Policy policy : {Policy::Fcfs, Policy::Dm, Policy::Edf}) {
+    const NetworkTest test = test_for(policy);
+    const opt::PolicyOptimum o = optimum(net, policy);
+    EXPECT_GE(o.breakdown_q, sensitivity::kScaleOne) << engine::to_string(policy);
     // Exactness: schedulable at q, not at q+1 (unless capped).
-    if (!q.cap_hit) {
-      const Network grown = with_scaled_frames(net, q.value + 1);
-      EXPECT_FALSE(analyze_network(grown, policy).schedulable) << to_string(policy);
+    EXPECT_TRUE(test(with_scaled_frames(net, o.breakdown_q))) << engine::to_string(policy);
+    if (!o.breakdown_cap) {
+      EXPECT_FALSE(test(with_scaled_frames(net, o.breakdown_q + 1))) << engine::to_string(policy);
     }
   }
 }
@@ -37,10 +52,7 @@ TEST(NetSensitivity, PriorityQueuesHaveMoreFrameHeadroomThanFcfs) {
   // factory_cell's T_TR sits at the eq.-15 maximum: FCFS has zero slack, so
   // DM/EDF must tolerate at least as much frame growth.
   const Network net = demo();
-  const auto f = frame_scaling_headroom(net, network_test_for(ApPolicy::Fcfs));
-  const auto d = frame_scaling_headroom(net, network_test_for(ApPolicy::Dm));
-  ASSERT_TRUE(f.feasible && d.feasible);
-  EXPECT_GE(d.value, f.value);
+  EXPECT_GE(optimum(net, Policy::Dm).breakdown_q, optimum(net, Policy::Fcfs).breakdown_q);
 }
 
 TEST(NetSensitivity, DeadlineMarginMatchesResponseBoundForFcfs) {
@@ -48,7 +60,7 @@ TEST(NetSensitivity, DeadlineMarginMatchesResponseBoundForFcfs) {
   // sustainable deadline IS the bound.
   const Network net = demo();
   const NetworkAnalysis a = analyze_network(net, ApPolicy::Fcfs);
-  const auto d = stream_deadline_margin(net, network_test_for(ApPolicy::Fcfs), 1, 0);
+  const auto d = stream_deadline_margin(net, test_for(Policy::Fcfs), 1, 0);
   ASSERT_TRUE(d.feasible);
   EXPECT_EQ(d.value, a.masters[1].streams[0].response);
 }
@@ -57,8 +69,8 @@ TEST(NetSensitivity, DmDeadlineMarginBelowFcfs) {
   // The tightest robot stream can sustain a smaller deadline under DM than
   // under FCFS — the paper's claim as a margin statement.
   const Network net = demo();
-  const auto fcfs = stream_deadline_margin(net, network_test_for(ApPolicy::Fcfs), 1, 0);
-  const auto dm = stream_deadline_margin(net, network_test_for(ApPolicy::Dm), 1, 0);
+  const auto fcfs = stream_deadline_margin(net, test_for(Policy::Fcfs), 1, 0);
+  const auto dm = stream_deadline_margin(net, test_for(Policy::Dm), 1, 0);
   ASSERT_TRUE(fcfs.feasible && dm.feasible);
   EXPECT_LT(dm.value, fcfs.value);
 }
@@ -66,18 +78,18 @@ TEST(NetSensitivity, DmDeadlineMarginBelowFcfs) {
 TEST(NetSensitivity, MaxTtrForFcfsMatchesEq15) {
   // The generic search must reproduce the closed-form eq.-15 maximum.
   const Network net = demo();
-  const auto searched = max_schedulable_ttr(net, network_test_for(ApPolicy::Fcfs));
+  const opt::PolicyOptimum searched = optimum(net, Policy::Fcfs);
   const auto closed_form = max_schedulable_ttr(net);
-  ASSERT_TRUE(searched.feasible && closed_form.has_value());
-  EXPECT_EQ(searched.value, *closed_form);
+  ASSERT_TRUE(searched.max_ttr > 0 && closed_form.has_value());
+  EXPECT_EQ(searched.max_ttr, *closed_form);
 }
 
 TEST(NetSensitivity, MaxTtrOrderedByPolicyStrength) {
   const Network net = demo();
-  const auto f = max_schedulable_ttr(net, network_test_for(ApPolicy::Fcfs));
-  const auto d = max_schedulable_ttr(net, network_test_for(ApPolicy::Dm));
-  ASSERT_TRUE(f.feasible && d.feasible);
-  EXPECT_GT(d.value, f.value);  // E9's observation, now as an exact margin
+  const Ticks f = optimum(net, Policy::Fcfs).max_ttr;
+  const Ticks d = optimum(net, Policy::Dm).max_ttr;
+  ASSERT_TRUE(f > 0 && d > 0);
+  EXPECT_GT(d, f);  // E9's observation, now as an exact margin
 }
 
 TEST(NetSensitivity, DeadlineMarginUnattainableWhenMasterOverloaded) {
@@ -89,18 +101,18 @@ TEST(NetSensitivity, DeadlineMarginUnattainableWhenMasterOverloaded) {
       MessageStream{.Ch = 300, .D = 3'000, .T = 2'100, .J = 0, .name = ""},
   };
   net.masters = {m};
-  EXPECT_FALSE(stream_deadline_margin(net, network_test_for(ApPolicy::Dm), 0, 1).feasible);
+  EXPECT_FALSE(stream_deadline_margin(net, test_for(Policy::Dm), 0, 1).feasible);
 }
 
 TEST(NetSensitivity, MinDeadlineRatioBoundaryExact) {
   const Network net = demo();
-  for (const ApPolicy policy : {ApPolicy::Dm, ApPolicy::Edf}) {
-    const auto test = network_test_for(policy);
-    const auto beta = min_deadline_ratio(net, test);
-    ASSERT_TRUE(beta.feasible) << to_string(policy);
-    EXPECT_TRUE(test(with_deadline_ratio(net, beta.value))) << to_string(policy);
-    if (!beta.cap_hit) {
-      EXPECT_FALSE(test(with_deadline_ratio(net, beta.value - 1))) << to_string(policy);
+  for (const Policy policy : {Policy::Dm, Policy::Edf}) {
+    const NetworkTest test = test_for(policy);
+    const opt::PolicyOptimum o = optimum(net, policy);
+    ASSERT_GT(o.min_dratio_q, 0) << engine::to_string(policy);
+    EXPECT_TRUE(test(with_deadline_ratio(net, o.min_dratio_q))) << engine::to_string(policy);
+    if (!o.dratio_floor) {
+      EXPECT_FALSE(test(with_deadline_ratio(net, o.min_dratio_q - 1))) << engine::to_string(policy);
     }
   }
 }

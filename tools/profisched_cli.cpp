@@ -67,8 +67,8 @@ double to_ms(Ticks v, Ticks ticks_per_ms) {
 }
 
 void print_analysis(const LoadedNetwork& ln, const NetworkAnalysis& a, const char* label) {
-  std::printf("\n%s: %s (T_cycle = %.3f ms)\n", label, a.schedulable ? "SCHEDULABLE" : "NOT schedulable",
-              to_ms(a.tcycle, ln.ticks_per_ms));
+  std::printf("\n%s: %s (T_cycle = %.3f ms)\n", label,
+              a.schedulable ? "SCHEDULABLE" : "NOT schedulable", to_ms(a.tcycle, ln.ticks_per_ms));
   for (std::size_t k = 0; k < ln.net.n_masters(); ++k) {
     std::printf("  [%s]\n", ln.net.masters[k].name.c_str());
     for (std::size_t i = 0; i < ln.net.masters[k].nh(); ++i) {
@@ -432,7 +432,8 @@ int cmd_submit(int argc, char** argv) {
   if (!call_ok(serve::format_submit(cli.job), response)) return 1;
   std::size_t id = 0;
   if (response.rfind("ok id ", 0) != 0 ||
-      !engine::parse_cli_count(response.substr(6), id, std::numeric_limits<std::size_t>::max() / 2)) {
+      !engine::parse_cli_count(response.substr(6), id,
+                               std::numeric_limits<std::size_t>::max() / 2)) {
     std::fprintf(stderr, "error: unexpected submit response '%s'\n", response.c_str());
     return 1;
   }
