@@ -46,12 +46,11 @@ void acceptance_curves() {
   std::vector<std::size_t> accepted(n_pts * n_pol, 0), miss_free(n_pts * n_pol, 0),
       scenarios(n_pts, 0);
   for (const engine::CombinedOutcome& o : result.outcomes) {
-    ++scenarios[o.sim.point];
+    ++scenarios[o.point];
     for (std::size_t p = 0; p < n_pol; ++p) {
-      if (o.analytic_schedulable[p]) ++accepted[o.sim.point * n_pol + p];
-      if (o.sim.misses[p] == 0 && o.sim.dropped[p] == 0) {
-        ++miss_free[o.sim.point * n_pol + p];
-      }
+      const engine::CombinedCell& c = o.cells[p];
+      if (c.analytic_schedulable) ++accepted[o.point * n_pol + p];
+      if (c.sim.misses == 0 && c.sim.dropped == 0) ++miss_free[o.point * n_pol + p];
     }
   }
   Table t({"U", "FCFS an%", "FCFS sim%", "DM an%", "DM sim%", "EDF an%", "EDF sim%"});

@@ -22,10 +22,8 @@ namespace {
 //
 // A mode class names its outcome rows in ShardArtifact and MergedSweep, its
 // cell codec, its compute call and its reducer; the templates below turn it
-// into the trait's codec and merge entries. A row starts with the outcome's
-// header (engine::detail::header: id, seed, point).
-
-using engine::detail::header;
+// into the trait's codec and merge entries. A row is an outcome: its header
+// (id, seed, point), then its cells.
 
 struct AnalysisMode {
   using Codec = engine::detail::AnalysisCells;
@@ -96,42 +94,40 @@ std::size_t count_rows(const ShardArtifact& art) {
 
 /// One artifact row, without its newline: the row header, then one cell per
 /// policy.
-template <class Codec, class Outcome>
-void encode_row(const Codec& codec, const Outcome& o, std::size_t n_pol, std::string& out) {
-  const auto& h = header(o);
-  out += "o " + std::to_string(h.id) + ' ' + std::to_string(h.seed) + ' ' +
-         std::to_string(h.point);
-  for (std::size_t p = 0; p < n_pol; ++p) codec.put(out, codec.cell(o, p));
+template <class Codec>
+void encode_row(const Codec& codec, const engine::Outcome<typename Codec::Cell>& o,
+                std::string& out) {
+  out += "o " + std::to_string(o.id) + ' ' + std::to_string(o.seed) + ' ' +
+         std::to_string(o.point);
+  for (const auto& c : o.cells) codec.put(out, c);
 }
 
 template <class M>
 void encode_rows(const ShardArtifact& art, std::string& out) {
   const typename M::Codec codec = M::codec(art.spec);
-  const std::size_t n_pol = art.spec.spec.sweep.policies.size();
   for (const auto& o : art.*M::rows) {
-    encode_row(codec, o, n_pol, out);
+    encode_row(codec, o, out);
     out += '\n';
   }
 }
 
-/// A row is accepted only in the bytes encode_row writes for what it decodes
-/// to, like a cache record (engine/detail/record.hpp).
+/// A row is accepted only when its cells agree on the scenario's facts
+/// (the codec's agree), and only in the bytes encode_row writes for
+/// what it decodes to, like a cache record (engine/detail/record.hpp).
 template <class M>
 bool decode_row(const std::string& line, ShardArtifact& art) {
   const typename M::Codec codec = M::codec(art.spec);
-  const std::size_t n_pol = art.spec.spec.sweep.policies.size();
   auto& o = (art.*M::rows).emplace_back();
-  auto& h = header(o);
   engine::detail::RecordReader r(line);
-  if (!r.tag("o") || !r.read(h.id) || !r.read(h.seed) || !r.read(h.point)) return false;
-  for (std::size_t p = 0; p < n_pol; ++p) {
-    typename M::Codec::Cell c;
-    if (!codec.get(r, c) || !codec.push(o, c)) return false;
+  if (!r.tag("o") || !r.read(o.id) || !r.read(o.seed) || !r.read(o.point)) return false;
+  o.cells.resize(art.spec.spec.sweep.policies.size());
+  for (auto& c : o.cells) {
+    if (!codec.get(r, c) || !codec.agree(o.cells.front(), c)) return false;
   }
   if (!r.done()) return false;
   std::string again;
   again.reserve(line.size());
-  encode_row(codec, o, n_pol, again);
+  encode_row(codec, o, again);
   return again == line;
 }
 
@@ -140,10 +136,9 @@ void append_rows(ShardArtifact& shard, MergedSweep& merged, std::uint64_t total)
   auto& rows = shard.*M::rows;
   const std::uint64_t spp = shard.spec.spec.sweep.scenarios_per_point;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& h = header(rows[i]);
     const std::uint64_t id = shard.range.begin + i;
-    if (h.id != id || h.point != id / spp) {
-      throw std::invalid_argument("merge: outcome row for id " + std::to_string(h.id) +
+    if (rows[i].id != id || rows[i].point != id / spp) {
+      throw std::invalid_argument("merge: outcome row for id " + std::to_string(rows[i].id) +
                                   " contradicts its shard's declared range");
     }
   }
@@ -366,7 +361,8 @@ void validate_spec(const ShardSpec& spec) {
   const workload::NetworkParams& b = sw.base;
   check_range<std::size_t>("masters", b.n_masters, 1, engine::kMaxMasters);
   check_range<std::size_t>("streams", b.streams_per_master, 1, engine::kMaxStreams);
-  check_range<Ticks>("ttr", b.ttr, 0, engine::kMaxTtr);
+  // Every point has u > 0, so generation is utilization-driven and needs a T_TR.
+  check_range<Ticks>("ttr", b.ttr, 1, engine::kMaxTtr);
   check_range<Ticks>("base t_max", b.t_max, 1, engine::kMaxPeriod);
   check_range<Ticks>("base t_min", b.t_min, 1, b.t_max);
   check_range("base deadline_hi", b.deadline_hi, 0.0, engine::kMaxDeadlineRatio, true);
@@ -617,8 +613,8 @@ std::vector<Flag> job_flags(JobArgs& a, engine::GridCliArgs& grid, bool& sharded
        }},
       {"--seed", kJob, kCommonFlags, "a non-negative integer",
        count_into(sw.seed, 0, std::size_t(-1))},
-      {"--ttr", kJob, kCommonFlags, "a tick count",
-       count_into(sw.base.ttr, 0, engine::kMaxTtr)},
+      {"--ttr", kJob, kCommonFlags, "a tick count >= 1",
+       count_into(sw.base.ttr, 1, engine::kMaxTtr)},
       {"--method", kJob, kAnalysisFlags, "paper|refined",
        [&sw](const std::string& v, std::string&) {
          if (v != "paper" && v != "refined") return false;

@@ -48,12 +48,11 @@ ResultCache::ResultCache(std::string dir, std::chrono::seconds orphan_min_age)
   sweep_orphaned_tmp(orphan_min_age);
 }
 
-std::uint64_t ResultCache::sweep_orphaned_tmp(std::chrono::seconds min_age) {
+void ResultCache::sweep_orphaned_tmp(std::chrono::seconds min_age) {
   // A writer that died between create and rename() leaves its scratch file
   // behind forever — nothing else ever opens a `*.tmp.*` name. The age gate
   // is what makes the sweep safe against writers that are merely alive in
   // another process right now: their scratch files are seconds old.
-  std::uint64_t reaped = 0;
   std::error_code ec;
   const auto now = fs::file_time_type::clock::now();
   fs::recursive_directory_iterator it(dir_, fs::directory_options::skip_permission_denied, ec);
@@ -65,17 +64,12 @@ std::uint64_t ResultCache::sweep_orphaned_tmp(std::chrono::seconds min_age) {
       const auto mtime = fs::last_write_time(path, ec);
       if (!ec && now - mtime >= min_age) {
         std::error_code rm_ec;
-        if (fs::remove(path, rm_ec)) ++reaped;
+        if (fs::remove(path, rm_ec)) obs_orphans_.add(1);
       }
     }
     ec.clear();
     it.increment(ec);
   }
-  if (reaped > 0) {
-    orphans_reaped_.fetch_add(reaped);
-    obs_orphans_.add(reaped);
-  }
-  return reaped;
 }
 
 bool ResultCache::load(const engine::CacheKey& key, std::string& payload) {
@@ -83,7 +77,6 @@ bool ResultCache::load(const engine::CacheKey& key, std::string& payload) {
   // refused file will be recomputed and overwritten — a self-heal worth
   // counting separately from cold misses.
   const auto miss = [this](bool heal = false) {
-    ++misses_;
     obs_misses_.add(1);
     if (heal) obs_heals_.add(1);
     return false;
@@ -116,7 +109,6 @@ bool ResultCache::load(const engine::CacheKey& key, std::string& payload) {
     return miss(true);
   }
   payload = std::move(body);
-  ++hits_;
   obs_hits_.add(1);
   obs_bytes_read_.add(len);
   return true;
@@ -158,7 +150,6 @@ void ResultCache::store(const engine::CacheKey& key, const std::string& payload)
       fs::remove(tmp_path, ec);
       return;
     }
-    ++stores_;
     obs_stores_.add(1);
     obs_bytes_written_.add(payload.size());
   } catch (...) {

@@ -51,11 +51,6 @@ class ResultCache final : public engine::ScenarioCache {
   void store(const engine::CacheKey& key, const std::string& payload) override;
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_.load(); }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_.load(); }
-  [[nodiscard]] std::uint64_t stores() const noexcept { return stores_.load(); }
-  /// Orphaned temp files reaped by the open-time sweep.
-  [[nodiscard]] std::uint64_t orphans_reaped() const noexcept { return orphans_reaped_.load(); }
 
   /// Entry file name for a key: 32 lower-case hex digits.
   [[nodiscard]] static std::string entry_name(const engine::CacheKey& key);
@@ -65,21 +60,19 @@ class ResultCache final : public engine::ScenarioCache {
 
  private:
   /// Delete `*.tmp.*` scratch files under dir_ whose mtime is at least
-  /// `min_age` in the past; returns how many were removed. Advisory like all
-  /// cache I/O: any filesystem error just leaves the file for the next open.
-  std::uint64_t sweep_orphaned_tmp(std::chrono::seconds min_age);
+  /// `min_age` in the past, counting them in cache.file.orphans_reaped.
+  /// Advisory like all cache I/O: any filesystem error just leaves the file
+  /// for the next open.
+  void sweep_orphaned_tmp(std::chrono::seconds min_age);
 
   std::string dir_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> stores_{0};
-  std::atomic<std::uint64_t> orphans_reaped_{0};
   std::atomic<std::uint64_t> tmp_seq_{0};  ///< unique temp-file suffix source
 
-  // File-level telemetry, distinct from the runner's record-level cache.*
-  // series: bytes moved and "heals" — entries that existed but were refused
-  // (wrong version / foreign key / bad length / short read) and will be
-  // recomputed and overwritten.
+  // The file-level series, the one count of this cache's traffic and distinct
+  // from the runner's record-level cache.* series: hits, misses, stores,
+  // reaped orphans, bytes moved and "heals" — entries that existed but were
+  // refused (wrong version / foreign key / bad length / short read) and will
+  // be recomputed and overwritten.
   obs::Counter obs_hits_ = obs::Registry::global().counter("cache.file.hits");
   obs::Counter obs_misses_ = obs::Registry::global().counter("cache.file.misses");
   obs::Counter obs_heals_ = obs::Registry::global().counter("cache.file.corruption_heals");

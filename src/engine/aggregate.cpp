@@ -75,7 +75,7 @@ std::vector<std::size_t> count_exclusive(const SweepSpec& spec, const SweepResul
   const std::size_t ni = index_of(no);
   std::vector<std::size_t> out(spec.points.size(), 0);
   for (const ScenarioOutcome& o : result.outcomes) {
-    if (o.schedulable[yi] && !o.schedulable[ni]) ++out[o.point];
+    if (o.cells[yi].schedulable && !o.cells[ni].schedulable) ++out[o.point];
   }
   return out;
 }
@@ -96,8 +96,8 @@ SweepCurves aggregate(const SweepSpec& spec, const SweepResult& result) {
   for (const ScenarioOutcome& o : result.outcomes) {
     CurvePoint& pt = out.points[o.point];
     ++pt.scenarios;
-    for (std::size_t p = 0; p < o.schedulable.size(); ++p) {
-      if (o.schedulable[p]) ++pt.schedulable[p];
+    for (std::size_t p = 0; p < o.cells.size(); ++p) {
+      if (o.cells[p].schedulable) ++pt.schedulable[p];
     }
   }
   return out;

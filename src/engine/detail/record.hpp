@@ -1,23 +1,26 @@
 // record.hpp — the cell codecs. A cell is one (scenario, policy) result of one
-// mode, written as space-separated numbers. The same bytes serve twice:
-// behind the codec's tag they are a result-cache record (dist::ResultCache),
-// and one per policy they make up a shard-artifact row (dist/shard.cpp), so
-// the two formats cannot drift apart. Every field is an integer except the
-// optimizer's breakdown_u, which is written in shortest round-trip form, so
-// decode(encode(x)) == x exactly. Decoding is strict and all-or-nothing: a
-// wrong tag, a malformed field, trailing bytes or any bytes other than the
-// ones encode writes for the decoded cell (a leading zero, "-0", a doubled
-// space) read as "no cell", which the cache treats as a miss and the
-// artifact reader as corruption.
+// mode, and the cells of a scenario are its Outcome (engine/sweep_runner.hpp).
+// A codec writes a cell as space-separated numbers. The same bytes serve
+// twice: behind the codec's tag they are a result-cache record
+// (dist::ResultCache), and one per policy they make up a shard-artifact row
+// (dist/shard.cpp), so the two formats cannot drift apart. Every field is an
+// integer except the optimizer's breakdown_u, which is written in shortest
+// round-trip form, so decode(encode(x)) == x exactly. Decoding is strict and
+// all-or-nothing: a wrong tag, a malformed field, trailing bytes or any bytes
+// other than the ones encode writes for the decoded cell (a leading zero,
+// "-0", a doubled space) read as "no cell", which the cache treats as a miss
+// and the artifact reader as corruption.
 //
-// A codec provides: `Cell`, its `tag`, put/get (the fields), cell(o, p) (cell
-// p of an outcome) and push(o, c) (append a cell; false, leaving `o`
-// untouched, when the cell contradicts the scenario). Bump a tag whenever its
-// bytes change: stale cache entries then miss cleanly.
+// A codec provides: `Cell` (the mode's cell type), its `tag`, put/get (the
+// fields), fits(sc, c) and agree(a, b). The last two check the per-scenario
+// fact a cell carries, if any: a cached cell that does not fit its scenario is
+// a miss, and an artifact row whose cells do not agree is refused; a codec
+// whose cells carry no such fact returns true. Bump a tag whenever its bytes
+// change: stale cache entries then miss cleanly.
 //
 // run_cells, at the end, is the per-scenario skeleton every mode runs: a mode
-// brings only its codec, its params digests, an optional prepare step and the
-// body that computes its missing cells.
+// brings only its codec, its params digests and the body that computes its
+// missing cells.
 #pragma once
 
 #include <charconv>
@@ -88,81 +91,64 @@ void field(std::string& out, T v) {
   }
 }
 
-/// Analysis cell: T_cycle and the verdict.
+/// Analysis cells. T_cycle is the scenario's, so a row's cells agree on it.
 struct AnalysisCells {
-  struct Cell {
-    Ticks tcycle = 0;
-    bool schedulable = false;
-  };
+  using Cell = AnalysisCell;
   static constexpr const char* tag = "a2";
 
   static void put(std::string& out, const Cell& c) {
     field(out, c.tcycle);
     field(out, c.schedulable);
   }
-  static bool get(RecordReader& r, Cell& c) { return r.read(c.tcycle) && r.flag(c.schedulable); }
-  static Cell cell(const ScenarioOutcome& o, std::size_t p) { return {o.tcycle, o.schedulable[p]}; }
-  static bool push(ScenarioOutcome& o, const Cell& c) {
-    o.tcycle = c.tcycle;
-    o.schedulable.push_back(c.schedulable);
+  static bool get(RecordReader& r, Cell& c) {
+    Ticks tcycle = 0;
+    bool schedulable = false;
+    if (!r.read(tcycle) || !r.flag(schedulable)) return false;
+    c = {tcycle, schedulable};  // a T_cycle that does not fit fails the re-encode
     return true;
   }
+  static bool fits(const Scenario&, const Cell&) { return true; }
+  static bool agree(const Cell& a, const Cell& b) { return a.tcycle == b.tcycle; }
 };
 
-/// Simulation cell: the horizon and the replications' summary.
+/// Simulation cells: the horizon, then the replications' summary. The
+/// horizon is a pure function of (scenario, options): a cached cell whose
+/// horizon is not the scenario's is a corrupted or colliding entry, and a
+/// row's cells agree on it.
 struct SimCells {
-  struct Cell {
-    Ticks horizon = 0;
-    SimSummary s;
-  };
+  using Cell = SimCell;
   static constexpr const char* tag = "s1";
+  /// The engine the cells are simulated under. Only fits() reads it, so an
+  /// artifact reader leaves it null.
+  const SimulationEngine* engine = nullptr;
 
   static void put(std::string& out, const Cell& c) {
     field(out, c.horizon);
-    field(out, c.s.observed_max);
-    field(out, c.s.observed_p99);
-    field(out, c.s.released);
-    field(out, c.s.completed);
-    field(out, c.s.misses);
-    field(out, c.s.dropped);
+    field(out, c.observed_max);
+    field(out, c.observed_p99);
+    field(out, c.released);
+    field(out, c.completed);
+    field(out, c.misses);
+    field(out, c.dropped);
   }
   static bool get(RecordReader& r, Cell& c) {
-    return r.read(c.horizon) && r.read(c.s.observed_max) && r.read(c.s.observed_p99) &&
-           r.read(c.s.released) && r.read(c.s.completed) && r.read(c.s.misses) &&
-           r.read(c.s.dropped);
+    return r.read(c.horizon) && r.read(c.observed_max) && r.read(c.observed_p99) &&
+           r.read(c.released) && r.read(c.completed) && r.read(c.misses) && r.read(c.dropped);
   }
-  static Cell cell(const SimScenarioOutcome& o, std::size_t p) {
-    return {o.horizon, SimSummary{o.observed_max[p], o.observed_p99[p], o.released[p],
-                                  o.completed[p], o.misses[p], o.dropped[p]}};
+  bool fits(const Scenario& sc, const Cell& c) const {
+    return c.horizon == engine->horizon_for(sc);
   }
-  /// The horizon is a pure function of (scenario, options): a cell whose
-  /// horizon disagrees with the scenario's is a corrupted or colliding entry.
-  static bool push(SimScenarioOutcome& o, const Cell& c) {
-    if (o.horizon != 0 && c.horizon != o.horizon) return false;
-    o.horizon = c.horizon;
-    o.observed_max.push_back(c.s.observed_max);
-    o.observed_p99.push_back(c.s.observed_p99);
-    o.released.push_back(c.s.released);
-    o.completed.push_back(c.s.completed);
-    o.misses.push_back(c.s.misses);
-    o.dropped.push_back(c.s.dropped);
-    return true;
-  }
+  static bool agree(const Cell& a, const Cell& b) { return a.horizon == b.horizon; }
 };
 
-/// Combined cell: the simulation cell, then the clean analysis verdict/bound
-/// and the bound violations, then (fault axis only) the degraded verdict/bound.
+/// Combined cells: the simulation cell, then the clean analysis verdict/bound
+/// and the bound violations, then (fault axis only) the degraded
+/// verdict/bound. The simulation cell's checks are theirs.
 struct CombinedCells {
-  struct Cell {
-    SimCells::Cell sim;
-    bool analytic_schedulable = false;
-    Ticks analytic_wcrt = 0;
-    std::uint64_t bound_violations = 0;
-    bool degraded_schedulable = false;
-    Ticks degraded_wcrt = 0;
-  };
+  using Cell = CombinedCell;
   static constexpr const char* tag = "c3";
   bool faulted = false;  ///< the spec injects faults: the degraded fields exist
+  const SimulationEngine* engine = nullptr;  ///< as SimCells::engine
 
   void put(std::string& out, const Cell& c) const {
     SimCells::put(out, c.sim);
@@ -179,26 +165,8 @@ struct CombinedCells {
            r.read(c.analytic_wcrt) && r.read(c.bound_violations) &&
            (!faulted || (r.flag(c.degraded_schedulable) && r.read(c.degraded_wcrt)));
   }
-  Cell cell(const CombinedOutcome& o, std::size_t p) const {
-    Cell c{SimCells::cell(o.sim, p), o.analytic_schedulable[p], o.analytic_wcrt[p],
-           o.bound_violations[p]};
-    if (faulted) {
-      c.degraded_schedulable = o.degraded_schedulable[p];
-      c.degraded_wcrt = o.degraded_wcrt[p];
-    }
-    return c;
-  }
-  bool push(CombinedOutcome& o, const Cell& c) const {
-    if (!SimCells::push(o.sim, c.sim)) return false;
-    o.analytic_schedulable.push_back(c.analytic_schedulable);
-    o.analytic_wcrt.push_back(c.analytic_wcrt);
-    o.bound_violations.push_back(c.bound_violations);
-    if (faulted) {
-      o.degraded_schedulable.push_back(c.degraded_schedulable);
-      o.degraded_wcrt.push_back(c.degraded_wcrt);
-    }
-    return true;
-  }
+  bool fits(const Scenario& sc, const Cell& c) const { return SimCells{engine}.fits(sc, c.sim); }
+  static bool agree(const Cell& a, const Cell& b) { return SimCells::agree(a.sim, b.sim); }
 };
 
 /// Result-cache record of one cell: the codec's tag, then the cell.
@@ -228,58 +196,45 @@ inline CacheCounters& cache_counters() {
   return m;
 }
 
-/// The cache sequence every mode runs per scenario. It looks up every
-/// policy's cell under CacheKey{content, params[p]}, decoding each record and
-/// counting the hit; a record that fails to decode or contradicts the scenario
-/// counts as the miss it is. Then one call, compute(missing), computes all the
-/// misses: `missing` holds their policy indices ascending, and compute returns
-/// their cells in that order, so a mode can share work across its missing
-/// policies. Last, the cells land in `o` and the computed ones are stored, in
-/// policy order. Without a cache every cell is computed and nothing counted.
-template <class Codec, class Outcome, class Compute>
-void cached_cells(const Codec& codec, ScenarioCache* cache, std::uint64_t content,
-                  const std::vector<std::uint64_t>& params, Outcome& o, Compute&& compute) {
-  std::vector<typename Codec::Cell> cells(params.size());
+/// The cache sequence every mode runs per scenario, filling `cells` with one
+/// cell per policy. It looks up every policy's cell under
+/// CacheKey{content, params[p]}, decoding each record and counting the hit;
+/// a record that fails to decode or does not fit `sc` counts as the miss it
+/// is. Then one call, compute(missing), computes all the misses: `missing`
+/// holds their policy indices ascending, and compute returns their cells in
+/// that order, so a mode can share work across its missing policies. The
+/// computed cells are stored in policy order. Without a cache every cell is
+/// computed and nothing counted.
+template <class Codec, class Compute>
+void cached_cells(const Codec& codec, ScenarioCache* cache, const Scenario& sc,
+                  std::uint64_t content, const std::vector<std::uint64_t>& params,
+                  std::vector<typename Codec::Cell>& cells, Compute&& compute) {
+  cells.resize(params.size());
   std::vector<std::size_t> missing;
-  if (cache == nullptr) {
-    for (std::size_t p = 0; p < params.size(); ++p) missing.push_back(p);
-  } else {
-    CacheCounters& m = cache_counters();
-    // Pushing a hit onto a copy of the outcome checks it against the
-    // scenario without touching `o`, whose cells must go in policy order.
-    Outcome probe = o;
-    for (std::size_t p = 0; p < params.size(); ++p) {
+  CacheCounters& m = cache_counters();
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    if (cache != nullptr) {
       m.lookups.add(1);
       std::string payload;
       if (cache->load(CacheKey{content, params[p]}, payload) &&
-          decode_record(codec, payload, cells[p]) && codec.push(probe, cells[p])) {
+          decode_record(codec, payload, cells[p]) && codec.fits(sc, cells[p])) {
         m.hits.add(1);
-      } else {
-        m.misses.add(1);
-        missing.push_back(p);
+        continue;
       }
+      m.misses.add(1);
+    }
+    missing.push_back(p);
+  }
+  if (missing.empty()) return;
+  std::vector<typename Codec::Cell> computed = compute(missing);
+  for (std::size_t j = 0; j < missing.size(); ++j) {
+    typename Codec::Cell& c = cells[missing[j]];
+    c = std::move(computed[j]);
+    if (cache != nullptr) {
+      cache->store(CacheKey{content, params[missing[j]]}, encode_record(codec, c));
     }
   }
-  if (!missing.empty()) {
-    std::vector<typename Codec::Cell> computed = compute(missing);
-    for (std::size_t j = 0; j < missing.size(); ++j) cells[missing[j]] = std::move(computed[j]);
-  }
-  std::size_t next = 0;  // the first missing policy not stored yet
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    codec.push(o, cells[p]);
-    if (cache == nullptr || next == missing.size() || missing[next] != p) continue;
-    cache->store(CacheKey{content, params[p]}, encode_record(codec, cells[p]));
-    ++next;
-  }
 }
-
-/// Row header (id, seed, point) of an outcome; combined outcomes keep it in .sim.
-template <class Outcome>
-Outcome& header(Outcome& o) {
-  return o;
-}
-inline const SimScenarioOutcome& header(const CombinedOutcome& o) { return o.sim; }
-inline SimScenarioOutcome& header(CombinedOutcome& o) { return o.sim; }
 
 /// The runner's per-scenario stage timers.
 struct StageTimers {
@@ -302,22 +257,17 @@ inline std::uint64_t content_digest(const Scenario& sc, bool seeded) {
   return seeded ? Fnv1a64().u64(content).u64(sc.seed).digest() : content;
 }
 
-struct NoPrepare {
-  template <class Outcome>
-  void operator()(const Scenario&, Outcome&) const {}
-};
-
 /// The per-scenario skeleton of every mode, over the scenarios of `sweep`
 /// with ids in `range`. It checks the range before sizing out.outcomes, then
 /// per scenario: regenerates it under runner.generate, digests its content
-/// (content_digest), writes the outcome header and runs prepare(sc, o); then,
-/// under `stage` (an empty Timer for a body that times itself), fills o's
-/// cells through cached_cells, whose misses compute(sc, o, missing, worker)
-/// computes. digest(policy) is the params half of that policy's cache key.
-template <class Codec, class Digest, class Result, class Compute, class Prepare = NoPrepare>
+/// (content_digest) and writes the outcome header; then, under `stage` (an
+/// empty Timer for a body that times itself), fills the outcome's cells
+/// through cached_cells, whose misses compute(sc, missing, worker) computes.
+/// digest(policy) is the params half of that policy's cache key.
+template <class Codec, class Digest, class Compute>
 void run_cells(SweepRunner& runner, const SweepSpec& sweep, IdRange range, ScenarioCache* cache,
-               const Codec& codec, Digest&& digest, bool seeded, obs::Timer stage, Result& out,
-               Compute&& compute, Prepare prepare = {}) {
+               const Codec& codec, Digest&& digest, bool seeded, obs::Timer stage,
+               Result<typename Codec::Cell>& out, Compute&& compute) {
   validate_range(range, sweep.total_scenarios());
   out.outcomes.resize(static_cast<std::size_t>(range.size()));
   std::vector<std::uint64_t> params;  // loop-invariant: hashed once
@@ -331,15 +281,14 @@ void run_cells(SweepRunner& runner, const SweepSpec& sweep, IdRange range, Scena
     gen_span.stop();
     const obs::Span stage_span(stage);
 
-    auto& o = out.outcomes[i];  // disjoint slot per index
-    auto& h = header(o);
-    h.id = sc.id;
-    h.seed = sc.seed;
-    h.point = static_cast<std::size_t>(id) / sweep.scenarios_per_point;
-    prepare(sc, o);
-    cached_cells(codec, cache, content, params, o, [&](const std::vector<std::size_t>& missing) {
-      return compute(sc, o, missing, worker);
-    });
+    Outcome<typename Codec::Cell>& o = out.outcomes[i];  // disjoint slot per index
+    o.id = sc.id;
+    o.seed = sc.seed;
+    o.point = static_cast<std::size_t>(id) / sweep.scenarios_per_point;
+    cached_cells(codec, cache, sc, content, params, o.cells,
+                 [&](const std::vector<std::size_t>& missing) {
+                   return compute(sc, missing, worker);
+                 });
   };
   runner.run_scenarios(sweep.total_scenarios(), range, out, per_scenario);
 }

@@ -91,14 +91,15 @@ SimCurves aggregate_sim(const SimSweepSpec& spec, const SimSweepResult& result) 
   for (const SimScenarioOutcome& o : result.outcomes) {
     SimCurvePoint& pt = out.points[o.point];
     ++pt.scenarios;
-    for (std::size_t p = 0; p < o.misses.size(); ++p) {
+    for (std::size_t p = 0; p < o.cells.size(); ++p) {
+      const SimCell& c = o.cells[p];
       // "Miss-free" demands clean delivery: a dropped (never-completed) cycle
       // disqualifies the scenario just like an observed deadline miss would.
-      if (o.misses[p] == 0 && o.dropped[p] == 0) ++pt.miss_free[p];
-      pt.total_misses[p] += o.misses[p];
-      pt.total_dropped[p] += o.dropped[p];
-      pt.max_observed[p] = std::max(pt.max_observed[p], o.observed_max[p]);
-      pt.quantile_observed[p] = std::max(pt.quantile_observed[p], o.observed_p99[p]);
+      if (c.misses == 0 && c.dropped == 0) ++pt.miss_free[p];
+      pt.total_misses[p] += c.misses;
+      pt.total_dropped[p] += c.dropped;
+      pt.max_observed[p] = std::max(pt.max_observed[p], c.observed_max);
+      pt.quantile_observed[p] = std::max(pt.quantile_observed[p], c.observed_p99);
     }
   }
   return out;
@@ -192,10 +193,11 @@ ConsistencyTable consistency_table(const SimSweepSpec& spec, const CombinedResul
   out.rows.reserve(result.outcomes.size() * spec.sweep.policies.size());
   for (const CombinedOutcome& o : result.outcomes) {
     for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
+      const CombinedCell& c = o.cells[p];
       ConsistencyRow r;
-      r.id = o.sim.id;
-      r.seed = o.sim.seed;
-      const SweepPoint& pt = spec.sweep.points[o.sim.point];
+      r.id = o.id;
+      r.seed = o.seed;
+      const SweepPoint& pt = spec.sweep.points[o.point];
       r.total_u = pt.total_u;
       r.beta_lo = pt.beta_lo;
       r.beta_hi = pt.beta_hi;
@@ -204,20 +206,21 @@ ConsistencyTable consistency_table(const SimSweepSpec& spec, const CombinedResul
       // themselves to the masters count the networks were generated with.
       r.n_masters = pt.n_masters != 0 ? pt.n_masters : spec.sweep.base.n_masters;
       r.policy = std::string(to_string(spec.sweep.policies[p]));
-      r.analytic_schedulable = o.analytic_schedulable[p];
-      r.analytic_wcrt = o.analytic_wcrt[p];
+      r.analytic_schedulable = c.analytic_schedulable;
+      r.analytic_wcrt = c.analytic_wcrt;
       if (out.fault_axis) {
-        r.degraded_schedulable = o.degraded_schedulable[p];
-        r.degraded_wcrt = o.degraded_wcrt[p];
+        r.degraded_schedulable = c.degraded_schedulable;
+        r.degraded_wcrt = c.degraded_wcrt;
       }
-      r.observed_max = o.sim.observed_max[p];
-      r.observed_p99 = o.sim.observed_p99[p];
-      r.misses = o.sim.misses[p];
-      r.completed = o.sim.completed[p];
-      r.dropped = o.sim.dropped[p];
-      r.bound_violations = o.bound_violations[p];
-      // accept_basis(): the degraded verdict when the sweep ran with faults.
-      r.accept_but_miss = o.accept_basis()[p] && o.sim.misses[p] > 0;
+      r.observed_max = c.sim.observed_max;
+      r.observed_p99 = c.sim.observed_p99;
+      r.misses = c.sim.misses;
+      r.completed = c.sim.completed;
+      r.dropped = c.sim.dropped;
+      r.bound_violations = c.bound_violations;
+      // The verdict the miss check holds: degraded when the sweep ran with faults.
+      const bool accepted = out.fault_axis ? c.degraded_schedulable : c.analytic_schedulable;
+      r.accept_but_miss = accepted && c.sim.misses > 0;
       out.rows.push_back(std::move(r));
     }
   }

@@ -172,10 +172,10 @@ struct PolicySim {
 
 /// Simulate `sc` under each of `policies` across every replication, one group
 /// run per replication, and reduce each policy's reports to a PolicySim (in
-/// the order of `policies`).
+/// the order of `policies`), counting the runs into `b`.
 std::vector<PolicySim> simulate_policies(const SimulationEngine& sim, const Scenario& sc,
                                          std::span<const Policy> policies,
-                                         std::size_t replications) {
+                                         std::size_t replications, SimBridgeMetrics& b) {
   std::vector<PolicySim> out(policies.size());
   for (PolicySim& ps : out) {
     ps.stream_max.resize(sc.net.n_masters());
@@ -183,7 +183,6 @@ std::vector<PolicySim> simulate_policies(const SimulationEngine& sim, const Scen
       ps.stream_max[k].assign(sc.net.masters[k].nh(), 0);
     }
   }
-  SimBridgeMetrics& b = sim_bridge();
   for (std::size_t rep = 0; rep < replications; ++rep) {
     const sim::GroupReport g = sim.simulate(sc, policies, rep);
     b.events_executed.add(g.events_executed);
@@ -361,12 +360,17 @@ SweepResult SweepRunner::run(const SweepSpec& spec, IdRange range, ScenarioCache
   std::vector<AnalysisEngine> engines(pool_.size(), AnalysisEngine(spec.engine));
   // A cell keeps only T_cycle and the verdict, so it takes the engine's
   // verdict dispatch (EDF stops at the first proven miss).
-  const auto compute = [&](const Scenario& sc, const ScenarioOutcome&,
-                           const std::vector<std::size_t>& missing, unsigned worker) {
-    std::vector<detail::AnalysisCells::Cell> cells;
+  const auto compute = [&](const Scenario& sc, const std::vector<std::size_t>& missing,
+                           unsigned worker) {
+    std::vector<AnalysisCell> cells;
     for (const std::size_t p : missing) {
       const VerdictReport v = engines[worker].verdict(sc, spec.policies[p]);
       cells.push_back({v.tcycle, v.schedulable});
+      if (cells.back().tcycle != v.tcycle) {
+        throw std::overflow_error("SweepRunner::run: T_cycle " + std::to_string(v.tcycle) +
+                                  " of scenario " + std::to_string(sc.id) +
+                                  " does not fit an AnalysisCell");
+      }
     }
     return cells;
   };
@@ -387,20 +391,21 @@ SimSweepResult SweepRunner::run_sim(const SimSweepSpec& spec, IdRange range,
   validate_sim_spec(spec);
   SimSweepResult out;
   const SimulationEngine sim(spec.sim);  // stateless: shared by every worker
-  const auto compute = [&](const Scenario& sc, const SimScenarioOutcome& o,
-                           const std::vector<std::size_t>& missing, unsigned) {
+  SimBridgeMetrics& bridge = sim_bridge();  // a fully cached run still shows the sim.* series
+  const auto compute = [&](const Scenario& sc, const std::vector<std::size_t>& missing,
+                           unsigned) {
     const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
-    std::vector<detail::SimCells::Cell> cells;
-    for (const PolicySim& ps : simulate_policies(sim, sc, policies, spec.replications)) {
-      cells.push_back({o.horizon, ps.summary});
+    const Ticks horizon = sim.horizon_for(sc);
+    std::vector<SimCell> cells;
+    for (const PolicySim& ps : simulate_policies(sim, sc, policies, spec.replications, bridge)) {
+      cells.push_back({ps.summary, horizon});
     }
     return cells;
   };
   detail::run_cells(
-      *this, spec.sweep, range, cache, detail::SimCells{},
+      *this, spec.sweep, range, cache, detail::SimCells{&sim},
       [&](Policy p) { return sim_params_digest(p, spec.sim, spec.replications); }, /*seeded=*/true,
-      detail::stage_timers().simulate, out, compute,
-      [&](const Scenario& sc, SimScenarioOutcome& o) { o.horizon = sim.horizon_for(sc); });
+      detail::stage_timers().simulate, out, compute);
   return out;
 }
 
@@ -413,14 +418,15 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
   validate_sim_spec(spec);
   CombinedResult out;
   const SimulationEngine sim(spec.sim);
+  SimBridgeMetrics& bridge = sim_bridge();  // a fully cached run still shows the sim.* series
   const bool faulted = spec.sim.faults.any();
   std::vector<AnalysisEngine> engines(pool_.size(), AnalysisEngine(spec.sweep.engine));
   const detail::StageTimers& t = detail::stage_timers();
 
-  const auto compute = [&](const Scenario& sc, const CombinedOutcome& o,
-                           const std::vector<std::size_t>& missing, unsigned worker) {
+  const auto compute = [&](const Scenario& sc, const std::vector<std::size_t>& missing,
+                           unsigned worker) {
     AnalysisEngine& engine = engines[worker];
-    std::vector<detail::CombinedCells::Cell> cells(missing.size());
+    std::vector<CombinedCell> cells(missing.size());
     // Per missing policy, the analysis its simulation is held to.
     std::vector<profibus::NetworkAnalysis> refs(missing.size());
     const std::vector<Policy> policies = pick(spec.sweep.policies, missing);
@@ -430,7 +436,7 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
     std::optional<profibus::Network> dnet;
     std::optional<profibus::TimingMemo> dmemo;
     for (std::size_t j = 0; j < missing.size(); ++j) {
-      detail::CombinedCells::Cell& c = cells[j];
+      CombinedCell& c = cells[j];
       const obs::Span an_span(t.analyze);
       Report a = engine.analyze(sc, policies[j]);
       c.analytic_schedulable = a.schedulable;
@@ -455,14 +461,15 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
     std::vector<PolicySim> sims;
     {
       const obs::Span sim_span(t.simulate);
-      sims = simulate_policies(sim, sc, policies, spec.replications);
+      sims = simulate_policies(sim, sc, policies, spec.replications, bridge);
     }
 
+    const Ticks horizon = sim.horizon_for(sc);
     // Per-stream consistency: every bounded reference response (degraded
     // under faults) must dominate that stream's observed max across all
     // replications.
     for (std::size_t j = 0; j < missing.size(); ++j) {
-      cells[j].sim = {o.sim.horizon, sims[j].summary};
+      cells[j].sim = {sims[j].summary, horizon};
       const profibus::NetworkAnalysis& ref = refs[j];
       for (std::size_t k = 0; k < ref.masters.size(); ++k) {
         for (std::size_t si = 0; si < ref.masters[k].streams.size(); ++si) {
@@ -478,12 +485,11 @@ CombinedResult SweepRunner::run_combined(const SimSweepSpec& spec, IdRange range
   // No stage timer: the body times each policy's analysis and the group
   // simulation itself.
   detail::run_cells(
-      *this, spec.sweep, range, cache, detail::CombinedCells{faulted},
+      *this, spec.sweep, range, cache, detail::CombinedCells{faulted, &sim},
       [&](Policy p) {
         return combined_params_digest(p, spec.sweep.engine, spec.sim, spec.replications);
       },
-      /*seeded=*/true, obs::Timer{}, out, compute,
-      [&](const Scenario& sc, CombinedOutcome& o) { o.sim.horizon = sim.horizon_for(sc); });
+      /*seeded=*/true, obs::Timer{}, out, compute);
   fold_memo(engines, out);
   return out;
 }

@@ -8,19 +8,21 @@
 // pre-sized vector. Results are therefore bit-identical for any thread count
 // — the acceptance property tests/engine/test_sweep_runner.cpp locks in.
 //
-// The same machinery drives every backend over one scenario range. One
-// driver, detail::run_cells (engine/detail/record.hpp), owns the
-// per-scenario skeleton on the pool's ranged core (run_scenarios): the range
-// check, generation, the cache digest, the outcome header and the stage
-// timer. It computes a scenario's cells through detail::cached_cells, which
-// looks up every policy's cell when there is a cache, computes all the misses
-// in one call, and pushes the cells in policy order. A mode supplies only its
-// cell codec, its per-policy params digests, an optional prepare step and
-// that compute body. The simulation modes use the one call to simulate the
-// missing policies as one group run per replication, which forks only where
-// their dispatch differs (SimulationEngine::simulate). Every entry point
-// takes an optional IdRange — the full-sweep overloads are thin wrappers
-// passing [0, total):
+// Every mode's result has one shape: per scenario an Outcome<Cell>, the row
+// header plus one cell per policy, where Cell is the mode's cell type (the
+// one its codec writes as a cache record and an artifact-row cell). The same
+// machinery drives every backend over one scenario range. One driver,
+// detail::run_cells (engine/detail/record.hpp), owns the per-scenario
+// skeleton on the pool's ranged core (run_scenarios): the range check,
+// generation, the cache digest, the outcome header and the stage timer. It
+// fills a scenario's cells through detail::cached_cells, which looks up every
+// policy's cell when there is a cache and computes all the misses in one
+// call. A mode supplies only its cell codec, its per-policy params digests
+// and that compute body. The simulation modes use the one call to simulate
+// the missing policies as one group run per replication, which forks only
+// where their dispatch differs (SimulationEngine::simulate). Every entry
+// point takes an optional IdRange — the full-sweep overloads are thin
+// wrappers passing [0, total):
 //   run()          — analysis only (AnalysisEngine);
 //   run_sim()      — simulation only (SimulationEngine, replicated runs with
 //                    (seed, scenario, replication)-keyed RNG streams, one
@@ -121,16 +123,6 @@ void validate_range(IdRange range, std::uint64_t total);
 /// >= 1 policy, each of which `admits`.
 void validate_sweep(const SweepSpec& sweep, bool (*admits)(Policy), const char* what);
 
-/// Per-scenario result: one verdict per requested policy (indexed like
-/// SweepSpec::policies) plus the shared timing facts.
-struct ScenarioOutcome {
-  std::uint64_t id = 0;
-  std::uint64_t seed = 0;
-  std::size_t point = 0;  ///< index into SweepSpec::points
-  Ticks tcycle = 0;
-  std::vector<bool> schedulable;
-};
-
 /// Run-wide bookkeeping every mode's result carries: wall clock plus
 /// memo/cache counters. None of it is part of the deterministic data — the
 /// outcome vectors alone define a run's identity.
@@ -142,12 +134,79 @@ struct RunStats {
   std::size_t cache_misses = 0;  ///< result-cache lookups recomputed
 };
 
-/// Whole-sweep result. `outcomes` is indexed by global scenario id (minus the
+/// Analysis cell (run): the scenario's T_cycle and the policy's verdict, in
+/// one word, since a sweep holds one per (scenario, policy). T_cycle keeps 63
+/// bits: every spec dist::validate_spec admits stays far below 2^62 (T_TR <=
+/// kMaxTtr = 10^15 plus T_del), and run() refuses a T_cycle that would not
+/// fit.
+struct AnalysisCell {
+  Ticks tcycle : 63 = 0;
+  bool schedulable : 1 = false;
+};
+static_assert(sizeof(AnalysisCell) == sizeof(Ticks));
+
+/// Simulation cell (run_sim): one policy's summary across the replications,
+/// and the horizon each replication simulated. `dropped` counts cycles
+/// abandoned after exhausting retries (FrameLevel model with slave failures),
+/// apart from misses: a dropped request never completes, so it records no
+/// response time, and undelivered traffic must not read as miss-free.
+struct SimCell : SimSummary {
+  Ticks horizon = 0;
+};
+
+/// Combined cell (run_combined): one policy's simulation joined with its
+/// analysis.
+struct CombinedCell {
+  SimCell sim;
+  /// Always the CLEAN (fault-free) analysis — under faults it retains the
+  /// steady-state verdict so the degraded columns can be read against it.
+  bool analytic_schedulable = false;
+  /// Max over streams of the analytic response bound; kNoBound when any
+  /// stream's iteration diverged.
+  Ticks analytic_wcrt = 0;
+  /// Streams whose observed max response exceeded their (bounded) reference
+  /// response bound — a correct analysis keeps this identically 0. The
+  /// reference is the clean analysis for fault-free sweeps and the DEGRADED
+  /// analysis (profibus/fault_bounds.hpp) when the spec injects faults: a
+  /// faulted sim may legitimately exceed steady-state bounds, but never the
+  /// degraded ones.
+  std::uint64_t bound_violations = 0;
+  /// Degraded-mode verdict/bound; set only when the sweep's FaultModel is
+  /// active (and then the acceptance the must-never-fire miss check uses).
+  bool degraded_schedulable = false;
+  Ticks degraded_wcrt = 0;
+};
+
+/// Per-scenario result of every mode: the row header (id, seed, point) and
+/// one cell per requested policy, indexed like SweepSpec::policies. The cell
+/// type is the mode's codec cell (engine/detail/record.hpp), so a cache
+/// record and an artifact row hold exactly what the outcome holds.
+template <class Cell>
+struct Outcome {
+  std::uint64_t id = 0;
+  std::uint64_t seed = 0;
+  std::size_t point = 0;  ///< index into SweepSpec::points
+  std::vector<Cell> cells;
+};
+
+/// A range's result. `outcomes` is indexed by global scenario id (minus the
 /// range's begin for a ranged run), so its content is independent of thread
 /// count and scheduling order.
-struct SweepResult : RunStats {
-  std::vector<ScenarioOutcome> outcomes;
+template <class Cell>
+struct Result : RunStats {
+  std::vector<Outcome<Cell>> outcomes;
 };
+
+using ScenarioOutcome = Outcome<AnalysisCell>;
+using SweepResult = Result<AnalysisCell>;
+using SimScenarioOutcome = Outcome<SimCell>;
+/// Simulation sweeps never touch the analysis memo, so memo_hits/misses stay
+/// 0.
+using SimSweepResult = Result<SimCell>;
+using CombinedOutcome = Outcome<CombinedCell>;
+/// consistency_table (engine/sim_aggregate.hpp) joins it with its spec and
+/// counts the consistency violations.
+using CombinedResult = Result<CombinedCell>;
 
 /// A sweep whose scenarios are simulated instead of (or as well as) analysed.
 /// `sweep` supplies the grid / policies / seed; the policies must be distinct
@@ -158,68 +217,6 @@ struct SimSweepSpec {
   /// Simulation runs per (scenario, policy): replication 0 is the synchronous
   /// release pattern, further replications draw random per-stream phases.
   std::size_t replications = 1;
-};
-
-/// Per-scenario simulation result: every per-policy vector is indexed like
-/// SimSweepSpec::sweep.policies, aggregated across the replications.
-struct SimScenarioOutcome {
-  std::uint64_t id = 0;
-  std::uint64_t seed = 0;
-  std::size_t point = 0;  ///< index into the sweep's points
-  Ticks horizon = 0;      ///< ticks each replication simulated
-  std::vector<Ticks> observed_max;
-  std::vector<Ticks> observed_p99;
-  std::vector<std::uint64_t> released;
-  std::vector<std::uint64_t> completed;
-  std::vector<std::uint64_t> misses;
-  /// Cycles abandoned after exhausting retries (FrameLevel model with slave
-  /// failures). Tracked separately from misses: a dropped request never
-  /// completes, so it records no response time — but it must not vanish, or
-  /// undelivered traffic would read as miss-free.
-  std::vector<std::uint64_t> dropped;
-};
-
-/// Simulation sweeps never touch the analysis memo, so memo_hits/misses stay
-/// 0; the struct still carries the full RunStats so every mode reports the
-/// same way.
-struct SimSweepResult : RunStats {
-  std::vector<SimScenarioOutcome> outcomes;  ///< indexed by global scenario id
-};
-
-/// Per-scenario joined analysis + simulation result (combined mode).
-struct CombinedOutcome {
-  SimScenarioOutcome sim;
-  /// Analysis columns, indexed like the sweep's policies. Always the CLEAN
-  /// (fault-free) analysis — under faults these retain the steady-state
-  /// verdict so the degraded columns can be read against it.
-  std::vector<bool> analytic_schedulable;
-  /// Max over streams of the analytic response bound; kNoBound when any
-  /// stream's iteration diverged.
-  std::vector<Ticks> analytic_wcrt;
-  /// Streams whose observed max response exceeded their (bounded) reference
-  /// response bound — a correct analysis keeps this identically 0. The
-  /// reference is the clean analysis for fault-free sweeps and the DEGRADED
-  /// analysis (profibus/fault_bounds.hpp) when the spec injects faults: a
-  /// faulted sim may legitimately exceed steady-state bounds, but never the
-  /// degraded ones.
-  std::vector<std::uint64_t> bound_violations;
-  /// Degraded-mode verdict/bound per policy; filled only when the sweep's
-  /// FaultModel is active (empty otherwise, keeping zero-fault outputs
-  /// byte-identical).
-  std::vector<bool> degraded_schedulable;
-  std::vector<Ticks> degraded_wcrt;
-
-  /// The acceptance column the must-never-fire miss check uses: degraded
-  /// under faults, clean otherwise.
-  [[nodiscard]] const std::vector<bool>& accept_basis() const noexcept {
-    return degraded_schedulable.empty() ? analytic_schedulable : degraded_schedulable;
-  }
-};
-
-/// Combined-mode result; consistency_table (engine/sim_aggregate.hpp) joins
-/// it with its spec and counts the consistency violations.
-struct CombinedResult : RunStats {
-  std::vector<CombinedOutcome> outcomes;  ///< indexed by global scenario id
 };
 
 class SweepRunner {

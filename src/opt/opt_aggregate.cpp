@@ -117,8 +117,8 @@ OptimizeTable aggregate_optimize(const OptimizeSpec& spec, const OptimizeResult&
   for (const OptimizeOutcome& o : result.outcomes) {
     OptimizePoint& pt = out.points.at(o.point);
     ++pt.scenarios;
-    for (std::size_t p = 0; p < o.per_policy.size(); ++p) {
-      const PolicyOptimum& po = o.per_policy[p];
+    for (std::size_t p = 0; p < o.cells.size(); ++p) {
+      const PolicyOptimum& po = o.cells[p];
       if (po.schedulable) ++pt.stats[p].schedulable;
       if (po.breakdown_q > 0) breakdown[o.point][p].push_back(po.breakdown_u);
       if (po.max_ttr > 0) ttrs[o.point][p].push_back(po.max_ttr);

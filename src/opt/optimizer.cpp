@@ -299,11 +299,11 @@ OptimizeResult run_optimize(engine::SweepRunner& runner, const OptimizeSpec& spe
   validate_spec(spec);
   OptimizeResult out;
   OptMetrics& m = opt_metrics();  // a fully cached run still shows the opt.* series
-  const auto compute = [&](const engine::Scenario& sc, const OptimizeOutcome&,
-                           const std::vector<std::size_t>& missing, unsigned) {
+  const auto compute = [&](const engine::Scenario& sc, const std::vector<std::size_t>& missing,
+                           unsigned) {
     thread_local RtaScratch scratch;
     const ProbeBase base(sc.net, spec.sweep.engine.method);
-    std::vector<OptimizeCells::Cell> cells;
+    std::vector<PolicyOptimum> cells;
     for (const std::size_t p : missing) {
       MasterProbes probes(base, spec.sweep.policies[p], scratch);
       cells.push_back(search(sc.net, probes, spec.options));

@@ -96,12 +96,7 @@ struct PolicyOptimum {
 
 /// Per-scenario result: one PolicyOptimum per requested policy (indexed like
 /// the sweep's policies).
-struct OptimizeOutcome {
-  std::uint64_t id = 0;
-  std::uint64_t seed = 0;
-  std::size_t point = 0;  ///< index into the sweep's points
-  std::vector<PolicyOptimum> per_policy;
-};
+using OptimizeOutcome = engine::Outcome<PolicyOptimum>;
 
 /// The optimizer's cell codec (engine/detail/record.hpp): one PolicyOptimum,
 /// shared by its result-cache record and its shard-artifact row cells.
@@ -113,18 +108,14 @@ struct OptimizeCells {
 
   static void put(std::string& out, const Cell& c);
   static bool get(engine::detail::RecordReader& r, Cell& c);
-  static Cell cell(const OptimizeOutcome& o, std::size_t p) { return o.per_policy[p]; }
-  static bool push(OptimizeOutcome& o, const Cell& c) {
-    o.per_policy.push_back(c);
-    return true;
-  }
+  /// A cell carries no per-scenario fact to check.
+  static bool fits(const engine::Scenario&, const Cell&) { return true; }
+  static bool agree(const Cell&, const Cell&) { return true; }
 };
 
 /// Whole-run result; outcomes indexed by global scenario id minus the
 /// range's begin, exactly like the other sweep modes.
-struct OptimizeResult : engine::RunStats {
-  std::vector<OptimizeOutcome> outcomes;
-};
+using OptimizeResult = engine::Result<PolicyOptimum>;
 
 /// Everything that defines an optimize run: the scenario grid (points ×
 /// scenarios_per_point × policies, identical to a sweep) plus the brackets.

@@ -124,8 +124,7 @@ TEST(CellCodec, OptimizeRecordsAndRowsShareOneCodec) {
   ASSERT_EQ(back.optimize.size(), art.optimize.size());
   for (std::size_t i = 0; i < art.optimize.size(); ++i) {
     for (std::size_t p = 0; p < spec.spec.sweep.policies.size(); ++p) {
-      EXPECT_EQ(back.optimize[i].per_policy[p].breakdown_u,
-                art.optimize[i].per_policy[p].breakdown_u);
+      EXPECT_EQ(back.optimize[i].cells[p].breakdown_u, art.optimize[i].cells[p].breakdown_u);
     }
   }
 }
@@ -262,6 +261,24 @@ TEST(JobFlags, DeadlineRatiosFitInTicks) {
   std::string error;
   EXPECT_TRUE(parse(Surface::Sweep, {"--beta-lo", "1000", "--beta-hi", "1000"}, a, error))
       << error;
+}
+
+TEST(JobFlags, TtrStartsAtOne) {
+  // Every point has u > 0, so generation is utilization-driven and needs a
+  // T_TR: --ttr 0 is refused by name on every surface, and a spec block that
+  // asks for it (a SUBMIT's, say) by validate_spec.
+  for (const Surface s : {Surface::Sweep, Surface::Simulate, Surface::Optimize, Surface::Shard,
+                          Surface::Submit}) {
+    EXPECT_EQ(fail_message(s, {"--ttr", "0"}), "--ttr needs a tick count >= 1");
+  }
+  ShardSpec spec = small_spec(SweepMode::Analysis);
+  spec.spec.sweep.base.ttr = 0;
+  try {
+    validate_spec(spec);
+    ADD_FAILURE() << "ttr 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "job: ttr 0 is outside [1, 1000000000000000]");
+  }
 }
 
 TEST(JobFlags, MethodAppliesToCombinedEverywhere) {

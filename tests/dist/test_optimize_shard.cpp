@@ -64,9 +64,9 @@ TEST(OptimizeShard, ArtifactTextRoundTripsEveryField) {
   EXPECT_EQ(back.spec.optimize.ttr_cap, spec.optimize.ttr_cap);
   ASSERT_EQ(back.optimize.size(), art.optimize.size());
   for (std::size_t i = 0; i < art.optimize.size(); ++i) {
-    for (std::size_t p = 0; p < art.optimize[i].per_policy.size(); ++p) {
-      const opt::PolicyOptimum& a = art.optimize[i].per_policy[p];
-      const opt::PolicyOptimum& b = back.optimize[i].per_policy[p];
+    for (std::size_t p = 0; p < art.optimize[i].cells.size(); ++p) {
+      const opt::PolicyOptimum& a = art.optimize[i].cells[p];
+      const opt::PolicyOptimum& b = back.optimize[i].cells[p];
       EXPECT_EQ(a.schedulable, b.schedulable);
       EXPECT_EQ(a.breakdown_q, b.breakdown_q);
       EXPECT_EQ(a.breakdown_u, b.breakdown_u);  // shortest-round-trip doubles

@@ -14,11 +14,18 @@
 
 #include "engine/aggregate.hpp"
 #include "engine/sim_aggregate.hpp"
+#include "obs/metrics.hpp"
 
 namespace profisched::dist {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// The process-wide `cache.file.<series>` counter, the one count of cache
+/// file traffic; tests compare its deltas.
+std::uint64_t file_count(const char* series) {
+  return obs::Registry::global().snapshot().counter(std::string("cache.file.") + series);
+}
 
 /// Fresh cache directory per test, removed on destruction.
 class CacheDir {
@@ -51,13 +58,18 @@ void expect_same_outcomes(const engine::SweepResult& a, const engine::SweepResul
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
     EXPECT_EQ(a.outcomes[i].seed, b.outcomes[i].seed);
-    EXPECT_EQ(a.outcomes[i].tcycle, b.outcomes[i].tcycle);
-    EXPECT_EQ(a.outcomes[i].schedulable, b.outcomes[i].schedulable);
+    ASSERT_EQ(a.outcomes[i].cells.size(), b.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < a.outcomes[i].cells.size(); ++p) {
+      EXPECT_EQ(a.outcomes[i].cells[p].tcycle, b.outcomes[i].cells[p].tcycle);
+      EXPECT_EQ(a.outcomes[i].cells[p].schedulable, b.outcomes[i].cells[p].schedulable);
+    }
   }
 }
 
 TEST(ResultCache, PayloadRoundTrip) {
   const CacheDir dir("roundtrip");
+  const std::uint64_t hits = file_count("hits"), misses = file_count("misses"),
+                      stores = file_count("stores");
   ResultCache cache(dir.path());
   const engine::CacheKey key{0x1234'5678'9abc'def0ULL, 42};
   std::string payload;
@@ -65,9 +77,9 @@ TEST(ResultCache, PayloadRoundTrip) {
   cache.store(key, "a1 100 1 7\nwith embedded newline");
   ASSERT_TRUE(cache.load(key, payload));
   EXPECT_EQ(payload, "a1 100 1 7\nwith embedded newline");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.stores(), 1u);
+  EXPECT_EQ(file_count("hits") - hits, 1u);
+  EXPECT_EQ(file_count("misses") - misses, 1u);
+  EXPECT_EQ(file_count("stores") - stores, 1u);
 }
 
 TEST(ResultCache, HitAfterMissIsBitIdentical) {
@@ -246,7 +258,7 @@ TEST(ResultCache, EqualContentDifferentSeedScenariosDoNotShareSimRecords) {
   const engine::SimSweepResult plain = runner.run_sim(spec);
   // The distinct seeds genuinely matter: sibling scenarios observe different
   // maxima (uniform cycle draws + random phases).
-  EXPECT_NE(plain.outcomes[0].observed_max, plain.outcomes[1].observed_max);
+  EXPECT_NE(plain.outcomes[0].cells[0].observed_max, plain.outcomes[1].cells[0].observed_max);
 
   ResultCache cache(dir.path());
   (void)runner.run_sim(spec, &cache);
@@ -255,8 +267,12 @@ TEST(ResultCache, EqualContentDifferentSeedScenariosDoNotShareSimRecords) {
   EXPECT_EQ(engine::aggregate_sim(spec, warm).to_csv(),
             engine::aggregate_sim(spec, plain).to_csv());
   for (std::size_t i = 0; i < plain.outcomes.size(); ++i) {
-    EXPECT_EQ(warm.outcomes[i].observed_max, plain.outcomes[i].observed_max) << i;
-    EXPECT_EQ(warm.outcomes[i].misses, plain.outcomes[i].misses) << i;
+    ASSERT_EQ(warm.outcomes[i].cells.size(), plain.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < plain.outcomes[i].cells.size(); ++p) {
+      EXPECT_EQ(warm.outcomes[i].cells[p].observed_max, plain.outcomes[i].cells[p].observed_max)
+          << i;
+      EXPECT_EQ(warm.outcomes[i].cells[p].misses, plain.outcomes[i].cells[p].misses) << i;
+    }
   }
 }
 
@@ -277,8 +293,9 @@ TEST(ResultCache, OpenSweepsOldOrphanTmpFilesButSparesFreshOnes) {
   std::ofstream(fresh_orphan) << "still being written";
   fs::last_write_time(old_orphan, fs::file_time_type::clock::now() - std::chrono::hours(2));
 
+  const std::uint64_t reaped = file_count("orphans_reaped");
   ResultCache cache(dir.path(), /*orphan_min_age=*/std::chrono::minutes(5));
-  EXPECT_EQ(cache.orphans_reaped(), 1u);
+  EXPECT_EQ(file_count("orphans_reaped") - reaped, 1u);
   EXPECT_FALSE(fs::exists(old_orphan));      // the dead writer's leak is gone
   EXPECT_TRUE(fs::exists(fresh_orphan));     // a live writer's file survives
   std::string payload;
@@ -289,8 +306,9 @@ TEST(ResultCache, OpenSweepsOldOrphanTmpFilesButSparesFreshOnes) {
 TEST(ResultCache, OrphanSweepIgnoresNonTmpNamesAndEmptyDirs) {
   const CacheDir dir("orphans_safe");
   // Opening a brand-new (empty) directory sweeps nothing and must not throw.
+  const std::uint64_t reaped = file_count("orphans_reaped");
   ResultCache first(dir.path(), std::chrono::seconds(0));
-  EXPECT_EQ(first.orphans_reaped(), 0u);
+  EXPECT_EQ(file_count("orphans_reaped") - reaped, 0u);
 
   // With min_age 0 every tmp file qualifies immediately; entry files and
   // oddly-named bystanders still survive because only `*.tmp.*` is reaped.
@@ -301,7 +319,7 @@ TEST(ResultCache, OrphanSweepIgnoresNonTmpNamesAndEmptyDirs) {
   std::ofstream(first.entry_path(key) + ".tmp.1.2.3") << "orphan";
 
   ResultCache second(dir.path(), std::chrono::seconds(0));
-  EXPECT_EQ(second.orphans_reaped(), 1u);
+  EXPECT_EQ(file_count("orphans_reaped") - reaped, 1u);
   EXPECT_TRUE(fs::exists(bystander));
   std::string payload;
   EXPECT_TRUE(second.load(key, payload));

@@ -117,15 +117,20 @@ TEST(ShardMerge, FaultedCombinedShardsRoundTripAndMerge) {
   ShardRunner runner(2);
   const ShardArtifact art = runner.run(spec, 0, 2);
   ASSERT_FALSE(art.combined.empty());
-  ASSERT_FALSE(art.combined[0].degraded_schedulable.empty());
+  ASSERT_FALSE(art.combined[0].cells.empty());
+  ASSERT_GT(art.combined[0].cells[0].degraded_wcrt, 0);  // >= 1 tick or kNoBound
   const ShardArtifact back = ShardArtifact::from_text(art.to_text());
   EXPECT_EQ(serialize_spec(back.spec), with_faults);
   EXPECT_DOUBLE_EQ(back.spec.spec.sim.faults.token_loss_prob, 0.03);
   EXPECT_EQ(back.spec.spec.sim.faults.churn_offline, 6'000);
   ASSERT_EQ(back.combined.size(), art.combined.size());
   for (std::size_t i = 0; i < art.combined.size(); ++i) {
-    EXPECT_EQ(back.combined[i].degraded_schedulable, art.combined[i].degraded_schedulable);
-    EXPECT_EQ(back.combined[i].degraded_wcrt, art.combined[i].degraded_wcrt);
+    ASSERT_EQ(back.combined[i].cells.size(), art.combined[i].cells.size());
+    for (std::size_t p = 0; p < art.combined[i].cells.size(); ++p) {
+      EXPECT_EQ(back.combined[i].cells[p].degraded_schedulable,
+                art.combined[i].cells[p].degraded_schedulable);
+      EXPECT_EQ(back.combined[i].cells[p].degraded_wcrt, art.combined[i].cells[p].degraded_wcrt);
+    }
   }
   EXPECT_EQ(back.to_text(), art.to_text());
 

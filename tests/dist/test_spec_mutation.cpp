@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/detail/record.hpp"
@@ -165,7 +166,7 @@ std::size_t mutate_record(const Codec& codec, const typename Codec::Cell& cell, 
 
 TEST(SpecMutation, CacheRecordsRoundTripOrAreRejected) {
   Xorshift rng{0xbf58476d1ce4e5b9ULL};
-  const SimCells::Cell sim{120'000, engine::SimSummary{4'850, 4'095, 49, 48, 2, 1}};
+  const SimCells::Cell sim{{4'850, 4'095, 49, 48, 2, 1}, 120'000};
   const CombinedCells::Cell clean{sim, true, 20'935, 0};
   const CombinedCells::Cell faulted{sim, false, kNoBound, 3, true, 41'870};
   opt::PolicyOptimum optimum;
@@ -221,6 +222,13 @@ TEST(SpecMutation, RecordsAndRowsRefuseOtherSpellings) {
   for (const char* other : {"a2 05 1", "a2 -0 1", "a2 5 01", "a2 5 1 ", "a2  5 1", "a2 +5 1"}) {
     EXPECT_FALSE(engine::detail::decode_record(AnalysisCells{}, other, c)) << other;
   }
+  // The cell keeps T_cycle in 63 bits: 2^62 - 1 reads whole, 2^62 and
+  // kNoBound are refused rather than truncated.
+  ASSERT_TRUE(engine::detail::decode_record(AnalysisCells{}, "a2 4611686018427387903 1", c));
+  EXPECT_EQ(c.tcycle, (Ticks{1} << 62) - 1);
+  for (const char* other : {"a2 4611686018427387904 1", "a2 9223372036854775807 1"}) {
+    EXPECT_FALSE(engine::detail::decode_record(AnalysisCells{}, other, c)) << other;
+  }
 
   ShardRunner runner(1);
   const std::string text = runner.run(base_spec(SweepMode::Analysis), 0, 1).to_text();
@@ -234,6 +242,29 @@ TEST(SpecMutation, RecordsAndRowsRefuseOtherSpellings) {
   others.push_back(text.substr(0, text.size() - 1));                      // `end` unterminated
   for (const std::string& m : others) {
     EXPECT_THROW((void)ShardArtifact::from_text(m), std::invalid_argument) << m;
+  }
+
+  // A row's cells agree on the scenario's facts: a second cell carrying
+  // another T_cycle (sweep) or another horizon (simulate, combined) is
+  // refused. `second` is that field's token in the first row (0 = "o").
+  const auto bump = [](std::string art, std::size_t index) {
+    std::size_t begin = art.find("\no ") + 1;
+    for (std::size_t i = 0; i < index; ++i) begin = art.find(' ', begin) + 1;
+    const std::size_t end = std::min(art.find(' ', begin), art.find('\n', begin));
+    const long long v = std::stoll(art.substr(begin, end - begin));
+    return art.replace(begin, end - begin, std::to_string(v + 1));
+  };
+  const std::pair<ShardSpec, std::size_t> rows[] = {
+      {base_spec(SweepMode::Analysis), 4 + 2},   // a2: tcycle, verdict
+      {base_spec(SweepMode::Sim), 4 + 7},        // s1: horizon, the summary's six
+      {base_spec(SweepMode::Combined), 4 + 10},  // c3: s1, three analysis fields
+      {specs()[1], 4 + 12},                      // faulted c3: two degraded ones more
+  };
+  for (const auto& [spec, second] : rows) {
+    const std::string art = runner.run(spec, 0, 1).to_text();
+    const std::string off = bump(art, second);
+    ASSERT_NE(off, art);
+    EXPECT_THROW((void)ShardArtifact::from_text(off), std::invalid_argument) << off;
   }
 }
 
@@ -317,6 +348,8 @@ TEST(SpecMutation, SpecBlocksObeyTheFlagRanges) {
       {"base", 5, "0", "deadline_lo"},
       {"base", 13, "nan", "total_u"},
       {"base", 13, "-1", "total_u"},
+      // Every point has u > 0, and utilization-driven generation needs a T_TR.
+      {"base", 12, "0", "ttr"},
       // A deadline ratio whose D = beta*T no longer fits in Ticks.
       {"point", 2, "1e+300", "point beta_hi", 3, "1e+300"},
   };

@@ -93,7 +93,8 @@ TEST(Aggregate, ReducesOutcomesByPoint) {
   result.outcomes.resize(4);
   for (std::size_t i = 0; i < 4; ++i) {
     result.outcomes[i].point = i / 2;
-    result.outcomes[i].schedulable = {i == 0, true};  // FCFS only on #0, DM always
+    // FCFS only on #0, DM always.
+    result.outcomes[i].cells = {AnalysisCell{0, i == 0}, AnalysisCell{0, true}};
   }
   const SweepCurves c = aggregate(spec, result);
   ASSERT_EQ(c.policies, (std::vector<std::string>{"FCFS", "DM"}));

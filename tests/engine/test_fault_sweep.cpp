@@ -67,15 +67,20 @@ SimSweepSpec faulted_spec() {
 void expect_same_combined(const CombinedResult& a, const CombinedResult& b) {
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].sim.id, b.outcomes[i].sim.id);
-    EXPECT_EQ(a.outcomes[i].analytic_schedulable, b.outcomes[i].analytic_schedulable);
-    EXPECT_EQ(a.outcomes[i].analytic_wcrt, b.outcomes[i].analytic_wcrt);
-    EXPECT_EQ(a.outcomes[i].degraded_schedulable, b.outcomes[i].degraded_schedulable);
-    EXPECT_EQ(a.outcomes[i].degraded_wcrt, b.outcomes[i].degraded_wcrt);
-    EXPECT_EQ(a.outcomes[i].bound_violations, b.outcomes[i].bound_violations);
-    EXPECT_EQ(a.outcomes[i].sim.observed_max, b.outcomes[i].sim.observed_max);
-    EXPECT_EQ(a.outcomes[i].sim.misses, b.outcomes[i].sim.misses);
-    EXPECT_EQ(a.outcomes[i].sim.dropped, b.outcomes[i].sim.dropped);
+    EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
+    ASSERT_EQ(a.outcomes[i].cells.size(), b.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < a.outcomes[i].cells.size(); ++p) {
+      const CombinedCell& x = a.outcomes[i].cells[p];
+      const CombinedCell& y = b.outcomes[i].cells[p];
+      EXPECT_EQ(x.analytic_schedulable, y.analytic_schedulable);
+      EXPECT_EQ(x.analytic_wcrt, y.analytic_wcrt);
+      EXPECT_EQ(x.degraded_schedulable, y.degraded_schedulable);
+      EXPECT_EQ(x.degraded_wcrt, y.degraded_wcrt);
+      EXPECT_EQ(x.bound_violations, y.bound_violations);
+      EXPECT_EQ(x.sim.observed_max, y.sim.observed_max);
+      EXPECT_EQ(x.sim.misses, y.sim.misses);
+      EXPECT_EQ(x.sim.dropped, y.sim.dropped);
+    }
   }
 }
 
@@ -178,9 +183,14 @@ TEST(FaultSweep, FaultKnobsAreFoldedIntoTheCacheDigest) {
   EXPECT_EQ(c2.cache_misses, 0u);
   expect_same_combined(f1, f2);
   expect_same_combined(c1, c2);
-  // The clean rerun through the cache carries no degraded columns.
-  EXPECT_TRUE(c2.outcomes[0].degraded_schedulable.empty());
-  EXPECT_FALSE(f2.outcomes[0].degraded_schedulable.empty());
+  // The clean rerun through the cache carries no degraded columns; the
+  // faulted one does (a degraded bound is >= 1 tick or kNoBound).
+  for (const CombinedCell& c : c2.outcomes[0].cells) {
+    EXPECT_FALSE(c.degraded_schedulable);
+    EXPECT_EQ(c.degraded_wcrt, 0);
+  }
+  ASSERT_FALSE(f2.outcomes[0].cells.empty());
+  for (const CombinedCell& c : f2.outcomes[0].cells) EXPECT_GT(c.degraded_wcrt, 0);
 }
 
 }  // namespace

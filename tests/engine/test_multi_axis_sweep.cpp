@@ -279,8 +279,11 @@ TEST(MultiAxisSweep, BetaExtensionRunsWarmFromTheCache) {
   const SweepResult reference = runner.run(extended);
   ASSERT_EQ(reference.outcomes.size(), warm.outcomes.size());
   for (std::size_t i = 0; i < reference.outcomes.size(); ++i) {
-    EXPECT_EQ(reference.outcomes[i].schedulable, warm.outcomes[i].schedulable);
-    EXPECT_EQ(reference.outcomes[i].tcycle, warm.outcomes[i].tcycle);
+    ASSERT_EQ(reference.outcomes[i].cells.size(), warm.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < reference.outcomes[i].cells.size(); ++p) {
+      EXPECT_EQ(reference.outcomes[i].cells[p].schedulable, warm.outcomes[i].cells[p].schedulable);
+      EXPECT_EQ(reference.outcomes[i].cells[p].tcycle, warm.outcomes[i].cells[p].tcycle);
+    }
   }
 }
 
@@ -304,8 +307,11 @@ TEST(MultiAxisSweep, AsymmetricSplitsAreDeterministicAndDistinct) {
   const SweepResult a1 = runner.run(skew);
   const SweepResult a2 = runner.run(skew);
   for (std::size_t i = 0; i < a1.outcomes.size(); ++i) {
-    EXPECT_EQ(a1.outcomes[i].tcycle, a2.outcomes[i].tcycle);
-    EXPECT_EQ(a1.outcomes[i].schedulable, a2.outcomes[i].schedulable);
+    ASSERT_EQ(a1.outcomes[i].cells.size(), a2.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < a1.outcomes[i].cells.size(); ++p) {
+      EXPECT_EQ(a1.outcomes[i].cells[p].tcycle, a2.outcomes[i].cells[p].tcycle);
+      EXPECT_EQ(a1.outcomes[i].cells[p].schedulable, a2.outcomes[i].cells[p].schedulable);
+    }
   }
   // Content differs from the symmetric sweep (hash check is the strongest).
   EXPECT_NE(canonical_hash(SweepRunner::make_scenario(sym, 0)),

@@ -205,12 +205,10 @@ TEST(SimAggregate, AggregateSimReducesOutcomesPerPoint) {
     SimScenarioOutcome& o = result.outcomes[i];
     o.id = i;
     o.point = i / 2;
-    o.observed_max = {Ticks(100 + 10 * static_cast<Ticks>(i)), Ticks(50)};
-    o.observed_p99 = {Ticks(90), Ticks(40)};
-    o.released = {10, 10};
-    o.completed = {10, 10};
-    o.misses = {i == 3 ? 5ULL : 0ULL, 0ULL};
-    o.dropped = {0ULL, i == 0 ? 2ULL : 0ULL};
+    // {observed_max, observed_p99, released, completed, misses, dropped}
+    const Ticks fcfs_max = 100 + 10 * static_cast<Ticks>(i);
+    o.cells = {SimCell{{fcfs_max, 90, 10, 10, i == 3 ? 5ULL : 0ULL, 0ULL}},
+               SimCell{{50, 40, 10, 10, 0ULL, i == 0 ? 2ULL : 0ULL}}};
   }
   const SimCurves c = aggregate_sim(spec, result);
   ASSERT_EQ(c.points.size(), 2u);

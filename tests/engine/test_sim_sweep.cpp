@@ -5,14 +5,17 @@
 //    scenarios per policy — every analytic WCRT dominates the observed max
 //    response (zero per-stream bound violations) and no scenario the
 //    analysis accepts ever misses a deadline in simulation;
-//  * a cache warm for some policies gives the uncached outcomes;
+//  * a cache warm for some policies gives the uncached outcomes, and a
+//    cached record of another horizon is a miss;
 //  * malformed specs are rejected on the calling thread.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
 
+#include "engine/detail/record.hpp"
 #include "engine/sim_aggregate.hpp"
 #include "engine/sweep_runner.hpp"
 
@@ -39,32 +42,40 @@ void expect_same_sim_outcomes(const SimSweepResult& a, const SimSweepResult& b) 
     EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
     EXPECT_EQ(a.outcomes[i].seed, b.outcomes[i].seed);
     EXPECT_EQ(a.outcomes[i].point, b.outcomes[i].point);
-    EXPECT_EQ(a.outcomes[i].horizon, b.outcomes[i].horizon);
-    EXPECT_EQ(a.outcomes[i].observed_max, b.outcomes[i].observed_max);
-    EXPECT_EQ(a.outcomes[i].observed_p99, b.outcomes[i].observed_p99);
-    EXPECT_EQ(a.outcomes[i].released, b.outcomes[i].released);
-    EXPECT_EQ(a.outcomes[i].completed, b.outcomes[i].completed);
-    EXPECT_EQ(a.outcomes[i].misses, b.outcomes[i].misses);
-    EXPECT_EQ(a.outcomes[i].dropped, b.outcomes[i].dropped);
+    ASSERT_EQ(a.outcomes[i].cells.size(), b.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < a.outcomes[i].cells.size(); ++p) {
+      const SimCell& x = a.outcomes[i].cells[p];
+      const SimCell& y = b.outcomes[i].cells[p];
+      EXPECT_EQ(x.horizon, y.horizon);
+      EXPECT_EQ(x.observed_max, y.observed_max);
+      EXPECT_EQ(x.observed_p99, y.observed_p99);
+      EXPECT_EQ(x.released, y.released);
+      EXPECT_EQ(x.completed, y.completed);
+      EXPECT_EQ(x.misses, y.misses);
+      EXPECT_EQ(x.dropped, y.dropped);
+    }
   }
 }
 
 void expect_same_combined_outcomes(const CombinedResult& a, const CombinedResult& b) {
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const CombinedOutcome& x = a.outcomes[i];
-    const CombinedOutcome& y = b.outcomes[i];
-    EXPECT_EQ(x.analytic_schedulable, y.analytic_schedulable);
-    EXPECT_EQ(x.analytic_wcrt, y.analytic_wcrt);
-    EXPECT_EQ(x.bound_violations, y.bound_violations);
-    EXPECT_EQ(x.degraded_schedulable, y.degraded_schedulable);
-    EXPECT_EQ(x.degraded_wcrt, y.degraded_wcrt);
-    EXPECT_EQ(x.sim.observed_max, y.sim.observed_max);
-    EXPECT_EQ(x.sim.observed_p99, y.sim.observed_p99);
-    EXPECT_EQ(x.sim.released, y.sim.released);
-    EXPECT_EQ(x.sim.completed, y.sim.completed);
-    EXPECT_EQ(x.sim.misses, y.sim.misses);
-    EXPECT_EQ(x.sim.dropped, y.sim.dropped);
+    ASSERT_EQ(a.outcomes[i].cells.size(), b.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < a.outcomes[i].cells.size(); ++p) {
+      const CombinedCell& x = a.outcomes[i].cells[p];
+      const CombinedCell& y = b.outcomes[i].cells[p];
+      EXPECT_EQ(x.analytic_schedulable, y.analytic_schedulable);
+      EXPECT_EQ(x.analytic_wcrt, y.analytic_wcrt);
+      EXPECT_EQ(x.bound_violations, y.bound_violations);
+      EXPECT_EQ(x.degraded_schedulable, y.degraded_schedulable);
+      EXPECT_EQ(x.degraded_wcrt, y.degraded_wcrt);
+      EXPECT_EQ(x.sim.observed_max, y.sim.observed_max);
+      EXPECT_EQ(x.sim.observed_p99, y.sim.observed_p99);
+      EXPECT_EQ(x.sim.released, y.sim.released);
+      EXPECT_EQ(x.sim.completed, y.sim.completed);
+      EXPECT_EQ(x.sim.misses, y.sim.misses);
+      EXPECT_EQ(x.sim.dropped, y.sim.dropped);
+    }
   }
 }
 
@@ -113,11 +124,16 @@ TEST(SimSweep, CombinedResultsAreInvariantUnderThreadCount) {
   const CombinedResult r5 = five.run_combined(spec);
   ASSERT_EQ(r1.outcomes.size(), r5.outcomes.size());
   for (std::size_t i = 0; i < r1.outcomes.size(); ++i) {
-    EXPECT_EQ(r1.outcomes[i].analytic_schedulable, r5.outcomes[i].analytic_schedulable);
-    EXPECT_EQ(r1.outcomes[i].analytic_wcrt, r5.outcomes[i].analytic_wcrt);
-    EXPECT_EQ(r1.outcomes[i].bound_violations, r5.outcomes[i].bound_violations);
-    EXPECT_EQ(r1.outcomes[i].sim.observed_max, r5.outcomes[i].sim.observed_max);
-    EXPECT_EQ(r1.outcomes[i].sim.misses, r5.outcomes[i].sim.misses);
+    ASSERT_EQ(r1.outcomes[i].cells.size(), r5.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < r1.outcomes[i].cells.size(); ++p) {
+      const CombinedCell& x = r1.outcomes[i].cells[p];
+      const CombinedCell& y = r5.outcomes[i].cells[p];
+      EXPECT_EQ(x.analytic_schedulable, y.analytic_schedulable);
+      EXPECT_EQ(x.analytic_wcrt, y.analytic_wcrt);
+      EXPECT_EQ(x.bound_violations, y.bound_violations);
+      EXPECT_EQ(x.sim.observed_max, y.sim.observed_max);
+      EXPECT_EQ(x.sim.misses, y.sim.misses);
+    }
   }
   EXPECT_EQ(consistency_table(spec, r1).to_csv(), consistency_table(spec, r5).to_csv());
   EXPECT_EQ(consistency_table(spec, r1).to_json(), consistency_table(spec, r5).to_json());
@@ -139,11 +155,11 @@ TEST(SimSweep, ReplicationsAddObservationsNotNoise) {
   const SimSweepResult r2 = runner.run_sim(two_reps);
   ASSERT_EQ(r1.outcomes.size(), r2.outcomes.size());
   for (std::size_t i = 0; i < r1.outcomes.size(); ++i) {
-    for (std::size_t p = 0; p < r1.outcomes[i].observed_max.size(); ++p) {
+    for (std::size_t p = 0; p < r1.outcomes[i].cells.size(); ++p) {
       // Rep 0 is shared, so two reps can only widen the observed envelope
       // and add released/completed counts.
-      EXPECT_GE(r2.outcomes[i].observed_max[p], r1.outcomes[i].observed_max[p]);
-      EXPECT_GE(r2.outcomes[i].released[p], r1.outcomes[i].released[p]);
+      EXPECT_GE(r2.outcomes[i].cells[p].observed_max, r1.outcomes[i].cells[p].observed_max);
+      EXPECT_GE(r2.outcomes[i].cells[p].released, r1.outcomes[i].cells[p].released);
     }
   }
 }
@@ -204,8 +220,8 @@ TEST(SimSweep, FrameLevelDropsSurfaceInOutcomesAndCurves) {
 
   std::uint64_t total_dropped = 0;
   for (const SimScenarioOutcome& o : result.outcomes) {
-    ASSERT_EQ(o.dropped.size(), 1u);
-    total_dropped += o.dropped[0];
+    ASSERT_EQ(o.cells.size(), 1u);
+    total_dropped += o.cells[0].dropped;
   }
   EXPECT_GT(total_dropped, 0u);
 
@@ -273,6 +289,72 @@ TEST(SimSweep, PartlyWarmCachesMatchUncachedRuns) {
     EXPECT_EQ(consistency_table(spec, combined).to_csv(),
               consistency_table(spec, combined_cold).to_csv());
   }
+}
+
+/// Serves every record of `inner` with its horizon (the field after the tag)
+/// one tick off: still a decodable s1 or c3 record, but not the scenario's.
+class OffHorizonCache final : public ScenarioCache {
+ public:
+  explicit OffHorizonCache(MemoryCache& inner) : inner_(inner) {}
+
+  bool load(const CacheKey& key, std::string& payload) override {
+    if (!inner_.load(key, payload)) return false;
+    const std::size_t begin = payload.find(' ') + 1;
+    const std::size_t end = payload.find(' ', begin);
+    const Ticks horizon = std::stoll(payload.substr(begin, end - begin));
+    payload.replace(begin, end - begin, std::to_string(horizon + 1));
+    detail::SimCells::Cell sim;
+    detail::CombinedCells::Cell combined;
+    if (detail::decode_record(detail::SimCells{}, payload, sim) ||
+        detail::decode_record(detail::CombinedCells{}, payload, combined)) {
+      decodable.fetch_add(1);
+    }
+    return true;
+  }
+  void store(const CacheKey& key, const std::string& payload) override {
+    stores.fetch_add(1);
+    inner_.store(key, payload);
+  }
+
+  std::atomic<std::size_t> decodable{0};
+  std::atomic<std::size_t> stores{0};
+
+ private:
+  MemoryCache& inner_;
+};
+
+// The horizon is a pure function of (scenario, options), so a decodable
+// record of another horizon is a corrupted or colliding entry: the lookup
+// counts as a miss, and the cell is recomputed and stored again.
+TEST(SimSweep, CachedRecordsOfAnotherHorizonAreMisses) {
+  const SimSweepSpec spec = small_spec();
+  const std::size_t cells = spec.sweep.total_scenarios() * spec.sweep.policies.size();
+  SweepRunner runner(3);
+  const SimSweepResult sim_plain = runner.run_sim(spec);
+  const CombinedResult combined_plain = runner.run_combined(spec);
+  MemoryCache good;
+  (void)runner.run_sim(spec, &good);
+  (void)runner.run_combined(spec, &good);
+
+  OffHorizonCache off(good);
+  const SimSweepResult sim = runner.run_sim(spec, &off);
+  EXPECT_EQ(sim.cache_hits, 0u);
+  EXPECT_EQ(sim.cache_misses, cells);
+  expect_same_sim_outcomes(sim, sim_plain);
+  const CombinedResult combined = runner.run_combined(spec, &off);
+  EXPECT_EQ(combined.cache_hits, 0u);
+  EXPECT_EQ(combined.cache_misses, cells);
+  expect_same_combined_outcomes(combined, combined_plain);
+  EXPECT_EQ(off.decodable.load(), 2 * cells);
+  EXPECT_EQ(off.stores.load(), 2 * cells);
+
+  // The stores put the scenario's own records back.
+  const SimSweepResult sim_warm = runner.run_sim(spec, &good);
+  EXPECT_EQ(sim_warm.cache_hits, cells);
+  expect_same_sim_outcomes(sim_warm, sim_plain);
+  const CombinedResult combined_warm = runner.run_combined(spec, &good);
+  EXPECT_EQ(combined_warm.cache_hits, cells);
+  expect_same_combined_outcomes(combined_warm, combined_plain);
 }
 
 TEST(SimSweep, RejectsBadSpecs) {

@@ -53,8 +53,11 @@ void expect_same_outcomes(const SweepResult& a, const SweepResult& b) {
     EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
     EXPECT_EQ(a.outcomes[i].seed, b.outcomes[i].seed);
     EXPECT_EQ(a.outcomes[i].point, b.outcomes[i].point);
-    EXPECT_EQ(a.outcomes[i].tcycle, b.outcomes[i].tcycle);
-    EXPECT_EQ(a.outcomes[i].schedulable, b.outcomes[i].schedulable);
+    ASSERT_EQ(a.outcomes[i].cells.size(), b.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < a.outcomes[i].cells.size(); ++p) {
+      EXPECT_EQ(a.outcomes[i].cells[p].tcycle, b.outcomes[i].cells[p].tcycle);
+      EXPECT_EQ(a.outcomes[i].cells[p].schedulable, b.outcomes[i].cells[p].schedulable);
+    }
   }
 }
 
@@ -162,8 +165,8 @@ TEST(SweepRunner, CliffVerdictsAreTheEngineVerdicts) {
       const Report want = engine.analyze(sc, spec.policies[p]);
       for (const SweepResult* r : {&uncached, &cold, &warm}) {
         const ScenarioOutcome& o = r->outcomes[id];
-        EXPECT_EQ(o.tcycle, want.tcycle) << "id " << id;
-        EXPECT_EQ(o.schedulable[p], want.schedulable)
+        EXPECT_EQ(o.cells[p].tcycle, want.tcycle) << "id " << id;
+        EXPECT_EQ(o.cells[p].schedulable, want.schedulable)
             << to_string(spec.policies[p]) << " id " << id;
       }
       if (spec.policies[p] == Policy::Edf) (want.schedulable ? edf_accepted : edf_rejected) += 1;
@@ -181,6 +184,24 @@ TEST(SweepRunner, WorkerExceptionsSurfaceOnTheCallingThread) {
   spec.base.ttr = 0;
   SweepRunner runner(3);
   EXPECT_THROW((void)runner.run(spec), std::invalid_argument);
+}
+
+TEST(SweepRunner, RefusesATcycleItsCellCannotHold) {
+  // An AnalysisCell keeps T_cycle in 63 bits. The job validation keeps T_TR
+  // far below 2^62, but the engine takes any T_TR: a T_cycle just below 2^62
+  // is kept whole, one at or above it is refused, never truncated.
+  SweepSpec spec = small_spec();
+  spec.points = {SweepPoint{}};  // period-driven generation takes any T_TR
+  spec.scenarios_per_point = 2;
+  spec.base.ttr = (Ticks{1} << 62) - (Ticks{1} << 40);
+  SweepRunner runner(1);
+  const SweepResult r = runner.run(spec);
+  for (const ScenarioOutcome& o : r.outcomes) {
+    const Ticks want = profibus::t_cycle(SweepRunner::make_scenario(spec, o.id).net);
+    for (const AnalysisCell& c : o.cells) EXPECT_EQ(c.tcycle, want);
+  }
+  spec.base.ttr = Ticks{1} << 62;
+  EXPECT_THROW((void)runner.run(spec), std::overflow_error);
 }
 
 TEST(SweepRunner, RejectsEmptySpecs) {

@@ -106,7 +106,7 @@ TEST(ConsistencyMultiAxis, SkewShiftsTheAcceptanceCliff) {
   const auto accepted = [&](const SweepSpec& s) {
     std::size_t n = 0;
     for (const ScenarioOutcome& o : runner.run(s).outcomes) {
-      if (o.schedulable[0]) ++n;
+      if (o.cells[0].schedulable) ++n;
     }
     return n;
   };

@@ -48,11 +48,11 @@ TEST(OptAggregate, FoldsOutcomesIntoPerPointDistributions) {
     o.id = i;
     o.point = 0;
     const bool feasible = i < 3;
-    o.per_policy.push_back(optimum(feasible, feasible ? Ticks(1'000 + 100 * i) : 0,
+    o.cells.push_back(optimum(feasible, feasible ? Ticks(1'000 + 100 * i) : 0,
                                    feasible ? 0.5 + 0.1 * static_cast<double>(i) : 0.0,
                                    feasible ? Ticks(10'000 + 1'000 * i) : 0,
                                    feasible ? Ticks(512 + 64 * i) : 0));
-    o.per_policy.push_back(optimum(false, 0, 0.0, 0, 0));
+    o.cells.push_back(optimum(false, 0, 0.0, 0, 0));
     result.outcomes.push_back(o);
   }
   const OptimizeTable table = aggregate_optimize(spec, result);
@@ -100,8 +100,8 @@ TEST(OptAggregate, CsvAndJsonCarryTheSameValues) {
   OptimizeResult result;
   OptimizeOutcome o;
   o.point = 1;
-  o.per_policy.push_back(optimum(true, 2'048, 0.625, 40'000, 256));
-  o.per_policy.push_back(optimum(true, 1'024, 0.5, 20'000, 1'024));
+  o.cells.push_back(optimum(true, 2'048, 0.625, 40'000, 256));
+  o.cells.push_back(optimum(true, 1'024, 0.5, 20'000, 1'024));
   result.outcomes.push_back(o);
   const OptimizeTable table = aggregate_optimize(spec, result);
   const std::string csv = table.to_csv();
@@ -142,8 +142,8 @@ TEST(OptAggregate, MastersAxisGatesTheExtraColumn) {
   OptimizeResult result;
   OptimizeOutcome o;
   o.point = 0;
-  o.per_policy.push_back(optimum(true, 1'100, 0.4, 9'000, 700));
-  o.per_policy.push_back(optimum(false, 0, 0.0, 0, 0));
+  o.cells.push_back(optimum(true, 1'100, 0.4, 9'000, 700));
+  o.cells.push_back(optimum(false, 0, 0.0, 0, 0));
   result.outcomes.push_back(o);
   const OptimizeTable table = aggregate_optimize(spec, result);
 

@@ -48,10 +48,10 @@ void expect_same(const OptimizeResult& a, const OptimizeResult& b) {
     EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
     EXPECT_EQ(a.outcomes[i].seed, b.outcomes[i].seed);
     EXPECT_EQ(a.outcomes[i].point, b.outcomes[i].point);
-    ASSERT_EQ(a.outcomes[i].per_policy.size(), b.outcomes[i].per_policy.size());
-    for (std::size_t p = 0; p < a.outcomes[i].per_policy.size(); ++p) {
-      const PolicyOptimum& x = a.outcomes[i].per_policy[p];
-      const PolicyOptimum& y = b.outcomes[i].per_policy[p];
+    ASSERT_EQ(a.outcomes[i].cells.size(), b.outcomes[i].cells.size());
+    for (std::size_t p = 0; p < a.outcomes[i].cells.size(); ++p) {
+      const PolicyOptimum& x = a.outcomes[i].cells[p];
+      const PolicyOptimum& y = b.outcomes[i].cells[p];
       EXPECT_EQ(x.schedulable, y.schedulable) << i << "/" << p;
       EXPECT_EQ(x.breakdown_q, y.breakdown_q) << i << "/" << p;
       EXPECT_EQ(x.breakdown_cap, y.breakdown_cap) << i << "/" << p;
@@ -79,7 +79,7 @@ TEST(Optimizer, BaseVerdictMatchesTheSweepRunner) {
   ASSERT_EQ(opt.outcomes.size(), sweep.outcomes.size());
   for (std::size_t i = 0; i < opt.outcomes.size(); ++i) {
     for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      EXPECT_EQ(opt.outcomes[i].per_policy[p].schedulable, sweep.outcomes[i].schedulable[p])
+      EXPECT_EQ(opt.outcomes[i].cells[p].schedulable, sweep.outcomes[i].cells[p].schedulable)
           << "scenario " << i << " policy " << p;
     }
   }
@@ -181,7 +181,7 @@ TEST(Optimizer, EveryBoundaryIsExact) {
   for (const OptimizeOutcome& o : result.outcomes) {
     const engine::Scenario sc = engine::SweepRunner::make_scenario(spec.sweep, o.id);
     for (std::size_t p = 0; p < spec.sweep.policies.size(); ++p) {
-      const PolicyOptimum& po = o.per_policy[p];
+      const PolicyOptimum& po = o.cells[p];
       const profibus::NetworkTest test =
           optimize_network_test(spec.sweep.policies[p], spec.sweep.engine);
 
@@ -222,8 +222,8 @@ TEST(Optimizer, RangedRunMatchesTheWholeRunSlice) {
   ASSERT_EQ(part.outcomes.size(), 6u);
   for (std::size_t i = 0; i < part.outcomes.size(); ++i) {
     EXPECT_EQ(part.outcomes[i].id, whole.outcomes[i + 3].id);
-    EXPECT_EQ(part.outcomes[i].per_policy[0].breakdown_q,
-              whole.outcomes[i + 3].per_policy[0].breakdown_q);
+    EXPECT_EQ(part.outcomes[i].cells[0].breakdown_q,
+              whole.outcomes[i + 3].cells[0].breakdown_q);
   }
 }
 

@@ -201,7 +201,7 @@ CellCount expect_reference_optima(const OptimizeSpec& spec) {
     const engine::Scenario sc = engine::SweepRunner::make_scenario(spec.sweep, o.id);
     for (std::size_t p = 0; p < tests.size(); ++p) {
       const PolicyOptimum want = optimize_policy(sc.net, tests[p], spec.options);
-      expect_same(o.per_policy[p], want, engine::to_string(spec.sweep.policies[p]));
+      expect_same(o.cells[p], want, engine::to_string(spec.sweep.policies[p]));
       if (::testing::Test::HasFailure()) {
         ADD_FAILURE() << "scenario " << o.id << " policy " << p;
         return n;
@@ -285,7 +285,7 @@ TEST(ProbeBracket, DecidesMasterVerdictsWithoutAnalysis) {
                 return engine::master_schedulable(m, tc, policy, scratch);
               });
         };
-        expect_same(o.per_policy[p], optimize_policy(sc.net, counted, spec.options), "counted");
+        expect_same(o.cells[p], optimize_policy(sc.net, counted, spec.options), "counted");
       }
     }
     const std::uint64_t analysed = v1.analysed - v0.analysed;

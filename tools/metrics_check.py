@@ -19,7 +19,9 @@ Checks, in order:
   6. stage attribution — a process that completed scenarios timed their
      generation (runner.generate counts at least one span per completed
      scenario) and their analysis or simulation (runner.analyze or
-     runner.simulate counts some span);
+     runner.simulate counts some span) — except a combined run whose cells
+     all came from the cache (cache.lookups > 0, cache.misses == 0), since
+     `simulate --combined` times only the cells it computes;
   7. simulation sharing — a process that simulated (sim.replications > 0)
      ran 0 < sim.events_executed <= sim.events: the policies of one
      replication share their common prefix, so the kernels run at most the
@@ -29,7 +31,11 @@ Checks, in order:
      per-master bracket: opt.master_verdicts.analysed + .decided >= the sum
      of opt.probes.*; the D/T probes keep no bracket, so
      opt.probes.dratio <= .analysed_dratio <= .analysed;
-  9. optionally (--scenarios N) that runner.scenarios_completed matches the
+  9. simulation series — a simulation run (subcommand `simulate`, or
+     `--mode simulate|combined` in argv) lists the sim.* series, at zero
+     when each of its cells came from the cache: the simulation bridge
+     registers them all at once, so sim.replications stands for them;
+ 10. optionally (--scenarios N) that runner.scenarios_completed matches the
      scenario count the caller expected the process to execute.
 
 Exit code 0 = pass, 1 = fail (reasons on stderr).
@@ -59,6 +65,15 @@ PHASE_SLACK = 0.05
 def fail(msg):
     print(f"metrics_check: FAIL: {msg}", file=sys.stderr)
     return 1
+
+
+def run_modes(doc):
+    """The engine modes a command ran: its `--mode` values, or simulate's own."""
+    argv = doc["argv"]
+    modes = {argv[i + 1] for i in range(len(argv) - 1) if argv[i] == "--mode"}
+    if doc["subcommand"] == "simulate":
+        modes.add("combined" if "--combined" in argv else "simulate")
+    return modes
 
 
 def check_section(doc, section, value_keys):
@@ -142,25 +157,27 @@ def main(argv):
         if sum(bins) != h["count"]:
             return fail(f"histogram {name}: count {h['count']} != sum(bins) {sum(bins)}")
 
-    done = counters.get("runner.scenarios_completed", {"value": 0})["value"]
+    def counter(name):
+        return counters.get(name, {"value": 0})["value"]
+
+    done = counter("runner.scenarios_completed")
     if done > 0:
         spans = {s: timers.get(f"runner.{s}", {"count": 0})["count"]
                  for s in ("generate", "analyze", "simulate")}
         if spans["generate"] < done:
             return fail(f"runner.generate counts {spans['generate']} spans for {done} "
                         "completed scenarios")
-        if spans["analyze"] + spans["simulate"] == 0:
+        all_cached = counter("cache.lookups") > 0 and counter("cache.misses") == 0
+        exempt = all_cached and "combined" in run_modes(doc)
+        if not exempt and spans["analyze"] + spans["simulate"] == 0:
             return fail(f"{done} scenarios completed, but runner.analyze and "
                         "runner.simulate timed nothing")
 
-    if counters.get("sim.replications", {"value": 0})["value"] > 0:
-        events = counters.get("sim.events", {"value": 0})["value"]
-        executed = counters.get("sim.events_executed", {"value": 0})["value"]
+    if counter("sim.replications") > 0:
+        events = counter("sim.events")
+        executed = counter("sim.events_executed")
         if not 0 < executed <= events:
             return fail(f"sim.events_executed ({executed}) outside (0, sim.events = {events}]")
-
-    def counter(name):
-        return counters.get(name, {"value": 0})["value"]
 
     if counter("opt.bisections") > 0:
         probes = sum(counter(f"opt.probes.{axis}") for axis in ("breakdown", "ttr", "dratio"))
@@ -174,6 +191,9 @@ def main(argv):
             return fail(f"opt.master_verdicts.analysed_dratio ({dratio}) outside "
                         f"[opt.probes.dratio = {counter('opt.probes.dratio')}, "
                         f".analysed = {analysed}]")
+
+    if run_modes(doc) & {"simulate", "combined"} and "sim.replications" not in counters:
+        return fail("a simulation run's sidecar lacks the sim.* series")
 
     if expect_scenarios is not None:
         if done != expect_scenarios:
